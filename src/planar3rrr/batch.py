@@ -2,8 +2,10 @@
 
 Array-oriented versions of the leg reach test, branch selection, det(A)
 evaluation and direct-kinematics root isolation. These back the octree cell
-predicates and the bulk property checks; the scalar operators in
-``kinematics``/``jacobians`` remain the reference implementations.
+predicates and the bulk property checks; the scalar inverse and Jacobian
+operators in ``kinematics``/``jacobians`` remain the reference
+implementations. ``fk_roots`` is the only direct-kinematics solver:
+``kinematics.forward_kinematics`` calls it for one triple.
 
 Shapes follow numpy broadcasting; x, y, theta (or the three actuated angles)
 must broadcast against each other.
@@ -18,6 +20,11 @@ from .geometry import TWO_PI, GeometryConfig, WorkingMode
 #: Enum order used whenever modes are indexed 0..7.
 MODE_ORDER = tuple(WorkingMode)
 
+
+def elbow_points(geom: GeometryConfig, alphas):
+    """Elbow coordinates (bx, by), each (K, 3), of actuated-angle rows (K, 3)."""
+    a = geom.base_points
+    return a[:, 0][None, :] + geom.l * np.cos(alphas), a[:, 1][None, :] + geom.l * np.sin(alphas)
 
 
 def _leg_data(geom: GeometryConfig):
@@ -181,7 +188,10 @@ def _positions_batch(geom: GeometryConfig, bx, by, theta):
     """Candidate platform positions at scan-function roots.
 
     (K,) inputs; returns (rows, x, y) with one Cramer candidate per
-    well-conditioned row and two rank-1 line candidates otherwise.
+    well-conditioned row and two rank-1 line candidates per nearly singular
+    row. Rows in between get all three: there a cluster of roots can hold
+    two assembly modes at almost the same orientation but far apart, and
+    the single Cramer point leads the full-system polish to only one.
     """
     mm, rr, det, e0x, e0y, h0 = _fk_system_pieces(geom, bx, by, theta[:, None])
     m11, m12, m21, m22 = (v[:, 0] for v in mm)
@@ -191,7 +201,8 @@ def _positions_batch(geom: GeometryConfig, bx, by, theta):
     e0y = e0y[:, 0]
     h0 = h0[:, 0]
     scale = np.sqrt((m11 * m11 + m12 * m12) * (m21 * m21 + m22 * m22))
-    big = np.abs(det) > 1e-4 * np.maximum(scale, 1e-300)
+    scale = np.maximum(scale, 1e-300)
+    big = np.abs(det) > 1e-4 * scale
     rows_list = []
     xs_list = []
     ys_list = []
@@ -200,7 +211,7 @@ def _positions_batch(geom: GeometryConfig, bx, by, theta):
         rows_list.append(bi)
         xs_list.append((r1[bi] * m22[bi] - r2[bi] * m12[bi]) / det[bi])
         ys_list.append((m11[bi] * r2[bi] - m21[bi] * r1[bi]) / det[bi])
-    si = np.flatnonzero(~big)
+    si = np.flatnonzero(np.abs(det) <= 1e-1 * scale)
     if si.size:
         n1 = np.hypot(m11[si], m12[si])
         n2 = np.hypot(m21[si], m22[si])
@@ -288,6 +299,12 @@ def _closure_error(geom: GeometryConfig, bx, by, x, y, theta):
 #: Trigonometric degree of the scan polynomial N.
 SCAN_DEGREE = 6
 
+#: Largest ||z| - 1| of a companion eigenvalue z kept as an orientation root.
+#: The eigenvalues of clustered roots near a tangency leave the unit circle by
+#: a few 1e-3 through rounding; spurious candidates the window lets in are
+#: rejected later by the closure gate of fk_roots.
+UNIT_WINDOW = 1e-2
+
 
 def scan_coefficients(geom: GeometryConfig, bx, by, samples: int = 64):
     """Complex Fourier coefficients gamma_0..gamma_6 of N per input row.
@@ -326,7 +343,7 @@ def scan_roots(gamma):
         comp[:, np.arange(1, n), np.arange(0, n - 1)] = 1.0
         comp[:, :, -1] = -monic[:, :n]
         z = np.linalg.eigvals(comp)
-        near_unit = np.abs(np.abs(z) - 1.0) < 1e-4
+        near_unit = np.abs(np.abs(z) - 1.0) < UNIT_WINDOW
         ri, rj = np.nonzero(near_unit)
         rows_out.append(gi[ri])
         theta_out.append(np.angle(z[ri, rj]) % TWO_PI)
@@ -334,7 +351,7 @@ def scan_roots(gamma):
         if mag[i] == 0.0:
             continue
         z = np.roots(coeffs[i, ::-1])
-        z = z[np.abs(np.abs(z) - 1.0) < 1e-4]
+        z = z[np.abs(np.abs(z) - 1.0) < UNIT_WINDOW]
         if z.size:
             rows_out.append(np.full(z.size, i))
             theta_out.append(np.angle(z) % TWO_PI)
@@ -360,15 +377,12 @@ def fk_roots(
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     n = alphas.shape[0]
-    a = geom.base_points
     out_idx = []
     out_x = []
     out_y = []
     out_t = []
     for start in range(0, n, chunk):
-        al = alphas[start : start + chunk]
-        bx = a[:, 0][None, :] + geom.l * np.cos(al)
-        by = a[:, 1][None, :] + geom.l * np.sin(al)
+        bx, by = elbow_points(geom, alphas[start : start + chunk])
         gamma = scan_coefficients(geom, bx, by, samples)
         ci, theta = scan_roots(gamma)
         if ci.size == 0:
@@ -390,7 +404,7 @@ def fk_roots(
         root = theta[rows]
         # Full-system polish repairs the conditioning of the 2x2 recovery
         # near singular orientations of the reduction.
-        px2, py2, root2 = _newton_full_batch(geom, bxr, byr, px, py, root, iters=10)
+        px2, py2, root2 = _newton_full_batch(geom, bxr, byr, px, py, root)
         err1 = _closure_error(geom, bxr, byr, px, py, root)
         err2 = _closure_error(geom, bxr, byr, px2, py2, root2)
         err1 = np.where(np.isfinite(err1), err1, np.inf)
@@ -424,8 +438,7 @@ def solution_signs(geom: GeometryConfig, alphas: np.ndarray, x, y, theta):
     a = geom.base_points
     s = geom.s
     psi = np.asarray(geom.platform_phase)
-    bx = a[:, 0][None, :] + geom.l * np.cos(alphas)
-    by = a[:, 1][None, :] + geom.l * np.sin(alphas)
+    bx, by = elbow_points(geom, alphas)
     b_signs = []
     rows = []
     for i in range(3):

@@ -29,7 +29,6 @@ _CONFIG_KEYS = {
     "joint_depth",
     "eps_sing",
     "samples_per_segment",
-    "seed",
     "workspace_limit",
     "out",
 }
@@ -47,7 +46,6 @@ class RunConfig:
     joint_depth: int | None = None
     eps_sing: float = EPS_SING
     samples_per_segment: int = 500
-    seed: int = 0
     workspace_limit: float = 12.0
     out: Path = Path(".")
 
@@ -78,7 +76,6 @@ def load_config(path: str | None) -> RunConfig:
             joint_depth=int(data["joint_depth"]) if "joint_depth" in data else None,
             eps_sing=float(data.get("eps_sing", EPS_SING)),
             samples_per_segment=int(data.get("samples_per_segment", 500)),
-            seed=int(data.get("seed", 0)),
             workspace_limit=float(data.get("workspace_limit", 12.0)),
             out=Path(data["out"]) if "out" in data else Path("."),
         )
@@ -103,8 +100,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         if args.eps <= 0:
             raise ConfigError("eps must be positive")
         updates["eps_sing"] = args.eps
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if args.out is not None:
         updates["out"] = Path(args.out)
     return replace(cfg, **updates) if updates else cfg
@@ -136,7 +131,7 @@ def _load_waypoints(path: str) -> tuple[WorkingMode, list[Pose], int | None]:
 
 def cmd_fk(cfg: RunConfig, args) -> int:
     alpha = (args.alpha1, args.alpha2, args.alpha3)
-    poses = forward_kinematics(cfg.geometry, alpha, eps=cfg.eps_sing)
+    poses = forward_kinematics(cfg.geometry, alpha)
     print("sol        x            y     theta_deg        detA       B11       B22       B33  mode")
     for k, pose in enumerate(poses, start=1):
         cfgs = inverse_kinematics_all(cfg.geometry, pose, cfg.eps_sing)
@@ -339,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (default '.')")
     parser.add_argument("--depth", type=int, help="octree depth override")
     parser.add_argument("--eps", type=float, help="singularity tolerance override")
-    parser.add_argument("--seed", type=int, help="random seed for sampling utilities")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fk", help="all assembly poses for actuated angles (radians)")

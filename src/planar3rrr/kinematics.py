@@ -11,9 +11,8 @@ Differencing pairs (1,2) and (1,3) leaves a linear 2x2 system for (x, y) as a
 function of theta; substituting its solution back into closure 1 gives a
 scalar residual f(theta) whose zeros on [0, 2pi) are the assembly modes. The
 reduction is equivalent to a degree-6 polynomial in tan(theta/2), so at most
-six real solutions exist; roots are isolated by a dense scan with sign-change
-bisection and a Newton polish, and orientations where the 2x2 system is
-singular are excluded from the scan and analyzed separately.
+six real solutions exist. ``batch.fk_roots`` finds them algebraically; the
+scalar ``forward_kinematics`` is a one-triple wrapper over it.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import math
 
 import numpy as np
 
+from . import batch
 from .errors import (
     DegenerateLinearSystemError,
     SerialBoundaryError,
@@ -38,10 +38,8 @@ from .geometry import (
     wrap_angle,
 )
 
-#: Default number of orientation samples for direct-kinematics root isolation.
+#: Orientation samples of the degenerate-reduction check in forward_kinematics.
 FK_SAMPLES = 2048
-
-_LOOP_TOL = 1e-9
 
 
 def _leg_angles(
@@ -143,333 +141,51 @@ def inverse_kinematics_all(
     return result
 
 
-class _FkSystem:
-    """Scalar evaluation of the reduced direct-kinematics system at one theta."""
+def _check_degenerate(geom: GeometryConfig, bx, by) -> None:
+    """Raise when the 2x2 reduction is singular over a whole orientation run.
 
-    def __init__(self, geom: GeometryConfig, alpha) -> None:
-        self.geom = geom
-        a = geom.base_points
-        l = geom.l
-        self.b = [
-            (a[i, 0] + l * math.cos(alpha[i]), a[i, 1] + l * math.sin(alpha[i]))
-            for i in range(3)
-        ]
-
-    def pieces(self, theta: float):
-        """Return (e vectors, h values) of the three shifted closure equations."""
-        s = self.geom.s
-        m = self.geom.m
-        e = []
-        h = []
-        for i, psi in enumerate(self.geom.platform_phase):
-            ux = s * math.cos(theta + psi)
-            uy = s * math.sin(theta + psi)
-            ex = ux - self.b[i][0]
-            ey = uy - self.b[i][1]
-            e.append((ex, ey))
-            h.append(ex * ex + ey * ey - m * m)
-        return e, h
-
-    def system(self, theta: float):
-        """2x2 difference system: matrix rows, right side, det and row-norm scale."""
-        e, h = self.pieces(theta)
-        m11 = 2.0 * (e[1][0] - e[0][0])
-        m12 = 2.0 * (e[1][1] - e[0][1])
-        m21 = 2.0 * (e[2][0] - e[0][0])
-        m22 = 2.0 * (e[2][1] - e[0][1])
-        det = m11 * m22 - m12 * m21
-        scale = math.sqrt((m11 * m11 + m12 * m12) * (m21 * m21 + m22 * m22))
-        return (m11, m12, m21, m22), (h[0] - h[1], h[0] - h[2]), det, scale, e, h
-
-    def numerator(self, theta: float) -> float:
-        """Pole-free scan function N = f * det(M)^2.
-
-        N is a trigonometric polynomial with the same zeros as the
-        back-substituted residual f away from singular orientations of the
-        2x2 system; where the system is singular and consistent, N vanishes
-        as well (the adjugate annihilates the range of M). Scanning N avoids
-        the violent spikes of f near those isolated orientations.
-        """
-        (m11, m12, m21, m22), (r1, r2), det, scale, e, h = self.system(theta)
-        arx = r1 * m22 - r2 * m12
-        ary = m11 * r2 - m21 * r1
-        return (
-            arx * arx
-            + ary * ary
-            + 2.0 * det * (arx * e[0][0] + ary * e[0][1])
-            + det * det * h[0]
-        )
-
-    def positions_at(self, theta: float) -> list[tuple[float, float]]:
-        """Platform positions compatible with the difference system at theta.
-
-        One Cramer solution generically; near a singular orientation the
-        system is rank 1 and closure 1 restricts its line to at most two
-        candidate points.
-        """
-        (m11, m12, m21, m22), (r1, r2), det, scale, e, h = self.system(theta)
-        if scale == 0.0:
-            return []
-        if abs(det) > 1e-4 * scale:
-            return [((r1 * m22 - r2 * m12) / det, (m11 * r2 - m21 * r1) / det)]
-        n1 = math.hypot(m11, m12)
-        n2 = math.hypot(m21, m22)
-        if n1 >= n2:
-            vx, vy, rv = m11, m12, r1
-        else:
-            vx, vy, rv = m21, m22, r2
-        nv = max(n1, n2)
-        px = rv * vx / (nv * nv)
-        py = rv * vy / (nv * nv)
-        nx, ny = -vy / nv, vx / nv
-        bq = 2.0 * (nx * (px + e[0][0]) + ny * (py + e[0][1]))
-        cq = px * px + py * py + 2.0 * (px * e[0][0] + py * e[0][1]) + h[0]
-        disc = bq * bq - 4.0 * cq
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        return [
-            (px + 0.5 * (-bq + sq) * nx, py + 0.5 * (-bq + sq) * ny),
-            (px + 0.5 * (-bq - sq) * nx, py + 0.5 * (-bq - sq) * ny),
-        ]
-
-    def closure_error(self, x: float, y: float, theta: float) -> float:
-        """Worst |distance(c_i, b_i) - m| over the three legs."""
-        s = self.geom.s
-        worst = 0.0
-        for i, psi in enumerate(self.geom.platform_phase):
-            cx = x + s * math.cos(theta + psi)
-            cy = y + s * math.sin(theta + psi)
-            gap = abs(math.hypot(cx - self.b[i][0], cy - self.b[i][1]) - self.geom.m)
-            worst = max(worst, gap)
-        return worst
-
-
-def _bisect_root(fun, lo: float, hi: float, flo: float, iters: int = 60) -> float:
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fmid = fun(mid)
-        if not math.isfinite(fmid):
-            # Nudge off a singular sample; fall back to the midpoint if stuck.
-            mid = lo + 0.49 * (hi - lo)
-            fmid = fun(mid)
-            if not math.isfinite(fmid):
-                break
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(fun, theta: float, lo: float, hi: float) -> float:
-    h = 1e-7
-    for _ in range(4):
-        f0 = fun(theta)
-        fp = (fun(theta + h) - fun(theta - h)) / (2.0 * h)
-        if not math.isfinite(f0) or not math.isfinite(fp) or fp == 0.0:
-            break
-        step = f0 / fp
-        nxt = theta - step
-        if not (lo - 1e-6 <= nxt <= hi + 1e-6):
-            break
-        theta = nxt
-        if abs(step) < 1e-13:
-            break
-    return theta
-
-
-def _minimize_residual(fun, theta: float, lo: float, hi: float) -> float:
-    """Newton iteration on f' toward the local minimum inside [lo, hi]."""
-    h = 1e-6
-    t = theta
-    for _ in range(60):
-        fm = fun(t - h)
-        f0 = fun(t)
-        fp = fun(t + h)
-        if not (math.isfinite(fm) and math.isfinite(f0) and math.isfinite(fp)):
-            break
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        if d2 <= 0.0:
-            break
-        nxt = min(max(t - d1 / d2, lo), hi)
-        if abs(nxt - t) < 1e-13:
-            t = nxt
-            break
-        t = nxt
-    return t
-
-
-def _newton_full(sys_: _FkSystem, x: float, y: float, theta: float, iters: int = 30):
-    """Newton on the full three-closure system in (x, y, theta).
-
-    Used near orientations where the 2x2 reduction is singular; the full
-    system stays well conditioned at generic roots there.
+    det(M) is sampled at FK_SAMPLES orientations; isolated singular
+    orientations are fine (fk_roots recovers positions there by a rank-1
+    line analysis), a run of at least FK_SAMPLES / 256 samples means the
+    geometry is architecture-singular for these actuated angles.
     """
-    geom = sys_.geom
-    s, m = geom.s, geom.m
-    psi = geom.platform_phase
-    b = sys_.b
-    for _ in range(iters):
-        g = np.empty(3)
-        jac = np.empty((3, 3))
-        for i in range(3):
-            ux = math.cos(theta + psi[i])
-            uy = math.sin(theta + psi[i])
-            wx = x + s * ux - b[i][0]
-            wy = y + s * uy - b[i][1]
-            g[i] = wx * wx + wy * wy - m * m
-            jac[i, 0] = 2.0 * wx
-            jac[i, 1] = 2.0 * wy
-            jac[i, 2] = 2.0 * s * (-wx * uy + wy * ux)
-        try:
-            step = np.linalg.solve(jac, g)
-        except np.linalg.LinAlgError:
-            return None
-        norm = float(np.max(np.abs(step)))
-        if norm > 1.0:
-            step = step / norm
-        x -= float(step[0])
-        y -= float(step[1])
-        theta -= float(step[2])
-        if norm < 1e-13:
-            break
-    return x, y, theta
+    step = TWO_PI / FK_SAMPLES
+    thetas = np.arange(FK_SAMPLES) * step
+    (m11, m12, m21, m22), _, det, *_ = batch._fk_system_pieces(geom, bx, by, thetas[None, :])
+    det = det[0]
+    scale = np.sqrt((m11[0] ** 2 + m12[0] ** 2) * (m21[0] ** 2 + m22[0] ** 2))
+    idx = np.flatnonzero(np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300))
+    if idx.size == 0:
+        return
+    # Group singular samples into circular runs.
+    groups = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+    if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == FK_SAMPLES - 1:
+        groups[0] = np.concatenate([groups[-1], groups[0] + FK_SAMPLES])
+        groups.pop()
+    for g in groups:
+        if len(g) >= FK_SAMPLES // 256:
+            raise DegenerateLinearSystemError(
+                float(g[0] % FK_SAMPLES) * step, float(g[-1] % FK_SAMPLES) * step
+            )
 
 
-def _collect_candidates(sys_: _FkSystem, theta: float, out: list) -> None:
-    """Recover positions at a scan-function root and polish on the full system."""
-    for x0, y0 in sys_.positions_at(theta):
-        if not (math.isfinite(x0) and math.isfinite(y0)):
-            continue
-        best = (x0, y0, theta)
-        err = sys_.closure_error(*best)
-        polished = _newton_full(sys_, x0, y0, theta)
-        if polished is not None:
-            perr = sys_.closure_error(*polished)
-            if perr < err:
-                best, err = polished, perr
-        if err < _LOOP_TOL:
-            out.append(best)
-
-
-def forward_kinematics(
-    geom: GeometryConfig,
-    alpha,
-    samples: int = FK_SAMPLES,
-    eps: float = EPS_SING,
-) -> list[Pose]:
+def forward_kinematics(geom: GeometryConfig, alpha) -> list[Pose]:
     """All real assembly modes for the given actuated angles.
 
-    Every returned pose satisfies the three loop closures to better than
-    1e-9 and the list is sorted by (theta, x). Raises
-    DegenerateLinearSystemError when the 2x2 reduction is singular over a
-    whole orientation interval.
+    A single-triple call of ``batch.fk_roots`` with its records merged
+    (poses closer than 1e-8 count once). Every returned pose satisfies the
+    three loop closures to better than 1e-9 and the list is sorted by
+    (theta, x, y). Raises DegenerateLinearSystemError when the 2x2 reduction
+    is singular over a whole orientation interval.
     """
     if len(alpha) != 3:
         raise ValueError("alpha must contain three angles")
-    samples = max(int(samples), FK_SAMPLES)
-    sys_ = _FkSystem(geom, [float(v) for v in alpha])
-
-    step = TWO_PI / samples
-    thetas = np.arange(samples) * step
-    s = geom.s
-    bx = np.array([b[0] for b in sys_.b])
-    by = np.array([b[1] for b in sys_.b])
-    psi = np.array(geom.platform_phase)
-    ex = s * np.cos(thetas[None, :] + psi[:, None]) - bx[:, None]
-    ey = s * np.sin(thetas[None, :] + psi[:, None]) - by[:, None]
-    h = ex * ex + ey * ey - geom.m * geom.m
-    m11 = 2.0 * (ex[1] - ex[0])
-    m12 = 2.0 * (ey[1] - ey[0])
-    m21 = 2.0 * (ex[2] - ex[0])
-    m22 = 2.0 * (ey[2] - ey[0])
-    det = m11 * m22 - m12 * m21
-    scale = np.sqrt((m11 * m11 + m12 * m12) * (m21 * m21 + m22 * m22))
-    degenerate = np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300)
-
-    if degenerate.any():
-        run_limit = max(4, samples // 256)
-        idx = np.flatnonzero(degenerate)
-        # Group singular samples into circular runs; a long run means the
-        # reduction is singular over a whole interval (architecture-singular
-        # geometry), which the placement invariants normally exclude.
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        groups = np.split(idx, breaks + 1)
-        if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == samples - 1:
-            groups[0] = np.concatenate([groups[-1], groups[0] + samples])
-            groups.pop()
-        for g in groups:
-            if len(g) >= run_limit:
-                raise DegenerateLinearSystemError(
-                    float(g[0] % samples) * step, float(g[-1] % samples) * step
-                )
-
-    # Pole-free scan function N = f * det^2 (see _FkSystem.numerator).
-    r1 = h[0] - h[1]
-    r2 = h[0] - h[2]
-    arx = r1 * m22 - r2 * m12
-    ary = m11 * r2 - m21 * r1
-    f = arx * arx + ary * ary + 2.0 * det * (arx * ex[0] + ary * ey[0]) + det * det * h[0]
-
-    candidates: list[tuple[float, float, float]] = []
-    fun = sys_.numerator
-
-    def add_bracket_root(lo: float, hi: float, flo: float) -> None:
-        if not math.isfinite(flo) or flo == 0.0 or not hi > lo:
-            return
-        root = _bisect_root(fun, lo, hi, flo)
-        root = _newton_polish(fun, root, lo, hi)
-        _collect_candidates(sys_, root, candidates)
-
-    f_next = np.roll(f, -1)
-    for j in np.flatnonzero(f * f_next < 0.0):
-        add_bracket_root(thetas[j], thetas[j] + step, f[j])
-
-    # A pair of roots closer than one scan step leaves no sampled sign
-    # change (the scan function grazes zero where two assembly modes
-    # approach a tangency). Chase every sampled local extremum on the wrong
-    # side of zero whose height is small against its curvature.
-    f_prev = np.roll(f, 1)
-    for sgn in (1.0, -1.0):
-        g = sgn * f
-        g_prev = sgn * f_prev
-        g_next = sgn * f_next
-        gpp = g_prev + g_next - 2.0 * g
-        extremum = (g <= g_prev) & (g <= g_next) & (g > 0.0) & (gpp > 0.0)
-        extremum &= g < 0.5 * gpp
-        for j in np.flatnonzero(extremum):
-            theta0 = float(thetas[j])
-            lo, hi = theta0 - step, theta0 + step
-            t = _minimize_residual(lambda u: sgn * fun(u), theta0, lo, hi)
-            fmin = fun(t)
-            if not math.isfinite(fmin):
-                continue
-            if sgn * fmin < 0.0:
-                add_bracket_root(lo, t, fun(lo))
-                add_bracket_root(t, hi, fmin)
-            else:
-                # Tangent (double) root: keep genuine closure solutions only.
-                _collect_candidates(sys_, t, candidates)
-
-    # Completeness net: the scan function is a trigonometric polynomial of
-    # degree six, so every orientation root is also available algebraically;
-    # clusters tighter than the scan resolution are recovered here.
-    from . import batch as _batch
-
-    gamma = _batch.scan_coefficients(geom, bx[None, :], by[None, :])
-    for th in _batch.scan_roots(gamma)[1]:
-        _collect_candidates(sys_, float(th % TWO_PI), candidates)
-
-    # Deduplicate and order deterministically.
+    alphas = np.array([[float(v) for v in alpha]])
+    _check_degenerate(geom, *batch.elbow_points(geom, alphas))
+    _, xs, ys, thetas = batch.fk_roots(geom, alphas)
     poses: list[Pose] = []
-    for x, y, th in candidates:
-        pose = Pose(x, y, th)
+    for x, y, th in zip(xs, ys, thetas):
+        pose = Pose(float(x), float(y), float(th))
         if all(pose.distance(q) > 1e-8 for q in poses):
             poses.append(pose)
     poses.sort(key=lambda q: (q.theta, q.x, q.y))

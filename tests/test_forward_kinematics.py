@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
 from conftest import ALPHA_EMPTY, ALPHA_REF, FK_REF_POSES, TABLE_POSES
-from planar3rrr.geometry import Pose, angle_difference
+from planar3rrr.errors import DegenerateLinearSystemError
+from planar3rrr.geometry import DEFAULT_PHASES, GeometryConfig, Pose, angle_difference
 from planar3rrr.jacobians import jacobians, working_mode_of
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
 
@@ -115,3 +117,32 @@ def test_solutions_complete_against_descent_oracle(ref_geom, rng):
             assert min((s.distance(p) for s in sols), default=np.inf) < 1e-4
         for s in sols:
             assert min((s.distance(p) for p in oracle), default=np.inf) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        # A close root pair inside a root cluster near a det(A) = 0 wall.
+        (0.15450438660958757, 2.2225481329060734, -1.941532133672311),
+        # A clustered root that can come back as two near-duplicate poses.
+        (1.582386744625084, 2.771700931028144, -0.7870038039393688),
+    ],
+)
+def test_near_tangent_root_clusters(ref_geom, alpha):
+    sols = forward_kinematics(ref_geom, alpha)
+    assert len(sols) == len(oracles.assembly_poses_by_descent(ref_geom, np.asarray(alpha)))
+    for s in sols:
+        assert closure_residual(ref_geom, alpha, s) < 1e-9
+    for k, s in enumerate(sols):
+        assert all(s.distance(q) > 1e-8 for q in sols[:k])
+
+
+def test_degenerate_reduction_raises():
+    # The platform triangle mirrors the base one at equal size, so the elbow
+    # triangle of equal actuated angles mirrors the platform and the 2x2
+    # difference system is singular for every orientation.
+    p = DEFAULT_PHASES
+    geom = GeometryConfig(r=5, s=5, base_phase=p, platform_phase=(p[0], p[2], p[1]))
+    with pytest.raises(DegenerateLinearSystemError) as info:
+        forward_kinematics(geom, (0.3, 0.3, 0.3))
+    assert info.value.theta_hi - info.value.theta_lo > math.pi
