@@ -6,15 +6,20 @@ images of the maximal singularity-free domains of the pose x joint product
 space; connectivity conclusions are drawn from the workspace trees. The
 joint-space projections are built alongside from the direct problem.
 
-Aspect cells are classified conservatively: a cell is IN only when the
-predicate holds at its center and at all eight corners. Aspects are open
-regions separated by det(A) = 0 walls; center-only sampling bridges two
-aspects wherever the wall dips below one cell and cuts hairline slivers into
-droplet components, and no fixed margin repairs both. Corner agreement keeps
-wall-straddling cells OUT at any wall thickness. The census additionally
-reports only solid components, those containing at least one cell whose full
-3x3x3 cell neighborhood is IN; thinner debris is below the resolution of the
+This module holds the one cell classifier of the toolkit; the CLI
+``workspace`` command runs the census for a single (mode, det sign) pair.
+A workspace cell is IN when every leg is strictly in reach and det(A) has
+the wanted sign at all eight of its corners. Aspects are open regions
+separated by det(A) = 0 walls; center sampling bridges two aspects wherever
+the wall dips below one cell and cuts hairline slivers into droplet
+components, and no fixed margin repairs both. Corner agreement keeps
+wall-straddling cells OUT at any wall thickness. The census reports only
+solid components, those containing at least one cell whose full 3x3x3 cell
+neighborhood is IN; thinner debris is below the resolution of the
 subdivision and is labeled but not counted.
+
+A joint cell is IN for a (mode, det sign) pair when some assembly pose of
+its center's actuated angles realizes that pair (``batch.assembly_modes``).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import batch
-from .errors import ModeMismatchError, ParallelSingularError
+from .errors import ModeMismatchError, OutOfBoxError, ParallelSingularError
 from .geometry import EPS_SING, FullConfiguration, GeometryConfig, WorkingMode
 from .jacobians import jacobians, working_mode_of
 from .octree import (
@@ -89,20 +94,19 @@ class AspectAtlas:
         return sum(e.n_components for e in self.entries.values())
 
 
-def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, corners: bool):
-    """Reach mask and per-mode det(A) signs at cell centers or cell corners.
+def _sign_grids(geom: GeometryConfig, box: Box3, depth: int):
+    """Reach mask and per-mode det(A) signs at the cell corners.
 
-    Corner grids have n+1 samples along non-wrapping axes and n along
-    wrapping ones (corner n coincides with corner 0).
+    The grids have n+1 samples along non-wrapping axes and n along wrapping
+    ones (corner n coincides with corner 0).
     """
     n = 1 << depth
-    offset = 0.0 if corners else 0.5
     counts = []
     coords = []
     for axis in range(3):
-        cnt = n if (not corners or box.wraps(axis)) else n + 1
+        cnt = n if box.wraps(axis) else n + 1
         w = (box.hi[axis] - box.lo[axis]) / n
-        coords.append(box.lo[axis] + (np.arange(cnt) + offset) * w)
+        coords.append(box.lo[axis] + np.arange(cnt) * w)
         counts.append(cnt)
     reach = np.empty(tuple(counts), dtype=bool)
     signs = np.empty((8, *counts), dtype=np.int8)
@@ -150,23 +154,20 @@ def _erode_box_cells(grid: np.ndarray, wrap: tuple[bool, bool, bool]) -> np.ndar
     return out
 
 
-def _joint_flag_grids(geom: GeometryConfig, jbox: Box3, depth: int, samples: int):
-    """Boolean grids flags[mode_idx][sign_idx] from one direct-kinematics sweep."""
+def _joint_flag_grids(geom: GeometryConfig, jbox: Box3, depth: int):
+    """Boolean grids flags[mode_idx][sign_idx] from one direct-kinematics sweep.
+
+    Sign index 0 is det(A) > 0 and 1 is det(A) < 0.
+    """
     n = 1 << depth
     a1 = jbox.centers(0, depth)[:, None, None]
     a2 = jbox.centers(1, depth)[None, :, None]
     a3 = jbox.centers(2, depth)[None, None, :]
     g1, g2, g3 = np.broadcast_arrays(a1, a2, a3)
     alphas = np.stack([g1.ravel(), g2.ravel(), g3.ravel()], axis=1)
-    idx, x, y, th = batch.fk_roots(geom, alphas, samples=samples)
+    idx, _, _, _, mode_idx, det_sign = batch.assembly_modes(geom, alphas)
     flags = np.zeros((8, 2, alphas.shape[0]), dtype=bool)
-    if idx.size:
-        sgn, det = batch.solution_signs(geom, alphas[idx], x, y, th)
-        ok = (sgn != 0).all(axis=1) & (det != 0.0)
-        mode_lookup = {mode.signs: k for k, mode in enumerate(batch.MODE_ORDER)}
-        mode_idx = np.array([mode_lookup[tuple(s)] for s in sgn[ok]], dtype=np.int64)
-        sign_idx = (det[ok] < 0.0).astype(np.int64)  # 0 -> positive, 1 -> negative
-        flags[mode_idx, sign_idx, idx[ok]] = True
+    flags[mode_idx, (det_sign < 0).astype(np.int64), idx] = True
     return flags.reshape(8, 2, n, n, n)
 
 
@@ -179,30 +180,29 @@ def enumerate_aspects(
     modes=None,
     det_signs=(1, -1),
     build_joint: bool = True,
-    joint_fk_samples: int = 64,
-    conservative: bool = True,
 ) -> AspectAtlas:
     """Build the aspect atlas: per (mode, sign) workspace and joint octrees.
 
-    ``joint_depth`` defaults to min(depth, 5): every joint cell needs a full
-    direct-kinematics solve, far costlier than the workspace test. Joint
-    cells are classified at centers only. ``conservative=False`` drops the
-    corner test (center-only labeling, no solid filtering).
+    Workspace cells are classified at their eight corners, joint cells at
+    their centers. ``joint_depth`` defaults to min(depth, 5): every joint
+    cell needs a full direct-kinematics solve, far costlier than the
+    workspace test.
     """
     if not 4 <= depth <= 10:
         raise ValueError("depth must be in [4, 10]")
+    bad = [sign for sign in det_signs if sign not in (1, -1)]
+    if bad:
+        raise ValueError(f"det_signs must be +1 or -1, got {bad}")
     box = box or workspace_box()
     modes = list(modes) if modes is not None else list(WorkingMode)
     wrap = tuple(box.wraps(axis) for axis in range(3))
-    c_reach, c_signs = _sign_grids(geom, box, depth, corners=False)
-    if conservative:
-        v_reach, v_signs = _sign_grids(geom, box, depth, corners=True)
+    reach, signs = _sign_grids(geom, box, depth)
 
     joint_flags = None
     if build_joint:
         jbox = jbox or joint_box()
         joint_depth = min(depth, 5) if joint_depth is None else joint_depth
-        joint_flags = _joint_flag_grids(geom, jbox, joint_depth, joint_fk_samples)
+        joint_flags = _joint_flag_grids(geom, jbox, joint_depth)
     else:
         jbox = None
         joint_depth = None
@@ -211,17 +211,11 @@ def enumerate_aspects(
     for mode in modes:
         k = batch.MODE_ORDER.index(mode)
         for sign in det_signs:
-            grid_in = c_reach & (c_signs[k] == sign)
-            if conservative:
-                grid_in = grid_in & _corner_expand(v_reach & (v_signs[k] == sign), box, depth)
+            grid_in = _corner_expand(reach & (signs[k] == sign), box, depth)
             tree = _grid_to_tree(grid_in, box, depth)
             tree, count_raw, lab, rank = _components_from_grid(tree, grid_in)
-            if conservative and count_raw:
-                eroded = _erode_box_cells(grid_in, wrap)
-                survivors = np.unique(lab[eroded])
-                solid = tuple(sorted(int(rank[r]) for r in survivors if r > 0))
-            else:
-                solid = tuple(range(count_raw))
+            survivors = np.unique(lab[_erode_box_cells(grid_in, wrap)])
+            solid = tuple(sorted(int(rank[r]) for r in survivors if r > 0))
             in_mask = tree.label
             comp_in = tree.comp[in_mask]
             leaf_counts = (
@@ -320,7 +314,6 @@ def characteristic_surface(
     mode: WorkingMode,
     det_sign: int,
     component_id: int,
-    fk_samples: int = 64,
 ) -> CharacteristicSurface:
     """Mark the component leaves hit by assembly poses of its singular boundary.
 
@@ -369,7 +362,7 @@ def characteristic_surface(
 
     out_ids = np.unique(leaf_out)
     centers = tree.leaf_centers()[out_ids]
-    reach = batch.strict_reach(geom, centers[:, 0], centers[:, 1], centers[:, 2])
+    reach, _ = batch.mode_determinants(geom, centers[:, 0], centers[:, 1], centers[:, 2])
     sign_only = set(out_ids[reach].tolist())
 
     keep = np.array([lo in sign_only for lo in leaf_out], dtype=bool)
@@ -384,25 +377,21 @@ def characteristic_surface(
     finite = np.isfinite(alphas).all(axis=1)
     alphas = alphas[finite]
     bc = bc[finite]
-    idx, x, y, th = batch.fk_roots(geom, alphas, samples=fk_samples)
+    idx, x, y, th, mode_idx, sign = batch.assembly_modes(geom, alphas)
+    match = (mode_idx == batch.MODE_ORDER.index(mode)) & (sign == det_sign)
+    # Drop the identity image of each boundary center itself.
+    src = bc[idx]
+    dth = np.abs((th - src[:, 2] + math.pi) % (2.0 * math.pi) - math.pi)
+    same = (np.abs(x - src[:, 0]) < 1e-6) & (np.abs(y - src[:, 1]) < 1e-6) & (dth < 1e-6)
+    match &= ~same
     marked: set[int] = set()
-    if idx.size:
-        sgn, det = batch.solution_signs(geom, alphas[idx], x, y, th)
-        want = np.array(mode.signs)
-        match = (sgn == want[None, :]).all(axis=1)
-        match &= (det > 0.0) if det_sign > 0 else (det < 0.0)
-        # Drop the identity image of each boundary center itself.
-        src = bc[idx]
-        dth = np.abs((th - src[:, 2] + math.pi) % (2.0 * math.pi) - math.pi)
-        same = (np.abs(x - src[:, 0]) < 1e-6) & (np.abs(y - src[:, 1]) < 1e-6) & (dth < 1e-6)
-        match &= ~same
-        for xi, yi, ti in zip(x[match], y[match], th[match]):
-            try:
-                rec = locate(tree, (float(xi), float(yi), float(ti)))
-            except Exception:
-                continue
-            if rec.comp == component_id:
-                marked.add(rec.index)
+    for xi, yi, ti in zip(x[match], y[match], th[match]):
+        try:
+            rec = locate(tree, (float(xi), float(yi), float(ti)))
+        except OutOfBoxError:
+            continue
+        if rec.comp == component_id:
+            marked.add(rec.index)
     return CharacteristicSurface(
         mode,
         det_sign,
@@ -412,7 +401,7 @@ def characteristic_surface(
     )
 
 
-def write_manifest(atlas: AspectAtlas, outdir, export_trees: bool = True) -> Path:
+def write_manifest(atlas: AspectAtlas, outdir) -> Path:
     """Write octree dumps plus the JSON manifest; returns the manifest path."""
     from .octree import export
 
@@ -425,10 +414,9 @@ def write_manifest(atlas: AspectAtlas, outdir, export_trees: bool = True) -> Pat
         tag = _SIGN_TAG[sign]
         wname = f"aspect_w_{mode.label}_{tag}.oct"
         jname = f"aspect_q_{mode.label}_{tag}.oct" if entry.joint is not None else None
-        if export_trees:
-            export(entry.workspace, outdir / wname)
-            if entry.joint is not None:
-                export(entry.joint, outdir / jname)
+        export(entry.workspace, outdir / wname)
+        if entry.joint is not None:
+            export(entry.joint, outdir / jname)
         items.append(
             {
                 "mode": mode.label,

@@ -1,14 +1,15 @@
 """Vectorized kinematic kernels.
 
 Array-oriented versions of the leg reach test, branch selection, det(A)
-evaluation and direct-kinematics root isolation. These back the octree cell
-predicates and the bulk property checks; the scalar inverse and Jacobian
+evaluation and direct-kinematics root isolation. These back the aspect
+census (``mode_determinants`` classifies workspace cells, ``assembly_modes``
+joint cells) and the bulk property checks; the scalar inverse and Jacobian
 operators in ``kinematics``/``jacobians`` remain the reference
 implementations. ``fk_roots`` is the only direct-kinematics solver:
 ``kinematics.forward_kinematics`` calls it for one triple.
 
-Shapes follow numpy broadcasting; x, y, theta (or the three actuated angles)
-must broadcast against each other.
+Shapes follow numpy broadcasting; x, y, theta must broadcast against each
+other. Actuated angles come as (K, 3) rows.
 """
 
 from __future__ import annotations
@@ -31,21 +32,6 @@ def _leg_data(geom: GeometryConfig):
     a = geom.base_points
     psi = np.asarray(geom.platform_phase)
     return a, psi
-
-
-def strict_reach(geom: GeometryConfig, x, y, theta) -> np.ndarray:
-    """True where every leg target lies strictly inside its reach annulus."""
-    a, psi = _leg_data(geom)
-    lo2 = (geom.l - geom.m) ** 2
-    hi2 = (geom.l + geom.m) ** 2
-    out = None
-    for i in range(3):
-        cx = x + geom.s * np.cos(theta + psi[i])
-        cy = y + geom.s * np.sin(theta + psi[i])
-        d2 = (cx - a[i, 0]) ** 2 + (cy - a[i, 1]) ** 2
-        ok = (d2 > lo2) & (d2 < hi2)
-        out = ok if out is None else (out & ok)
-    return out
 
 
 def _branch_rows(geom: GeometryConfig, x, y, theta):
@@ -114,15 +100,6 @@ def mode_determinants(geom: GeometryConfig, x, y, theta):
         cx_, cy_, cz_ = cross[(j2, j3)]
         dets.append(r1[0] * cx_ + r1[1] * cy_ + r1[2] * cz_)
     return reach, dets
-
-
-def workspace_in(geom: GeometryConfig, x, y, theta, mode: WorkingMode, det_sign: int):
-    """Strictly reachable in ``mode`` with matching sign of det(A)."""
-    reach, dets = mode_determinants(geom, x, y, theta)
-    det = dets[MODE_ORDER.index(mode)]
-    if det_sign > 0:
-        return reach & (det > 0.0)
-    return reach & (det < 0.0)
 
 
 def ik_alpha(geom: GeometryConfig, x, y, theta, mode: WorkingMode):
@@ -306,16 +283,22 @@ SCAN_DEGREE = 6
 UNIT_WINDOW = 1e-2
 
 
-def scan_coefficients(geom: GeometryConfig, bx, by, samples: int = 64):
-    """Complex Fourier coefficients gamma_0..gamma_6 of N per input row.
+#: Orientation samples of N per triple. N has trigonometric degree six, so
+#: any count of at least 2*6+1 recovers its coefficients exactly by the DFT.
+SCAN_SAMPLES = 64
 
-    N has trigonometric degree six, so any sample count above 2*6+1 recovers
-    the coefficients exactly through the DFT.
-    """
-    samples = max(int(samples), 2 * SCAN_DEGREE + 4)
-    grid = np.arange(samples) * (TWO_PI / samples)
+#: Triples per block of fk_roots; bounds the size of the scan arrays.
+FK_CHUNK = 8192
+
+#: Largest closure error, in length units, of an accepted assembly pose.
+RESIDUAL_TOL = 1e-9
+
+
+def scan_coefficients(geom: GeometryConfig, bx, by):
+    """Complex Fourier coefficients gamma_0..gamma_6 of N per input row."""
+    grid = np.arange(SCAN_SAMPLES) * (TWO_PI / SCAN_SAMPLES)
     f = _fk_scan(geom, bx, by, grid[None, :])
-    return np.fft.rfft(f, axis=1)[:, : SCAN_DEGREE + 1] / samples
+    return np.fft.rfft(f, axis=1)[:, : SCAN_DEGREE + 1] / SCAN_SAMPLES
 
 
 def scan_roots(gamma):
@@ -360,13 +343,7 @@ def scan_roots(gamma):
     return np.concatenate(rows_out), np.concatenate(theta_out)
 
 
-def fk_roots(
-    geom: GeometryConfig,
-    alphas: np.ndarray,
-    samples: int = 64,
-    chunk: int = 8192,
-    residual_tol: float = 1e-9,
-):
+def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
     """Direct-kinematics roots for a batch of actuated-angle triples.
 
     The scan polynomial's roots are isolated algebraically (see scan_roots),
@@ -381,9 +358,9 @@ def fk_roots(
     out_x = []
     out_y = []
     out_t = []
-    for start in range(0, n, chunk):
-        bx, by = elbow_points(geom, alphas[start : start + chunk])
-        gamma = scan_coefficients(geom, bx, by, samples)
+    for start in range(0, n, FK_CHUNK):
+        bx, by = elbow_points(geom, alphas[start : start + FK_CHUNK])
+        gamma = scan_coefficients(geom, bx, by)
         ci, theta = scan_roots(gamma)
         if ci.size == 0:
             continue
@@ -414,7 +391,7 @@ def fk_roots(
         py = np.where(use2, py2, py)
         root = np.where(use2, root2, root)
         err = np.minimum(err1, err2)
-        keep = err < residual_tol
+        keep = err < RESIDUAL_TOL
         out_idx.append(ci[rows[keep]] + start)
         out_x.append(px[keep])
         out_y.append(py[keep])
@@ -458,25 +435,25 @@ def solution_signs(geom: GeometryConfig, alphas: np.ndarray, x, y, theta):
     return np.stack(b_signs, axis=1), det
 
 
-def joint_in(
-    geom: GeometryConfig,
-    a1,
-    a2,
-    a3,
-    mode: WorkingMode,
-    det_sign: int,
-    samples: int = 64,
-) -> np.ndarray:
-    """True where some assembly pose of (a1, a2, a3) realizes (mode, det sign)."""
-    a1, a2, a3 = np.broadcast_arrays(a1, a2, a3)
-    shape = a1.shape
-    alphas = np.stack([a1.ravel(), a2.ravel(), a3.ravel()], axis=1)
-    idx, x, y, theta = fk_roots(geom, alphas, samples=samples)
-    flags = np.zeros(alphas.shape[0], dtype=bool)
-    if idx.size:
-        signs, det = solution_signs(geom, alphas[idx], x, y, theta)
-        want = np.array(mode.signs)
-        match = (signs == want[None, :]).all(axis=1)
-        match &= (det > 0.0) if det_sign > 0 else (det < 0.0)
-        flags[idx[match]] = True
-    return flags.reshape(shape)
+#: Weights of the sign code of a B_ii sign triple: bit 2-i is set when B_ii < 0.
+_SIGN_BITS = np.array([4, 2, 1])
+
+#: MODE_ORDER index by sign code.
+_MODE_BY_CODE = np.argsort((np.array([mode.signs for mode in MODE_ORDER]) < 0) @ _SIGN_BITS)
+
+
+def assembly_modes(geom: GeometryConfig, alphas: np.ndarray):
+    """Working mode and det(A) sign of every assembly pose of each triple.
+
+    Solves the direct problem for the (K, 3) rows of ``alphas`` and keeps
+    the poses with nonzero B_ii and det(A), the ones that lie in an aspect.
+    Returns (idx, x, y, theta, mode_idx, det_sign): per pose, its row of
+    ``alphas``, its MODE_ORDER index and the sign of det(A) as +1 or -1.
+    """
+    alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
+    idx, x, y, theta = fk_roots(geom, alphas)
+    sgn, det = solution_signs(geom, alphas[idx], x, y, theta)
+    ok = (sgn != 0).all(axis=1) & (det != 0.0)
+    code = (sgn[ok] < 0) @ _SIGN_BITS
+    det_sign = np.where(det[ok] > 0.0, 1, -1)
+    return idx[ok], x[ok], y[ok], theta[ok], _MODE_BY_CODE[code], det_sign

@@ -20,7 +20,7 @@ from .errors import ConfigError, KinematicError
 from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, angle_difference, parse_mode
 from .jacobians import jacobians, singularity_report, working_mode_of
 from .kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
-from .octree import CellPredicate, build_octree, connected_components, export, volume, workspace_box
+from .octree import export, volume, workspace_box
 from .trajectory import PathSpec, monitor, verify_assembly_mode_change, write_profile
 
 _CONFIG_KEYS = {
@@ -197,19 +197,30 @@ def _outdir(cfg: RunConfig) -> Path:
     return cfg.out
 
 
+def _pair_census(cfg: RunConfig, mode: WorkingMode, sign: int, depth: int):
+    """Aspect census of one (mode, det sign) pair over the configured box."""
+    return enumerate_aspects(
+        cfg.geometry,
+        depth=depth,
+        box=workspace_box(cfg.workspace_limit),
+        modes=[mode],
+        det_signs=(sign,),
+        build_joint=False,
+    )
+
+
 def cmd_workspace(cfg: RunConfig, args) -> int:
     mode = parse_mode(args.mode)
     sign = 1 if args.sign in ("+", "pos") else -1
     depth = cfg.depth_or(8)
-    box = workspace_box(cfg.workspace_limit)
-    pred = CellPredicate(mode=mode, det_sign=sign, space="workspace")
-    tree = build_octree(cfg.geometry, pred, box, depth)
-    tree, count = connected_components(tree)
+    entry = _pair_census(cfg, mode, sign, depth).entries[(mode, sign)]
+    tree = entry.workspace
     out = _outdir(cfg) / f"workspace_{mode.label}_{'pos' if sign > 0 else 'neg'}.oct"
     export(tree, out)
     print(
         f"workspace mode {mode.label} sign {args.sign}: depth {depth}, "
-        f"{tree.n_leaves} leaves, volume {volume(tree):.6f}, {count} components"
+        f"{tree.n_leaves} leaves, volume {volume(tree):.6f}, "
+        f"{entry.n_components} components ({entry.n_components_raw} raw)"
     )
     print(f"wrote {out}")
     return 0
@@ -220,6 +231,7 @@ def cmd_aspects(cfg: RunConfig, args) -> int:
     atlas = enumerate_aspects(
         cfg.geometry,
         depth=depth,
+        box=workspace_box(cfg.workspace_limit),
         joint_depth=cfg.joint_depth,
         build_joint=not args.no_joint,
     )
@@ -258,9 +270,7 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
         first = inverse_kinematics(cfg.geometry, points[0], mode, cfg.eps_sing)
         pair = jacobians(cfg.geometry, first)
         sign = 1 if pair.det_a > 0 else -1
-        atlas = enumerate_aspects(
-            cfg.geometry, depth=depth, modes=[mode], det_signs=(sign,), build_joint=False
-        )
+        atlas = _pair_census(cfg, mode, sign, depth)
         evidence = verify_assembly_mode_change(
             cfg.geometry,
             atlas,
@@ -297,9 +307,7 @@ def cmd_charsurf(cfg: RunConfig, args) -> int:
     mode = parse_mode(args.mode)
     sign = 1 if args.sign in ("+", "pos") else -1
     depth = cfg.depth_or(6)
-    atlas = enumerate_aspects(
-        cfg.geometry, depth=depth, modes=[mode], det_signs=(sign,), build_joint=False
-    )
+    atlas = _pair_census(cfg, mode, sign, depth)
     surf = characteristic_surface(cfg.geometry, atlas, mode, sign, args.component)
     tree = atlas.entries[(mode, sign)].workspace
     payload = {

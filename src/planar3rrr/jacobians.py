@@ -118,22 +118,3 @@ def inverse_velocity(pair: JacobianPair, twist, eps: float = EPS_SING) -> np.nda
             raise SerialSingularError(i + 1, v)
     lhs = pair.a_mat @ np.asarray(twist, dtype=float)
     return lhs / np.asarray(pair.b_diag)
-
-
-def velocity_residual(pair: JacobianPair, twist, alpha_dot) -> float:
-    """Max-norm of A t - B q_dot, for verification."""
-    r = pair.a_mat @ np.asarray(twist, dtype=float) - np.asarray(pair.b_diag) * np.asarray(
-        alpha_dot, dtype=float
-    )
-    return float(np.max(np.abs(r)))
-
-
-def serial_alignment(geom: GeometryConfig, config: FullConfiguration, leg: int) -> float:
-    """(b-a)^T (c-b) for one leg (1-based); equals +-l*m when A, B, C align."""
-    i = leg - 1
-    a = geom.base_points
-    b = config.b
-    c = config.c
-    return float(
-        (b[i, 0] - a[i, 0]) * (c[i, 0] - b[i, 0]) + (b[i, 1] - a[i, 1]) * (c[i, 1] - b[i, 1])
-    )

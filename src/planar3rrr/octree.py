@@ -1,4 +1,8 @@
-"""Predicate-labeled octrees over (x, y, theta) or joint space.
+"""Labeled octrees over (x, y, theta) or joint space.
+
+Trees come from a full label grid (``_grid_to_tree``, which the aspect census
+feeds with its corner-classified cells) or from a callable predicate sampled
+at cell centers (``build_octree``).
 
 A tree is stored as its leaf cells in Morton (bit-interleaved, x least
 significant) order: records (morton code at leaf depth, depth, label) that
@@ -18,8 +22,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .errors import BoxMismatchError, OutOfBoxError
-from .geometry import TWO_PI, GeometryConfig, WorkingMode
-from . import batch
+from .geometry import TWO_PI, GeometryConfig
 
 AXIS_LINEAR = "lin"
 AXIS_PERIODIC = "per"
@@ -156,32 +159,6 @@ def joint_box() -> Box3:
         hi=(TWO_PI, TWO_PI, TWO_PI),
         axes=(AXIS_PERIODIC, AXIS_PERIODIC, AXIS_PERIODIC),
     )
-
-
-@dataclass(frozen=True)
-class CellPredicate:
-    """Kinematic cell classifier for one working mode and det(A) sign.
-
-    Workspace cells test strict reachability of the mode's branch plus the
-    det(A) sign at the cell center pose; joint cells run the direct problem
-    at the center and ask for some assembly pose with that mode and sign.
-    """
-
-    mode: WorkingMode
-    det_sign: int
-    space: str = "workspace"
-    fk_samples: int = 64
-
-    def __post_init__(self):
-        if self.det_sign not in (1, -1):
-            raise ValueError("det_sign must be +1 or -1")
-        if self.space not in ("workspace", "joint"):
-            raise ValueError("space must be 'workspace' or 'joint'")
-
-    def evaluate(self, geom: GeometryConfig, x, y, z) -> np.ndarray:
-        if self.space == "workspace":
-            return batch.workspace_in(geom, x, y, z, self.mode, self.det_sign)
-        return batch.joint_in(geom, x, y, z, self.mode, self.det_sign, samples=self.fk_samples)
 
 
 @dataclass(frozen=True)
@@ -373,8 +350,8 @@ def _rasterize(tree: Octree, values: np.ndarray, fill) -> np.ndarray:
 def build_octree(geom: GeometryConfig, pred, box: Box3, max_depth: int) -> Octree:
     """Classify every max-depth cell center with ``pred`` and merge.
 
-    ``pred`` is a CellPredicate or a callable f(x, y, z) -> bool array under
-    numpy broadcasting.
+    ``pred`` is a callable f(x, y, z) -> bool array under numpy broadcasting.
+    The kinematic cell classifier of the aspects lives in ``aspects``.
     """
     if not 1 <= max_depth <= 12:
         raise ValueError("max_depth must be in [1, 12]")
@@ -387,10 +364,7 @@ def build_octree(geom: GeometryConfig, pred, box: Box3, max_depth: int) -> Octre
     for z0 in range(0, n, slab):
         z = zs[z0 : z0 + slab]
         shape = (n, n, len(z))
-        if isinstance(pred, CellPredicate):
-            vals = pred.evaluate(geom, xs[:, None, None], ys[None, :, None], z[None, None, :])
-        else:
-            vals = pred(xs[:, None, None], ys[None, :, None], z[None, None, :])
+        vals = pred(xs[:, None, None], ys[None, :, None], z[None, None, :])
         labels[:, :, z0 : z0 + slab] = np.broadcast_to(np.asarray(vals, dtype=bool), shape)
     return _grid_to_tree(labels, box, max_depth)
 

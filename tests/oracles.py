@@ -125,3 +125,22 @@ def two_bar_positions(geom, leg, alpha_i, beta_i):
     bx = ax + geom.l * math.cos(alpha_i)
     by = ay + geom.l * math.sin(alpha_i)
     return (bx, by), (bx + geom.m * math.cos(beta_i), by + geom.m * math.sin(beta_i))
+
+
+def velocity_residual(pair, twist, alpha_dot):
+    """Max-norm of A t - B q_dot for a Jacobian pair."""
+    r = pair.a_mat @ np.asarray(twist, dtype=float) - np.asarray(pair.b_diag) * np.asarray(
+        alpha_dot, dtype=float
+    )
+    return float(np.max(np.abs(r)))
+
+
+def serial_alignment(geom, config, leg):
+    """(b-a)^T (c-b) for one leg (1-based); equals +-l*m when A, B, C align."""
+    i = leg - 1
+    a = geom.base_points
+    b = config.b
+    c = config.c
+    return float(
+        (b[i, 0] - a[i, 0]) * (c[i, 0] - b[i, 0]) + (b[i, 1] - a[i, 1]) * (c[i, 1] - b[i, 1])
+    )

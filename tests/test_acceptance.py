@@ -15,7 +15,7 @@ from planar3rrr import batch
 from planar3rrr.aspects import characteristic_surface, enumerate_aspects
 from planar3rrr.cli import bundled_data_path, main
 from planar3rrr.geometry import Pose, WorkingMode, angle_difference
-from planar3rrr.jacobians import jacobians, serial_alignment
+from planar3rrr.jacobians import jacobians
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
 from planar3rrr.octree import (
     _tree_from_cells,
@@ -229,7 +229,7 @@ def test_criterion_6_property_suite(ref_geom, rng, capsys):
             ],
             axis=1,
         )
-        keep = batch.strict_reach(ref_geom, cand[:, 0], cand[:, 1], cand[:, 2])
+        keep, _ = batch.mode_determinants(ref_geom, cand[:, 0], cand[:, 1], cand[:, 2])
         poses = np.concatenate([poses, cand[keep]])
     poses = poses[:n_poses]
 
@@ -240,7 +240,7 @@ def test_criterion_6_property_suite(ref_geom, rng, capsys):
         al = batch.ik_alpha(ref_geom, poses[:, 0], poses[:, 1], poses[:, 2], mode)
         alphas = np.stack(al, axis=1)
         assert np.isfinite(alphas).all()
-        idx, x, y, th = batch.fk_roots(ref_geom, alphas, samples=1024)
+        idx, x, y, th = batch.fk_roots(ref_geom, alphas)
         dx = np.abs(x - poses[idx, 0])
         dy = np.abs(y - poses[idx, 1])
         dt = np.abs((th - poses[idx, 2] + math.pi) % (2 * math.pi) - math.pi)
@@ -261,7 +261,7 @@ def test_criterion_6_property_suite(ref_geom, rng, capsys):
     # Coverage: every direct solution re-derives its joints via the inverse
     # problem in its own working mode.
     alphas = rng.uniform(0, 2 * math.pi, (400, 3))
-    idx, x, y, th = batch.fk_roots(ref_geom, alphas, samples=1024)
+    idx, x, y, th = batch.fk_roots(ref_geom, alphas)
     sgn, det = batch.solution_signs(ref_geom, alphas[idx], x, y, th)
     worst_cov = 0.0
     valid = (sgn != 0).all(axis=1)
@@ -282,7 +282,7 @@ def test_criterion_6_property_suite(ref_geom, rng, capsys):
         for cfg in inverse_kinematics_all(ref_geom, pose).values():
             pair = jacobians(ref_geom, cfg)
             for leg in range(3):
-                dot = serial_alignment(ref_geom, cfg, leg + 1)
+                dot = oracles.serial_alignment(ref_geom, cfg, leg + 1)
                 worst_leg = max(worst_leg, abs(pair.b_diag[leg] ** 2 + dot**2 - lm2) / lm2)
     ok_leg = worst_leg < 1e-9
 

@@ -33,6 +33,14 @@ def test_depth_validation(ref_geom):
         enumerate_aspects(ref_geom, depth=11)
 
 
+def test_det_signs_validation(ref_geom):
+    # A sign other than +1 or -1 used to build an empty entry that
+    # write_manifest could not name.
+    for bad in ((0,), (1, 2), (-1, 0.5)):
+        with pytest.raises(ValueError):
+            enumerate_aspects(ref_geom, depth=4, det_signs=bad, build_joint=False)
+
+
 def test_atlas_structure(atlas6):
     assert len(atlas6.entries) == 16
     for (mode, sign), entry in atlas6.entries.items():

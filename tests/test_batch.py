@@ -13,7 +13,7 @@ def test_strict_reach_matches_leg_distances(ref_geom, rng):
     xs = rng.uniform(-14, 14, 200)
     ys = rng.uniform(-14, 14, 200)
     ts = rng.uniform(0, 2 * math.pi, 200)
-    got = batch.strict_reach(ref_geom, xs, ys, ts)
+    got, _ = batch.mode_determinants(ref_geom, xs, ys, ts)
     for k in range(200):
         expect = len(inverse_kinematics_all(ref_geom, Pose(xs[k], ys[k], ts[k]))) == 8
         assert bool(got[k]) == expect
@@ -65,9 +65,9 @@ def _merged_poses(idx, x, y, th, k):
 
 def test_fk_roots_rows_are_independent(ref_geom, rng):
     alphas = rng.uniform(0, 2 * math.pi, (40, 3))
-    whole = batch.fk_roots(ref_geom, alphas, samples=1024)
+    whole = batch.fk_roots(ref_geom, alphas)
     for k in range(40):
-        alone = _merged_poses(*batch.fk_roots(ref_geom, alphas[k : k + 1], samples=1024), 0)
+        alone = _merged_poses(*batch.fk_roots(ref_geom, alphas[k : k + 1]), 0)
         in_batch = _merged_poses(*whole, k)
         assert len(in_batch) == len(alone)
         for p, q in zip(in_batch, alone):
@@ -76,7 +76,7 @@ def test_fk_roots_rows_are_independent(ref_geom, rng):
 
 def test_solution_signs_match_jacobians(ref_geom, rng):
     alphas = rng.uniform(0, 2 * math.pi, (20, 3))
-    idx, x, y, th = batch.fk_roots(ref_geom, alphas, samples=1024)
+    idx, x, y, th = batch.fk_roots(ref_geom, alphas)
     sgn, det = batch.solution_signs(ref_geom, alphas[idx], x, y, th)
     for r in range(len(idx)):
         pose = Pose(float(x[r]), float(y[r]), float(th[r]))
@@ -92,21 +92,20 @@ def test_solution_signs_match_jacobians(ref_geom, rng):
         assert det[r] == pytest.approx(pair.det_a, rel=1e-6)
 
 
-def test_joint_in_matches_direct_classification(ref_geom, rng):
+def test_assembly_modes_match_direct_classification(ref_geom, rng):
+    # Per triple, the (mode, det sign) pairs of the shared classifier equal
+    # those found by the scalar solvers.
     alphas = rng.uniform(0, 2 * math.pi, (30, 3))
-    mode = WorkingMode.C
-    flags = batch.joint_in(ref_geom, alphas[:, 0], alphas[:, 1], alphas[:, 2], mode, 1)
+    idx, _, _, _, mode_idx, det_sign = batch.assembly_modes(ref_geom, alphas)
     for k in range(30):
-        expect = False
+        sel = idx == k
+        got = {(batch.MODE_ORDER[m], int(sg)) for m, sg in zip(mode_idx[sel], det_sign[sel])}
+        expect = set()
         for pose in forward_kinematics(ref_geom, alphas[k]):
-            cfgs = inverse_kinematics_all(ref_geom, pose)
-            if mode not in cfgs:
-                continue
-            cfg = cfgs[mode]
-            if max(
-                abs(angle_difference(a, b)) for a, b in zip(cfg.alpha, alphas[k])
-            ) < 1e-6:
-                pair = jacobians(ref_geom, cfg)
-                if pair.det_a > 0:
-                    expect = True
-        assert bool(flags[k]) == expect
+            for mode, cfg in inverse_kinematics_all(ref_geom, pose).items():
+                if max(
+                    abs(angle_difference(a, b)) for a, b in zip(cfg.alpha, alphas[k])
+                ) < 1e-6:
+                    pair = jacobians(ref_geom, cfg)
+                    expect.add((mode, 1 if pair.det_a > 0 else -1))
+        assert got == expect

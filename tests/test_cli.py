@@ -110,6 +110,39 @@ def test_workspace_writes_dump(ref_config, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_workspace_runs_the_census(ref_config, tmp_path, capsys):
+    # workspace reports the census's solid count and writes the census's tree.
+    rc = main(
+        ["--config", ref_config, "--out", str(tmp_path / "w"), "--depth", "6", "workspace",
+         "--mode", "c", "--sign", "+"]
+    )
+    assert rc == 0
+    assert ", 1 components (" in capsys.readouterr().out
+    rc = main(
+        ["--config", ref_config, "--out", str(tmp_path / "a"), "--depth", "6", "aspects",
+         "--no-joint"]
+    )
+    assert rc == 0
+    manifest = json.loads((tmp_path / "a" / "aspects_manifest.json").read_text())
+    entry = next(e for e in manifest["entries"] if e["mode"] == "c" and e["sign"] == "+")
+    assert entry["components"] == 1
+    dump = (tmp_path / "w" / "workspace_c_pos.oct").read_bytes()
+    assert dump == (tmp_path / "a" / "aspect_w_c_pos.oct").read_bytes()
+
+
+def test_workspace_limit_sets_census_box(ref_config, tmp_path, capsys):
+    data = json.loads(open(ref_config).read())
+    data["workspace_limit"] = 6
+    cfg = tmp_path / "limit6.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "a"
+    rc = main(["--config", str(cfg), "--out", str(out), "--depth", "4", "aspects", "--no-joint"])
+    assert rc == 0
+    box = json.loads((out / "aspects_manifest.json").read_text())["box"]
+    assert box["lo"] == [-6.0, -6.0, 0.0]
+    assert box["hi"] == [6.0, 6.0, 2 * math.pi]
+
+
 def test_aspects_counts_and_manifest(ref_config, tmp_path, capsys):
     out = tmp_path / "a"
     rc = main(

@@ -18,12 +18,11 @@ from planar3rrr.jacobians import (
     forward_velocity,
     inverse_velocity,
     jacobians,
-    serial_alignment,
     singularity_report,
-    velocity_residual,
     working_mode_of,
 )
 from planar3rrr.kinematics import inverse_kinematics, inverse_kinematics_all
+from oracles import serial_alignment, velocity_residual
 
 
 def _benchmark_config(geom, k):

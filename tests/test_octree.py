@@ -7,7 +7,6 @@ from planar3rrr.errors import BoxMismatchError, OutOfBoxError
 from planar3rrr.geometry import TWO_PI, WorkingMode
 from planar3rrr.octree import (
     Box3,
-    CellPredicate,
     _tree_from_cells,
     build_octree,
     connected_components,
@@ -256,31 +255,36 @@ def test_volume_monotonicity_under_refinement(ref_geom, rng):
     assert abs(volume(t5) - volume(t4)) <= mixed_volume + 1e-9
 
 
-def test_cell_predicate_validation():
-    with pytest.raises(ValueError):
-        CellPredicate(mode=WorkingMode.A, det_sign=0)
-    with pytest.raises(ValueError):
-        CellPredicate(mode=WorkingMode.A, det_sign=1, space="nowhere")
-
-
 def test_workspace_predicate_tree_locates_reference_pose(ref_geom):
     from conftest import posture
+    from planar3rrr.aspects import enumerate_aspects
 
-    pred = CellPredicate(mode=WorkingMode.C, det_sign=1, space="workspace")
-    tree = build_octree(ref_geom, pred, workspace_box(), 5)
-    rec = locate(tree, posture(1).as_tuple())
+    atlas = enumerate_aspects(
+        ref_geom, depth=5, modes=[WorkingMode.C], det_signs=(1,), build_joint=False
+    )
+    rec = locate(atlas.entries[(WorkingMode.C, 1)].workspace, posture(1).as_tuple())
     assert rec.label is True
 
 
 def test_joint_predicate_tree_matches_generic_build(ref_geom):
-    # The bulk joint classifier and the generic predicate build agree.
+    # The bulk joint grids and a generic build over the shared assembly-pose
+    # classifier agree.
+    from planar3rrr import batch
     from planar3rrr.aspects import _joint_flag_grids
     from planar3rrr.octree import _grid_to_tree
 
+    k = batch.MODE_ORDER.index(WorkingMode.C)
+
+    def pred(a1, a2, a3):
+        a1, a2, a3 = np.broadcast_arrays(a1, a2, a3)
+        alphas = np.stack([a1.ravel(), a2.ravel(), a3.ravel()], axis=1)
+        idx, _, _, _, mode_idx, det_sign = batch.assembly_modes(ref_geom, alphas)
+        flags = np.zeros(len(alphas), dtype=bool)
+        flags[idx[(mode_idx == k) & (det_sign == 1)]] = True
+        return flags.reshape(a1.shape)
+
     jb = joint_box()
-    pred = CellPredicate(mode=WorkingMode.C, det_sign=1, space="joint", fk_samples=512)
     t1 = build_octree(ref_geom, pred, jb, 3)
-    flags = _joint_flag_grids(ref_geom, jb, 3, samples=512)
-    k = list(WorkingMode).index(WorkingMode.C)
+    flags = _joint_flag_grids(ref_geom, jb, 3)
     t2 = _grid_to_tree(flags[k, 0], jb, 3)
     assert dumps(t1) == dumps(t2)
