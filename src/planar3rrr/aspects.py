@@ -49,6 +49,10 @@ from .octree import (
 
 _SIGN_TAG = {1: "pos", -1: "neg"}
 
+#: Octree depths the census accepts; depth 10 already needs gigabytes of grids.
+MIN_DEPTH = 4
+MAX_DEPTH = 10
+
 
 @dataclass(frozen=True)
 class AspectEntry:
@@ -94,11 +98,12 @@ class AspectAtlas:
         return sum(e.n_components for e in self.entries.values())
 
 
-def _sign_grids(geom: GeometryConfig, box: Box3, depth: int):
-    """Reach mask and per-mode det(A) signs at the cell corners.
+def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, modes):
+    """Reach mask and det(A) signs of ``modes`` at the cell corners.
 
-    The grids have n+1 samples along non-wrapping axes and n along wrapping
-    ones (corner n coincides with corner 0).
+    ``signs[j]`` belongs to ``modes[j]``. The grids have n+1 samples along
+    non-wrapping axes and n along wrapping ones (corner n coincides with
+    corner 0).
     """
     n = 1 << depth
     counts = []
@@ -109,18 +114,18 @@ def _sign_grids(geom: GeometryConfig, box: Box3, depth: int):
         coords.append(box.lo[axis] + np.arange(cnt) * w)
         counts.append(cnt)
     reach = np.empty(tuple(counts), dtype=bool)
-    signs = np.empty((8, *counts), dtype=np.int8)
+    signs = np.empty((len(modes), *counts), dtype=np.int8)
     slab = max(1, (1 << 20) // (counts[0] * counts[1]))
     for z0 in range(0, counts[2], slab):
         th = coords[2][z0 : z0 + slab]
         rch, dets = batch.mode_determinants(
-            geom, coords[0][:, None, None], coords[1][None, :, None], th[None, None, :]
+            geom, coords[0][:, None, None], coords[1][None, :, None], th[None, None, :], modes
         )
         sl = slice(z0, z0 + len(th))
         reach[:, :, sl] = rch
-        for k in range(8):
+        for j, det in enumerate(dets):
             with np.errstate(invalid="ignore"):
-                signs[k, :, :, sl] = np.where(rch, np.sign(dets[k]), 0.0).astype(np.int8)
+                signs[j, :, :, sl] = np.where(rch, np.sign(det), 0.0).astype(np.int8)
     return reach, signs
 
 
@@ -188,15 +193,15 @@ def enumerate_aspects(
     cell needs a full direct-kinematics solve, far costlier than the
     workspace test.
     """
-    if not 4 <= depth <= 10:
-        raise ValueError("depth must be in [4, 10]")
+    if not MIN_DEPTH <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in [{MIN_DEPTH}, {MAX_DEPTH}]")
     bad = [sign for sign in det_signs if sign not in (1, -1)]
     if bad:
         raise ValueError(f"det_signs must be +1 or -1, got {bad}")
     box = box or workspace_box()
     modes = list(modes) if modes is not None else list(WorkingMode)
     wrap = tuple(box.wraps(axis) for axis in range(3))
-    reach, signs = _sign_grids(geom, box, depth)
+    reach, signs = _sign_grids(geom, box, depth, modes)
 
     joint_flags = None
     if build_joint:
@@ -208,10 +213,10 @@ def enumerate_aspects(
         joint_depth = None
 
     entries: dict[tuple[WorkingMode, int], AspectEntry] = {}
-    for mode in modes:
+    for j, mode in enumerate(modes):
         k = batch.MODE_ORDER.index(mode)
         for sign in det_signs:
-            grid_in = _corner_expand(reach & (signs[k] == sign), box, depth)
+            grid_in = _corner_expand(reach & (signs[j] == sign), box, depth)
             tree = _grid_to_tree(grid_in, box, depth)
             tree, count_raw, lab, rank = _components_from_grid(tree, grid_in)
             survivors = np.unique(lab[_erode_box_cells(grid_in, wrap)])
@@ -362,7 +367,7 @@ def characteristic_surface(
 
     out_ids = np.unique(leaf_out)
     centers = tree.leaf_centers()[out_ids]
-    reach, _ = batch.mode_determinants(geom, centers[:, 0], centers[:, 1], centers[:, 2])
+    reach, _ = batch.mode_determinants(geom, centers[:, 0], centers[:, 1], centers[:, 2], ())
     sign_only = set(out_ids[reach].tolist())
 
     keep = np.array([lo in sign_only for lo in leaf_out], dtype=bool)
@@ -372,11 +377,10 @@ def characteristic_surface(
         return CharacteristicSurface(mode, det_sign, component_id, empty, empty)
 
     bc = tree.leaf_centers()[boundary]
-    alphas = batch.ik_alpha(geom, bc[:, 0], bc[:, 1], bc[:, 2], mode)
-    alphas = np.stack(alphas, axis=1)
-    finite = np.isfinite(alphas).all(axis=1)
-    alphas = alphas[finite]
-    bc = bc[finite]
+    legs = batch.solve_legs(geom, bc[:, 0], bc[:, 1], bc[:, 2], mode)
+    solved = (legs.status == batch.LEG_OK).all(axis=1)
+    alphas = legs.alpha[solved]
+    bc = bc[solved]
     idx, x, y, th, mode_idx, sign = batch.assembly_modes(geom, alphas)
     match = (mode_idx == batch.MODE_ORDER.index(mode)) & (sign == det_sign)
     # Drop the identity image of each boundary center itself.

@@ -1,11 +1,16 @@
 """Vectorized kinematic kernels.
 
 Array-oriented versions of the leg reach test, branch selection, det(A)
-evaluation and direct-kinematics root isolation. These back the aspect
-census (``mode_determinants`` classifies workspace cells, ``assembly_modes``
-joint cells) and the bulk property checks; the scalar inverse and Jacobian
-operators in ``kinematics``/``jacobians`` remain the reference
-implementations. ``fk_roots`` is the only direct-kinematics solver:
+evaluation and direct-kinematics root isolation. ``solve_legs`` is the one
+inverse-kinematic leg solver: ``kinematics.inverse_kinematics``,
+``inverse_kinematics_all`` and ``trajectory.monitor`` call it, and
+``jacobians.jacobians`` builds its matrix pair with ``jacobian_rows``. Its
+angles reproduce the scalar operation order bit for bit, with ``math.hypot``
+and ``math.atan2`` applied elementwise, because the monitor's profile and
+evidence files are byte-identical artifacts. The census keeps its own
+branch-row code (``mode_determinants``), which needs only det(A) signs and
+evaluates both elbow branches of every leg without an arctangent.
+``fk_roots`` is the only direct-kinematics solver:
 ``kinematics.forward_kinematics`` calls it for one triple.
 
 Shapes follow numpy broadcasting; x, y, theta must broadcast against each
@@ -14,9 +19,13 @@ other. Actuated angles come as (K, 3) rows.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from .geometry import TWO_PI, GeometryConfig, WorkingMode
+from .errors import KinematicError, SerialBoundaryError, UnreachableError
+from .geometry import EPS_SING, TWO_PI, GeometryConfig, WorkingMode, wrap_angles
 
 #: Enum order used whenever modes are indexed 0..7.
 MODE_ORDER = tuple(WorkingMode)
@@ -28,19 +37,14 @@ def elbow_points(geom: GeometryConfig, alphas):
     return a[:, 0][None, :] + geom.l * np.cos(alphas), a[:, 1][None, :] + geom.l * np.sin(alphas)
 
 
-def _leg_data(geom: GeometryConfig):
-    a = geom.base_points
-    psi = np.asarray(geom.platform_phase)
-    return a, psi
-
-
 def _branch_rows(geom: GeometryConfig, x, y, theta):
     """Per-leg, per-branch rows of A plus the strict reach mask.
 
     Returns (reach, rows) with rows[leg][branch_idx] = (ex, ey, w); branch
     index 0 is the positive elbow sign. Row entries are NaN outside reach.
     """
-    a, psi = _leg_data(geom)
+    a = geom.base_points
+    psi = geom.platform_phase
     l, m, s = geom.l, geom.m, geom.s
     lo2 = (geom.l - geom.m) ** 2
     hi2 = (geom.l + geom.m) ** 2
@@ -79,13 +83,14 @@ def _branch_rows(geom: GeometryConfig, x, y, theta):
     return reach, rows
 
 
-def mode_determinants(geom: GeometryConfig, x, y, theta):
-    """(reach, dets) with dets[k] = det(A) for MODE_ORDER[k]; NaN off reach."""
+def mode_determinants(geom: GeometryConfig, x, y, theta, modes=MODE_ORDER):
+    """(reach, dets) with dets[j] = det(A) for modes[j]; NaN off reach."""
     reach, rows = _branch_rows(geom, x, y, theta)
-    # Cross products of rows 2 and 3 for the four branch combinations.
+    branches = [tuple(0 if sg > 0 else 1 for sg in mode.signs) for mode in modes]
+    # Cross products of rows 2 and 3 for the branch combinations in use.
     cross = {}
-    for j2 in range(2):
-        for j3 in range(2):
+    for _, j2, j3 in branches:
+        if (j2, j3) not in cross:
             r2 = rows[1][j2]
             r3 = rows[2][j3]
             cross[(j2, j3)] = (
@@ -94,37 +99,158 @@ def mode_determinants(geom: GeometryConfig, x, y, theta):
                 r2[0] * r3[1] - r2[1] * r3[0],
             )
     dets = []
-    for mode in MODE_ORDER:
-        j1, j2, j3 = (0 if sg > 0 else 1 for sg in mode.signs)
+    for j1, j2, j3 in branches:
         r1 = rows[0][j1]
         cx_, cy_, cz_ = cross[(j2, j3)]
         dets.append(r1[0] * cx_ + r1[1] * cy_ + r1[2] * cz_)
     return reach, dets
 
 
-def ik_alpha(geom: GeometryConfig, x, y, theta, mode: WorkingMode):
-    """Actuated angles of the mode's branch; NaN where a leg is out of reach.
+#: Per-leg status codes of ``solve_legs``.
+LEG_OK = 0
+LEG_BOUNDARY = 1  # within eps*(l+m) of a reach circle: SerialBoundaryError
+LEG_UNREACHABLE = 2  # outside the reachable annulus: UnreachableError
 
-    Returns an array of shape (3,) + broadcast shape.
+
+def _math_map(fn, *columns: list) -> np.ndarray:
+    """``fn`` from ``math`` over equal-length lists, bit for bit its scalar result.
+
+    numpy's hypot and arctan2 differ from the C library's in the last bit
+    for about a quarter of the samples of a path.
     """
-    a, psi = _leg_data(geom)
-    l, m, s = geom.l, geom.m, geom.s
-    lo2 = (geom.l - geom.m) ** 2
-    hi2 = (geom.l + geom.m) ** 2
-    out = []
-    with np.errstate(invalid="ignore", divide="ignore"):
+    return np.fromiter(map(fn, *columns), dtype=float, count=len(columns[0]))
+
+
+@dataclass(frozen=True)
+class LegSolution:
+    """Inverse kinematics and the matrix pair of N poses in one working mode.
+
+    Per-leg arrays have shape (N, 3). ``alpha`` and ``beta`` are wrapped to
+    (-pi, pi] and NaN on legs whose status is not LEG_OK; ``dist`` is the
+    base-to-platform joint distance of each leg. ``rows`` (N, 3, 3) holds
+    the rows of A, ``scale`` the product of their norms. ``loop_gap`` is
+    the larger of the loop-closure and passive-angle errors of each leg,
+    the quantities FullConfiguration bounds by LOOP_TOL. ``lo`` and ``hi``
+    are the radii of the reachable annulus.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    status: np.ndarray
+    dist: np.ndarray
+    rows: np.ndarray
+    det: np.ndarray
+    b_diag: np.ndarray
+    scale: np.ndarray
+    loop_gap: np.ndarray
+    lo: float
+    hi: float
+
+    def error(self, k: int) -> KinematicError | None:
+        """The error of sample k's lowest failing leg, or None if all legs solve."""
         for i in range(3):
-            cx = x + s * np.cos(theta + psi[i])
-            cy = y + s * np.sin(theta + psi[i])
-            dx = cx - a[i, 0]
-            dy = cy - a[i, 1]
-            d2 = dx * dx + dy * dy
-            ok = (d2 > lo2) & (d2 < hi2)
-            cos_d = np.clip((d2 - l * l - m * m) / (2.0 * l * m), -1.0, 1.0)
-            sin_d = mode.signs[i] * np.sqrt(np.maximum(0.0, 1.0 - cos_d * cos_d))
-            al = np.arctan2(dy, dx) - np.arctan2(m * sin_d, l + m * cos_d)
-            out.append(np.where(ok, al, np.nan))
-    return np.stack(out)
+            code = self.status[k, i]
+            if code == LEG_BOUNDARY:
+                return SerialBoundaryError(i + 1, float(self.dist[k, i]))
+            if code == LEG_UNREACHABLE:
+                return UnreachableError(i + 1, float(self.dist[k, i]), self.lo, self.hi)
+        return None
+
+
+def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, eps: float = EPS_SING):
+    """Solve every leg of N poses in ``mode`` and evaluate A, B there.
+
+    x, y, theta are (N,) arrays. A leg is LEG_BOUNDARY when its distance is
+    within ``eps * (l + m)`` of either reach circle (checked first) and
+    LEG_UNREACHABLE when outside the annulus. The arithmetic follows the
+    scalar two-bar solution term by term, so one sample gives the same
+    floats as solving it alone.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    a = geom.base_points
+    l, m, s = geom.l, geom.m, geom.s
+    lo = abs(l - m)
+    hi = l + m
+    tol = eps * hi
+    n = x.shape[0]
+    alpha = np.empty((n, 3))
+    beta = np.empty((n, 3))
+    dist = np.empty((n, 3))
+    status = np.empty((n, 3), dtype=np.int8)
+    for i in range(3):
+        dx = x + s * np.cos(theta + geom.platform_phase[i]) - a[i, 0]
+        dy = y + s * np.sin(theta + geom.platform_phase[i]) - a[i, 1]
+        dx_list = dx.tolist()
+        dy_list = dy.tolist()
+        d = _math_map(math.hypot, dx_list, dy_list)
+        boundary = (np.abs(d - hi) < tol) | (np.abs(d - lo) < tol)
+        outside = (d > hi) | (d < lo)
+        status[:, i] = np.where(boundary, LEG_BOUNDARY, np.where(outside, LEG_UNREACHABLE, LEG_OK))
+        dist[:, i] = d
+        cos_d = np.clip((d * d - l * l - m * m) / (2.0 * l * m), -1.0, 1.0)
+        sin_d = mode.signs[i] * np.sqrt(np.maximum(0.0, 1.0 - cos_d * cos_d))
+        al = _math_map(math.atan2, dy_list, dx_list) - _math_map(
+            math.atan2, (m * sin_d).tolist(), (l + m * cos_d).tolist()
+        )
+        alpha[:, i] = wrap_angles(al)
+        beta[:, i] = wrap_angles(al + _math_map(math.atan2, sin_d.tolist(), cos_d.tolist()))
+    failed = status != LEG_OK
+    alpha[failed] = np.nan
+    beta[failed] = np.nan
+    rows, det, b_diag, scale = jacobian_rows(geom, alpha, x, y, theta)
+    # rows[..., :2] = c_i - b_i: its length is m, its direction beta_i.
+    ex = rows[:, :, 0]
+    ey = rows[:, :, 1]
+    closure = np.abs(np.hypot(ex, ey) - m)
+    passive = np.hypot(m * np.cos(beta) - ex, m * np.sin(beta) - ey)
+    return LegSolution(
+        alpha=alpha,
+        beta=beta,
+        status=status,
+        dist=dist,
+        rows=rows,
+        det=det,
+        b_diag=b_diag,
+        scale=scale,
+        loop_gap=np.maximum(closure, passive),
+        lo=lo,
+        hi=hi,
+    )
+
+
+def jacobian_rows(geom: GeometryConfig, alphas: np.ndarray, x, y, theta):
+    """Rows of A, det(A), B_ii and the row-norm scale at poses with known angles.
+
+    ``alphas`` has shape (N, 3) aligned with the (N,) pose arrays. Returns
+    (rows (N, 3, 3), det (N,), b_diag (N, 3), scale (N,)); row i of A is
+    [(c_i - b_i)^T, -(c_i - b_i)^T E (p - c_i)] and
+    B_ii = (c_i - b_i)^T E (b_i - a_i), det(A) by cofactor expansion.
+    """
+    a = geom.base_points
+    s = geom.s
+    bx, by = elbow_points(geom, alphas)
+    n = bx.shape[0]
+    rows = np.empty((n, 3, 3))
+    b_diag = np.empty((n, 3))
+    for i in range(3):
+        cx = x + s * np.cos(theta + geom.platform_phase[i])
+        cy = y + s * np.sin(theta + geom.platform_phase[i])
+        ex = cx - bx[:, i]
+        ey = cy - by[:, i]
+        rows[:, i, 0] = ex
+        rows[:, i, 1] = ey
+        rows[:, i, 2] = (y - cy) * ex - (x - cx) * ey
+        b_diag[:, i] = (bx[:, i] - a[i, 0]) * ey - (by[:, i] - a[i, 1]) * ex
+    r = rows
+    det = (
+        r[:, 0, 0] * (r[:, 1, 1] * r[:, 2, 2] - r[:, 1, 2] * r[:, 2, 1])
+        - r[:, 0, 1] * (r[:, 1, 0] * r[:, 2, 2] - r[:, 1, 2] * r[:, 2, 0])
+        + r[:, 0, 2] * (r[:, 1, 0] * r[:, 2, 1] - r[:, 1, 1] * r[:, 2, 0])
+    )
+    norms = np.linalg.norm(rows, axis=-1)
+    return rows, det, b_diag, norms[:, 0] * norms[:, 1] * norms[:, 2]
 
 
 def _fk_system_pieces(geom: GeometryConfig, bx, by, theta):
@@ -407,34 +533,6 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
     return idx_all[order], x_all[order], y_all[order], t_all[order]
 
 
-def solution_signs(geom: GeometryConfig, alphas: np.ndarray, x, y, theta):
-    """Branch signs and det(A) of assembly poses with known actuated angles.
-
-    ``alphas`` has shape (R, 3) aligned with the pose arrays.
-    """
-    a = geom.base_points
-    s = geom.s
-    psi = np.asarray(geom.platform_phase)
-    bx, by = elbow_points(geom, alphas)
-    b_signs = []
-    rows = []
-    for i in range(3):
-        cx = x + s * np.cos(theta + psi[i])
-        cy = y + s * np.sin(theta + psi[i])
-        ex = cx - bx[:, i]
-        ey = cy - by[:, i]
-        bii = (bx[:, i] - a[i, 0]) * ey - (by[:, i] - a[i, 1]) * ex
-        b_signs.append(np.sign(bii).astype(int))
-        w = (y - cy) * ex - (x - cx) * ey
-        rows.append((ex, ey, w))
-    det = (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
-    return np.stack(b_signs, axis=1), det
-
-
 #: Weights of the sign code of a B_ii sign triple: bit 2-i is set when B_ii < 0.
 _SIGN_BITS = np.array([4, 2, 1])
 
@@ -452,7 +550,8 @@ def assembly_modes(geom: GeometryConfig, alphas: np.ndarray):
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     idx, x, y, theta = fk_roots(geom, alphas)
-    sgn, det = solution_signs(geom, alphas[idx], x, y, theta)
+    _, det, b_diag, _ = jacobian_rows(geom, alphas[idx], x, y, theta)
+    sgn = np.sign(b_diag)
     ok = (sgn != 0).all(axis=1) & (det != 0.0)
     code = (sgn[ok] < 0) @ _SIGN_BITS
     det_sign = np.where(det[ok] > 0.0, 1, -1)

@@ -15,7 +15,13 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .aspects import characteristic_surface, enumerate_aspects, write_manifest
+from .aspects import (
+    MAX_DEPTH,
+    MIN_DEPTH,
+    characteristic_surface,
+    enumerate_aspects,
+    write_manifest,
+)
 from .errors import ConfigError, KinematicError
 from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, angle_difference, parse_mode
 from .jacobians import jacobians, singularity_report, working_mode_of
@@ -53,6 +59,12 @@ class RunConfig:
         return self.depth if self.depth is not None else default
 
 
+def _check_depth(depth: int, name: str) -> None:
+    """Every command that takes a depth runs the census, which takes only this range."""
+    if not MIN_DEPTH <= depth <= MAX_DEPTH:
+        raise ConfigError(f"{name} must be in [{MIN_DEPTH}, {MAX_DEPTH}], got {depth}")
+
+
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig(geometry=GeometryConfig())
@@ -85,16 +97,15 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError("samples_per_segment must be at least 2")
     if cfg.eps_sing <= 0:
         raise ConfigError("eps_sing must be positive")
-    if cfg.depth is not None and not 1 <= cfg.depth <= 12:
-        raise ConfigError("depth must be in [1, 12]")
+    if cfg.depth is not None:
+        _check_depth(cfg.depth, "config depth")
     return cfg
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     updates = {}
     if args.depth is not None:
-        if not 1 <= args.depth <= 12:
-            raise ConfigError("depth must be in [1, 12]")
+        _check_depth(args.depth, "--depth")
         updates["depth"] = args.depth
     if args.eps is not None:
         if args.eps <= 0:

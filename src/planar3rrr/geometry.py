@@ -28,6 +28,9 @@ TWO_PI = 2.0 * math.pi
 #: Default singularity tolerance (dimensionless after scaling).
 EPS_SING = 1e-8
 
+#: Largest loop-closure or passive-angle error of a FullConfiguration.
+LOOP_TOL = 1e-9
+
 #: Vertex phases of an equilateral triangle with one vertex pointing up.
 DEFAULT_PHASES = (0.5 * math.pi, 0.5 * math.pi + TWO_PI / 3.0, 0.5 * math.pi + 2.0 * TWO_PI / 3.0)
 
@@ -42,6 +45,12 @@ def wrap_angle(theta: float) -> float:
     if t > math.pi:
         t -= TWO_PI
     return t
+
+
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """wrap_angle over an array, bit for bit."""
+    t = np.mod(theta, TWO_PI)
+    return np.where(t > math.pi, t - TWO_PI, t)
 
 
 def angle_difference(a: float, b: float) -> float:
@@ -130,7 +139,7 @@ class GeometryConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     """Platform position (x, y) and orientation theta, normalized to (-pi, pi]."""
 
@@ -142,6 +151,29 @@ class Pose:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
+
+    @classmethod
+    def from_arrays(cls, x, y, theta) -> list["Pose"]:
+        """The poses ``[Pose(*v) for v in zip(x, y, theta)]`` of float arrays.
+
+        Normalizes theta for all poses at once and fills each pose without
+        the per-pose constructor call, which dominates building the tens of
+        thousands of poses of a densely sampled path.
+        """
+        new = object.__new__
+        put = object.__setattr__
+        poses = []
+        for px, py, pt in zip(
+            np.asarray(x, dtype=float).tolist(),
+            np.asarray(y, dtype=float).tolist(),
+            wrap_angles(np.asarray(theta, dtype=float)).tolist(),
+        ):
+            pose = new(cls)
+            put(pose, "x", px)
+            put(pose, "y", py)
+            put(pose, "theta", pt)
+            poses.append(pose)
+        return poses
 
     @property
     def position(self) -> np.ndarray:
@@ -233,8 +265,6 @@ class FullConfiguration:
     alpha: tuple[float, float, float]
     beta: tuple[float, float, float]
 
-    _LOOP_TOL = 1e-9
-
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(float(v) for v in self.alpha))
         object.__setattr__(self, "beta", tuple(float(v) for v in self.beta))
@@ -244,11 +274,11 @@ class FullConfiguration:
         c = self.c
         for i in range(3):
             gap = abs(math.hypot(c[i, 0] - b[i, 0], c[i, 1] - b[i, 1]) - self.geom.m)
-            if gap > self._LOOP_TOL:
+            if gap > LOOP_TOL:
                 raise ValueError(f"leg {i + 1} violates loop closure by {gap:.3g}")
             ex = b[i, 0] + self.geom.m * math.cos(self.beta[i]) - c[i, 0]
             ey = b[i, 1] + self.geom.m * math.sin(self.beta[i]) - c[i, 1]
-            if math.hypot(ex, ey) > self._LOOP_TOL:
+            if math.hypot(ex, ey) > LOOP_TOL:
                 raise ValueError(f"leg {i + 1} passive angle inconsistent with its endpoints")
 
     @property

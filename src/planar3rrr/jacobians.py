@@ -15,20 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import batch
 from .errors import ParallelSingularError, SerialSingularError
 from .geometry import EPS_SING, FullConfiguration, GeometryConfig, WorkingMode
 
 #: 90-degree rotation matrix used throughout the velocity relations.
 E = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
-def det3(mat: np.ndarray) -> float:
-    """Determinant of a 3x3 matrix by direct cofactor expansion."""
-    return float(
-        mat[0, 0] * (mat[1, 1] * mat[2, 2] - mat[1, 2] * mat[2, 1])
-        - mat[0, 1] * (mat[1, 0] * mat[2, 2] - mat[1, 2] * mat[2, 0])
-        + mat[0, 2] * (mat[1, 0] * mat[2, 1] - mat[1, 1] * mat[2, 0])
-    )
 
 
 @dataclass(frozen=True)
@@ -61,23 +53,12 @@ class SingularityReport:
 
 
 def jacobians(geom: GeometryConfig, config: FullConfiguration) -> JacobianPair:
-    """Build the matrix pair at a configuration."""
-    a = geom.base_points
-    b = config.b
-    c = config.c
-    px, py = config.pose.x, config.pose.y
-    a_mat = np.empty((3, 3))
-    b_diag = []
-    for i in range(3):
-        ex = c[i, 0] - b[i, 0]
-        ey = c[i, 1] - b[i, 1]
-        a_mat[i, 0] = ex
-        a_mat[i, 1] = ey
-        # -(c-b)^T E (p-c) written out as a 2D cross product.
-        a_mat[i, 2] = (py - c[i, 1]) * ex - (px - c[i, 0]) * ey
-        b_diag.append((b[i, 0] - a[i, 0]) * ey - (b[i, 1] - a[i, 1]) * ex)
+    """Build the matrix pair at a configuration (``batch.jacobian_rows``, one pose)."""
+    x, y, theta = (np.array([v]) for v in config.pose.as_tuple())
+    rows, det, b_diag, _ = batch.jacobian_rows(geom, np.array([config.alpha]), x, y, theta)
+    a_mat = rows[0]
     a_mat.setflags(write=False)
-    return JacobianPair(a_mat=a_mat, b_diag=tuple(b_diag), det_a=det3(a_mat))
+    return JacobianPair(a_mat=a_mat, b_diag=tuple(b_diag[0].tolist()), det_a=float(det[0]))
 
 
 def working_mode_of(pair: JacobianPair, eps: float = EPS_SING) -> WorkingMode:

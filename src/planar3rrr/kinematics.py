@@ -2,7 +2,9 @@
 
 The inverse problem factors per leg into a standard two-bar reach with two
 elbow branches; a working mode fixes the branch of every leg through the sign
-of B_ii = (c_i - b_i)^T E (b_i - a_i).
+of B_ii = (c_i - b_i)^T E (b_i - a_i). The array kernel ``batch.solve_legs``
+solves it; ``inverse_kinematics`` and ``inverse_kinematics_all`` are
+one-pose calls into it.
 
 The direct problem is reduced to one dimension: with the actuated angles
 fixed, the elbows b_i are fixed points and the three loop closures
@@ -17,59 +19,20 @@ scalar ``forward_kinematics`` is a one-triple wrapper over it.
 
 from __future__ import annotations
 
-import math
+import itertools
 
 import numpy as np
 
 from . import batch
-from .errors import (
-    DegenerateLinearSystemError,
-    SerialBoundaryError,
-    UnreachableError,
-)
-from .geometry import (
-    EPS_SING,
-    TWO_PI,
-    FullConfiguration,
-    GeometryConfig,
-    Pose,
-    WorkingMode,
-    platform_points,
-    wrap_angle,
-)
+from .errors import DegenerateLinearSystemError
+from .geometry import EPS_SING, TWO_PI, FullConfiguration, GeometryConfig, Pose, WorkingMode
 
 #: Orientation samples of the degenerate-reduction check in forward_kinematics.
 FK_SAMPLES = 2048
 
 
-def _leg_angles(
-    ax: float,
-    ay: float,
-    cx: float,
-    cy: float,
-    l: float,
-    m: float,
-    branch: int,
-    eps: float,
-    leg: int,
-) -> tuple[float, float]:
-    """Solve one two-bar leg for (alpha, beta); ``branch`` is the elbow sign."""
-    dx = cx - ax
-    dy = cy - ay
-    d = math.hypot(dx, dy)
-    lo = abs(l - m)
-    hi = l + m
-    tol = eps * hi
-    if abs(d - hi) < tol or abs(d - lo) < tol:
-        raise SerialBoundaryError(leg, d)
-    if d > hi or d < lo:
-        raise UnreachableError(leg, d, lo, hi)
-    cos_d = (d * d - l * l - m * m) / (2.0 * l * m)
-    cos_d = max(-1.0, min(1.0, cos_d))
-    sin_d = branch * math.sqrt(max(0.0, 1.0 - cos_d * cos_d))
-    alpha = math.atan2(dy, dx) - math.atan2(m * sin_d, l + m * cos_d)
-    beta = alpha + math.atan2(sin_d, cos_d)
-    return wrap_angle(alpha), wrap_angle(beta)
+def _solve(geom: GeometryConfig, pose: Pose, mode: WorkingMode, eps: float) -> batch.LegSolution:
+    return batch.solve_legs(geom, [pose.x], [pose.y], [pose.theta], mode, eps)
 
 
 def inverse_kinematics(
@@ -78,21 +41,15 @@ def inverse_kinematics(
     mode: WorkingMode,
     eps: float = EPS_SING,
 ) -> FullConfiguration:
-    """Inverse kinematics in one working mode.
+    """Inverse kinematics in one working mode: a one-pose ``batch.solve_legs``.
 
-    Raises UnreachableError or SerialBoundaryError per leg.
+    Raises UnreachableError or SerialBoundaryError for the lowest failing leg.
     """
-    c, _ = platform_points(geom, pose)
-    a = geom.base_points
-    alpha = []
-    beta = []
-    for i in range(3):
-        al, be = _leg_angles(
-            a[i, 0], a[i, 1], c[i, 0], c[i, 1], geom.l, geom.m, mode.signs[i], eps, i + 1
-        )
-        alpha.append(al)
-        beta.append(be)
-    return FullConfiguration(geom=geom, pose=pose, alpha=tuple(alpha), beta=tuple(beta))
+    legs = _solve(geom, pose, mode, eps)
+    err = legs.error(0)
+    if err is not None:
+        raise err
+    return FullConfiguration(geom=geom, pose=pose, alpha=legs.alpha[0], beta=legs.beta[0])
 
 
 def inverse_kinematics_all(
@@ -107,37 +64,31 @@ def inverse_kinematics_all(
     stretched leg yields four entries. An unreachable pose yields an empty
     mapping.
     """
-    c, _ = platform_points(geom, pose)
-    a = geom.base_points
-    per_leg: list[list[tuple[int, float, float]]] = []
-    for i in range(3):
-        options = []
-        for branch in (1, -1):
-            try:
-                al, be = _leg_angles(
-                    a[i, 0], a[i, 1], c[i, 0], c[i, 1], geom.l, geom.m, branch, eps, i + 1
-                )
-            except UnreachableError:
-                return {}
-            except SerialBoundaryError:
-                if branch == 1:
-                    al, be = _leg_angles(
-                        a[i, 0], a[i, 1], c[i, 0], c[i, 1], geom.l, geom.m, branch, 0.0, i + 1
-                    )
-                    options.append((1, al, be))
-                continue
-            options.append((branch, al, be))
-        if not options:
+    plus = _solve(geom, pose, WorkingMode.A, eps)
+    minus = _solve(geom, pose, WorkingMode.G, eps)
+    status = plus.status[0]
+    if (status == batch.LEG_UNREACHABLE).any():
+        return {}
+    if (status == batch.LEG_BOUNDARY).any():
+        # Without the boundary tolerance a boundary leg solves to its one
+        # elbow position, unless it lies just outside the annulus.
+        collapsed = _solve(geom, pose, WorkingMode.A, 0.0)
+        if collapsed.error(0) is not None:
             return {}
-        per_leg.append(options)
+    per_leg = []
+    for i in range(3):
+        if status[i] == batch.LEG_BOUNDARY:
+            per_leg.append([(1, collapsed.alpha[0, i], collapsed.beta[0, i])])
+        else:
+            per_leg.append(
+                [(1, plus.alpha[0, i], plus.beta[0, i]), (-1, minus.alpha[0, i], minus.beta[0, i])]
+            )
     result: dict[WorkingMode, FullConfiguration] = {}
-    for s1, a1, b1 in per_leg[0]:
-        for s2, a2, b2 in per_leg[1]:
-            for s3, a3, b3 in per_leg[2]:
-                mode = WorkingMode.from_signs((s1, s2, s3))
-                result[mode] = FullConfiguration(
-                    geom=geom, pose=pose, alpha=(a1, a2, a3), beta=(b1, b2, b3)
-                )
+    for legs in itertools.product(*per_leg):
+        signs, alpha, beta = zip(*legs)
+        result[WorkingMode.from_signs(signs)] = FullConfiguration(
+            geom=geom, pose=pose, alpha=alpha, beta=beta
+        )
     return result
 
 

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import gc
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import batch
 from .aspects import AspectAtlas, same_aspect
-from .errors import KinematicError, ModeMismatchError, UnreachableSampleError
+from .errors import ModeMismatchError, UnreachableSampleError
 from .geometry import (
     EPS_SING,
+    LOOP_TOL,
     GeometryConfig,
     Pose,
     WorkingMode,
     angle_difference,
-    wrap_angle,
+    wrap_angles,
 )
-from .jacobians import jacobians
 from .kinematics import inverse_kinematics
 
 VERDICT_NON_SINGULAR = "NonSingular"
@@ -43,7 +48,7 @@ class PathSpec:
             raise ValueError("samples_per_segment must be at least 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRecord:
     t: float
     pose: Pose
@@ -68,33 +73,46 @@ class MonitorResult:
     det_sign: int
 
 
+@contextmanager
+def _no_cyclic_gc():
+    """Pause the cyclic collector while a path's poses and records are built.
+
+    A dense path allocates a few hundred thousand container objects, none
+    of them in a reference cycle; without the pause the collector rescans
+    the growing heap several times per path, about a quarter of the
+    monitor's time on a 27k-sample path.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _segment_samples(spec: PathSpec):
     """Global parameters and poses; waypoints are reproduced bit-exactly."""
     nseg = len(spec.waypoints) - 1
     spp = spec.samples_per_segment
+    u = np.arange(spp) / (spp - 1)
+    inner = u[1:-1]
     ts = []
-    poses = []
+    poses = [spec.waypoints[0]]
     for j in range(nseg):
         a = spec.waypoints[j]
         b = spec.waypoints[j + 1]
         dth = angle_difference(b.theta, a.theta)
-        for k in range(spp):
-            if j > 0 and k == 0:
-                continue  # shared with the previous segment's endpoint
-            u = k / (spp - 1)
-            ts.append((j + u) / nseg)
-            if k == 0:
-                poses.append(a)
-            elif k == spp - 1:
-                poses.append(b)
-            else:
-                poses.append(
-                    Pose(
-                        a.x + u * (b.x - a.x),
-                        a.y + u * (b.y - a.y),
-                        wrap_angle(a.theta + u * dth),
-                    )
-                )
+        # Segment j > 0 shares its first sample with the previous endpoint.
+        ts.extend(((j + (u[1:] if j else u)) / nseg).tolist())
+        poses.extend(
+            Pose.from_arrays(
+                a.x + inner * (b.x - a.x),
+                a.y + inner * (b.y - a.y),
+                wrap_angles(a.theta + inner * dth),
+            )
+        )
+        poses.append(b)
     return ts, poses
 
 
@@ -103,74 +121,79 @@ def interpolate(spec: PathSpec) -> list[Pose]:
     return _segment_samples(spec)[1]
 
 
+def _normalized(v: np.ndarray) -> np.ndarray:
+    """v over its largest magnitude, or zeros when v vanishes."""
+    mx = np.abs(v).max(axis=0)
+    return np.where(mx > 0.0, v / np.where(mx > 0.0, mx, 1.0), 0.0)
+
+
 def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> MonitorResult:
     """Track det(A) and B_ii along the path in the path's working mode.
 
-    The verdict is NonSingular when every sign stays constant and the scaled
-    margins stay above ``eps`` at all samples. An unreachable sample aborts
-    with UnreachableSampleError.
+    Every sample is solved in one ``batch.solve_legs`` call. The verdict is
+    NonSingular when every sign stays constant and the scaled margins stay
+    above ``eps`` at all samples; otherwise ``offending_t`` is the first
+    sample where a sign differs from the first sample's or a margin is at
+    most ``eps``. The first failing sample aborts with
+    UnreachableSampleError wrapping the error of its lowest failing leg; a
+    sample whose legs violate loop closure by more than LOOP_TOL raises
+    ValueError, as FullConfiguration does.
     """
-    ts, poses = _segment_samples(spec)
-    raw = []
-    for t, pose in zip(ts, poses):
-        try:
-            config = inverse_kinematics(geom, pose, spec.mode, eps)
-        except KinematicError as exc:
-            raise UnreachableSampleError(t, exc) from exc
-        pair = jacobians(geom, config)
-        raw.append((t, pose, config.alpha, pair.det_a, *pair.b_diag, pair.row_norm_scale))
-
-    max_det = max(abs(r[3]) for r in raw)
-    max_b = [max(abs(r[4 + i]) for r in raw) for i in range(3)]
-
-    def norm(v: float, mx: float) -> float:
-        return v / mx if mx > 0.0 else 0.0
-
-    records = tuple(
-        SampleRecord(
-            t=t,
-            pose=pose,
-            alpha=alpha,
-            det_a=det,
-            b11=b1,
-            b22=b2,
-            b33=b3,
-            det_a_n=norm(det, max_det),
-            b11_n=norm(b1, max_b[0]),
-            b22_n=norm(b2, max_b[1]),
-            b33_n=norm(b3, max_b[2]),
+    with _no_cyclic_gc():
+        ts, poses = _segment_samples(spec)
+    x = np.array([p.x for p in poses])
+    y = np.array([p.y for p in poses])
+    theta = np.array([p.theta for p in poses])
+    legs = batch.solve_legs(geom, x, y, theta, spec.mode, eps)
+    failed = (legs.status != batch.LEG_OK).any(axis=1)
+    loose = legs.loop_gap > LOOP_TOL
+    bad = np.flatnonzero(failed | loose.any(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        if failed[k]:
+            cause = legs.error(k)
+            raise UnreachableSampleError(ts[k], cause) from cause
+        i = int(np.argmax(loose[k]))
+        raise ValueError(
+            f"path sample at t = {ts[k]:.9g}: leg {i + 1} violates loop closure "
+            f"by {legs.loop_gap[k, i]:.3g}"
         )
-        for (t, pose, alpha, det, b1, b2, b3, _) in raw
-    )
 
-    verdict = VERDICT_NON_SINGULAR
-    offending = None
-    det0 = raw[0][3]
-    b0 = raw[0][4:7]
-    min_det_scaled = min(abs(r[3]) / r[7] for r in raw)
-    min_b = min(min(abs(r[4 + i]) for i in range(3)) for r in raw)
-    for r in raw:
-        t = r[0]
-        flip = (r[3] < 0.0) != (det0 < 0.0) or any(
-            (r[4 + i] < 0.0) != (b0[i] < 0.0) for i in range(3)
+    det = legs.det
+    b = legs.b_diag
+    det_n = _normalized(det)
+    b_n = _normalized(b)
+    with _no_cyclic_gc():
+        records = tuple(
+            map(
+                SampleRecord,
+                ts,
+                poses,
+                map(tuple, legs.alpha.tolist()),
+                det.tolist(),
+                *b.T.tolist(),
+                det_n.tolist(),
+                *b_n.T.tolist(),
+            )
         )
-        weak = abs(r[3]) / r[7] <= eps or any(abs(r[4 + i]) <= eps for i in range(3))
-        if flip or weak:
-            verdict = VERDICT_SINGULAR
-            offending = t
-            break
+
+    det_scaled = np.abs(det) / legs.scale
+    flip = ((det < 0.0) != (det[0] < 0.0)) | ((b < 0.0) != (b[0] < 0.0)).any(axis=1)
+    weak = (det_scaled <= eps) | (np.abs(b) <= eps).any(axis=1)
+    bad = np.flatnonzero(flip | weak)
     return MonitorResult(
         records=records,
-        verdict=verdict,
-        offending_t=offending,
-        min_abs_det_scaled=min_det_scaled,
-        min_abs_b=min_b,
-        det_sign=1 if det0 > 0.0 else -1,
+        verdict=VERDICT_SINGULAR if bad.size else VERDICT_NON_SINGULAR,
+        offending_t=ts[bad[0]] if bad.size else None,
+        min_abs_det_scaled=float(det_scaled.min()),
+        min_abs_b=float(np.abs(b).min()),
+        det_sign=1 if det[0] > 0.0 else -1,
     )
 
 
 def write_profile(result: MonitorResult, path) -> None:
     """CSV export of the monitored profile."""
+    row = ",".join(["%.9g"] * len(PROFILE_HEADER.split(","))) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(PROFILE_HEADER + "\n")
         for r in result.records:
@@ -191,7 +214,7 @@ def write_profile(result: MonitorResult, path) -> None:
                 r.b22_n,
                 r.b33_n,
             )
-            fh.write(",".join("%.9g" % v for v in cells) + "\n")
+            fh.write(row % cells)
 
 
 @dataclass(frozen=True)

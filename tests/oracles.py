@@ -144,3 +144,49 @@ def serial_alignment(geom, config, leg):
     return float(
         (b[i, 0] - a[i, 0]) * (c[i, 0] - b[i, 0]) + (b[i, 1] - a[i, 1]) * (c[i, 1] - b[i, 1])
     )
+
+
+def _wrap(theta):
+    t = theta % (2.0 * math.pi)
+    if t > math.pi:
+        t -= 2.0 * math.pi
+    return t
+
+
+def scalar_leg_solution(geom, x, y, theta, signs):
+    """The scalar two-bar solver and Jacobian row loop, one pose at a time.
+
+    Returns (alpha, det_a, b_diag, scale) in the operation order of the
+    per-sample reference implementation, ``math`` functions throughout;
+    raises ValueError when a leg is out of reach.
+    """
+    l, m, s = geom.l, geom.m, geom.s
+    a = [(geom.r * math.cos(p), geom.r * math.sin(p)) for p in geom.base_phase]
+    c = [(x + s * math.cos(theta + p), y + s * math.sin(theta + p)) for p in geom.platform_phase]
+    alpha = []
+    for i in range(3):
+        dx = c[i][0] - a[i][0]
+        dy = c[i][1] - a[i][1]
+        d = math.hypot(dx, dy)
+        if not abs(l - m) < d < l + m:
+            raise ValueError(f"leg {i + 1} out of reach")
+        cos_d = (d * d - l * l - m * m) / (2.0 * l * m)
+        cos_d = max(-1.0, min(1.0, cos_d))
+        sin_d = signs[i] * math.sqrt(max(0.0, 1.0 - cos_d * cos_d))
+        alpha.append(_wrap(math.atan2(dy, dx) - math.atan2(m * sin_d, l + m * cos_d)))
+    rows = []
+    b_diag = []
+    for i in range(3):
+        bx = a[i][0] + l * math.cos(alpha[i])
+        by = a[i][1] + l * math.sin(alpha[i])
+        ex = c[i][0] - bx
+        ey = c[i][1] - by
+        rows.append((ex, ey, (y - c[i][1]) * ex - (x - c[i][0]) * ey))
+        b_diag.append((bx - a[i][0]) * ey - (by - a[i][1]) * ex)
+    det = (
+        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+    )
+    norms = np.linalg.norm(np.array(rows), axis=1)
+    return tuple(alpha), det, tuple(b_diag), float(norms[0] * norms[1] * norms[2])

@@ -237,8 +237,7 @@ def test_criterion_6_property_suite(ref_geom, rng, capsys):
     # the pose among the direct solutions to 1e-9.
     worst_round = 0.0
     for mode in WorkingMode:
-        al = batch.ik_alpha(ref_geom, poses[:, 0], poses[:, 1], poses[:, 2], mode)
-        alphas = np.stack(al, axis=1)
+        alphas = batch.solve_legs(ref_geom, poses[:, 0], poses[:, 1], poses[:, 2], mode).alpha
         assert np.isfinite(alphas).all()
         idx, x, y, th = batch.fk_roots(ref_geom, alphas)
         dx = np.abs(x - poses[idx, 0])
@@ -262,14 +261,15 @@ def test_criterion_6_property_suite(ref_geom, rng, capsys):
     # problem in its own working mode.
     alphas = rng.uniform(0, 2 * math.pi, (400, 3))
     idx, x, y, th = batch.fk_roots(ref_geom, alphas)
-    sgn, det = batch.solution_signs(ref_geom, alphas[idx], x, y, th)
+    _, det, b_diag, _ = batch.jacobian_rows(ref_geom, alphas[idx], x, y, th)
+    sgn = np.sign(b_diag).astype(int)
     worst_cov = 0.0
     valid = (sgn != 0).all(axis=1)
     for mode in WorkingMode:
         sel = valid & (sgn == np.array(mode.signs)).all(axis=1)
         if not sel.any():
             continue
-        back = np.stack(batch.ik_alpha(ref_geom, x[sel], y[sel], th[sel], mode), axis=1)
+        back = batch.solve_legs(ref_geom, x[sel], y[sel], th[sel], mode).alpha
         gap = np.abs((back - alphas[idx[sel]] + math.pi) % (2 * math.pi) - math.pi)
         worst_cov = max(worst_cov, float(gap.max()))
     ok_cov = worst_cov < 1e-9

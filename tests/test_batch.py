@@ -33,12 +33,24 @@ def test_mode_determinants_match_scalar(ref_geom, rng):
             assert dets[mi][k] == pytest.approx(pair.det_a, rel=1e-9, abs=1e-9)
 
 
+def test_mode_determinants_of_requested_modes(ref_geom, rng):
+    xs = rng.uniform(-4, 4, 60)
+    ys = rng.uniform(-4, 4, 60)
+    ts = rng.uniform(0, 2 * math.pi, 60)
+    reach, dets = batch.mode_determinants(ref_geom, xs, ys, ts)
+    modes = [WorkingMode.H, WorkingMode.C]
+    reach_sub, sub = batch.mode_determinants(ref_geom, xs, ys, ts, modes)
+    assert np.array_equal(reach, reach_sub)
+    for mode, det in zip(modes, sub):
+        assert np.array_equal(det, dets[batch.MODE_ORDER.index(mode)], equal_nan=True)
+
+
 def test_ik_alpha_matches_scalar(ref_geom, rng):
     xs = rng.uniform(-3, 3, 40)
     ys = rng.uniform(-3, 3, 40)
     ts = rng.uniform(-math.pi, math.pi, 40)
     for mode in (WorkingMode.A, WorkingMode.E, WorkingMode.H):
-        al = batch.ik_alpha(ref_geom, xs, ys, ts, mode)
+        al = batch.solve_legs(ref_geom, xs, ys, ts, mode).alpha.T
         for k in range(40):
             try:
                 cfg = inverse_kinematics(ref_geom, Pose(xs[k], ys[k], ts[k]), mode)
@@ -77,7 +89,8 @@ def test_fk_roots_rows_are_independent(ref_geom, rng):
 def test_solution_signs_match_jacobians(ref_geom, rng):
     alphas = rng.uniform(0, 2 * math.pi, (20, 3))
     idx, x, y, th = batch.fk_roots(ref_geom, alphas)
-    sgn, det = batch.solution_signs(ref_geom, alphas[idx], x, y, th)
+    _, det, b_diag, _ = batch.jacobian_rows(ref_geom, alphas[idx], x, y, th)
+    sgn = np.sign(b_diag).astype(int)
     for r in range(len(idx)):
         pose = Pose(float(x[r]), float(y[r]), float(th[r]))
         cfgs = inverse_kinematics_all(ref_geom, pose)

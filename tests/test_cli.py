@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -85,6 +86,35 @@ def test_bad_config_exit_code(tmp_path, capsys):
     p.write_text('{"depth": 99}')
     rc = main(["--config", str(p), "fk", "1", "2", "3"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, config, name",
+    [(["--depth", "3"], {}, "--depth"), ([], {"depth": 11}, "config depth")],
+    ids=["flag", "config"],
+)
+def test_depth_outside_census_range(tmp_path, capsys, argv, config, name):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    rc = main(["--config", str(p), "--out", str(tmp_path), *argv, "workspace",
+               "--mode", "a", "--sign", "+"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert name in err and "[4, 10]" in err
+    assert not list(tmp_path.glob("*.oct"))
+
+
+def test_trajectory_outputs_pinned(ref_config, ref_path, tmp_path, capsys):
+    # The sha256 values of bench/golden.json ("path" -> "bundled"), recorded
+    # by bench/record_golden.py from the per-sample scalar monitor.
+    golden = {
+        "profile.csv": "8cb0eac97a61741bd0cba7081f68203f90847d149d1a0ccba11b7a5b02462aba",
+        "evidence.json": "d6c0944a3aa73d81470437588501f457ee8a3889c2510854b1a97df2b685127c",
+    }
+    rc = main(["--config", ref_config, "--out", str(tmp_path), "trajectory", ref_path])
+    assert rc == 0
+    for name, digest in golden.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_workspace_writes_dump(ref_config, tmp_path, capsys):

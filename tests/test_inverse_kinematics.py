@@ -86,6 +86,15 @@ def test_stretched_leg_collapses_branches(default_geom):
     assert len(result) == 4
     with pytest.raises(SerialBoundaryError):
         inverse_kinematics(default_geom, pose, WorkingMode.A)
+    # The collapsed leg-1 branch is keyed under '+' and shared by all four.
+    assert {mode.signs[0] for mode in result} == {1}
+    assert len({cfg.alpha[0] for cfg in result.values()}) == 1
+
+
+def test_just_outside_reach_boundary_is_unreachable(default_geom):
+    # Leg 1 lies 1e-9 beyond l + m: inside the boundary tolerance, but no
+    # elbow position reaches it, so the pose has no inverse branch.
+    assert inverse_kinematics_all(default_geom, Pose(0.0, -7.0 - 1e-9, 0.0)) == {}
 
 
 def test_branch_flip_flips_exactly_one_sign(ref_geom, rng):

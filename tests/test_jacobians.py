@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_REF, FK_REF_INDICES, FK_REF_POSES, posture
+from planar3rrr import batch
 from planar3rrr.errors import ParallelSingularError, SerialSingularError
 from planar3rrr.geometry import (
     FullConfiguration,
@@ -14,7 +15,6 @@ from planar3rrr.geometry import (
 )
 from planar3rrr.jacobians import (
     E,
-    det3,
     forward_velocity,
     inverse_velocity,
     jacobians,
@@ -39,10 +39,13 @@ def test_rotation_matrix():
     assert np.allclose(E @ v, [0.0, 1.0])
 
 
-def test_det3_matches_numpy(rng):
-    for _ in range(20):
-        m = rng.normal(size=(3, 3))
-        assert det3(m) == pytest.approx(np.linalg.det(m), rel=1e-10)
+def test_jacobian_det_matches_numpy(ref_geom, rng):
+    # The cofactor expansion of batch.jacobian_rows against numpy's LU.
+    alphas = rng.uniform(-math.pi, math.pi, (20, 3))
+    x, y, theta = rng.normal(size=(3, 20))
+    rows, det, _, _ = batch.jacobian_rows(ref_geom, alphas, x, y, theta)
+    for k in range(20):
+        assert det[k] == pytest.approx(np.linalg.det(rows[k]), rel=1e-10)
 
 
 def test_benchmark_indices_regression(ref_geom):

@@ -1,12 +1,14 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import ALPHA_REF, VIA_POSTURE, posture
 from planar3rrr.aspects import enumerate_aspects
-from planar3rrr.errors import UnreachableSampleError
+from planar3rrr.errors import SerialBoundaryError, UnreachableError, UnreachableSampleError
 from planar3rrr.geometry import Pose, WorkingMode, angle_difference
 from planar3rrr.trajectory import (
     PROFILE_HEADER,
@@ -55,6 +57,7 @@ def test_constant_path(ref_geom):
     for r in result.records:
         assert r.det_a == first.det_a
         assert (r.b11, r.b22, r.b33) == (first.b11, first.b22, first.b33)
+        assert dataclasses.replace(r, t=0.0) == dataclasses.replace(first, t=0.0)
 
 
 def test_shortest_arc_across_pi():
@@ -134,6 +137,72 @@ def test_unreachable_sample_aborts(ref_geom):
     with pytest.raises(UnreachableSampleError) as err:
         monitor(ref_geom, spec)
     assert 0.0 <= err.value.t <= 1.0
+
+
+def test_first_unreachable_sample_mid_path(ref_geom):
+    # The path leaves the workspace part way along; the error names the
+    # first unreachable sample in path order and its lowest failing leg.
+    spec = PathSpec(
+        waypoints=(posture(1), Pose(30.0, 0.0, 0.0)), mode=MODE, samples_per_segment=50
+    )
+    expect = None
+    for k, pose in enumerate(interpolate(spec)):
+        joints = oracles.platform_joints(ref_geom, pose.x, pose.y, pose.theta)
+        out = [
+            i + 1
+            for i, ((cx, cy), phi) in enumerate(zip(joints, ref_geom.base_phase))
+            if math.hypot(cx - ref_geom.r * math.cos(phi), cy - ref_geom.r * math.sin(phi))
+            >= ref_geom.l + ref_geom.m
+        ]
+        if out:
+            expect = (k / 49, out[0])
+            break
+    assert expect is not None and 0.0 < expect[0] < 1.0
+    with pytest.raises(UnreachableSampleError) as err:
+        monitor(ref_geom, spec)
+    assert isinstance(err.value.cause, UnreachableError)
+    assert (err.value.t, err.value.cause.leg) == expect
+
+
+def test_sample_on_reach_boundary_aborts(default_geom):
+    # At (0, -7, 0) leg 1 of the default geometry is stretched exactly to
+    # l + m = 12; the via waypoint is sampled exactly at t = 0.5.
+    spec = PathSpec(
+        waypoints=(Pose(0.0, -5.0, 0.0), Pose(0.0, -7.0, 0.0), Pose(0.0, -5.0, 0.0)),
+        mode=WorkingMode.A,
+        samples_per_segment=50,
+    )
+    with pytest.raises(UnreachableSampleError) as err:
+        monitor(default_geom, spec)
+    assert isinstance(err.value.cause, SerialBoundaryError)
+    assert err.value.cause.leg == 1
+    assert err.value.t == 0.5
+
+
+def _jittered_spec(spp) -> PathSpec:
+    offsets = ((0.03, -0.04, 1.5), (-0.05, 0.02, -2.0), (0.04, 0.05, 0.7))
+    waypoints = tuple(
+        Pose(p.x + dx, p.y + dy, p.theta + math.radians(dt))
+        for p, (dx, dy, dt) in zip(_benchmark_spec(spp).waypoints, offsets)
+    )
+    return PathSpec(waypoints=waypoints, mode=MODE, samples_per_segment=spp)
+
+
+@pytest.mark.parametrize("make_spec", [_benchmark_spec, _jittered_spec])
+def test_monitor_matches_scalar_oracle(ref_geom, make_spec):
+    # The profile and evidence files are byte-identical artifacts, so the
+    # array kernel must give the per-sample scalar solver's floats exactly.
+    result = monitor(ref_geom, make_spec(2500))
+    min_scaled = math.inf
+    for r in result.records:
+        alpha, det, b_diag, scale = oracles.scalar_leg_solution(
+            ref_geom, r.pose.x, r.pose.y, r.pose.theta, MODE.signs
+        )
+        assert r.alpha == alpha
+        assert r.det_a == det
+        assert (r.b11, r.b22, r.b33) == b_diag
+        min_scaled = min(min_scaled, abs(det) / scale)
+    assert result.min_abs_det_scaled == min_scaled
 
 
 def test_profile_export(ref_geom, tmp_path):
