@@ -36,7 +36,7 @@ def main():
 
     sign = 1 if jacobians(geom, inverse_kinematics(geom, way[0], mode)).det_a > 0 else -1
     atlas = enumerate_aspects(geom, depth=6, modes=[mode], det_signs=(sign,), build_joint=False)
-    evidence = verify_assembly_mode_change(geom, atlas, way[0], way[-1], mode, via=way[1])
+    evidence = verify_assembly_mode_change(geom, atlas, result)
     print(f"\nassembly-mode change: {evidence.verdict}")
     print(f"  shared actuated input (gap {evidence.alpha_gap:.1e}): {tuple(round(a, 6) for a in evidence.alpha)}")
     print(f"  same aspect: {evidence.in_same_aspect}, monitored: {evidence.monitor_verdict}")

@@ -362,12 +362,15 @@ def _full_system(geom: GeometryConfig, bx, by, x, y, theta):
 
 
 def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta, iters: int = 30):
-    """Vectorized Newton on the full closure system from (K,) seeds."""
+    """Vectorized Newton on the full closure system; a row stops at a step below 1e-13."""
     x = x.copy()
     y = y.copy()
     theta = theta.copy()
+    act = np.arange(len(x))
     for _ in range(iters):
-        g, jac = _full_system(geom, bx, by, x, y, theta)
+        if act.size == 0:
+            break
+        g, jac = _full_system(geom, bx[act], by[act], x[act], y[act], theta[act])
         try:
             step = np.linalg.solve(jac, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -379,11 +382,10 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta, iters: int = 3
         norm = np.max(np.abs(step), axis=1)
         shrink = np.where(norm > 1.0, norm, 1.0)
         step = step / shrink[:, None]
-        x -= step[:, 0]
-        y -= step[:, 1]
-        theta -= step[:, 2]
-        if float(np.max(norm, initial=0.0)) < 1e-13:
-            break
+        x[act] -= step[:, 0]
+        y[act] -= step[:, 1]
+        theta[act] -= step[:, 2]
+        act = act[norm >= 1e-13]
     return x, y, theta
 
 
@@ -399,8 +401,9 @@ def _closure_error(geom: GeometryConfig, bx, by, x, y, theta):
     return worst
 
 
-#: Trigonometric degree of the scan polynomial N.
-SCAN_DEGREE = 6
+#: Trigonometric degree of the scan polynomial N: the direct problem is the
+#: classical sextic, at most six real assembly modes.
+SCAN_DEGREE = 3
 
 #: Largest ||z| - 1| of a companion eigenvalue z kept as an orientation root.
 #: The eigenvalues of clustered roots near a tangency leave the unit circle by
@@ -408,10 +411,9 @@ SCAN_DEGREE = 6
 #: rejected later by the closure gate of fk_roots.
 UNIT_WINDOW = 1e-2
 
-
-#: Orientation samples of N per triple. N has trigonometric degree six, so
-#: any count of at least 2*6+1 recovers its coefficients exactly by the DFT.
-SCAN_SAMPLES = 64
+#: Orientation samples of N per triple: the smallest power of two above
+#: 2*SCAN_DEGREE, so the DFT returns gamma_0..gamma_3 without aliasing.
+SCAN_SAMPLES = 8
 
 #: Triples per block of fk_roots; bounds the size of the scan arrays.
 FK_CHUNK = 8192
@@ -419,75 +421,101 @@ FK_CHUNK = 8192
 #: Largest closure error, in length units, of an accepted assembly pose.
 RESIDUAL_TOL = 1e-9
 
+#: Records of one triple at most this far apart (Chebyshev over x, y and
+#: wrapped theta) are one pose: near a double root, copies of one root polish
+#: up to 7e-7 apart; the closest distinct poses seen are 6e-5 apart.
+MERGE_TOL = 1e-6
+
 
 def scan_coefficients(geom: GeometryConfig, bx, by):
-    """Complex Fourier coefficients gamma_0..gamma_6 of N per input row."""
+    """Complex Fourier coefficients gamma_0..gamma_3 of N per input row."""
     grid = np.arange(SCAN_SAMPLES) * (TWO_PI / SCAN_SAMPLES)
     f = _fk_scan(geom, bx, by, grid[None, :])
     return np.fft.rfft(f, axis=1)[:, : SCAN_DEGREE + 1] / SCAN_SAMPLES
 
 
 def scan_roots(gamma):
-    """All real orientation roots of N from its Fourier coefficients.
+    """Orientation seeds for all real roots of N from its Fourier coefficients.
 
-    Substituting z = exp(i theta) turns N into a degree-12 polynomial whose
-    unit-circle roots are the orientations sought; they are read off the
-    eigenvalues of the companion matrix. Returns (rows, theta).
+    With z = exp(i theta), z^3 N is a self-reciprocal degree-6 polynomial;
+    the eigenvalues of its 6x6 companion matrices (one batched call) within
+    UNIT_WINDOW of the unit circle give the seeds. Rounding can push a close
+    pair of real roots off the circle as z and 1/conj(z) of equal angle, so
+    a seed is angle(z) + ln|z|: one on either side of such a pair. A leading
+    coefficient below rounding level is raised to it (its root goes to
+    infinity); rows with N identically zero are skipped. Returns (rows, theta).
     """
-    k = gamma.shape[0]
     deg = SCAN_DEGREE
-    coeffs = np.empty((k, 2 * deg + 1), dtype=complex)
+    n = 2 * deg
+    coeffs = np.empty((gamma.shape[0], n + 1), dtype=complex)
     coeffs[:, deg:] = gamma
     coeffs[:, :deg] = np.conj(gamma[:, :0:-1])
     mag = np.max(np.abs(coeffs), axis=1)
-    lead = np.abs(coeffs[:, -1])
-    good = (mag > 0.0) & (lead > 1e-13 * mag)
-    rows_out = []
-    theta_out = []
-    gi = np.flatnonzero(good)
-    if gi.size:
-        n = 2 * deg
-        monic = coeffs[gi] / coeffs[gi, -1:]
-        comp = np.zeros((gi.size, n, n), dtype=complex)
-        comp[:, np.arange(1, n), np.arange(0, n - 1)] = 1.0
-        comp[:, :, -1] = -monic[:, :n]
-        z = np.linalg.eigvals(comp)
-        near_unit = np.abs(np.abs(z) - 1.0) < UNIT_WINDOW
-        ri, rj = np.nonzero(near_unit)
-        rows_out.append(gi[ri])
-        theta_out.append(np.angle(z[ri, rj]) % TWO_PI)
-    for i in np.flatnonzero(~good):
-        if mag[i] == 0.0:
-            continue
-        z = np.roots(coeffs[i, ::-1])
-        z = z[np.abs(np.abs(z) - 1.0) < UNIT_WINDOW]
-        if z.size:
-            rows_out.append(np.full(z.size, i))
-            theta_out.append(np.angle(z) % TWO_PI)
-    if not rows_out:
-        return np.empty(0, dtype=int), np.empty(0)
-    return np.concatenate(rows_out), np.concatenate(theta_out)
+    gi = np.flatnonzero(mag > 0.0)
+    coeffs = coeffs[gi]
+    floor = np.finfo(float).eps * mag[gi]
+    lead = coeffs[:, -1]
+    lead = np.where(np.abs(lead) > floor, lead, floor)
+    comp = np.zeros((gi.size, n, n), dtype=complex)
+    comp[:, np.arange(1, n), np.arange(0, n - 1)] = 1.0
+    comp[:, :, -1] = -coeffs[:, :n] / lead[:, None]
+    z = np.linalg.eigvals(comp)
+    ri, rj = np.nonzero(np.abs(np.abs(z) - 1.0) < UNIT_WINDOW)
+    z = z[ri, rj]
+    return gi[ri], (np.angle(z) + np.log(np.abs(z))) % TWO_PI
+
+
+def _may_assemble(geom: GeometryConfig, bx, by):
+    """Rows whose elbow points pass the triangle inequality of every leg pair.
+
+    Legs i and j close only if ||b_i - b_j| - |c_i - c_j|| <= 2m, where
+    |c_i - c_j| is a side of the platform triangle; a row that fails for
+    some pair has no assembly pose. The margin covers the closure gate.
+    """
+    psi = geom.platform_phase
+    ok = True
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        side = 2.0 * geom.s * abs(math.sin(0.5 * (psi[i] - psi[j])))
+        gap = np.abs(np.hypot(bx[:, i] - bx[:, j], by[:, i] - by[:, j]) - side)
+        ok = ok & (gap <= 2.0 * geom.m + 1e-6)
+    return ok
+
+
+def _first_of_each_pose(idx, x, y, theta):
+    """Mask of the records that are not within MERGE_TOL of an earlier one of their row.
+
+    Records must be grouped by row; the first record of a cluster is kept.
+    """
+    keep = np.ones(len(idx), dtype=bool)
+    for d in range(1, len(idx)):
+        same = idx[d:] == idx[:-d]
+        if not same.any():
+            break
+        dt = np.abs(wrap_angles(theta[d:] - theta[:-d]))
+        close = same & (np.maximum(np.abs(x[d:] - x[:-d]), np.abs(y[d:] - y[:-d])) <= MERGE_TOL)
+        keep[d:] &= ~(close & (dt <= MERGE_TOL))
+    return keep
 
 
 def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
     """Direct-kinematics roots for a batch of actuated-angle triples.
 
-    The scan polynomial's roots are isolated algebraically (see scan_roots),
+    The scan polynomial's roots are isolated algebraically (see scan_roots)
+    for the triples whose elbows can hold the platform (``_may_assemble``),
     then positions are recovered and everything is polished on the full
     closure system. Returns (idx, x, y, theta): flat arrays of validated
-    assembly poses, ``idx`` pointing into ``alphas`` (sorted by idx). Roots
-    recovered twice (e.g. at tangencies) appear as near-duplicate records.
+    assembly poses, one record per pose, ``idx`` pointing into ``alphas``
+    (sorted by idx). Records of one triple within MERGE_TOL of each other
+    are one pose, represented by the record with the smallest closure error.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     n = alphas.shape[0]
-    out_idx = []
-    out_x = []
-    out_y = []
-    out_t = []
+    out = []
     for start in range(0, n, FK_CHUNK):
         bx, by = elbow_points(geom, alphas[start : start + FK_CHUNK])
-        gamma = scan_coefficients(geom, bx, by)
-        ci, theta = scan_roots(gamma)
+        live = np.flatnonzero(_may_assemble(geom, bx, by))
+        ci, theta = scan_roots(scan_coefficients(geom, bx[live], by[live]))
+        ci = live[ci]
         if ci.size == 0:
             continue
         bxr = bx[ci]
@@ -513,24 +541,21 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
         err1 = np.where(np.isfinite(err1), err1, np.inf)
         err2 = np.where(np.isfinite(err2), err2, np.inf)
         use2 = err2 <= err1
-        px = np.where(use2, px2, px)
-        py = np.where(use2, py2, py)
-        root = np.where(use2, root2, root)
         err = np.minimum(err1, err2)
-        keep = err < RESIDUAL_TOL
-        out_idx.append(ci[rows[keep]] + start)
-        out_x.append(px[keep])
-        out_y.append(py[keep])
-        out_t.append(root[keep] % TWO_PI)
-    if not out_idx:
+        keep = np.flatnonzero(err < RESIDUAL_TOL)
+        keep = keep[np.lexsort((err[keep], ci[rows[keep]]))]
+        rec = (
+            ci[rows[keep]] + start,
+            np.where(use2, px2, px)[keep],
+            np.where(use2, py2, py)[keep],
+            np.where(use2, root2, root)[keep] % TWO_PI,
+        )
+        first = _first_of_each_pose(*rec)
+        out.append([v[first] for v in rec])
+    if not out:
         empty = np.empty(0)
         return np.empty(0, dtype=int), empty, empty, empty
-    idx_all = np.concatenate(out_idx)
-    x_all = np.concatenate(out_x)
-    y_all = np.concatenate(out_y)
-    t_all = np.concatenate(out_t)
-    order = np.argsort(idx_all, kind="stable")
-    return idx_all[order], x_all[order], y_all[order], t_all[order]
+    return tuple(np.concatenate(col) for col in zip(*out))
 
 
 #: Weights of the sign code of a B_ii sign triple: bit 2-i is set when B_ii < 0.

@@ -282,16 +282,7 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
         pair = jacobians(cfg.geometry, first)
         sign = 1 if pair.det_a > 0 else -1
         atlas = _pair_census(cfg, mode, sign, depth)
-        evidence = verify_assembly_mode_change(
-            cfg.geometry,
-            atlas,
-            points[0],
-            points[-1],
-            mode,
-            via=points[1] if len(points) == 3 else None,
-            samples_per_segment=spp,
-            eps=cfg.eps_sing,
-        )
+        evidence = verify_assembly_mode_change(cfg.geometry, atlas, result, cfg.eps_sing)
         print(
             f"assembly-mode change: {evidence.verdict} "
             f"(shared_alpha={evidence.shared_alpha}, alpha_gap={evidence.alpha_gap:.3e}, "

@@ -27,9 +27,6 @@ from . import batch
 from .errors import DegenerateLinearSystemError
 from .geometry import EPS_SING, TWO_PI, FullConfiguration, GeometryConfig, Pose, WorkingMode
 
-#: Orientation samples of the degenerate-reduction check in forward_kinematics.
-FK_SAMPLES = 2048
-
 
 def _solve(geom: GeometryConfig, pose: Pose, mode: WorkingMode, eps: float) -> batch.LegSolution:
     return batch.solve_legs(geom, [pose.x], [pose.y], [pose.theta], mode, eps)
@@ -93,51 +90,36 @@ def inverse_kinematics_all(
 
 
 def _check_degenerate(geom: GeometryConfig, bx, by) -> None:
-    """Raise when the 2x2 reduction is singular over a whole orientation run.
+    """Raise when the 2x2 reduction is singular at every orientation.
 
-    det(M) is sampled at FK_SAMPLES orientations; isolated singular
-    orientations are fine (fk_roots recovers positions there by a rank-1
-    line analysis), a run of at least FK_SAMPLES / 256 samples means the
-    geometry is architecture-singular for these actuated angles.
+    det(M) is a trigonometric polynomial of degree one in theta, read off
+    exactly from three samples. Unless it vanishes identically it has at
+    most two zeros, isolated singular orientations that fk_roots handles by
+    a rank-1 line analysis; if it vanishes identically the geometry is
+    architecture-singular for these actuated angles.
     """
-    step = TWO_PI / FK_SAMPLES
-    thetas = np.arange(FK_SAMPLES) * step
+    thetas = np.arange(3) * (TWO_PI / 3)
     (m11, m12, m21, m22), _, det, *_ = batch._fk_system_pieces(geom, bx, by, thetas[None, :])
-    det = det[0]
-    scale = np.sqrt((m11[0] ** 2 + m12[0] ** 2) * (m21[0] ** 2 + m22[0] ** 2))
-    idx = np.flatnonzero(np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300))
-    if idx.size == 0:
-        return
-    # Group singular samples into circular runs.
-    groups = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-    if len(groups) > 1 and groups[0][0] == 0 and groups[-1][-1] == FK_SAMPLES - 1:
-        groups[0] = np.concatenate([groups[-1], groups[0] + FK_SAMPLES])
-        groups.pop()
-    for g in groups:
-        if len(g) >= FK_SAMPLES // 256:
-            raise DegenerateLinearSystemError(
-                float(g[0] % FK_SAMPLES) * step, float(g[-1] % FK_SAMPLES) * step
-            )
+    coeffs = np.fft.rfft(det[0]) / 3
+    scale = np.sqrt((m11**2 + m12**2) * (m21**2 + m22**2)).max()
+    if abs(coeffs[0]) + 2.0 * abs(coeffs[1]) <= 1e-12 * scale:
+        raise DegenerateLinearSystemError(0.0, TWO_PI)
 
 
 def forward_kinematics(geom: GeometryConfig, alpha) -> list[Pose]:
     """All real assembly modes for the given actuated angles.
 
-    A single-triple call of ``batch.fk_roots`` with its records merged
-    (poses closer than 1e-8 count once). Every returned pose satisfies the
-    three loop closures to better than 1e-9 and the list is sorted by
+    A single-triple call of ``batch.fk_roots``. Every returned pose
+    satisfies the three loop closures to better than 1e-9, no two are within
+    ``batch.MERGE_TOL`` of each other, and the list is sorted by
     (theta, x, y). Raises DegenerateLinearSystemError when the 2x2 reduction
-    is singular over a whole orientation interval.
+    is singular at every orientation.
     """
     if len(alpha) != 3:
         raise ValueError("alpha must contain three angles")
     alphas = np.array([[float(v) for v in alpha]])
     _check_degenerate(geom, *batch.elbow_points(geom, alphas))
     _, xs, ys, thetas = batch.fk_roots(geom, alphas)
-    poses: list[Pose] = []
-    for x, y, th in zip(xs, ys, thetas):
-        pose = Pose(float(x), float(y), float(th))
-        if all(pose.distance(q) > 1e-8 for q in poses):
-            poses.append(pose)
+    poses = Pose.from_arrays(xs, ys, thetas)
     poses.sort(key=lambda q: (q.theta, q.x, q.y))
     return poses

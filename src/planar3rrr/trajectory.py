@@ -65,6 +65,7 @@ class SampleRecord:
 
 @dataclass(frozen=True)
 class MonitorResult:
+    mode: WorkingMode
     records: tuple[SampleRecord, ...]
     verdict: str
     offending_t: float | None
@@ -182,6 +183,7 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
     weak = (det_scaled <= eps) | (np.abs(b) <= eps).any(axis=1)
     bad = np.flatnonzero(flip | weak)
     return MonitorResult(
+        mode=spec.mode,
         records=records,
         verdict=VERDICT_SINGULAR if bad.size else VERDICT_NON_SINGULAR,
         offending_t=ts[bad[0]] if bad.size else None,
@@ -236,22 +238,22 @@ class ChangeEvidence:
 def verify_assembly_mode_change(
     geom: GeometryConfig,
     atlas: AspectAtlas,
-    pose_a: Pose,
-    pose_b: Pose,
-    mode: WorkingMode,
-    via: Pose | None = None,
-    samples_per_segment: int = 500,
+    path: MonitorResult,
     eps: float = EPS_SING,
     alpha_tol: float = 1e-4,
 ) -> ChangeEvidence:
-    """Demonstrate a non-singular assembly-mode change between two poses.
+    """Demonstrate a non-singular assembly-mode change along a monitored path.
 
-    All three checks must hold: the poses share the actuated input within
-    ``alpha_tol``; they lie in the same aspect component; the piecewise path
-    through ``via`` is monitored NonSingular.
+    The change is between the first and the last pose of ``path``, in its
+    working mode. All three checks must hold: the two poses share the
+    actuated input within ``alpha_tol``; they lie in the same aspect
+    component; the path was monitored NonSingular.
     """
+    mode = path.mode
+    pose_a = path.records[0].pose
+    pose_b = path.records[-1].pose
     if pose_a.distance(pose_b) < 1e-12:
-        raise ValueError("pose_a and pose_b must differ")
+        raise ValueError("the path must end at a pose other than its first")
     cfg_a = inverse_kinematics(geom, pose_a, mode, eps)
     cfg_b = inverse_kinematics(geom, pose_b, mode, eps)
     alpha_gap = max(
@@ -266,11 +268,7 @@ def verify_assembly_mode_change(
         in_same = False
         note = str(exc)
 
-    waypoints = (pose_a, via, pose_b) if via is not None else (pose_a, pose_b)
-    result = monitor(geom, PathSpec(waypoints=waypoints, mode=mode,
-                                    samples_per_segment=samples_per_segment), eps)
-
-    ok = shared and in_same and result.verdict == VERDICT_NON_SINGULAR
+    ok = shared and in_same and path.verdict == VERDICT_NON_SINGULAR
     return ChangeEvidence(
         verdict=VERDICT_CHANGE if ok else VERDICT_NO_CHANGE,
         shared_alpha=shared,
@@ -278,8 +276,8 @@ def verify_assembly_mode_change(
         alpha=cfg_a.alpha,
         in_same_aspect=in_same,
         aspect_note=note,
-        monitor_verdict=result.verdict,
-        min_abs_det_scaled=result.min_abs_det_scaled,
-        min_abs_b=result.min_abs_b,
-        det_sign=result.det_sign,
+        monitor_verdict=path.verdict,
+        min_abs_det_scaled=path.min_abs_det_scaled,
+        min_abs_b=path.min_abs_b,
+        det_sign=path.det_sign,
     )

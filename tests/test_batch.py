@@ -61,26 +61,21 @@ def test_ik_alpha_matches_scalar(ref_geom, rng):
                 assert abs(angle_difference(float(al[leg, k]), cfg.alpha[leg])) < 1e-9
 
 
-def _merged_poses(idx, x, y, th, k):
-    """Records of row k as poses sorted by (theta, x), closer than 1e-8 merged."""
+def _row_poses(idx, x, y, th, k):
+    """Records of row k as poses sorted by (theta, x)."""
     sel = idx == k
-    got = sorted(
+    return sorted(
         (Pose(float(a), float(b), float(c)) for a, b, c in zip(x[sel], y[sel], th[sel])),
         key=lambda p: (p.theta, p.x),
     )
-    merged = []
-    for p in got:
-        if all(p.distance(q) > 1e-8 for q in merged):
-            merged.append(p)
-    return merged
 
 
 def test_fk_roots_rows_are_independent(ref_geom, rng):
     alphas = rng.uniform(0, 2 * math.pi, (40, 3))
     whole = batch.fk_roots(ref_geom, alphas)
     for k in range(40):
-        alone = _merged_poses(*batch.fk_roots(ref_geom, alphas[k : k + 1]), 0)
-        in_batch = _merged_poses(*whole, k)
+        alone = _row_poses(*batch.fk_roots(ref_geom, alphas[k : k + 1]), 0)
+        in_batch = _row_poses(*whole, k)
         assert len(in_batch) == len(alone)
         for p, q in zip(in_batch, alone):
             assert p.distance(q) < 1e-8
@@ -122,3 +117,13 @@ def test_assembly_modes_match_direct_classification(ref_geom, rng):
                     pair = jacobians(ref_geom, cfg)
                     expect.add((mode, 1 if pair.det_a > 0 else -1))
         assert got == expect
+
+
+def test_scan_roots_with_vanishing_lead_coefficient():
+    # N = cos(2 theta) - 1/2 has gamma_3 = 0 and roots at odd multiples of
+    # pi/6; N = 0 has no isolated roots; N = cos(3 theta) has six.
+    gamma = np.array([[-0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    rows, theta = batch.scan_roots(gamma.astype(complex))
+    assert np.allclose(np.sort(theta[rows == 0]), np.array([1, 5, 7, 11]) * math.pi / 6)
+    assert not (rows == 1).any()
+    assert np.allclose(np.sort(theta[rows == 2]), np.arange(1, 12, 2) * math.pi / 6)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_EMPTY, ALPHA_REF, FK_REF_POSES, TABLE_POSES
+from planar3rrr import batch
 from planar3rrr.errors import DegenerateLinearSystemError
-from planar3rrr.geometry import DEFAULT_PHASES, GeometryConfig, Pose, angle_difference
+from planar3rrr.geometry import DEFAULT_PHASES, GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.jacobians import jacobians, working_mode_of
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
 
@@ -120,21 +121,32 @@ def test_solutions_complete_against_descent_oracle(ref_geom, rng):
 
 
 @pytest.mark.parametrize(
-    "alpha",
+    "alpha, count",
     [
         # A close root pair inside a root cluster near a det(A) = 0 wall.
-        (0.15450438660958757, 2.2225481329060734, -1.941532133672311),
+        ((0.15450438660958757, 2.2225481329060734, -1.941532133672311), 6),
         # A clustered root that can come back as two near-duplicate poses.
-        (1.582386744625084, 2.771700931028144, -0.7870038039393688),
+        ((1.582386744625084, 2.771700931028144, -0.7870038039393688), 6),
+        # Two poses 6e-5 apart (2e-6 apart in theta) that are both roots.
+        ((1.398272689084497, 1.39380816851569, -1.4950958595690658), 4),
+        # Two polished copies of one clustered root, 1.6e-8 apart.
+        ((0.2737269273095128, 2.9434186165450678, -1.4467452239015408), 6),
+        # A clustered root that plain degree-3 scanning returned twice.
+        ((0.8878786963550236, 3.1124772795929054, -1.125822520198203), 6),
     ],
+    ids=[f"alpha{k}" for k in range(5)],
 )
-def test_near_tangent_root_clusters(ref_geom, alpha):
+def test_near_tangent_root_clusters(ref_geom, alpha, count):
     sols = forward_kinematics(ref_geom, alpha)
-    assert len(sols) == len(oracles.assembly_poses_by_descent(ref_geom, np.asarray(alpha)))
+    assert len(sols) == count
     for s in sols:
         assert closure_residual(ref_geom, alpha, s) < 1e-9
     for k, s in enumerate(sols):
-        assert all(s.distance(q) > 1e-8 for q in sols[:k])
+        assert all(s.distance(q) > batch.MERGE_TOL for q in sols[:k])
+    # Every pose the descent oracle finds is returned; the oracle merges
+    # poses closer than 1e-5, so it may find fewer.
+    for x, y, t in oracles.assembly_poses_by_descent(ref_geom, np.asarray(alpha)):
+        assert min(s.distance(Pose(x, y, t)) for s in sols) < 1e-4
 
 
 def test_degenerate_reduction_raises():
@@ -146,3 +158,14 @@ def test_degenerate_reduction_raises():
     with pytest.raises(DegenerateLinearSystemError) as info:
         forward_kinematics(geom, (0.3, 0.3, 0.3))
     assert info.value.theta_hi - info.value.theta_lo > math.pi
+
+
+def test_mirrored_platform_solves_generic_triples():
+    # The geometry of the test above: only special triples make det(M)
+    # vanish identically, so the IK image of a generic pose is solved.
+    p = DEFAULT_PHASES
+    geom = GeometryConfig(r=5, s=5, base_phase=p, platform_phase=(p[0], p[2], p[1]))
+    pose = Pose(0.5, -0.3, 0.4)
+    sols = forward_kinematics(geom, inverse_kinematics(geom, pose, WorkingMode.A).alpha)
+    assert len(sols) == 2
+    assert min(s.distance(pose) for s in sols) < 1e-9

@@ -221,9 +221,7 @@ def test_profile_export(ref_geom, tmp_path):
 
 
 def test_verify_assembly_mode_change_benchmark(ref_geom, atlas):
-    evidence = verify_assembly_mode_change(
-        ref_geom, atlas, posture(1), posture(4), MODE, via=_via()
-    )
+    evidence = verify_assembly_mode_change(ref_geom, atlas, monitor(ref_geom, _benchmark_spec()))
     assert evidence.verdict == VERDICT_CHANGE
     assert evidence.shared_alpha and evidence.alpha_gap < 1e-4
     assert evidence.in_same_aspect
@@ -234,14 +232,16 @@ def test_verify_assembly_mode_change_benchmark(ref_geom, atlas):
 
 
 def test_verify_rejects_identical_poses(ref_geom, atlas):
+    path = monitor(ref_geom, PathSpec(waypoints=(posture(1), posture(1)), mode=MODE))
     with pytest.raises(ValueError):
-        verify_assembly_mode_change(ref_geom, atlas, posture(1), posture(1), MODE)
+        verify_assembly_mode_change(ref_geom, atlas, path)
 
 
 def test_verify_posture_pair_1_2_fails(ref_geom, atlas):
     # Same working mode, opposite det(A) sign: the aspect check fails (and
     # the monitored path is singular), so no change is demonstrated.
-    evidence = verify_assembly_mode_change(ref_geom, atlas, posture(1), posture(2), MODE)
+    path = monitor(ref_geom, PathSpec(waypoints=(posture(1), posture(2)), mode=MODE))
+    evidence = verify_assembly_mode_change(ref_geom, atlas, path)
     assert evidence.verdict == VERDICT_NO_CHANGE
     assert not evidence.in_same_aspect
     assert evidence.monitor_verdict == VERDICT_SINGULAR
