@@ -335,7 +335,7 @@ def characteristic_surface(
     if component_id < 0 or component_id >= entry.n_components_raw:
         raise ValueError(f"component {component_id} does not exist")
     n = 1 << tree.max_depth
-    comp_grid = _rasterize(tree, tree.comp, np.int64(-1))
+    comp_grid = _rasterize(tree, tree.comp)
     grid_in = comp_grid >= 0
     sel = comp_grid == component_id
 
@@ -368,9 +368,7 @@ def characteristic_surface(
     out_ids = np.unique(leaf_out)
     centers = tree.leaf_centers()[out_ids]
     reach, _ = batch.mode_determinants(geom, centers[:, 0], centers[:, 1], centers[:, 2], ())
-    sign_only = set(out_ids[reach].tolist())
-
-    keep = np.array([lo in sign_only for lo in leaf_out], dtype=bool)
+    keep = np.isin(leaf_out, out_ids[reach])
     boundary = np.unique(leaf_in[keep])
     if boundary.size == 0:
         empty = np.empty(0, dtype=np.int64)

@@ -7,14 +7,20 @@ at cell centers (``build_octree``).
 A tree is stored as its leaf cells in Morton (bit-interleaved, x least
 significant) order: records (morton code at leaf depth, depth, label) that
 tile the root box exactly. Identical-label sibling groups are always merged,
-so the stored form is the canonical minimal tree. Periodic axes (period 2pi)
-wrap for point location and for adjacency.
+so the stored form is the canonical minimal tree. One sibling merger,
+``_canonical_tree``, canonicalizes the records of ``loads``, of the Boolean
+operations and of ``_tree_from_cells``; ``_grid_to_tree`` runs the same merge
+as groups-of-8 reductions over the Morton-ordered grid. Periodic axes
+(period 2pi) wrap for point location and for adjacency.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 from scipy import ndimage
@@ -26,9 +32,6 @@ from .geometry import TWO_PI, GeometryConfig
 
 AXIS_LINEAR = "lin"
 AXIS_PERIODIC = "per"
-
-#: Cap on voxel count for the rasterized component-labeling path (= 256^3).
-_GRID_CCL_LIMIT = 1 << 24
 
 _M1 = np.uint64(0x1F00000000FFFF)
 _M2 = np.uint64(0x1F0000FF0000FF)
@@ -161,6 +164,11 @@ def joint_box() -> Box3:
     )
 
 
+def _level_shift(max_depth: int, depth: np.ndarray) -> np.ndarray:
+    """Bit shift from a depth's Morton codes to max-depth Morton units."""
+    return (3 * (max_depth - depth.astype(np.int64))).astype(np.uint64)
+
+
 @dataclass(frozen=True)
 class LeafRecord:
     index: int
@@ -194,26 +202,30 @@ class Octree:
             comp = np.ascontiguousarray(self.comp, dtype=np.int64)
             comp.setflags(write=False)
             object.__setattr__(self, "comp", comp)
-        starts = self.starts
-        sizes = self.sizes
-        total = np.uint64(1) << np.uint64(3 * self.max_depth)
+        # Local arrays, not the cached properties: a tree whose starts are
+        # never asked for does not keep them (16 depth-8 census trees: 30 MB).
+        shift = _level_shift(self.max_depth, depth)
+        starts = morton << shift
+        ends = starts + (np.uint64(1) << shift)
         if len(starts) == 0:
             raise ValueError("octree has no leaves")
-        if starts[0] != 0 or (starts[:-1] + sizes[:-1] != starts[1:]).any() or int(
-            starts[-1] + sizes[-1]
-        ) != int(total):
+        total = 1 << (3 * self.max_depth)
+        if starts[0] != 0 or (ends[:-1] != starts[1:]).any() or int(ends[-1]) != total:
             raise ValueError("leaves do not tile the root box")
 
-    @property
+    @cached_property
     def starts(self) -> np.ndarray:
-        shift = (3 * (self.max_depth - self.depth.astype(np.uint64))).astype(np.uint64)
-        return self.morton << shift
+        """Leaf interval starts in max-depth Morton units (computed once)."""
+        starts = self.morton << _level_shift(self.max_depth, self.depth)
+        starts.setflags(write=False)
+        return starts
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
-        """Leaf interval lengths in max-depth Morton units."""
-        shift = (3 * (self.max_depth - self.depth.astype(np.uint64))).astype(np.uint64)
-        return np.uint64(1) << shift
+        """Leaf interval lengths in max-depth Morton units (computed once)."""
+        sizes = np.uint64(1) << _level_shift(self.max_depth, self.depth)
+        sizes.setflags(write=False)
+        return sizes
 
     @property
     def n_leaves(self) -> int:
@@ -256,95 +268,93 @@ def volume(tree: Octree) -> float:
     return float(tree.leaf_volumes()[tree.label].sum())
 
 
-def _canonical_cells(max_depth: int, cells):
-    """Sort (morton, depth, label[, comp]) cells and merge complete sibling groups."""
-    cells = sorted(
-        cells, key=lambda c: int(c[0]) << (3 * (max_depth - int(c[1])))
-    )
-    stack: list[list] = []
-    for cell in cells:
-        stack.append(list(cell))
-        while len(stack) >= 8:
-            tail = stack[-8:]
-            d = tail[0][1]
-            if d == 0:
-                break
-            if any(t[1] != d or t[2] != tail[0][2] for t in tail):
-                break
-            base = tail[0][0]
-            if base % 8 != 0 or any(t[0] != base + k for k, t in enumerate(tail)):
-                break
-            del stack[-8:]
-            merged = [base // 8, d - 1, tail[0][2]]
-            if len(tail[0]) > 3:
-                merged.append(tail[0][3] if all(t[3] == tail[0][3] for t in tail) else -1)
-            stack.append(merged)
-    return stack
+def _canonical_tree(box: Box3, max_depth: int, morton, depth, label, comp=None) -> Octree:
+    """The canonical tree of leaf records given in any order: the sibling merger.
 
-
-def _tree_from_cells(box: Box3, max_depth: int, cells, with_comp: bool = False) -> Octree:
-    merged = _canonical_cells(max_depth, cells)
-    morton = np.array([c[0] for c in merged], dtype=np.uint64)
-    depth = np.array([c[1] for c in merged], dtype=np.uint8)
-    label = np.array([bool(c[2]) for c in merged], dtype=bool)
-    comp = None
-    if with_comp and merged and len(merged[0]) > 3:
-        comp = np.array([c[3] for c in merged], dtype=np.int64)
+    Records are sorted by interval start. Level by level from ``max_depth``
+    up, a run of 8 records at depth d whose first code is a multiple of 8,
+    whose codes step by 1 and whose labels agree becomes one record at depth
+    d - 1; its ``comp`` is the shared value, or -1 when the children's differ.
+    Merging keeps the covered cells, so records that do not tile the box
+    still fail the tiling check of ``Octree``.
+    """
+    morton = np.asarray(morton, dtype=np.uint64)
+    depth = np.asarray(depth, dtype=np.uint8)
+    order = np.argsort(morton << _level_shift(max_depth, depth), kind="stable")
+    morton, depth, label = morton[order], depth[order], np.asarray(label, dtype=bool)[order]
+    comp = None if comp is None else np.asarray(comp, dtype=np.int64)[order]
+    for d in range(max_depth, 0, -1):
+        step = (depth[1:] == depth[:-1]) & (morton[1:] == morton[:-1] + np.uint64(1))
+        breaks = np.concatenate(([0], np.cumsum(~step | (label[1:] != label[:-1]))))
+        first = np.flatnonzero(
+            (depth[:-7] == d) & (morton[:-7] & np.uint64(7) == 0) & (breaks[7:] == breaks[:-7])
+        )
+        if first.size == 0:
+            continue
+        drop = first[:, None] + np.arange(1, 8)
+        if comp is not None:
+            changes = np.concatenate(([0], np.cumsum(comp[1:] != comp[:-1])))
+            comp[first] = np.where(changes[first + 7] == changes[first], comp[first], -1)
+            comp = np.delete(comp, drop)
+        morton[first] >>= np.uint64(3)
+        depth[first] = d - 1
+        morton, depth, label = (np.delete(a, drop) for a in (morton, depth, label))
     return Octree(box=box, max_depth=max_depth, morton=morton, depth=depth, label=label, comp=comp)
 
 
+def _tree_from_cells(box: Box3, max_depth: int, cells, with_comp: bool = False) -> Octree:
+    """The canonical tree of (morton, depth, label[, comp]) cells in any order."""
+    cols = list(zip(*cells)) or [()] * 3
+    comp = cols[3] if with_comp and len(cols) > 3 else None
+    return _canonical_tree(box, max_depth, *cols[:3], comp)
+
+
+def _morton_axes(max_depth: int) -> list[int]:
+    """Axis order that ravels a grid reshaped to (2,) * 3D in Morton order.
+
+    The reshaped axes are the x, y, z index bits, most significant first;
+    Morton order takes them level by level as z, y, x (x least significant).
+    """
+    return [axis * max_depth + level for level in range(max_depth) for axis in (2, 1, 0)]
+
+
 def _grid_to_tree(labels: np.ndarray, box: Box3, max_depth: int) -> Octree:
-    """Merge a full max-depth label grid bottom-up into the canonical tree."""
+    """Merge a full max-depth label grid bottom-up into the canonical tree.
+
+    In Morton order each level is a reduction over groups of 8: a cell is 0
+    (uniform OUT), 1 (uniform IN) or 2 (mixed), and 8 cells read as one uint64.
+    """
     n = 1 << max_depth
-    assert labels.shape == (n, n, n)
-    levels = [None] * (max_depth + 1)
-    uniform = [None] * (max_depth + 1)
-    levels[max_depth] = labels
-    uniform[max_depth] = np.ones_like(labels, dtype=bool)
+    labels = np.asarray(labels, dtype=bool)
+    if labels.shape != (n, n, n):
+        raise ValueError(f"label grid must have shape {(n, n, n)}, got {labels.shape}")
+    cells = labels.reshape((2,) * (3 * max_depth)).transpose(_morton_axes(max_depth))
+    state = [None] * max_depth + [cells.ravel().view(np.uint8)]
+    all_in = np.uint64(0x0101010101010101)
     for d in range(max_depth, 0, -1):
-        nd = 1 << (d - 1)
-        lv = levels[d].reshape(nd, 2, nd, 2, nd, 2)
-        uv = uniform[d].reshape(nd, 2, nd, 2, nd, 2)
-        same = (lv == lv[:, :1, :, :1, :, :1]).all(axis=(1, 3, 5))
-        uniform[d - 1] = uv.all(axis=(1, 3, 5)) & same
-        levels[d - 1] = np.ascontiguousarray(lv[:, 0, :, 0, :, 0])
-    mortons = []
-    depths = []
-    labs = []
-    for d in range(max_depth + 1):
-        mask = uniform[d]
-        if d > 0:
-            parent = uniform[d - 1]
-            grown = np.repeat(np.repeat(np.repeat(parent, 2, 0), 2, 1), 2, 2)
-            mask = mask & ~grown
-        ix, iy, iz = np.nonzero(mask)
-        if ix.size:
-            mortons.append(morton_encode(ix, iy, iz))
-            depths.append(np.full(ix.size, d, dtype=np.uint8))
-            labs.append(levels[d][ix, iy, iz])
-    morton = np.concatenate(mortons)
-    depth = np.concatenate(depths)
-    label = np.concatenate(labs)
-    starts = morton << (3 * (max_depth - depth.astype(np.uint64))).astype(np.uint64)
-    order = np.argsort(starts, kind="stable")
-    return Octree(
-        box=box, max_depth=max_depth, morton=morton[order], depth=depth[order], label=label[order]
-    )
+        groups = state[d].view(np.uint64)
+        state[d - 1] = np.where(groups == 0, 0, np.where(groups == all_in, 1, 2)).astype(np.uint8)
+    codes = [np.zeros(int(state[0][0] != 2), dtype=np.int64)]
+    for d in range(1, max_depth + 1):
+        kids = (np.flatnonzero(state[d - 1] == 2)[:, None] * 8 + np.arange(8)).ravel()
+        codes.append(kids[state[d][kids] != 2])
+    depth = np.repeat(np.arange(max_depth + 1, dtype=np.uint8), [len(c) for c in codes])
+    morton = np.concatenate(codes).astype(np.uint64)
+    order = np.argsort(morton << _level_shift(max_depth, depth), kind="stable")
+    morton, depth = morton[order], depth[order]
+    label = (np.concatenate([state[d][c] for d, c in enumerate(codes)]) == 1)[order]
+    return Octree(box=box, max_depth=max_depth, morton=morton, depth=depth, label=label)
 
 
-def _rasterize(tree: Octree, values: np.ndarray, fill) -> np.ndarray:
-    """Paint per-leaf values onto the max-depth voxel grid."""
-    n = 1 << tree.max_depth
-    grid = np.full((n, n, n), fill, dtype=values.dtype)
-    ix, iy, iz = morton_decode(tree.morton)
-    for d in np.unique(tree.depth):
-        sel = tree.depth == d
-        bs = n >> int(d)
-        view = grid.reshape(n // bs, bs, n // bs, bs, n // bs, bs)
-        view[ix[sel].astype(int), :, iy[sel].astype(int), :, iz[sel].astype(int), :] = values[
-            sel
-        ][:, None, None, None]
-    return grid
+def _rasterize(tree: Octree, values: np.ndarray) -> np.ndarray:
+    """Paint per-leaf values onto the max-depth voxel grid.
+
+    In Morton order each leaf is one run of cells, so the painted grid is one
+    ``np.repeat`` put back in (x, y, z) order.
+    """
+    d = tree.max_depth
+    cells = np.repeat(values, tree.sizes.astype(np.int64)).reshape((2,) * (3 * d))
+    return cells.transpose(np.argsort(_morton_axes(d))).reshape((1 << d,) * 3)
 
 
 def build_octree(geom: GeometryConfig, pred, box: Box3, max_depth: int) -> Octree:
@@ -414,19 +424,13 @@ def _renumber_by_storage_order(
 
     Returns (per-leaf comp, count, rank) where rank maps raw id -> new id.
     """
-    in_mask = tree.label
-    raw_in = raw[in_mask]
-    if raw_in.size == 0:
-        return np.full(tree.n_leaves, -1, dtype=np.int64), 0, np.full(1, -1, dtype=np.int64)
-    max_raw = int(raw_in.max())
-    first = np.full(max_raw + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first, raw_in, np.arange(raw_in.size))
-    present = np.flatnonzero(first < np.iinfo(np.int64).max)
-    rank = np.full(max_raw + 1, -1, dtype=np.int64)
-    rank[present[np.argsort(first[present], kind="stable")]] = np.arange(present.size)
+    raw_in = raw[tree.label]
+    ids, first = np.unique(raw_in, return_index=True)
+    rank = np.full(int(raw_in.max(initial=0)) + 1, -1, dtype=np.int64)
+    rank[ids[np.argsort(first)]] = np.arange(ids.size)
     comp = np.full(tree.n_leaves, -1, dtype=np.int64)
-    comp[in_mask] = rank[raw_in]
-    return comp, int(present.size), rank
+    comp[tree.label] = rank[raw_in]
+    return comp, int(ids.size), rank
 
 
 def _components_from_grid(
@@ -445,44 +449,29 @@ def _components_from_grid(
 
 
 def _leaf_adjacency_pairs(tree: Octree) -> np.ndarray:
-    """Face-adjacent IN-leaf index pairs (positive-area shared face)."""
-    wrap = tuple(tree.box.wraps(axis) for axis in range(3))
+    """Face-adjacent IN-leaf index pairs (positive-area shared face).
+
+    Each IN leaf k probes the voxel just across each of its 6 faces at the
+    face's minimum corner and finds the leaf j holding it. Leaves are dyadic,
+    so the smaller of two adjacent faces lies inside the larger one: keeping
+    (k, j) when j is IN and no smaller than k finds every adjacent pair from
+    its smaller side. Pairs index into the IN leaves in storage order.
+    """
     n = 1 << tree.max_depth
     ids = np.flatnonzero(tree.label)
     origins = np.stack(tree.leaf_origins(), axis=1)[ids].astype(np.int64)
-    sizes = (np.uint64(1) << (tree.max_depth - tree.depth.astype(np.uint64)))[ids].astype(np.int64)
-    pairs = []
-    for axis in range(3):
-        other = [k for k in range(3) if k != axis]
-        plane_b = origins[:, axis]
-        order = np.argsort(plane_b, kind="stable")
-        sorted_planes = plane_b[order]
-        plane_a = origins[:, axis] + sizes
-        if wrap[axis]:
-            plane_a = plane_a % n
-            valid = np.ones(len(ids), dtype=bool)
-        else:
-            valid = plane_a < n
-        for k in np.flatnonzero(valid):
-            p = plane_a[k]
-            lo = np.searchsorted(sorted_planes, p, side="left")
-            hi = np.searchsorted(sorted_planes, p, side="right")
-            if lo == hi:
-                continue
-            a0, a1 = origins[k, other[0]], origins[k, other[0]] + sizes[k]
-            b0, b1 = origins[k, other[1]], origins[k, other[1]] + sizes[k]
-            for j in order[lo:hi]:
-                if j == k:
-                    continue
-                c0 = origins[j, other[0]]
-                c1 = c0 + sizes[j]
-                d0 = origins[j, other[1]]
-                d1 = d0 + sizes[j]
-                if max(a0, c0) < min(a1, c1) and max(b0, d0) < min(b1, d1):
-                    pairs.append((k, j))
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+    side = np.int64(1) << (tree.max_depth - tree.depth[ids].astype(np.int64))
+    unit = np.eye(3, dtype=np.int64)[:, None, :]
+    probe = np.concatenate([origins + side[:, None] * unit, origins - unit]).reshape(-1, 3)
+    k = np.tile(np.arange(ids.size), 6)
+    wraps = np.array([tree.box.wraps(axis) for axis in range(3)])
+    probe = np.where(wraps, probe % n, probe)
+    inside = ((probe >= 0) & (probe < n)).all(axis=1)
+    probe, k = probe[inside], k[inside]
+    j = np.searchsorted(tree.starts, morton_encode(*probe.T), side="right") - 1
+    keep = tree.label[j] & (j != ids[k]) & (tree.depth[j] <= tree.depth[ids[k]])
+    rank = np.cumsum(tree.label) - 1
+    return np.stack([k[keep], rank[j[keep]]], axis=1)
 
 
 def _components_from_graph(tree: Octree) -> tuple[Octree, int]:
@@ -490,11 +479,7 @@ def _components_from_graph(tree: Octree) -> tuple[Octree, int]:
     if ids.size == 0:
         return replace(tree, comp=np.full(tree.n_leaves, -1, dtype=np.int64)), 0
     pairs = _leaf_adjacency_pairs(tree)
-    k = ids.size
-    graph = coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])) if len(pairs) else ([], ([], [])),
-        shape=(k, k),
-    )
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(ids.size,) * 2)
     _, labels = _csgraph_components(graph, directed=False)
     raw = np.zeros(tree.n_leaves, dtype=np.int64)
     raw[ids] = labels + 1
@@ -502,16 +487,15 @@ def _components_from_graph(tree: Octree) -> tuple[Octree, int]:
     return replace(tree, comp=comp), count
 
 
-def connected_components(tree: Octree, method: str = "auto") -> tuple[Octree, int]:
+def connected_components(tree: Octree, method: str = "graph") -> tuple[Octree, int]:
     """Label face-connected IN components (periodic axes wrap).
 
     Returns a tree copy with per-leaf component ids (-1 for OUT) ordered by
-    first Morton appearance, plus the component count.
+    first Morton appearance, plus the component count. ``method="grid"``
+    labels the rasterized voxel grid instead, an independent reference.
     """
-    if method == "auto":
-        method = "grid" if (1 << (3 * tree.max_depth)) <= _GRID_CCL_LIMIT else "graph"
     if method == "grid":
-        grid = _rasterize(tree, tree.label, False)
+        grid = _rasterize(tree, tree.label)
         labeled, count, _, _ = _components_from_grid(tree, grid)
         return labeled, count
     if method == "graph":
@@ -528,9 +512,8 @@ def locate(tree: Octree, point) -> LeafRecord:
         w = (tree.box.hi[axis] - tree.box.lo[axis]) / n
         i = int((p[axis] - tree.box.lo[axis]) / w)
         idx.append(min(max(i, 0), n - 1))
-    code = int(morton_encode(np.uint64(idx[0]), np.uint64(idx[1]), np.uint64(idx[2])))
-    starts = tree.starts
-    i = int(np.searchsorted(starts, np.uint64(code), side="right")) - 1
+    code = morton_encode(np.uint64(idx[0]), np.uint64(idx[1]), np.uint64(idx[2]))
+    i = int(np.searchsorted(tree.starts, code, side="right")) - 1
     comp = int(tree.comp[i]) if tree.comp is not None else None
     return LeafRecord(
         index=i,
@@ -542,41 +525,41 @@ def locate(tree: Octree, point) -> LeafRecord:
 
 
 def _binary_op(a: Octree, b: Octree, op) -> Octree:
+    """Overlay two trees and label each overlay cell with the ufunc ``op``.
+
+    Each overlay cell is the smaller of the two leaves holding its start, so
+    the cells are the union of both operands' leaf starts at the deeper depth.
+    """
     if a.max_depth != b.max_depth or not a.box.approx_equal(b.box):
         raise BoxMismatchError("operands differ in root box or depth")
-    sa = a.starts.astype(np.int64)
-    sb = b.starts.astype(np.int64)
-    za = a.sizes.astype(np.int64)
-    zb = b.sizes.astype(np.int64)
-    cells = []
-    ia = ib = 0
-    pos = 0
-    total = 1 << (3 * a.max_depth)
-    while pos < total:
-        while sa[ia] + za[ia] <= pos:
-            ia += 1
-        while sb[ib] + zb[ib] <= pos:
-            ib += 1
-        end = min(sa[ia] + za[ia], sb[ib] + zb[ib])
-        d = max(int(a.depth[ia]), int(b.depth[ib]))
-        lab = op(bool(a.label[ia]), bool(b.label[ib]))
-        size = 1 << (3 * (a.max_depth - d))
-        cells.append((pos >> (3 * (a.max_depth - d)), d, lab))
-        assert end - pos == size
-        pos = end
-    return _tree_from_cells(a.box, a.max_depth, cells)
+    starts = np.union1d(a.starts, b.starts)
+    ia = np.searchsorted(a.starts, starts, side="right") - 1
+    ib = np.searchsorted(b.starts, starts, side="right") - 1
+    depth = np.maximum(a.depth[ia], b.depth[ib])
+    morton = starts >> _level_shift(a.max_depth, depth)
+    return _canonical_tree(a.box, a.max_depth, morton, depth, op(a.label[ia], b.label[ib]))
 
 
 def union(a: Octree, b: Octree) -> Octree:
-    return _binary_op(a, b, lambda x, y: x or y)
+    return _binary_op(a, b, np.logical_or)
 
 
 def intersect(a: Octree, b: Octree) -> Octree:
-    return _binary_op(a, b, lambda x, y: x and y)
+    return _binary_op(a, b, np.logical_and)
 
 
 def subtract(a: Octree, b: Octree) -> Octree:
-    return _binary_op(a, b, lambda x, y: x and not y)
+    return _binary_op(a, b, np.greater)  # a and not b
+
+
+_ROW_FORMAT = "morton={:#x} depth={} label={:d} comp={}"
+
+#: One line of a dump body: a leaf row as ``dumps`` writes it (groups 1-4),
+#: or any other non-blank line (group 5).
+_ROW = re.compile(
+    r"^(?:morton=0x([0-9a-f]{1,16}) depth=(\d{1,2}) label=([01]) comp=(-|\d{1,18})|(.*\S.*))$",
+    re.MULTILINE,
+)
 
 
 def dumps(tree: Octree) -> str:
@@ -588,15 +571,10 @@ def dumps(tree: Octree) -> str:
         + f"; depth={tree.max_depth}; axes="
         + ",".join(box.axes)
     )
-    lines = [head]
     comp = tree.comp
-    for i in range(tree.n_leaves):
-        c = "-" if comp is None or comp[i] < 0 else str(int(comp[i]))
-        lines.append(
-            f"morton={int(tree.morton[i]):#x} depth={int(tree.depth[i])} "
-            f"label={int(tree.label[i])} comp={c}"
-        )
-    return "\n".join(lines) + "\n"
+    comp = repeat("-") if comp is None else np.where(comp < 0, "-", comp.astype(str)).tolist()
+    columns = (tree.morton.tolist(), tree.depth.tolist(), tree.label.tolist(), comp)
+    return head + "\n" + "\n".join(map(_ROW_FORMAT.format, *columns)) + "\n"
 
 
 def export(tree: Octree, path) -> None:
@@ -604,28 +582,43 @@ def export(tree: Octree, path) -> None:
         fh.write(dumps(tree))
 
 
+def _row_error(body: str, first_line: int, row: int, why: str) -> ValueError:
+    """ValueError naming the line of the ``row``-th non-blank line of a dump body."""
+    lines = body.split("\n")
+    k = int(np.flatnonzero(list(map(bool, map(str.strip, lines))))[row])
+    return ValueError(f"octree dump line {first_line + k}: {why}: {lines[k]!r}")
+
+
 def loads(text: str) -> Octree:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0]
+    """Parse a dump; rows may come in any order and are canonicalized.
+
+    Every non-blank line after the head must be a row in the form ``dumps``
+    writes, else ValueError names the line; rows that do not tile the box
+    raise ValueError as well.
+    """
+    head_start = len(text) - len(text.lstrip())
+    head, _, body = text[head_start:].partition("\n")
     if not head.startswith("octree v1;"):
         raise ValueError("not an octree v1 dump")
+    first_line = text.count("\n", 0, head_start) + 2
     fields = dict(part.strip().split("=", 1) for part in head.split(";")[1:])
     vals = [float(v) for v in fields["box"].split(",")]
     box = Box3(lo=tuple(vals[:3]), hi=tuple(vals[3:]), axes=tuple(fields["axes"].split(",")))
     max_depth = int(fields["depth"])
-    cells = []
-    for ln in lines[1:]:
-        rec = dict(tok.split("=", 1) for tok in ln.split())
-        comp = rec.get("comp", "-")
-        cells.append(
-            (
-                int(rec["morton"], 16),
-                int(rec["depth"]),
-                bool(int(rec["label"])),
-                -1 if comp == "-" else int(comp),
-            )
-        )
-    tree = _tree_from_cells(box, max_depth, cells, with_comp=True)
+    rows = _ROW.findall(body)
+    codes, depths, labels, comps, bad = zip(*rows) if rows else ((),) * 5
+    if any(bad):
+        raise _row_error(body, first_line, list(map(bool, bad)).index(True), "malformed row")
+    n = len(codes)
+    morton = np.fromiter(map(int, codes, repeat(16)), dtype=np.uint64, count=n)
+    depth = np.fromiter(map(int, depths), dtype=np.int64, count=n)
+    outside = np.flatnonzero((depth > max_depth) | (morton >> (3 * depth).astype(np.uint64) != 0))
+    if outside.size:
+        raise _row_error(body, first_line, int(outside[0]), "cell outside the tree's box or depth")
+    comp = np.array(comps)
+    known = comp != "-"
+    comp = np.where(known, comp, "-1").astype(np.int64) if known.any() else None
+    tree = _canonical_tree(box, max_depth, morton, depth, np.array(labels) == "1", comp)
     if tree.comp is not None and (tree.comp < 0).all():
         tree = replace(tree, comp=None)
     return tree

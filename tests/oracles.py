@@ -1,7 +1,8 @@
-"""Independent brute-force oracles for the kinematic solvers.
+"""Independent brute-force oracles for the kinematic solvers and octrees.
 
 Everything here works from the raw geometry definition (triangle phases and
-bar lengths) with plain trigonometry; nothing calls the solvers under test.
+bar lengths) with plain trigonometry, or from plain lists of octree cells;
+nothing calls the solvers or the merger under test.
 """
 
 import math
@@ -31,13 +32,17 @@ def platform_joints(geom, x, y, theta):
     return cs
 
 
+def closure_residuals(geom, b, x, y, theta):
+    """The three closure residuals |c_i - b_i|^2 - m^2 (arguments broadcast)."""
+    return [
+        (cx - b[i, 0]) ** 2 + (cy - b[i, 1]) ** 2 - geom.m**2
+        for i, (cx, cy) in enumerate(platform_joints(geom, x, y, theta))
+    ]
+
+
 def residual_sq(geom, b, x, y, theta):
     """Total squared closure residual sum_i (|c_i - b_i|^2 - m^2)^2."""
-    total = 0.0
-    for i, (cx, cy) in enumerate(platform_joints(geom, x, y, theta)):
-        d2 = (cx - b[i, 0]) ** 2 + (cy - b[i, 1]) ** 2
-        total = total + (d2 - geom.m**2) ** 2
-    return total
+    return sum(r**2 for r in closure_residuals(geom, b, x, y, theta))
 
 
 def solution_near_grid_minimum(geom, alpha, pose, span=3):
@@ -86,12 +91,17 @@ def coarse_basins(geom, alpha, limit=12.0, step=0.25, ang_step_deg=5.0, tol=50.0
 def assembly_poses_by_descent(geom, alpha, seed_tol=50.0):
     """All assembly poses found by local minimization from coarse seeds.
 
-    Refines every coarse basin with Nelder-Mead on the raw residual and
-    keeps the minima that reach (numerically) zero; deduplicated. This is a
-    completeness oracle for the direct problem that never touches the
-    orientation-reduction solver.
+    Refines every coarse basin with Nelder-Mead on the raw residual, polishes
+    each minimum with least squares on the three closure residuals, and keeps
+    the minima that reach (numerically) zero, merged within the direct
+    solver's pose tolerance ``MERGE_TOL`` (Chebyshev, wrapped theta). Close
+    root pairs near a tangency can be 7e-6 apart, so only polished minima
+    separate them. This is a completeness oracle for the direct problem that
+    never touches the orientation-reduction solver.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import least_squares, minimize
+
+    from planar3rrr.batch import MERGE_TOL
 
     b = elbow_points(geom, alpha)
     seeds = coarse_basins(geom, alpha, tol=seed_tol)
@@ -105,12 +115,15 @@ def assembly_poses_by_descent(geom, alpha, seed_tol=50.0):
         )
         if res.fun > 1e-16:
             continue
-        x, y, t = res.x
+        polished = least_squares(
+            lambda v: closure_residuals(geom, b, *v), res.x, xtol=1e-15, ftol=1e-15, gtol=1e-15
+        )
+        x, y, t = polished.x
         t = t % (2.0 * math.pi)
         dup = False
         for fx, fy, ft in found:
             dt = abs((t - ft + math.pi) % (2.0 * math.pi) - math.pi)
-            if max(abs(x - fx), abs(y - fy), dt) < 1e-5:
+            if max(abs(x - fx), abs(y - fy), dt) <= MERGE_TOL:
                 dup = True
                 break
         if not dup:
@@ -190,3 +203,32 @@ def scalar_leg_solution(geom, x, y, theta, signs):
     )
     norms = np.linalg.norm(np.array(rows), axis=1)
     return tuple(alpha), det, tuple(b_diag), float(norms[0] * norms[1] * norms[2])
+
+
+def canonical_cells(max_depth, cells):
+    """Sort (morton, depth, label[, comp]) cells and merge complete sibling groups.
+
+    A stack merger, one cell at a time: whenever the last 8 cells on the stack
+    are the complete, equally labeled children of one parent they become that
+    parent (comp: the shared value, else -1). Returns the merged cells as lists.
+    """
+    cells = sorted(cells, key=lambda c: int(c[0]) << (3 * (max_depth - int(c[1]))))
+    stack = []
+    for cell in cells:
+        stack.append(list(cell))
+        while len(stack) >= 8:
+            tail = stack[-8:]
+            d = tail[0][1]
+            if d == 0:
+                break
+            if any(t[1] != d or t[2] != tail[0][2] for t in tail):
+                break
+            base = tail[0][0]
+            if base % 8 != 0 or any(t[0] != base + k for k, t in enumerate(tail)):
+                break
+            del stack[-8:]
+            merged = [base // 8, d - 1, tail[0][2]]
+            if len(tail[0]) > 3:
+                merged.append(tail[0][3] if all(t[3] == tail[0][3] for t in tail) else -1)
+            stack.append(merged)
+    return stack

@@ -184,7 +184,7 @@ def test_membership_stable_under_refinement(ref_geom, rng):
     from planar3rrr.octree import _rasterize
     from planar3rrr.aspects import _erode_box_cells
 
-    grid = _rasterize(tree6, tree6.label, False)
+    grid = _rasterize(tree6, tree6.label)
     wrap = tuple(tree6.box.wraps(axis) for axis in range(3))
     interior = _erode_box_cells(_erode_box_cells(grid, wrap), wrap)
     ids = np.flatnonzero(tree6.label)

@@ -143,9 +143,10 @@ def test_near_tangent_root_clusters(ref_geom, alpha, count):
         assert closure_residual(ref_geom, alpha, s) < 1e-9
     for k, s in enumerate(sols):
         assert all(s.distance(q) > batch.MERGE_TOL for q in sols[:k])
-    # Every pose the descent oracle finds is returned; the oracle merges
-    # poses closer than 1e-5, so it may find fewer.
-    for x, y, t in oracles.assembly_poses_by_descent(ref_geom, np.asarray(alpha)):
+    # The descent oracle finds the same poses.
+    oracle_poses = oracles.assembly_poses_by_descent(ref_geom, np.asarray(alpha))
+    assert len(oracle_poses) == count
+    for x, y, t in oracle_poses:
         assert min(s.distance(Pose(x, y, t)) for s in sols) < 1e-4
 
 

@@ -120,6 +120,25 @@ def test_dump_load_round_trip_and_canonical_form(ref_geom, rng):
     assert dumps(rebuilt) == text
 
 
+def test_loads_rejects_malformed_rows_by_line(ref_geom, rng):
+    tree = _random_tree(ref_geom, rng)
+    head, *rows = dumps(tree).splitlines()
+    truncated = "\n".join([head, rows[0], "", rows[1][:-4]] + rows[2:]) + "\n"
+    with pytest.raises(ValueError, match="line 4: malformed row"):
+        loads(truncated)
+    unknown = "\n".join([head] + rows[:5] + [rows[5] + " size=1"] + rows[6:]) + "\n"
+    with pytest.raises(ValueError, match=r"line 7: malformed row: 'morton=.* size=1'"):
+        loads(unknown)
+    # Shuffled rows (blank lines around them) give the same tree and bytes.
+    shuffled = "\n".join(["", head, ""] + [rows[k] for k in rng.permutation(len(rows))]) + "\n\n"
+    assert dumps(loads(shuffled)) == dumps(tree)
+    # Rows that overlap or leave a gap fail the tiling check.
+    with pytest.raises(ValueError, match="do not tile"):
+        loads("\n".join([head] + rows + rows[:1]))
+    with pytest.raises(ValueError, match="do not tile"):
+        loads("\n".join([head] + rows[1:]))
+
+
 def test_export_import_file(ref_geom, rng, tmp_path):
     tree = _random_tree(ref_geom, rng)
     path = tmp_path / "tree.oct"
