@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import resource
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import batch
-from .errors import ModeMismatchError, OutOfBoxError, ParallelSingularError
+from .errors import ConfigError, ModeMismatchError, OutOfBoxError, ParallelSingularError
 from .geometry import EPS_SING, FullConfiguration, GeometryConfig, WorkingMode
 from .jacobians import jacobians, working_mode_of
 from .octree import (
@@ -52,6 +54,16 @@ _SIGN_TAG = {1: "pos", -1: "neg"}
 #: Octree depths the census accepts; depth 10 already needs gigabytes of grids.
 MIN_DEPTH = 4
 MAX_DEPTH = 10
+
+#: Corner samples per ``batch.mode_determinants`` call of the sign grids.
+SLAB_POINTS = 1 << 20
+#: Peak bytes of the census's transient arrays, calibrated on its peaks
+#: (tracemalloc at depths 5-8, peak RSS 647 MiB at depth 8 and 4.1 GiB at
+#: depth 9): per sample of a sign-grid slab, per workspace cell of the
+#: (mode, sign) pair being labeled, and per joint cell of the joint sweep.
+SLAB_BYTES_PER_POINT = 400
+PAIR_BYTES_PER_CELL = 24
+JOINT_BYTES_PER_CELL = 320
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,34 @@ class AspectAtlas:
         return sum(e.n_components for e in self.entries.values())
 
 
+def _corner_counts(box: Box3, depth: int) -> tuple[int, int, int]:
+    """Corner samples per axis: n + 1, or n on an axis that wraps."""
+    n = 1 << depth
+    return tuple(n if box.wraps(axis) else n + 1 for axis in range(3))
+
+
+def census_bytes(box: Box3, depth: int, n_modes: int, joint_depth: int | None) -> int:
+    """Estimated peak bytes of the census's dense arrays, from their shapes.
+
+    The reach mask and sign grids live throughout; on top of them come the
+    larger of a sign-grid slab's working set and one pair's cell grids, and
+    the joint sweep when ``joint_depth`` is given.
+    """
+    c0, c1, c2 = _corner_counts(box, depth)
+    slab = min(max(1, SLAB_POINTS // (c0 * c1)), c2) * c0 * c1
+    work = max(SLAB_BYTES_PER_POINT * slab, PAIR_BYTES_PER_CELL << (3 * depth))
+    joint = 0 if joint_depth is None else JOINT_BYTES_PER_CELL << (3 * joint_depth)
+    return (n_modes + 1) * c0 * c1 * c2 + work + joint
+
+
+def memory_budget() -> int:
+    """Bytes the process may allocate: physical memory, or the soft
+    address-space limit (RLIMIT_AS) when that is lower."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
+
+
 def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, modes):
     """Reach mask and det(A) signs of ``modes`` at the cell corners.
 
@@ -106,16 +146,14 @@ def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, modes):
     corner 0).
     """
     n = 1 << depth
-    counts = []
-    coords = []
-    for axis in range(3):
-        cnt = n if box.wraps(axis) else n + 1
-        w = (box.hi[axis] - box.lo[axis]) / n
-        coords.append(box.lo[axis] + np.arange(cnt) * w)
-        counts.append(cnt)
-    reach = np.empty(tuple(counts), dtype=bool)
+    counts = _corner_counts(box, depth)
+    coords = [
+        box.lo[axis] + np.arange(counts[axis]) * ((box.hi[axis] - box.lo[axis]) / n)
+        for axis in range(3)
+    ]
+    reach = np.empty(counts, dtype=bool)
     signs = np.empty((len(modes), *counts), dtype=np.int8)
-    slab = max(1, (1 << 20) // (counts[0] * counts[1]))
+    slab = max(1, SLAB_POINTS // (counts[0] * counts[1]))
     for z0 in range(0, counts[2], slab):
         th = coords[2][z0 : z0 + slab]
         rch, dets = batch.mode_determinants(
@@ -201,16 +239,22 @@ def enumerate_aspects(
     box = box or workspace_box()
     modes = list(modes) if modes is not None else list(WorkingMode)
     wrap = tuple(box.wraps(axis) for axis in range(3))
-    reach, signs = _sign_grids(geom, box, depth, modes)
-
-    joint_flags = None
     if build_joint:
         jbox = jbox or joint_box()
         joint_depth = min(depth, 5) if joint_depth is None else joint_depth
-        joint_flags = _joint_flag_grids(geom, jbox, joint_depth)
     else:
         jbox = None
         joint_depth = None
+    need, budget = census_bytes(box, depth, len(modes), joint_depth), memory_budget()
+    if need > budget:
+        joint = "" if joint_depth is None else f", joint depth {joint_depth}"
+        raise ConfigError(
+            f"enumerate_aspects at depth {depth}{joint}: the dense arrays need about "
+            f"{need / 2**30:.2f} GiB, over the memory budget of {budget / 2**30:.2f} GiB "
+            "(physical memory or the RLIMIT_AS soft limit)"
+        )
+    reach, signs = _sign_grids(geom, box, depth, modes)
+    joint_flags = None if jbox is None else _joint_flag_grids(geom, jbox, joint_depth)
 
     entries: dict[tuple[WorkingMode, int], AspectEntry] = {}
     for j, mode in enumerate(modes):

@@ -12,6 +12,13 @@ so the stored form is the canonical minimal tree. One sibling merger,
 operations and of ``_tree_from_cells``; ``_grid_to_tree`` runs the same merge
 as groups-of-8 reductions over the Morton-ordered grid. Periodic axes
 (period 2pi) wrap for point location and for adjacency.
+
+The ``octree v1`` text dump is handled as whole byte arrays: ``dumps`` fills
+one byte matrix with a row per leaf and keeps each numeral's own digits;
+``loads`` checks the ASCII body with one compiled ``fullmatch`` of the row
+grammar, finds the fields from the newline and space positions and reads
+each number column with one right-aligned gather. Only a body that fails the
+match (blank lines, or a malformed row to name) is split into lines.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 from scipy import ndimage
@@ -32,6 +38,9 @@ from .geometry import TWO_PI, GeometryConfig
 
 AXIS_LINEAR = "lin"
 AXIS_PERIODIC = "per"
+
+#: Deepest tree: a uint64 Morton code holds 21 bits per axis.
+MAX_TREE_DEPTH = 21
 
 _M1 = np.uint64(0x1F00000000FFFF)
 _M2 = np.uint64(0x1F0000FF0000FF)
@@ -190,6 +199,8 @@ class Octree:
     comp: np.ndarray | None = None
 
     def __post_init__(self):
+        if not 0 <= self.max_depth <= MAX_TREE_DEPTH:
+            raise ValueError(f"max_depth must be in [0, {MAX_TREE_DEPTH}], got {self.max_depth}")
         morton = np.ascontiguousarray(self.morton, dtype=np.uint64)
         depth = np.ascontiguousarray(self.depth, dtype=np.uint8)
         label = np.ascontiguousarray(self.label, dtype=bool)
@@ -552,18 +563,43 @@ def subtract(a: Octree, b: Octree) -> Octree:
     return _binary_op(a, b, np.greater)  # a and not b
 
 
-_ROW_FORMAT = "morton={:#x} depth={} label={:d} comp={}"
-
-#: One line of a dump body: a leaf row as ``dumps`` writes it (groups 1-4),
-#: or any other non-blank line (group 5).
-_ROW = re.compile(
-    r"^(?:morton=0x([0-9a-f]{1,16}) depth=(\d{1,2}) label=([01]) comp=(-|\d{1,18})|(.*\S.*))$",
-    re.MULTILINE,
+#: A dump body as ``dumps`` writes it: leaf rows, each ended by a newline.
+_BODY = re.compile(
+    rb"(?:morton=0x[0-9a-f]{1,16} depth=[0-9]{1,2} label=[01] comp=(?:-|[0-9]{1,18})\n)*"
 )
+_HEAD_FIELDS = ("box", "depth", "axes")
+_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+#: Byte -> value of the hex and decimal digits in a body that matches ``_BODY``.
+_DIGIT_VALUE = np.zeros(256, dtype=np.uint8)
+_DIGIT_VALUE[_DIGITS] = np.arange(16)
+
+
+def _places(base: int, width: int) -> np.ndarray:
+    """Place values of ``width`` digits in ``base``, most significant first."""
+    return np.uint64(base) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+
+
+def _numerals(values: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digit bytes of non-negative integers (base 10 or 16) right-aligned in
+    the widest one's width, and the mask of the slots each numeral uses."""
+    values = values.astype(np.uint64)
+    width = len(np.base_repr(int(values.max(initial=0)), base))
+    if base == 16:
+        high = values[:, None] >> np.arange(4 * width - 4, -1, -4, dtype=np.uint64)
+    else:
+        high = values[:, None] // _places(base, width)
+    used = high != 0
+    used[:, -1] = True
+    return _DIGITS[high % np.uint64(base)], used
 
 
 def dumps(tree: Octree) -> str:
-    """Line-oriented text dump, bit-exact for identical inputs."""
+    """Line-oriented text dump, bit-exact for identical inputs.
+
+    All rows are built at once as one byte matrix, a row per leaf: the
+    constant tokens, each field's digits right-aligned in its widest
+    numeral's width, and a keep-mask that drops the leading-zero slots.
+    """
     box = tree.box
     head = (
         "octree v1; box="
@@ -571,10 +607,25 @@ def dumps(tree: Octree) -> str:
         + f"; depth={tree.max_depth}; axes="
         + ",".join(box.axes)
     )
-    comp = tree.comp
-    comp = repeat("-") if comp is None else np.where(comp < 0, "-", comp.astype(str)).tolist()
-    columns = (tree.morton.tolist(), tree.depth.tolist(), tree.label.tolist(), comp)
-    return head + "\n" + "\n".join(map(_ROW_FORMAT.format, *columns)) + "\n"
+    n = tree.n_leaves
+    comp = np.full(n, -1) if tree.comp is None else tree.comp
+    chars, used = [], []
+    for token, values, base in (
+        (b"morton=0x", tree.morton, 16),
+        (b" depth=", tree.depth, 10),
+        (b" label=", tree.label, 10),
+        (b" comp=", np.maximum(comp, 0), 10),
+    ):
+        chars.append(np.broadcast_to(np.frombuffer(token, dtype=np.uint8), (n, len(token))))
+        used.append(np.ones((n, len(token)), dtype=bool))
+        digits, keep = _numerals(values, base)
+        chars.append(digits)
+        used.append(keep)
+    chars[-1][comp < 0, -1] = ord("-")
+    chars.append(np.full((n, 1), ord("\n"), dtype=np.uint8))
+    used.append(np.ones((n, 1), dtype=bool))
+    body = np.hstack(chars)[np.hstack(used)].tobytes()
+    return head + "\n" + body.decode("ascii")
 
 
 def export(tree: Octree, path) -> None:
@@ -582,48 +633,121 @@ def export(tree: Octree, path) -> None:
         fh.write(dumps(tree))
 
 
-def _row_error(body: str, first_line: int, row: int, why: str) -> ValueError:
-    """ValueError naming the line of the ``row``-th non-blank line of a dump body."""
-    lines = body.split("\n")
-    k = int(np.flatnonzero(list(map(bool, map(str.strip, lines))))[row])
-    return ValueError(f"octree dump line {first_line + k}: {why}: {lines[k]!r}")
+def _parse_head(head: str, line: int) -> tuple[Box3, int]:
+    """Root box and depth of a dump head; ValueError names the line and field."""
+    if not head.startswith("octree v1;"):
+        raise ValueError(f"octree dump line {line}: not an octree v1 dump: {head!r}")
+    fields = {}
+    for part in head.split(";")[1:]:
+        key, eq, value = part.strip().partition("=")
+        if not eq or key not in _HEAD_FIELDS or key in fields:
+            why = "duplicate field" if key in fields else "unknown field"
+            why = why if eq else "has no '='"
+            raise ValueError(f"octree dump line {line}: head field {part.strip()!r} {why}")
+        fields[key] = value.strip()
+    for key in _HEAD_FIELDS:
+        if key not in fields:
+            raise ValueError(f"octree dump line {line}: head field {key!r} is missing")
+    depth = fields["depth"]
+    if not (depth.isdigit() and int(depth) <= MAX_TREE_DEPTH):
+        raise ValueError(
+            f"octree dump line {line}: head field 'depth' is not an integer in "
+            f"[0, {MAX_TREE_DEPTH}]: {depth!r}"
+        )
+    try:
+        corners = [float(v) for v in fields["box"].split(",")]
+    except ValueError:
+        corners = []
+    if len(corners) != 6 or not all(map(math.isfinite, corners)):
+        raise ValueError(
+            f"octree dump line {line}: head field 'box' is not 6 finite floats: {fields['box']!r}"
+        )
+    try:
+        box = Box3(corners[:3], corners[3:], tuple(fields["axes"].split(",")))
+    except ValueError as exc:
+        raise ValueError(f"octree dump line {line}: head fields 'box' and 'axes': {exc}") from None
+    return box, int(depth)
+
+
+def _rows_only(text: str, buf: bytes, first: int, first_line: int) -> tuple[bytes, list[int]]:
+    """``buf`` with only the rows after byte ``first``, and their line numbers.
+
+    Whitespace-only lines are dropped; any other line that is not a row
+    raises ValueError naming it.
+    """
+    rows, lines = [], []
+    for k, row in enumerate(buf[first:].split(b"\n")[:-1]):
+        if _BODY.fullmatch(row + b"\n"):
+            rows.append(row + b"\n")
+            lines.append(first_line + k)
+        elif row.strip():
+            bad = text.split("\n")[first_line + k - 1]
+            raise ValueError(f"octree dump line {first_line + k}: malformed row: {bad!r}")
+    return buf[:first] + b"".join(rows), lines
+
+
+def _numbers(buf: np.ndarray, start: np.ndarray, end: np.ndarray, base: int) -> np.ndarray:
+    """The numbers written in ``buf[start:end]`` per row: one right-aligned gather.
+
+    Fields follow the head, so no field ends before its gather width.
+    """
+    width = int((end - start).max(initial=1))
+    digits = _DIGIT_VALUE[np.lib.stride_tricks.sliding_window_view(buf, width)[end - width]]
+    digits *= np.arange(-width, 0) >= (start - end)[:, None]
+    return digits @ _places(base, width)
+
+
+def _parse_rows(buf: bytes, first: int):
+    """Leaf columns of the rows from byte ``first`` on, which match ``_BODY``,
+    and each row's extent. Row k ends at the k-th newline; its three spaces
+    locate the fields.
+    """
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    ends = np.flatnonzero(arr[first:] == ord("\n")) + first
+    starts = np.concatenate(([first], ends[:-1] + 1))
+    spaces = np.flatnonzero(arr[first:] == ord(" ")).reshape(-1, 3) + first
+    morton = _numbers(arr, starts + len("morton=0x"), spaces[:, 0], 16)
+    depth = _numbers(arr, spaces[:, 0] + len(" depth="), spaces[:, 1], 10)
+    label = arr[spaces[:, 1] + len(" label=")] == ord("1")
+    comp_at = spaces[:, 2] + len(" comp=")
+    comp = _numbers(arr, comp_at, ends, 10).astype(np.int64)
+    comp[arr[comp_at] == ord("-")] = -1
+    return morton, depth, label, comp, starts, ends
 
 
 def loads(text: str) -> Octree:
     """Parse a dump; rows may come in any order and are canonicalized.
 
-    Every non-blank line after the head must be a row in the form ``dumps``
-    writes, else ValueError names the line; rows that do not tile the box
+    The head must name ``box``, ``depth`` and ``axes`` once each. Every
+    non-blank line after it must be a row in the form ``dumps`` writes (ASCII
+    only), else ValueError names the line; rows that do not tile the box
     raise ValueError as well.
     """
-    head_start = len(text) - len(text.lstrip())
-    head, _, body = text[head_start:].partition("\n")
-    if not head.startswith("octree v1;"):
-        raise ValueError("not an octree v1 dump")
-    first_line = text.count("\n", 0, head_start) + 2
-    fields = dict(part.strip().split("=", 1) for part in head.split(";")[1:])
-    vals = [float(v) for v in fields["box"].split(",")]
-    box = Box3(lo=tuple(vals[:3]), hi=tuple(vals[3:]), axes=tuple(fields["axes"].split(",")))
-    max_depth = int(fields["depth"])
-    rows = _ROW.findall(body)
-    codes, depths, labels, comps, bad = zip(*rows) if rows else ((),) * 5
-    if any(bad):
-        raise _row_error(body, first_line, list(map(bool, bad)).index(True), "malformed row")
-    n = len(codes)
-    morton = np.fromiter(map(int, codes, repeat(16)), dtype=np.uint64, count=n)
-    depth = np.fromiter(map(int, depths), dtype=np.int64, count=n)
-    outside = np.flatnonzero((depth > max_depth) | (morton >> (3 * depth).astype(np.uint64) != 0))
+    buf = text.encode("ascii", "replace")
+    head_start = len(buf) - len(buf.lstrip())
+    if not buf.endswith(b"\n"):
+        buf += b"\n"
+    head_end = buf.find(b"\n", head_start)
+    first_line = buf.count(b"\n", 0, head_start) + 2
+    box, max_depth = _parse_head(buf[head_start:head_end].decode("ascii"), first_line - 1)
+    first = head_end + 1
+    lines = None  # row k sits on line first_line + k
+    if _BODY.fullmatch(buf, first) is None:
+        buf, lines = _rows_only(text, buf, first, first_line)
+    morton, depth, label, comp, starts, ends = _parse_rows(buf, first)
+    outside = np.flatnonzero((depth > max_depth) | (morton >> (3 * depth) != 0))
     if outside.size:
-        raise _row_error(body, first_line, int(outside[0]), "cell outside the tree's box or depth")
-    comp = np.array(comps)
-    known = comp != "-"
-    comp = np.where(known, comp, "-1").astype(np.int64) if known.any() else None
-    tree = _canonical_tree(box, max_depth, morton, depth, np.array(labels) == "1", comp)
+        k = int(outside[0])
+        line = first_line + k if lines is None else lines[k]
+        row = buf[starts[k] : ends[k]].decode("ascii")
+        raise ValueError(f"octree dump line {line}: cell outside the tree's box or depth: {row!r}")
+    comp = comp if (comp >= 0).any() else None
+    tree = _canonical_tree(box, max_depth, morton, depth, label, comp)
     if tree.comp is not None and (tree.comp < 0).all():
         tree = replace(tree, comp=None)
     return tree
 
 
 def load(path) -> Octree:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         return loads(fh.read())

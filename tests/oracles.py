@@ -1,11 +1,12 @@
 """Independent brute-force oracles for the kinematic solvers and octrees.
 
 Everything here works from the raw geometry definition (triangle phases and
-bar lengths) with plain trigonometry, or from plain lists of octree cells;
-nothing calls the solvers or the merger under test.
+bar lengths) with plain trigonometry, or from plain lists of octree cells and
+dump text; nothing calls the solvers, the merger or the dump parser under test.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -232,3 +233,36 @@ def canonical_cells(max_depth, cells):
                 merged.append(tail[0][3] if all(t[3] == tail[0][3] for t in tail) else -1)
             stack.append(merged)
     return stack
+
+
+#: One line of a dump body: a leaf row as ``octree.dumps`` writes it
+#: (groups 1-4), or any other non-blank line (group 5). ASCII only: ``\d``
+#: takes no other script's digits and ``\s`` no non-ASCII space.
+DUMP_ROW = re.compile(
+    r"^(?:morton=0x([0-9a-f]{1,16}) depth=(\d{1,2}) label=([01]) comp=(-|\d{1,18})|(.*\S.*))$",
+    re.MULTILINE | re.ASCII,
+)
+ASCII_SPACE = " \t\n\r\f\v"
+
+
+def loads_rows(text):
+    """The leaf rows of a dump body, by one multiline regex ``findall``.
+
+    Skips ASCII whitespace before the head and the head line. Returns
+    (line, row text, morton, depth, label, comp or None) per non-blank body
+    line, in text order; the first non-blank line that is not a row raises
+    ValueError naming its 1-based line number.
+    """
+    head_start = len(text) - len(text.lstrip(ASCII_SPACE))
+    _, _, body = text[head_start:].partition("\n")
+    first_line = text.count("\n", 0, head_start) + 2
+    lines = body.split("\n")
+    numbers = [first_line + k for k, line in enumerate(lines) if line.strip(ASCII_SPACE)]
+    rows = []
+    for line, match in zip(numbers, DUMP_ROW.finditer(body)):
+        code, depth, label, comp, bad = match.groups()
+        if bad is not None:
+            raise ValueError(f"octree dump line {line}: malformed row: {bad!r}")
+        comp = None if comp == "-" else int(comp)
+        rows.append((line, match.group(0), int(code, 16), int(depth), label == "1", comp))
+    return rows

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_REF, posture
+from planar3rrr import aspects
 from planar3rrr.aspects import (
     AspectAtlas,
     characteristic_surface,
@@ -11,10 +12,11 @@ from planar3rrr.aspects import (
     same_aspect,
     write_manifest,
 )
-from planar3rrr.errors import ModeMismatchError
+from planar3rrr.cli import main
+from planar3rrr.errors import ConfigError, ModeMismatchError
 from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.kinematics import inverse_kinematics, inverse_kinematics_all
-from planar3rrr.octree import locate
+from planar3rrr.octree import locate, workspace_box
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,23 @@ def test_depth_validation(ref_geom):
         enumerate_aspects(ref_geom, depth=3)
     with pytest.raises(ValueError):
         enumerate_aspects(ref_geom, depth=11)
+
+
+def test_memory_guard_refuses_before_allocating(ref_geom, monkeypatch, tmp_path, capsys):
+    def no_grids(*args):
+        raise AssertionError("the sign grids were allocated")
+
+    monkeypatch.setattr(aspects, "_sign_grids", no_grids)
+    monkeypatch.setattr(aspects, "memory_budget", lambda: 7 << 30)
+    with pytest.raises(ConfigError, match=r"depth 10, joint depth 5: .* budget of 7.00 GiB"):
+        enumerate_aspects(ref_geom, depth=10)
+    assert main(["--out", str(tmp_path), "--depth", "10", "aspects", "--no-joint"]) == 2
+    assert "enumerate_aspects at depth 10: the dense arrays need about" in capsys.readouterr().err
+    monkeypatch.setattr(aspects, "memory_budget", lambda: 1 << 20)
+    with pytest.raises(ConfigError, match="at depth 4:"):
+        enumerate_aspects(ref_geom, depth=4, build_joint=False)
+    # Depth 9 (4.1 GiB measured peak) still fits a 7 GiB box.
+    assert aspects.census_bytes(workspace_box(), 9, 8, 5) < 7 << 30
 
 
 def test_det_signs_validation(ref_geom):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,6 +138,54 @@ def test_loads_rejects_malformed_rows_by_line(ref_geom, rng):
         loads("\n".join([head] + rows + rows[:1]))
     with pytest.raises(ValueError, match="do not tile"):
         loads("\n".join([head] + rows[1:]))
+
+
+ROOT_ROW = "morton=0x0 depth=0 label=1 comp=-\n"
+V1 = "octree v1; box=-1.0,-1.0,-1.0,1.0,1.0,1.0;"
+LIN = "axes=lin,lin,lin"
+HEAD_ERRORS = {
+    "no-box": (f"octree v1; depth=3; {LIN}", "line 1: head field 'box' is missing"),
+    "depth-x": (f"{V1} depth=x; {LIN}", "'depth' is not an integer in"),
+    "depth-22": (f"{V1} depth=22; {LIN}", r"'depth' is not an integer in \[0, 21\]"),
+    "depth-negative": (f"{V1} depth=-1; {LIN}", "'depth' is not an integer"),
+    "no-equals": (f"{V1} depth 3; {LIN}", "head field 'depth 3' has no '='"),
+    "duplicate": (f"{V1} depth=3; depth=3; {LIN}", "'depth=3' duplicate field"),
+    "unknown": (f"{V1} depth=3; {LIN}; size=8", "'size=8' unknown field"),
+    "box-5": (f"octree v1; box=0,0,0,1,1; depth=3; {LIN}", "'box' is not 6 finite floats"),
+    "box-text": (f"octree v1; box=0,0,0,1,1,a; depth=3; {LIN}", "'box' is not 6 finite"),
+    "box-inf": (f"octree v1; box=0,0,0,1,1,inf; depth=3; {LIN}", "'box' is not 6 finite"),
+    "axes-2": (f"{V1} depth=3; axes=lin,lin", "'box' and 'axes': Box3 needs three axes"),
+    "axes-kind": (f"{V1} depth=3; axes=lin,lin,deg", "'axes': axis 2: kind must be"),
+    "leading-blank-lines": (f"\n \n{V1} depth=3", "line 3: head field 'axes' is missing"),
+    "not-v1": ("octree v2; depth=3", "line 1: not an octree v1 dump"),
+}
+
+
+@pytest.mark.parametrize("head, message", HEAD_ERRORS.values(), ids=HEAD_ERRORS.keys())
+def test_loads_rejects_malformed_heads_by_line_and_field(head, message):
+    with pytest.raises(ValueError, match=message):
+        loads(head + "\n" + ROOT_ROW)
+
+
+def test_loads_head_limits():
+    assert loads(f"{V1} depth=0; {LIN}\n" + ROOT_ROW).max_depth == 0
+    tree = loads(f" {V1}  depth= 21 ;axes=lin,lin,per\r\n" + ROOT_ROW)
+    assert tree.max_depth == 21 and tree.n_leaves == 1
+    for depth in (-1, 22):
+        with pytest.raises(ValueError, match=r"max_depth must be in \[0, 21\]"):
+            replace(tree, max_depth=depth)
+
+
+def test_load_names_the_line_of_a_non_ascii_byte(ref_geom, rng, tmp_path):
+    tree = _random_tree(ref_geom, rng)
+    head, *rows = dumps(tree).encode().splitlines()
+    path = tmp_path / "tree.oct"
+    path.write_bytes(b"\n".join([head] + rows[:2] + [rows[2] + b"\xc3\xa9"] + rows[3:]))
+    with pytest.raises(ValueError, match="line 4: malformed row"):
+        load(path)
+    path.write_bytes(b"\n".join([head.replace(b"lin", b"l\xffn", 1)] + rows))
+    with pytest.raises(ValueError, match="line 1: head fields 'box' and 'axes': axis 0"):
+        load(path)
 
 
 def test_export_import_file(ref_geom, rng, tmp_path):

@@ -5,9 +5,14 @@ tree depth, with random aligned cubes painted over it) at depths 2-6, on a
 pose box (one periodic axis), the joint box (all periodic) and an all-linear
 box. The tree operations must agree with voxel logic on the rasterized
 grids, and the merger with the stack merger in ``oracles.canonical_cells``.
+``loads`` must accept exactly the mutated dumps that the regex row grammar
+``oracles.loads_rows`` accepts.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,3 +130,143 @@ def test_merger_equals_stack_merger(case):
     got = _tree_from_cells(box, depth, shuffled, with_comp=True)
     columns = (got.morton.tolist(), got.depth.tolist(), got.label.tolist(), got.comp.tolist())
     assert [list(c) for c in zip(*columns)] == expected
+
+
+#: Bytes the mutations insert: row tokens, uppercase hex, line breaks,
+#: ASCII spaces, an Arabic-Indic three and a superscript two.
+MUTATION_BYTES = "0123456789abcdefxABCDEF =-\n\r\t\u0663\u00b2"
+TEXT_MUTATIONS = ("insert", "delete", "replace", "digit", "crlf", "chop")
+LINE_MUTATIONS = ("deepen", "script", "upper", "pad", "space", "blank", "swap", "repeat", "drop")
+
+
+def mutate_line(draw, kind, lines, k):
+    if kind == "deepen":
+        lines[k] = re.sub(r"(?<=depth=)[0-9]+", str(draw(st.integers(0, 99))), lines[k])
+    elif kind == "script":
+        # The same digit in Arabic-Indic script, which a Unicode \d takes.
+        digit = lambda m: chr(0x0660 + int(m.group(0)))  # noqa: E731
+        lines[k] = re.sub(r"(?<=depth=)[0-9]|(?<=comp=)[0-9]", digit, lines[k])
+    elif kind == "upper":
+        lines[k] = re.sub(r"(?<=0x)\w+", lambda m: m.group(0).upper(), lines[k])
+    elif kind == "pad":
+        # Zero-pad one field to at most one digit past its limit.
+        field, limit = draw(st.sampled_from((("morton=0x", 16), ("depth=", 2), ("comp=", 18))))
+        width = draw(st.integers(1, limit + 1))
+        lines[k] = re.sub(f"(?<={field})[0-9a-f]+", lambda m: m.group(0).zfill(width), lines[k])
+    elif kind == "space":
+        lines[k] += draw(st.sampled_from((" ", "\t", "\r")))
+    elif kind == "blank":
+        lines.insert(k, draw(st.sampled_from(("", " ", "\t \f", "\v"))))
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[k], lines[j] = lines[j], lines[k]
+    elif kind == "repeat":
+        lines.insert(k, lines[k])
+    elif kind == "drop":
+        del lines[k]
+
+
+def mutate_text(draw, kind, body):
+    at = draw(st.integers(0, max(len(body) - 1, 0)))
+    if kind == "insert":
+        return body[:at] + draw(st.sampled_from(MUTATION_BYTES)) + body[at:]
+    if kind == "delete":
+        return body[:at] + body[at + 1 :]
+    if kind == "replace":
+        return body[:at] + draw(st.sampled_from(MUTATION_BYTES)) + body[at + 1 :]
+    if kind == "digit":
+        digits = [m.start() for m in re.finditer("[0-9]", body)] or [at]
+        at = digits[at % len(digits)]
+        return body[:at] + draw(st.sampled_from("0123456789")) + body[at + 1 :]
+    if kind == "crlf":
+        return body.replace("\n", "\r\n")
+    return body.removesuffix("\n")  # chop
+
+
+@st.composite
+def mutated_dumps(draw):
+    """(box, depth, dump text) of a random tree whose body went through 1-3
+    byte or row mutations, perhaps behind leading blank lines."""
+    box = draw(st.sampled_from(BOXES))
+    depth = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tree = _grid_to_tree(blocky_grid(rng, depth), box, depth)
+    if draw(st.booleans()):
+        tree = connected_components(tree)[0]
+    head, _, body = dumps(tree).partition("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(TEXT_MUTATIONS + LINE_MUTATIONS))
+        if kind in TEXT_MUTATIONS:
+            body = mutate_text(draw, kind, body)
+        else:
+            lines = body.split("\n")
+            mutate_line(draw, kind, lines, draw(st.integers(0, len(lines) - 1)))
+            body = "\n".join(lines)
+    lead = draw(st.sampled_from(("", "\n", "\n \t\n", " \v\f\n")))
+    return box, depth, lead + head + "\n" + body
+
+
+def reference_load(text, max_depth):
+    """What ``loads`` must return for a dump at ``max_depth`` with an intact
+    head: the canonical cells as lists, or the ValueError message."""
+    try:
+        rows = oracles.loads_rows(text)
+    except ValueError as exc:
+        return str(exc)
+    for line, row, code, depth, _, _ in rows:
+        if depth > max_depth or code >> (3 * depth):
+            return f"octree dump line {line}: cell outside the tree's box or depth: {row!r}"
+    if not rows:
+        return "octree has no leaves"
+    with_comp = any(comp is not None for *_, comp in rows)
+    cells = [
+        (code, depth, label) + ((-1 if comp is None else comp,) if with_comp else ())
+        for _, _, code, depth, label, comp in rows
+    ]
+    cells = oracles.canonical_cells(max_depth, cells)
+    start = 0
+    for code, depth, *_ in cells:
+        if code << (3 * (max_depth - depth)) != start:
+            return "leaves do not tile the root box"
+        start += 1 << (3 * (max_depth - depth))
+    if start != 1 << (3 * max_depth):
+        return "leaves do not tile the root box"
+    if with_comp and all(c[3] < 0 for c in cells):
+        cells = [c[:3] for c in cells]
+    return cells
+
+
+def assert_loads_like_reference(box, depth, text):
+    expected = reference_load(text, depth)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            loads(text)
+        assert str(exc.value) == expected
+        return
+    tree = loads(text)
+    assert tree.box == box and tree.max_depth == depth
+    columns = [tree.morton.tolist(), tree.depth.tolist(), tree.label.tolist()]
+    if tree.comp is not None:
+        columns.append(tree.comp.tolist())
+    assert [list(c) for c in zip(*columns)] == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=mutated_dumps())
+def test_loads_accepts_what_the_reference_grammar_accepts(case):
+    assert_loads_like_reference(*case)
+
+
+@pytest.mark.parametrize(
+    "pattern, edit",
+    [(f"(?<={field})[0-9a-f]+", lambda m, w=width: m.group(0).zfill(w))
+     for field, limit in (("morton=0x", 16), ("depth=", 2), ("comp=", 18))
+     for width in (limit, limit + 1)]
+    + [(r"(?<=0x)\w+", lambda m: m.group(0).upper())],
+)
+def test_loads_field_limits_match_the_reference(pattern, edit):
+    box = workspace_box()
+    tree = _grid_to_tree(blocky_grid(np.random.default_rng(7), 3), box, 3)
+    text = dumps(connected_components(tree)[0])
+    assert re.search("0x[0-9]*[a-f]", text) and re.search("comp=[0-9]", text)
+    assert_loads_like_reference(box, 3, re.sub(pattern, edit, text))
