@@ -55,15 +55,19 @@ _SIGN_TAG = {1: "pos", -1: "neg"}
 MIN_DEPTH = 4
 MAX_DEPTH = 10
 
-#: Corner samples per ``batch.mode_determinants`` call of the sign grids.
-SLAB_POINTS = 1 << 20
-#: Peak bytes of the census's transient arrays, calibrated on its peaks
-#: (tracemalloc at depths 5-8, peak RSS 647 MiB at depth 8 and 4.1 GiB at
-#: depth 9): per sample of a sign-grid slab, per workspace cell of the
-#: (mode, sign) pair being labeled, and per joint cell of the joint sweep.
-SLAB_BYTES_PER_POINT = 400
+#: Corner samples per ``batch.mode_determinants`` call of the sign grids
+#: (2^16 ran faster than 2^14, 2^18 and 2^20 at depth 7).
+SLAB_POINTS = 1 << 16
+#: Peak bytes of the census's transient arrays, upper bounds of tracemalloc
+#: peaks at depths 5-8 on the reference and the congruent (r = s) geometry:
+#: per sample of a sign-grid slab whose samples are all in reach (at most
+#: 434 B), per workspace cell of the (mode, sign) pairs being labeled (at
+#: most 22.7 B, which includes the trees of the pairs already done), and per
+#: joint cell of the joint sweep (at most 1,159 B, on the congruent geometry,
+#: whose every triple passes the leg-pair test and is solved).
+SLAB_BYTES_PER_POINT = 448
 PAIR_BYTES_PER_CELL = 24
-JOINT_BYTES_PER_CELL = 320
+JOINT_BYTES_PER_CELL = 1280
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,11 @@ def _corner_counts(box: Box3, depth: int) -> tuple[int, int, int]:
     return tuple(n if box.wraps(axis) else n + 1 for axis in range(3))
 
 
+def _slab_rows(counts: tuple[int, int, int]) -> int:
+    """Corner rows (first axis) per sign-grid slab: about SLAB_POINTS samples."""
+    return max(1, SLAB_POINTS // (counts[1] * counts[2]))
+
+
 def census_bytes(box: Box3, depth: int, n_modes: int, joint_depth: int | None) -> int:
     """Estimated peak bytes of the census's dense arrays, from their shapes.
 
@@ -123,8 +132,8 @@ def census_bytes(box: Box3, depth: int, n_modes: int, joint_depth: int | None) -
     larger of a sign-grid slab's working set and one pair's cell grids, and
     the joint sweep when ``joint_depth`` is given.
     """
-    c0, c1, c2 = _corner_counts(box, depth)
-    slab = min(max(1, SLAB_POINTS // (c0 * c1)), c2) * c0 * c1
+    c0, c1, c2 = counts = _corner_counts(box, depth)
+    slab = min(_slab_rows(counts), c0) * c1 * c2
     work = max(SLAB_BYTES_PER_POINT * slab, PAIR_BYTES_PER_CELL << (3 * depth))
     joint = 0 if joint_depth is None else JOINT_BYTES_PER_CELL << (3 * joint_depth)
     return (n_modes + 1) * c0 * c1 * c2 + work + joint
@@ -141,7 +150,9 @@ def memory_budget() -> int:
 def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, modes):
     """Reach mask and det(A) signs of ``modes`` at the cell corners.
 
-    ``signs[j]`` belongs to ``modes[j]``. The grids have n+1 samples along
+    ``signs[j]`` belongs to ``modes[j]`` and is 0 off reach. The grids are
+    filled in slabs of corner rows, and det(A) is evaluated only at the
+    samples in reach. The grids have n+1 samples along
     non-wrapping axes and n along wrapping ones (corner n coincides with
     corner 0).
     """
@@ -153,17 +164,17 @@ def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, modes):
     ]
     reach = np.empty(counts, dtype=bool)
     signs = np.empty((len(modes), *counts), dtype=np.int8)
-    slab = max(1, SLAB_POINTS // (counts[0] * counts[1]))
-    for z0 in range(0, counts[2], slab):
-        th = coords[2][z0 : z0 + slab]
+    slab = _slab_rows(counts)
+    for x0 in range(0, counts[0], slab):
+        xs = coords[0][x0 : x0 + slab]
         rch, dets = batch.mode_determinants(
-            geom, coords[0][:, None, None], coords[1][None, :, None], th[None, None, :], modes
+            geom, xs[:, None, None], coords[1][None, :, None], coords[2][None, None, :], modes
         )
-        sl = slice(z0, z0 + len(th))
-        reach[:, :, sl] = rch
+        sl = slice(x0, x0 + len(xs))
+        reach[sl] = rch
         for j, det in enumerate(dets):
-            with np.errstate(invalid="ignore"):
-                signs[j, :, :, sl] = np.where(rch, np.sign(det), 0.0).astype(np.int8)
+            # NaN, the det of a sample out of reach, compares false both ways.
+            np.subtract(det > 0, det < 0, out=signs[j, sl], dtype=np.int8)
     return reach, signs
 
 
@@ -411,7 +422,7 @@ def characteristic_surface(
 
     out_ids = np.unique(leaf_out)
     centers = tree.leaf_centers()[out_ids]
-    reach, _ = batch.mode_determinants(geom, centers[:, 0], centers[:, 1], centers[:, 2], ())
+    reach, _ = batch.leg_reach(geom, centers[:, 0], centers[:, 1], centers[:, 2])
     keep = np.isin(leaf_out, out_ids[reach])
     boundary = np.unique(leaf_in[keep])
     if boundary.size == 0:

@@ -8,8 +8,9 @@ inverse-kinematic leg solver: ``kinematics.inverse_kinematics``,
 angles reproduce the scalar operation order bit for bit, with ``math.hypot``
 and ``math.atan2`` applied elementwise, because the monitor's profile and
 evidence files are byte-identical artifacts. The census keeps its own
-branch-row code (``mode_determinants``), which needs only det(A) signs and
-evaluates both elbow branches of every leg without an arctangent.
+branch-row code (``mode_determinants``), which needs only det(A) signs: it
+tests reach first (``leg_reach``) and evaluates both elbow branches of every
+leg, without an arctangent, only at the samples all three legs reach.
 ``fk_roots`` is the only direct-kinematics solver:
 ``kinematics.forward_kinematics`` calls it for one triple.
 
@@ -37,55 +38,84 @@ def elbow_points(geom: GeometryConfig, alphas):
     return a[:, 0][None, :] + geom.l * np.cos(alphas), a[:, 1][None, :] + geom.l * np.sin(alphas)
 
 
-def _branch_rows(geom: GeometryConfig, x, y, theta):
-    """Per-leg, per-branch rows of A plus the strict reach mask.
+def leg_reach(geom: GeometryConfig, x, y, theta):
+    """Strict reach mask of all three legs, and each leg's platform joint.
 
-    Returns (reach, rows) with rows[leg][branch_idx] = (ex, ey, w); branch
-    index 0 is the positive elbow sign. Row entries are NaN outside reach.
+    Returns (reach, joints) with joints[leg] = (cx, cy) at the inputs'
+    broadcast shapes. A leg is in reach when its base-to-platform distance
+    lies strictly inside the annulus [|l - m|, l + m].
     """
     a = geom.base_points
     psi = geom.platform_phase
-    l, m, s = geom.l, geom.m, geom.s
+    s = geom.s
     lo2 = (geom.l - geom.m) ** 2
     hi2 = (geom.l + geom.m) ** 2
     reach = None
+    joints = []
+    for i in range(3):
+        cx = x + s * np.cos(theta + psi[i])
+        cy = y + s * np.sin(theta + psi[i])
+        dx = cx - a[i, 0]
+        dy = cy - a[i, 1]
+        d2 = dx * dx + dy * dy
+        ok = (d2 > lo2) & (d2 < hi2)
+        reach = ok if reach is None else (reach & ok)
+        joints.append((cx, cy))
+    return reach, joints
+
+
+def _branch_rows(geom: GeometryConfig, x, y, joints):
+    """Per-leg, per-branch rows of A at samples in reach.
+
+    x, y and the platform joints ``joints[leg] = (cx, cy)`` are 1-D arrays
+    of samples that ``leg_reach`` accepted. Returns rows[leg][branch_idx] =
+    (ex, ey, w); branch index 0 is the positive elbow sign.
+    """
+    a = geom.base_points
+    l, m = geom.l, geom.m
     rows = []
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for i in range(3):
-            cx = x + s * np.cos(theta + psi[i])
-            cy = y + s * np.sin(theta + psi[i])
-            dx = cx - a[i, 0]
-            dy = cy - a[i, 1]
-            d2 = dx * dx + dy * dy
-            ok = (d2 > lo2) & (d2 < hi2)
-            reach = ok if reach is None else (reach & ok)
-            d = np.sqrt(d2)
-            inv = 1.0 / d
-            cos_d = (d2 - l * l - m * m) / (2.0 * l * m)
-            sin_d = np.sqrt(np.maximum(0.0, 1.0 - cos_d * cos_d))
-            cphi = (l + m * cos_d) * inv
-            sphi = (m * sin_d) * inv
-            dhx = dx * inv
-            dhy = dy * inv
-            per_branch = []
-            for sign in (1.0, -1.0):
-                sp = sign * sphi
-                # u(alpha) = R(-phi_signed) applied to the unit target vector.
-                uax = dhx * cphi + dhy * sp
-                uay = -dhx * sp + dhy * cphi
-                bx = a[i, 0] + l * uax
-                by = a[i, 1] + l * uay
-                ex = cx - bx
-                ey = cy - by
-                w = (y - cy) * ex - (x - cx) * ey
-                per_branch.append((ex, ey, w))
-            rows.append(per_branch)
-    return reach, rows
+    for i, (cx, cy) in enumerate(joints):
+        dx = cx - a[i, 0]
+        dy = cy - a[i, 1]
+        d2 = dx * dx + dy * dy
+        d = np.sqrt(d2)
+        inv = 1.0 / d
+        cos_d = (d2 - l * l - m * m) / (2.0 * l * m)
+        sin_d = np.sqrt(np.maximum(0.0, 1.0 - cos_d * cos_d))
+        cphi = (l + m * cos_d) * inv
+        sphi = (m * sin_d) * inv
+        dhx = dx * inv
+        dhy = dy * inv
+        per_branch = []
+        for sign in (1.0, -1.0):
+            sp = sign * sphi
+            # u(alpha) = R(-phi_signed) applied to the unit target vector.
+            uax = dhx * cphi + dhy * sp
+            uay = -dhx * sp + dhy * cphi
+            bx = a[i, 0] + l * uax
+            by = a[i, 1] + l * uay
+            ex = cx - bx
+            ey = cy - by
+            w = (y - cy) * ex - (x - cx) * ey
+            per_branch.append((ex, ey, w))
+        rows.append(per_branch)
+    return rows
 
 
 def mode_determinants(geom: GeometryConfig, x, y, theta, modes=MODE_ORDER):
-    """(reach, dets) with dets[j] = det(A) for modes[j]; NaN off reach."""
-    reach, rows = _branch_rows(geom, x, y, theta)
+    """(reach, dets) with dets[j] = det(A) for modes[j]; NaN off reach.
+
+    The rows of A are built only at the samples in reach, gathered once.
+    """
+    reach, joints = leg_reach(geom, x, y, theta)
+    shape = reach.shape
+
+    def gather(v):
+        return np.broadcast_to(v, shape)[reach]
+
+    rows = _branch_rows(
+        geom, gather(x), gather(y), [(gather(cx), gather(cy)) for cx, cy in joints]
+    )
     branches = [tuple(0 if sg > 0 else 1 for sg in mode.signs) for mode in modes]
     # Cross products of rows 2 and 3 for the branch combinations in use.
     cross = {}
@@ -102,7 +132,9 @@ def mode_determinants(geom: GeometryConfig, x, y, theta, modes=MODE_ORDER):
     for j1, j2, j3 in branches:
         r1 = rows[0][j1]
         cx_, cy_, cz_ = cross[(j2, j3)]
-        dets.append(r1[0] * cx_ + r1[1] * cy_ + r1[2] * cz_)
+        det = np.full(shape, np.nan)
+        det[reach] = r1[0] * cx_ + r1[1] * cy_ + r1[2] * cz_
+        dets.append(det)
     return reach, dets
 
 

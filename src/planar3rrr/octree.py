@@ -424,7 +424,7 @@ def _label_grid(grid: np.ndarray, wrap: tuple[bool, bool, bool]) -> np.ndarray:
                     pairs.add((int(u), int(v)))
         if pairs:
             roots = _union_small(n + 1, pairs)
-            lab = roots[lab]
+            lab = roots.astype(lab.dtype)[lab]
     return lab
 
 

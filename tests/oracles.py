@@ -266,3 +266,69 @@ def loads_rows(text):
         comp = None if comp == "-" else int(comp)
         rows.append((line, match.group(0), int(code, 16), int(depth), label == "1", comp))
     return rows
+
+
+def _dense_branch_rows(geom, x, y, theta):
+    """Rows (ex, ey, w) of A for both elbow branches of every leg at every
+    sample, with the strict reach mask: the census's full-grid kernel before
+    it gathered the reachable samples, operation for operation."""
+    a = geom.base_points
+    psi = geom.platform_phase
+    l, m, s = geom.l, geom.m, geom.s
+    lo2 = (geom.l - geom.m) ** 2
+    hi2 = (geom.l + geom.m) ** 2
+    reach = None
+    rows = []
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for i in range(3):
+            cx = x + s * np.cos(theta + psi[i])
+            cy = y + s * np.sin(theta + psi[i])
+            dx = cx - a[i, 0]
+            dy = cy - a[i, 1]
+            d2 = dx * dx + dy * dy
+            ok = (d2 > lo2) & (d2 < hi2)
+            reach = ok if reach is None else (reach & ok)
+            d = np.sqrt(d2)
+            inv = 1.0 / d
+            cos_d = (d2 - l * l - m * m) / (2.0 * l * m)
+            sin_d = np.sqrt(np.maximum(0.0, 1.0 - cos_d * cos_d))
+            cphi = (l + m * cos_d) * inv
+            sphi = (m * sin_d) * inv
+            dhx = dx * inv
+            dhy = dy * inv
+            per_branch = []
+            for sign in (1.0, -1.0):
+                sp = sign * sphi
+                uax = dhx * cphi + dhy * sp
+                uay = -dhx * sp + dhy * cphi
+                bx = a[i, 0] + l * uax
+                by = a[i, 1] + l * uay
+                ex = cx - bx
+                ey = cy - by
+                w = (y - cy) * ex - (x - cx) * ey
+                per_branch.append((ex, ey, w))
+            rows.append(per_branch)
+    return reach, rows
+
+
+def sign_grids_dense(geom, box, depth, modes):
+    """Reach mask and int8 det(A) signs of ``modes`` at the census's cell
+    corners, from det(A) at every corner sample (0 off reach)."""
+    n = 1 << depth
+    counts = [n if box.wraps(axis) else n + 1 for axis in range(3)]
+    coords = [
+        box.lo[axis] + np.arange(counts[axis]) * ((box.hi[axis] - box.lo[axis]) / n)
+        for axis in range(3)
+    ]
+    reach, rows = _dense_branch_rows(
+        geom, coords[0][:, None, None], coords[1][None, :, None], coords[2][None, None, :]
+    )
+    signs = np.empty((len(modes), *counts), dtype=np.int8)
+    for j, mode in enumerate(modes):
+        (e1, f1, w1), (e2, f2, w2), (e3, f3, w3) = (
+            rows[leg][0 if sign > 0 else 1] for leg, sign in enumerate(mode.signs)
+        )
+        det = e1 * (f2 * w3 - w2 * f3) + f1 * (w2 * e3 - e2 * w3) + w1 * (e2 * f3 - f2 * e3)
+        with np.errstate(invalid="ignore"):
+            signs[j] = np.where(reach, np.sign(det), 0.0).astype(np.int8)
+    return reach, signs

@@ -1,8 +1,11 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import ALPHA_REF, posture
 from planar3rrr import aspects
 from planar3rrr.aspects import (
@@ -50,6 +53,59 @@ def test_memory_guard_refuses_before_allocating(ref_geom, monkeypatch, tmp_path,
         enumerate_aspects(ref_geom, depth=4, build_joint=False)
     # Depth 9 (4.1 GiB measured peak) still fits a 7 GiB box.
     assert aspects.census_bytes(workspace_box(), 9, 8, 5) < 7 << 30
+
+
+def _census_geometry(case, rng):
+    if case == "reference":
+        return GeometryConfig()
+    if case == "congruent":
+        return GeometryConfig(r=5, s=5)
+    if case == "unequal_links":
+        return GeometryConfig(l=5, m=7, r=9, s=4)
+    l, m = rng.uniform(3.0, 9.0, 2)
+    start, turn = rng.uniform(0.0, 2.0 * math.pi, 2)
+    base = tuple(start + np.cumsum([0.0, *rng.uniform(0.5, 2.5, 2)]))
+    return GeometryConfig(
+        l=l,
+        m=m,
+        r=rng.uniform(4.0, 10.0),
+        s=rng.uniform(1.0, 6.0),
+        base_phase=base,
+        platform_phase=tuple(p + turn for p in base),
+    )
+
+
+@pytest.mark.parametrize("case", ["reference", "congruent", "unequal_links", "random"])
+def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
+    # The census evaluates det(A) only at the corners in reach, slab by slab;
+    # the oracle evaluates it at every corner in one pass.
+    geom = _census_geometry(case, rng)
+    box = workspace_box()
+    subset = [WorkingMode.H, WorkingMode.A, WorkingMode.E]
+    want = {
+        len(modes): oracles.sign_grids_dense(geom, box, 5, modes)
+        for modes in (list(WorkingMode), subset)
+    }
+    for slab_points in (aspects.SLAB_POINTS, 1):
+        monkeypatch.setattr(aspects, "SLAB_POINTS", slab_points)
+        for modes in (list(WorkingMode), subset):
+            want_reach, want_signs = want[len(modes)]
+            reach, signs = aspects._sign_grids(geom, box, 5, modes)
+            assert 0 < reach.sum() < reach.size
+            assert np.array_equal(reach, want_reach)
+            assert np.array_equal(signs, want_signs)
+
+
+@pytest.mark.parametrize("geom", [GeometryConfig(), GeometryConfig(r=5, s=5)])
+def test_census_bytes_bounds_traced_peak(geom):
+    # The congruent geometry has the largest share of corners in reach seen.
+    tracemalloc.start()
+    try:
+        enumerate_aspects(geom, depth=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert aspects.census_bytes(workspace_box(), 5, 8, 5) >= peak
 
 
 def test_det_signs_validation(ref_geom):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from planar3rrr import batch
-from planar3rrr.geometry import Pose, WorkingMode, angle_difference
+from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.jacobians import jacobians
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
 
@@ -43,6 +43,20 @@ def test_mode_determinants_of_requested_modes(ref_geom, rng):
     assert np.array_equal(reach, reach_sub)
     for mode, det in zip(modes, sub):
         assert np.array_equal(det, dets[batch.MODE_ORDER.index(mode)], equal_nan=True)
+
+
+def test_dets_are_nan_exactly_off_reach(ref_geom, rng):
+    # Samples reach well beyond the outer reach circle of every leg.
+    xs = rng.uniform(-20, 20, 3000)
+    ys = rng.uniform(-20, 20, 3000)
+    ts = rng.uniform(0, 2 * math.pi, 3000)
+    for geom in (ref_geom, GeometryConfig(l=5, m=7, r=9, s=4)):
+        for args in ((xs, ys, ts), (xs[:20, None, None], ys[None, :25, None], ts[None, None, :30])):
+            reach, dets = batch.mode_determinants(geom, *args)
+            assert reach.any() and not reach.all()
+            for det in dets:
+                assert det.shape == reach.shape
+                assert np.array_equal(np.isnan(det), ~reach)
 
 
 def test_ik_alpha_matches_scalar(ref_geom, rng):
