@@ -12,7 +12,10 @@ branch-row code (``mode_determinants``), which needs only det(A) signs: it
 tests reach first (``leg_reach``) and evaluates both elbow branches of every
 leg, without an arctangent, only at the samples all three legs reach.
 ``fk_roots`` is the only direct-kinematics solver:
-``kinematics.forward_kinematics`` calls it for one triple.
+``kinematics.forward_kinematics`` calls it for one triple. Its closure
+kernels evaluate the three legs with one cos and one sin, in the per-leg
+operation order, and its full-system Newton stops a row at the rounding
+floor, not only at a step below 1e-13.
 
 Shapes follow numpy broadcasting; x, y, theta must broadcast against each
 other. Actuated angles come as (K, 3) rows.
@@ -286,26 +289,21 @@ def jacobian_rows(geom: GeometryConfig, alphas: np.ndarray, x, y, theta):
 
 
 def _fk_system_pieces(geom: GeometryConfig, bx, by, theta):
-    """Difference-system parts for elbow points (K, 3) against theta arrays."""
+    """Difference-system parts for elbow points (K, 3) against theta (K,) or (K or 1, T).
+
+    The legs run along a leading axis of one cos and one sin; each element
+    is computed in the order of a per-leg evaluation, bit for bit.
+    """
     s, m = geom.s, geom.m
-    psi = np.asarray(geom.platform_phase)
-    ex = []
-    ey = []
-    h = []
-    for i in range(3):
-        shape = bx[:, i].shape + (1,) * (theta.ndim - 1)
-        exi = s * np.cos(theta + psi[i]) - bx[:, i].reshape(shape)
-        eyi = s * np.sin(theta + psi[i]) - by[:, i].reshape(shape)
-        ex.append(exi)
-        ey.append(eyi)
-        h.append(exi * exi + eyi * eyi - m * m)
-    m11 = 2.0 * (ex[1] - ex[0])
-    m12 = 2.0 * (ey[1] - ey[0])
-    m21 = 2.0 * (ex[2] - ex[0])
-    m22 = 2.0 * (ey[2] - ey[0])
+    pad = (1,) * (theta.ndim - 1)
+    ang = theta + np.reshape(geom.platform_phase, (3, 1, *pad))
+    ex = s * np.cos(ang) - bx.T.reshape(3, -1, *pad)
+    ey = s * np.sin(ang) - by.T.reshape(3, -1, *pad)
+    h = ex * ex + ey * ey - m * m
+    m11, m21 = 2.0 * (ex[1:] - ex[0])
+    m12, m22 = 2.0 * (ey[1:] - ey[0])
     det = m11 * m22 - m12 * m21
-    r1 = h[0] - h[1]
-    r2 = h[0] - h[2]
+    r1, r2 = h[0] - h[1:]
     return (m11, m12, m21, m22), (r1, r2), det, ex[0], ey[0], h[0]
 
 
@@ -328,13 +326,7 @@ def _positions_batch(geom: GeometryConfig, bx, by, theta):
     two assembly modes at almost the same orientation but far apart, and
     the single Cramer point leads the full-system polish to only one.
     """
-    mm, rr, det, e0x, e0y, h0 = _fk_system_pieces(geom, bx, by, theta[:, None])
-    m11, m12, m21, m22 = (v[:, 0] for v in mm)
-    r1, r2 = (v[:, 0] for v in rr)
-    det = det[:, 0]
-    e0x = e0x[:, 0]
-    e0y = e0y[:, 0]
-    h0 = h0[:, 0]
+    (m11, m12, m21, m22), (r1, r2), det, e0x, e0y, h0 = _fk_system_pieces(geom, bx, by, theta)
     scale = np.sqrt((m11 * m11 + m12 * m12) * (m21 * m21 + m22 * m22))
     scale = np.maximum(scale, 1e-300)
     big = np.abs(det) > 1e-4 * scale
@@ -376,33 +368,33 @@ def _positions_batch(geom: GeometryConfig, bx, by, theta):
 
 
 def _full_system(geom: GeometryConfig, bx, by, x, y, theta):
-    """Closure values and Jacobian of the full system; all inputs (K, ...)."""
+    """Closure values g (K, 3) and Jacobian (K, 3, 3) of the full system at (K,) poses."""
     s, m = geom.s, geom.m
-    psi = np.asarray(geom.platform_phase)
-    g = np.empty((len(x), 3))
-    jac = np.empty((len(x), 3, 3))
-    for i in range(3):
-        ux = np.cos(theta + psi[i])
-        uy = np.sin(theta + psi[i])
-        wx = x + s * ux - bx[:, i]
-        wy = y + s * uy - by[:, i]
-        g[:, i] = wx * wx + wy * wy - m * m
-        jac[:, i, 0] = 2.0 * wx
-        jac[:, i, 1] = 2.0 * wy
-        jac[:, i, 2] = 2.0 * s * (wy * ux - wx * uy)
-    return g, jac
+    ang = theta[:, None] + np.asarray(geom.platform_phase)
+    ux = np.cos(ang)
+    uy = np.sin(ang)
+    wx = x[:, None] + s * ux - bx
+    wy = y[:, None] + s * uy - by
+    jac = 2.0 * np.array((wx, wy, s * (wy * ux - wx * uy))).transpose(1, 2, 0)
+    return wx * wx + wy * wy - m * m, jac
 
 
 def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta, iters: int = 30):
-    """Vectorized Newton on the full closure system; a row stops at a step below 1e-13."""
-    x = x.copy()
-    y = y.copy()
-    theta = theta.copy()
+    """Vectorized Newton on the full closure system.
+
+    A row stops after a step below 1e-13, or at the rounding floor, where
+    its closure values are within STALL_ULPS of m^2 and its step did not
+    shrink (near a double root such steps wander above 1e-13); it then
+    keeps the iterate that step was computed at.
+    """
+    floor = STALL_ULPS * np.spacing(geom.m * geom.m)
+    z = np.stack((x, y, theta), axis=1)
     act = np.arange(len(x))
+    prev = np.full(len(x), np.inf)
     for _ in range(iters):
         if act.size == 0:
             break
-        g, jac = _full_system(geom, bx[act], by[act], x[act], y[act], theta[act])
+        g, jac = _full_system(geom, bx[act], by[act], *z[act].T)
         try:
             step = np.linalg.solve(jac, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -412,25 +404,23 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta, iters: int = 3
             step = np.linalg.solve(jac, g[..., None])[..., 0]
             step[sing] = 0.0
         norm = np.max(np.abs(step), axis=1)
+        stall = (norm >= prev) & (np.max(np.abs(g), axis=1) <= floor)
         shrink = np.where(norm > 1.0, norm, 1.0)
         step = step / shrink[:, None]
-        x[act] -= step[:, 0]
-        y[act] -= step[:, 1]
-        theta[act] -= step[:, 2]
-        act = act[norm >= 1e-13]
-    return x, y, theta
+        step[stall] = 0.0
+        z[act] -= step
+        go = (norm >= 1e-13) & ~stall
+        act = act[go]
+        prev = norm[go]
+    return z.T
 
 
 def _closure_error(geom: GeometryConfig, bx, by, x, y, theta):
-    s, m = geom.s, geom.m
-    psi = np.asarray(geom.platform_phase)
-    worst = None
-    for i in range(3):
-        cx = x + s * np.cos(theta + psi[i])
-        cy = y + s * np.sin(theta + psi[i])
-        gap = np.abs(np.hypot(cx - bx[:, i], cy - by[:, i]) - m)
-        worst = gap if worst is None else np.maximum(worst, gap)
-    return worst
+    """Largest leg closure error | |c_i - b_i| - m | of each (K,) pose."""
+    ang = theta[:, None] + np.asarray(geom.platform_phase)
+    cx = x[:, None] + geom.s * np.cos(ang)
+    cy = y[:, None] + geom.s * np.sin(ang)
+    return np.max(np.abs(np.hypot(cx - bx, cy - by) - geom.m), axis=1)
 
 
 #: Trigonometric degree of the scan polynomial N: the direct problem is the
@@ -452,6 +442,11 @@ FK_CHUNK = 8192
 
 #: Largest closure error, in length units, of an accepted assembly pose.
 RESIDUAL_TOL = 1e-9
+
+#: A Newton row whose step stopped shrinking is at its rounding floor when
+#: every |c_i - b_i|^2 - m^2 is within this many ulps of m^2. A looser gate
+#: can stop copies of two roots 1.03e-6 apart close enough to merge them.
+STALL_ULPS = 4
 
 #: Records of one triple at most this far apart (Chebyshev over x, y and
 #: wrapped theta) are one pose: near a double root, copies of one root polish
@@ -555,7 +550,7 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
         # Newton on N sharpens the eigenvalue orientations.
         h = 1e-7
         for _ in range(3):
-            fm = _fk_scan(geom, bxr, byr, np.stack([theta - h, theta, theta + h], axis=1))
+            fm = _fk_scan(geom, bxr, byr, theta[:, None] + np.array([-h, 0.0, h]))
             d1 = (fm[:, 2] - fm[:, 0]) / (2.0 * h)
             ok = np.isfinite(d1) & (d1 != 0.0)
             theta = theta - np.where(ok, fm[:, 1] / np.where(ok, d1, 1.0), 0.0)

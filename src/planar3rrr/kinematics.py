@@ -19,6 +19,7 @@ scalar ``forward_kinematics`` is a one-triple wrapper over it.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 
 import numpy as np
@@ -92,17 +93,19 @@ def inverse_kinematics_all(
 def _check_degenerate(geom: GeometryConfig, bx, by) -> None:
     """Raise when the 2x2 reduction is singular at every orientation.
 
-    det(M) is a trigonometric polynomial of degree one in theta, read off
-    exactly from three samples. Unless it vanishes identically it has at
-    most two zeros, isolated singular orientations that fk_roots handles by
-    a rank-1 line analysis; if it vanishes identically the geometry is
-    architecture-singular for these actuated angles.
+    In complex form row k of M is 2 (e^(i theta) q_k - d_k), with
+    q_k = s (e^(i psi_k) - e^(i psi_0)) and d_k = b_k - b_0, so det(M) / 4 =
+    Im(q_1* q_2 + d_1* d_2) + Im(e^(i theta) (q_1 d_2* - q_2 d_1*)). Unless
+    this degree-one polynomial vanishes identically (architecture-singular
+    actuated angles) it has at most two zeros, isolated singular
+    orientations that fk_roots handles by a rank-1 line analysis.
     """
-    thetas = np.arange(3) * (TWO_PI / 3)
-    (m11, m12, m21, m22), _, det, *_ = batch._fk_system_pieces(geom, bx, by, thetas[None, :])
-    coeffs = np.fft.rfft(det[0]) / 3
-    scale = np.sqrt((m11**2 + m12**2) * (m21**2 + m22**2)).max()
-    if abs(coeffs[0]) + 2.0 * abs(coeffs[1]) <= 1e-12 * scale:
+    q = [geom.s * cmath.exp(1j * p) for p in geom.platform_phase]
+    b = [complex(u, v) for u, v in zip(bx[0].tolist(), by[0].tolist())]
+    q1, q2, d1, d2 = q[1] - q[0], q[2] - q[0], b[1] - b[0], b[2] - b[0]
+    c = (q1.conjugate() * q2 + d1.conjugate() * d2).imag
+    w = q1 * d2.conjugate() - q2 * d1.conjugate()
+    if abs(c) + abs(w) <= 1e-12 * (abs(q1) + abs(d1)) * (abs(q2) + abs(d2)):
         raise DegenerateLinearSystemError(0.0, TWO_PI)
 
 

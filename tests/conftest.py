@@ -42,6 +42,20 @@ FK_REF_INDICES = (
 #: Actuated angles whose assembly set is empty (elbows radially outward).
 ALPHA_EMPTY = (-2.6179938779914944, -0.5235987755982994, 1.5707963267948966)
 
+#: Near-tangent triples of the reference geometry with their pose counts.
+NEAR_TANGENT_CLUSTERS = [
+    # A close root pair inside a root cluster near a det(A) = 0 wall.
+    ((0.15450438660958757, 2.2225481329060734, -1.941532133672311), 6),
+    # A clustered root that can come back as two near-duplicate poses.
+    ((1.582386744625084, 2.771700931028144, -0.7870038039393688), 6),
+    # Two poses 6e-5 apart (2e-6 apart in theta) that are both roots.
+    ((1.398272689084497, 1.39380816851569, -1.4950958595690658), 4),
+    # Two polished copies of one clustered root, 1.6e-8 apart.
+    ((0.2737269273095128, 2.9434186165450678, -1.4467452239015408), 6),
+    # A clustered root that plain degree-3 scanning returned twice.
+    ((0.8878786963550236, 3.1124772795929054, -1.125822520198203), 6),
+]
+
 
 @pytest.fixture(scope="session")
 def default_geom() -> GeometryConfig:

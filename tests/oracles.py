@@ -332,3 +332,89 @@ def sign_grids_dense(geom, box, depth, modes):
         with np.errstate(invalid="ignore"):
             signs[j] = np.where(reach, np.sign(det), 0.0).astype(np.int8)
     return reach, signs
+
+
+def fk_system_pieces_per_leg(geom, bx, by, theta):
+    """Difference-system parts of the direct solver, one leg at a time: the
+    solver's kernel before its legs shared one cos and one sin, operation
+    for operation."""
+    s, m = geom.s, geom.m
+    psi = np.asarray(geom.platform_phase)
+    ex = []
+    ey = []
+    h = []
+    for i in range(3):
+        shape = bx[:, i].shape + (1,) * (theta.ndim - 1)
+        exi = s * np.cos(theta + psi[i]) - bx[:, i].reshape(shape)
+        eyi = s * np.sin(theta + psi[i]) - by[:, i].reshape(shape)
+        ex.append(exi)
+        ey.append(eyi)
+        h.append(exi * exi + eyi * eyi - m * m)
+    m11 = 2.0 * (ex[1] - ex[0])
+    m12 = 2.0 * (ey[1] - ey[0])
+    m21 = 2.0 * (ex[2] - ex[0])
+    m22 = 2.0 * (ey[2] - ey[0])
+    det = m11 * m22 - m12 * m21
+    r1 = h[0] - h[1]
+    r2 = h[0] - h[2]
+    return (m11, m12, m21, m22), (r1, r2), det, ex[0], ey[0], h[0]
+
+
+def full_system_per_leg(geom, bx, by, x, y, theta):
+    """Closure values and Jacobian of the full system, one leg at a time."""
+    s, m = geom.s, geom.m
+    psi = np.asarray(geom.platform_phase)
+    g = np.empty((len(x), 3))
+    jac = np.empty((len(x), 3, 3))
+    for i in range(3):
+        ux = np.cos(theta + psi[i])
+        uy = np.sin(theta + psi[i])
+        wx = x + s * ux - bx[:, i]
+        wy = y + s * uy - by[:, i]
+        g[:, i] = wx * wx + wy * wy - m * m
+        jac[:, i, 0] = 2.0 * wx
+        jac[:, i, 1] = 2.0 * wy
+        jac[:, i, 2] = 2.0 * s * (wy * ux - wx * uy)
+    return g, jac
+
+
+def closure_error_per_leg(geom, bx, by, x, y, theta):
+    """Largest leg closure error of each pose, one leg at a time."""
+    s, m = geom.s, geom.m
+    psi = np.asarray(geom.platform_phase)
+    worst = None
+    for i in range(3):
+        cx = x + s * np.cos(theta + psi[i])
+        cy = y + s * np.sin(theta + psi[i])
+        gap = np.abs(np.hypot(cx - bx[:, i], cy - by[:, i]) - m)
+        worst = gap if worst is None else np.maximum(worst, gap)
+    return worst
+
+
+def newton_full_step_floor(geom, bx, by, x, y, theta, iters=30):
+    """The direct solver's full-system Newton when a row stopped only at a
+    step below 1e-13."""
+    x = x.copy()
+    y = y.copy()
+    theta = theta.copy()
+    act = np.arange(len(x))
+    for _ in range(iters):
+        if act.size == 0:
+            break
+        g, jac = full_system_per_leg(geom, bx[act], by[act], x[act], y[act], theta[act])
+        try:
+            step = np.linalg.solve(jac, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            dets = np.linalg.det(jac)
+            sing = np.abs(dets) < 1e-300
+            jac[sing] = np.eye(3)
+            step = np.linalg.solve(jac, g[..., None])[..., 0]
+            step[sing] = 0.0
+        norm = np.max(np.abs(step), axis=1)
+        shrink = np.where(norm > 1.0, norm, 1.0)
+        step = step / shrink[:, None]
+        x[act] -= step[:, 0]
+        y[act] -= step[:, 1]
+        theta[act] -= step[:, 2]
+        act = act[norm >= 1e-13]
+    return x, y, theta

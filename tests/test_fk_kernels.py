@@ -1,0 +1,170 @@
+"""The direct solver's closure kernels and its full-system Newton.
+
+The kernels evaluate all three legs at once; ``oracles`` keeps their
+one-leg-at-a-time form, which they must reproduce bit for bit at every
+theta shape their callers pass. The Newton stops a row at the rounding
+floor as well as at a step below 1e-13; on simple roots it must follow the
+step-only loop bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+from conftest import NEAR_TANGENT_CLUSTERS
+from planar3rrr import batch
+from planar3rrr.errors import DegenerateLinearSystemError, KinematicError
+from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode
+from planar3rrr.kinematics import forward_kinematics, inverse_kinematics
+
+K = 17
+
+GEOMETRIES = {
+    "reference": GeometryConfig.reference(),
+    "congruent": GeometryConfig(r=5, s=5),
+    "l_ne_m": GeometryConfig(l=5, m=7, r=9, s=4),
+    "random": GeometryConfig(
+        l=3.7,
+        m=8.2,
+        r=6.1,
+        s=2.3,
+        base_phase=(0.4, 2.9, 4.1),
+        platform_phase=(5.3, 1.2, 3.3),
+    ),
+}
+
+
+def _elbows(geom, rng, k=K):
+    return batch.elbow_points(geom, rng.uniform(-math.pi, math.pi, (k, 3)))
+
+
+@pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+@pytest.mark.parametrize("shape", [(1, 8), (K, 1), (K, 3), (1, 3), (K,)])
+def test_system_pieces_match_per_leg_oracle(geom, shape, rng):
+    bx, by = _elbows(geom, rng)
+    theta = rng.uniform(-7.0, 7.0, shape)
+    got = batch._fk_system_pieces(geom, bx, by, theta)
+    want = oracles.fk_system_pieces_per_leg(geom, bx, by, theta.reshape(len(theta), -1))
+    flat_got = [*got[0], *got[1], *got[2:]]
+    flat_want = [*want[0], *want[1], *want[2:]]
+    if theta.ndim == 1:
+        flat_want = [v[:, 0] for v in flat_want]
+    for g, w in zip(flat_got, flat_want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+def test_full_system_and_closure_error_match_per_leg_oracle(geom, rng):
+    bx, by = _elbows(geom, rng)
+    x, y = rng.uniform(-6.0, 6.0, (2, K))
+    theta = rng.uniform(-7.0, 7.0, K)
+    g, jac = batch._full_system(geom, bx, by, x, y, theta)
+    g_want, jac_want = oracles.full_system_per_leg(geom, bx, by, x, y, theta)
+    assert np.array_equal(g, g_want)
+    assert np.array_equal(jac, jac_want)
+    assert np.array_equal(
+        batch._closure_error(geom, bx, by, x, y, theta),
+        oracles.closure_error_per_leg(geom, bx, by, x, y, theta),
+    )
+
+
+@pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+def test_newton_follows_step_floor_loop_on_simple_roots(geom, rng):
+    # Candidates 1e-3 off the poses of mode-A IK images. Where the closure
+    # Jacobian at the pose is well conditioned the root is simple, Newton
+    # converges quadratically and the two loops agree bit for bit; elsewhere
+    # they may part at the rounding floor.
+    alphas, poses = [], []
+    while len(poses) < 200:
+        pose = Pose(*rng.uniform(-3.0, 3.0, 2), rng.uniform(-1.0, 1.0))
+        try:
+            alphas.append(inverse_kinematics(geom, pose, WorkingMode.A).alpha)
+        except KinematicError:
+            continue
+        poses.append(pose.as_tuple())
+    bx, by = batch.elbow_points(geom, np.array(alphas))
+    exact = np.array(poses)
+    simple = np.linalg.cond(batch._full_system(geom, bx, by, *exact.T)[1]) < 100.0
+    assert simple.sum() > 150
+    x, y, theta = (exact + rng.normal(0.0, 1e-3, exact.shape)).T
+    got = np.array(batch._newton_full_batch(geom, bx, by, x, y, theta))
+    want = np.array(oracles.newton_full_step_floor(geom, bx, by, x, y, theta))
+    assert np.array_equal(got[:, simple], want[:, simple])
+    assert np.abs(got - want).max() < 1e-10
+
+
+def _rows_evaluated(monkeypatch, module, name):
+    """Count the rows each call of ``module.name`` evaluates."""
+    rows = []
+    fn = getattr(module, name)
+
+    def counted(geom, bx, *args):
+        rows.append(len(bx))
+        return fn(geom, bx, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    return rows
+
+
+def test_near_tangent_clusters_keep_their_poses_with_fewer_newton_rows(ref_geom, monkeypatch):
+    alphas = np.array([alpha for alpha, _ in NEAR_TANGENT_CLUSTERS])
+    new_rows = _rows_evaluated(monkeypatch, batch, "_full_system")
+    idx, x, y, theta = batch.fk_roots(ref_geom, alphas)
+    old_rows = _rows_evaluated(monkeypatch, oracles, "full_system_per_leg")
+    monkeypatch.setattr(batch, "_newton_full_batch", oracles.newton_full_step_floor)
+    idx0, x0, y0, theta0 = batch.fk_roots(ref_geom, alphas)
+    assert np.bincount(idx, minlength=len(alphas)).tolist() == [c for _, c in NEAR_TANGENT_CLUSTERS]
+    assert np.array_equal(idx, idx0)
+    for j in range(len(idx)):
+        # Records are ordered by closure error within a triple: match by distance.
+        same = idx0 == idx[j]
+        gap = np.maximum(np.abs(x0 - x[j]), np.abs(y0 - y[j]))
+        gap = np.maximum(gap, np.abs(np.angle(np.exp(1j * (theta0 - theta[j])))))
+        assert gap[same].min() < 1e-5
+        b = oracles.elbow_points(ref_geom, alphas[idx[j]])
+        for i, (cx, cy) in enumerate(oracles.platform_joints(ref_geom, x[j], y[j], theta[j])):
+            assert abs(math.hypot(cx - b[i, 0], cy - b[i, 1]) - ref_geom.m) < 1e-9
+    assert sum(new_rows) < sum(old_rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mirrored_equal_angle_elbows_are_degenerate(seed):
+    # An equilateral platform mirrored against the base at equal size: with
+    # equal actuated angles the elbow triangle mirrors the platform, and
+    # det(M) vanishes at every orientation; one angle off, it does not.
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(0.0, 2.0 * math.pi)
+    base = tuple(start + k * 2.0 * math.pi / 3.0 for k in range(3))
+    size = rng.uniform(2.0, 12.0)
+    geom = GeometryConfig(
+        l=rng.uniform(1.0, 10.0),
+        m=rng.uniform(1.0, 10.0),
+        r=size,
+        s=size,
+        base_phase=base,
+        platform_phase=(base[0], base[2], base[1]),
+    )
+    alpha = rng.uniform(-math.pi, math.pi)
+    with pytest.raises(DegenerateLinearSystemError):
+        forward_kinematics(geom, (alpha, alpha, alpha))
+    forward_kinematics(geom, (alpha, alpha, alpha + 1e-3))
+
+
+def test_close_root_pair_is_two_poses(ref_geom):
+    # Two true roots 1.03e-6 apart (Chebyshev; found in 50-digit arithmetic
+    # at theta = -0.6750086825 and -0.6750086182), just over MERGE_TOL. The
+    # Jacobian there has condition 6e7, so a row stopped at closure values
+    # of 1e-10 sits up to 5e-8 off its root and the two copies merged.
+    alpha = (-0.24416521671644098, 2.239582234459359, -0.26788043782152915)
+    sols = forward_kinematics(ref_geom, alpha)
+    assert len(sols) == 4
+    pair = [s for s in sols if abs(s.theta + 0.67500865) < 1e-6]
+    assert len(pair) == 2
+    assert 1e-6 < pair[0].distance(pair[1]) < 2e-6
+    b = oracles.elbow_points(ref_geom, alpha)
+    for s in sols:
+        for i, (cx, cy) in enumerate(oracles.platform_joints(ref_geom, s.x, s.y, s.theta)):
+            assert abs(math.hypot(cx - b[i, 0], cy - b[i, 1]) - ref_geom.m) < 1e-9

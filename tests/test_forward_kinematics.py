@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ALPHA_EMPTY, ALPHA_REF, FK_REF_POSES, TABLE_POSES
+from conftest import ALPHA_EMPTY, ALPHA_REF, FK_REF_POSES, NEAR_TANGENT_CLUSTERS, TABLE_POSES
 from planar3rrr import batch
 from planar3rrr.errors import DegenerateLinearSystemError
 from planar3rrr.geometry import DEFAULT_PHASES, GeometryConfig, Pose, WorkingMode, angle_difference
@@ -120,22 +120,7 @@ def test_solutions_complete_against_descent_oracle(ref_geom, rng):
             assert min((s.distance(p) for p in oracle), default=np.inf) < 1e-4
 
 
-@pytest.mark.parametrize(
-    "alpha, count",
-    [
-        # A close root pair inside a root cluster near a det(A) = 0 wall.
-        ((0.15450438660958757, 2.2225481329060734, -1.941532133672311), 6),
-        # A clustered root that can come back as two near-duplicate poses.
-        ((1.582386744625084, 2.771700931028144, -0.7870038039393688), 6),
-        # Two poses 6e-5 apart (2e-6 apart in theta) that are both roots.
-        ((1.398272689084497, 1.39380816851569, -1.4950958595690658), 4),
-        # Two polished copies of one clustered root, 1.6e-8 apart.
-        ((0.2737269273095128, 2.9434186165450678, -1.4467452239015408), 6),
-        # A clustered root that plain degree-3 scanning returned twice.
-        ((0.8878786963550236, 3.1124772795929054, -1.125822520198203), 6),
-    ],
-    ids=[f"alpha{k}" for k in range(5)],
-)
+@pytest.mark.parametrize("alpha, count", NEAR_TANGENT_CLUSTERS, ids=[f"alpha{k}" for k in range(5)])
 def test_near_tangent_root_clusters(ref_geom, alpha, count):
     sols = forward_kinematics(ref_geom, alpha)
     assert len(sols) == count
