@@ -16,7 +16,9 @@ components, and no fixed margin repairs both. Corner agreement keeps
 wall-straddling cells OUT at any wall thickness. The census reports only
 solid components, those containing at least one cell whose full 3x3x3 cell
 neighborhood is IN; thinner debris is below the resolution of the
-subdivision and is labeled but not counted.
+subdivision and is labeled but not counted. Components come from the leaf
+labeler (``octree.connected_components``), and solidity is decided on the
+leaves too (``_solid_ids``), without a voxel grid.
 
 A joint cell is IN for a (mode, det sign) pair when some assembly pose of
 its center's actuated angles realizes that pair (``batch.assembly_modes``).
@@ -34,18 +36,20 @@ from pathlib import Path
 import numpy as np
 
 from . import batch
-from .errors import ConfigError, ModeMismatchError, OutOfBoxError, ParallelSingularError
+from .errors import ConfigError, ModeMismatchError, ParallelSingularError
 from .geometry import EPS_SING, FullConfiguration, GeometryConfig, WorkingMode
 from .jacobians import jacobians, working_mode_of
 from .octree import (
     Box3,
     Octree,
-    _components_from_grid,
     _grid_to_tree,
-    _rasterize,
+    _leaf_adjacency_pairs,
+    _voxel_leaves,
+    connected_components,
     joint_box,
+    leaf_indices,
     locate,
-    morton_encode,
+    morton_decode,
     workspace_box,
 )
 
@@ -62,11 +66,12 @@ SLAB_POINTS = 1 << 16
 #: peaks at depths 5-8 on the reference and the congruent (r = s) geometry:
 #: per sample of a sign-grid slab whose samples are all in reach (at most
 #: 434 B), per workspace cell of the (mode, sign) pairs being labeled (at
-#: most 22.7 B, which includes the trees of the pairs already done), and per
-#: joint cell of the joint sweep (at most 1,159 B, on the congruent geometry,
-#: whose every triple passes the leg-pair test and is solved).
+#: most 17.0 B at depths 7 and 8, where this term outweighs the slab's; it
+#: includes the trees of the pairs already done), and per joint cell of the
+#: joint sweep (at most 1,159 B, on the congruent geometry, whose every
+#: triple passes the leg-pair test and is solved).
 SLAB_BYTES_PER_POINT = 448
-PAIR_BYTES_PER_CELL = 24
+PAIR_BYTES_PER_CELL = 18
 JOINT_BYTES_PER_CELL = 1280
 
 
@@ -178,34 +183,47 @@ def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, modes):
     return reach, signs
 
 
-def _corner_expand(vals: np.ndarray, box: Box3, depth: int) -> np.ndarray:
-    """AND of the 8 corner samples per cell; vals is a corner-grid boolean."""
-    n = 1 << depth
+def _corner_expand(vals: np.ndarray, box: Box3) -> np.ndarray:
+    """AND of the 8 corner samples per cell; vals is a corner-grid boolean.
+
+    The AND runs one axis at a time over neighboring samples; on an axis
+    that wraps, corner 0 is appended as corner n first.
+    """
     v = vals
     for axis in range(3):
         if box.wraps(axis):
-            idx = np.arange(n + 1) % n
-            v = np.take(v, idx, axis=axis)
-    return (
-        v[:-1, :-1, :-1] & v[1:, :-1, :-1] & v[:-1, 1:, :-1] & v[1:, 1:, :-1]
-        & v[:-1, :-1, 1:] & v[1:, :-1, 1:] & v[:-1, 1:, 1:] & v[1:, 1:, 1:]
+            v = np.concatenate([v, np.take(v, [0], axis=axis)], axis=axis)
+        lead = (slice(None),) * axis
+        v = v[lead + (slice(None, -1),)] & v[lead + (slice(1, None),)]
+    return v
+
+
+def _solid_ids(tree: Octree) -> tuple[int, ...]:
+    """Ids of the components that hold a cell whose whole 3x3x3 block is IN.
+
+    A leaf of side 4 or more holds such a cell, so its component is solid. A
+    side-1 leaf never does: its block holds its 7 siblings, which the
+    canonical tree would have merged with it were they all IN. So only the
+    side-2 leaves of the other components are probed, each over its 4x4x4
+    neighborhood, where its 8 cells' blocks are the 8 windows of 3x3x3.
+    Periodic axes wrap; a voxel past a non-wrapping edge is OUT.
+    """
+    in_big = tree.label & (tree.depth <= tree.max_depth - 2)
+    solid = np.unique(tree.comp[in_big])
+    ids = np.flatnonzero(
+        tree.label & (tree.depth == tree.max_depth - 1) & ~np.isin(tree.comp, solid)
     )
-
-
-def _erode_box_cells(grid: np.ndarray, wrap: tuple[bool, bool, bool]) -> np.ndarray:
-    """One-cell erosion with a full 3x3x3 box (separable), wrap-aware."""
-    out = grid
-    for axis in range(3):
-        plus = np.roll(out, 1, axis=axis)
-        minus = np.roll(out, -1, axis=axis)
-        if not wrap[axis]:
-            sl = [slice(None)] * 3
-            sl[axis] = 0
-            plus[tuple(sl)] = False
-            sl[axis] = -1
-            minus[tuple(sl)] = False
-        out = out & plus & minus
-    return out
+    if ids.size:
+        # Voxels -1..2 from the leaf origin on each axis: the leaf is the inner 2x2x2.
+        origins = morton_decode(tree.starts[ids])
+        ox, oy, oz = (o.astype(np.int64)[:, None, None, None] for o in origins)
+        r = np.arange(-1, 3)
+        j = _voxel_leaves(tree, ox + r[:, None, None], oy + r[:, None], oz + r)
+        block = (j >= 0) & tree.label[j]
+        windows = np.lib.stride_tricks.sliding_window_view(block, (3, 3, 3), axis=(1, 2, 3))
+        held = windows.all(axis=(4, 5, 6)).any(axis=(1, 2, 3))
+        solid = np.union1d(solid, tree.comp[ids[held]])
+    return tuple(int(c) for c in solid)
 
 
 def _joint_flag_grids(geom: GeometryConfig, jbox: Box3, depth: int):
@@ -249,7 +267,6 @@ def enumerate_aspects(
         raise ValueError(f"det_signs must be +1 or -1, got {bad}")
     box = box or workspace_box()
     modes = list(modes) if modes is not None else list(WorkingMode)
-    wrap = tuple(box.wraps(axis) for axis in range(3))
     if build_joint:
         jbox = jbox or joint_box()
         joint_depth = min(depth, 5) if joint_depth is None else joint_depth
@@ -271,11 +288,9 @@ def enumerate_aspects(
     for j, mode in enumerate(modes):
         k = batch.MODE_ORDER.index(mode)
         for sign in det_signs:
-            grid_in = _corner_expand(reach & (signs[j] == sign), box, depth)
-            tree = _grid_to_tree(grid_in, box, depth)
-            tree, count_raw, lab, rank = _components_from_grid(tree, grid_in)
-            survivors = np.unique(lab[_erode_box_cells(grid_in, wrap)])
-            solid = tuple(sorted(int(rank[r]) for r in survivors if r > 0))
+            tree = _grid_to_tree(_corner_expand(reach & (signs[j] == sign), box), box, depth)
+            tree, count_raw = connected_components(tree)
+            solid = _solid_ids(tree)
             in_mask = tree.label
             comp_in = tree.comp[in_mask]
             leaf_counts = (
@@ -289,9 +304,8 @@ def enumerate_aspects(
             joint_tree = None
             n_joint = 0
             if joint_flags is not None:
-                jgrid = joint_flags[k, 0 if sign > 0 else 1]
-                joint_tree = _grid_to_tree(jgrid, jbox, joint_depth)
-                joint_tree, n_joint, _, _ = _components_from_grid(joint_tree, jgrid)
+                joint_tree = _grid_to_tree(joint_flags[k, 0 if sign > 0 else 1], jbox, joint_depth)
+                joint_tree, n_joint = connected_components(joint_tree)
             entries[(mode, sign)] = AspectEntry(
                 mode=mode,
                 det_sign=sign,
@@ -359,15 +373,6 @@ class CharacteristicSurface:
         return self.marked_leaves.size == 0
 
 
-def _voxel_to_leaf(tree: Octree, ix, iy, iz) -> np.ndarray:
-    code = morton_encode(
-        np.asarray(ix, dtype=np.uint64),
-        np.asarray(iy, dtype=np.uint64),
-        np.asarray(iz, dtype=np.uint64),
-    )
-    return np.searchsorted(tree.starts, code, side="right") - 1
-
-
 def characteristic_surface(
     geom: GeometryConfig,
     atlas: AspectAtlas,
@@ -389,47 +394,26 @@ def characteristic_surface(
         raise ValueError("atlas workspace tree lacks component labels")
     if component_id < 0 or component_id >= entry.n_components_raw:
         raise ValueError(f"component {component_id} does not exist")
-    n = 1 << tree.max_depth
-    comp_grid = _rasterize(tree, tree.comp)
-    grid_in = comp_grid >= 0
-    sel = comp_grid == component_id
+    # Every face-adjacent leaf pair, found from its smaller side, oriented IN -> OUT.
+    k, j = _leaf_adjacency_pairs(tree, np.arange(tree.n_leaves))
+    cross = tree.label[k] != tree.label[j]
+    k, j = k[cross], j[cross]
+    leaf_in = np.where(tree.label[k], k, j)
+    leaf_out = np.where(tree.label[k], j, k)
+    on = tree.comp[leaf_in] == component_id
+    leaf_in, leaf_out = leaf_in[on], leaf_out[on]
 
-    pair_in = []
-    pair_out = []
-    for axis in range(3):
-        wrapped = tree.box.wraps(axis)
-        for step in (1, -1):
-            neigh_out = ~np.roll(grid_in, -step, axis=axis)
-            mask = sel & neigh_out
-            if not wrapped:
-                edge = [slice(None)] * 3
-                edge[axis] = -1 if step == 1 else 0
-                mask[tuple(edge)] = False
-            iv = np.nonzero(mask)
-            if iv[0].size == 0:
-                continue
-            ov = list(iv)
-            ov[axis] = (iv[axis] + step) % n
-            pair_in.append(np.stack(iv, axis=1))
-            pair_out.append(np.stack(ov, axis=1))
-    if not pair_in:
-        empty = np.empty(0, dtype=np.int64)
-        return CharacteristicSurface(mode, det_sign, component_id, empty, empty)
-    vin = np.concatenate(pair_in)
-    vout = np.concatenate(pair_out)
-    leaf_in = _voxel_to_leaf(tree, vin[:, 0], vin[:, 1], vin[:, 2])
-    leaf_out = _voxel_to_leaf(tree, vout[:, 0], vout[:, 1], vout[:, 2])
-
+    centers = tree.leaf_centers()
     out_ids = np.unique(leaf_out)
-    centers = tree.leaf_centers()[out_ids]
-    reach, _ = batch.leg_reach(geom, centers[:, 0], centers[:, 1], centers[:, 2])
+    oc = centers[out_ids]
+    reach, _ = batch.leg_reach(geom, oc[:, 0], oc[:, 1], oc[:, 2])
     keep = np.isin(leaf_out, out_ids[reach])
     boundary = np.unique(leaf_in[keep])
     if boundary.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return CharacteristicSurface(mode, det_sign, component_id, empty, empty)
 
-    bc = tree.leaf_centers()[boundary]
+    bc = centers[boundary]
     legs = batch.solve_legs(geom, bc[:, 0], bc[:, 1], bc[:, 2], mode)
     solved = (legs.status == batch.LEG_OK).all(axis=1)
     alphas = legs.alpha[solved]
@@ -441,21 +425,10 @@ def characteristic_surface(
     dth = np.abs((th - src[:, 2] + math.pi) % (2.0 * math.pi) - math.pi)
     same = (np.abs(x - src[:, 0]) < 1e-6) & (np.abs(y - src[:, 1]) < 1e-6) & (dth < 1e-6)
     match &= ~same
-    marked: set[int] = set()
-    for xi, yi, ti in zip(x[match], y[match], th[match]):
-        try:
-            rec = locate(tree, (float(xi), float(yi), float(ti)))
-        except OutOfBoxError:
-            continue
-        if rec.comp == component_id:
-            marked.add(rec.index)
-    return CharacteristicSurface(
-        mode,
-        det_sign,
-        component_id,
-        np.array(sorted(marked), dtype=np.int64),
-        boundary.astype(np.int64),
-    )
+    hit = leaf_indices(tree, np.stack([x[match], y[match], th[match]], axis=1))
+    hit = hit[hit >= 0]
+    marked = np.unique(hit[tree.comp[hit] == component_id])
+    return CharacteristicSurface(mode, det_sign, component_id, marked, boundary)
 
 
 def write_manifest(atlas: AspectAtlas, outdir) -> Path:

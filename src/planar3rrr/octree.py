@@ -1,8 +1,8 @@
 """Labeled octrees over (x, y, theta) or joint space.
 
 Trees come from a full label grid (``_grid_to_tree``, which the aspect census
-feeds with its corner-classified cells) or from a callable predicate sampled
-at cell centers (``build_octree``).
+feeds with its corner-classified cells), from a dump (``loads``) or from the
+Boolean operations.
 
 A tree is stored as its leaf cells in Morton (bit-interleaved, x least
 significant) order: records (morton code at leaf depth, depth, label) that
@@ -11,7 +11,10 @@ so the stored form is the canonical minimal tree. One sibling merger,
 ``_canonical_tree``, canonicalizes the records of ``loads``, of the Boolean
 operations and of ``_tree_from_cells``; ``_grid_to_tree`` runs the same merge
 as groups-of-8 reductions over the Morton-ordered grid. Periodic axes
-(period 2pi) wrap for point location and for adjacency.
+(period 2pi) wrap for point location and for adjacency. Neighbors are found
+by probing voxels next to a leaf and searching the leaf starts
+(``_voxel_leaves``): the component labeler, the census's solidity test and
+the characteristic surface's boundary all work on leaves this way.
 
 The ``octree v1`` text dump is handled as whole byte arrays: ``dumps`` fills
 one byte matrix with a row per leaf and keeps each numeral's own digits;
@@ -34,7 +37,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .errors import BoxMismatchError, OutOfBoxError
-from .geometry import TWO_PI, GeometryConfig
+from .geometry import TWO_PI
 
 AXIS_LINEAR = "lin"
 AXIS_PERIODIC = "per"
@@ -134,18 +137,6 @@ class Box3:
         n = 1 << depth
         w = (self.hi[axis] - self.lo[axis]) / n
         return self.lo[axis] + (np.arange(n) + 0.5) * w
-
-    def normalize(self, point) -> tuple[float, float, float]:
-        """Fold periodic coordinates into the box; raise OutOfBoxError outside."""
-        out = []
-        for i in range(3):
-            v = float(point[i])
-            if self.axes[i] == AXIS_PERIODIC:
-                v = self.lo[i] + (v - self.lo[i]) % TWO_PI
-            if v < self.lo[i] or v > self.hi[i]:
-                raise OutOfBoxError(point, self)
-            out.append(v)
-        return tuple(out)
 
     def approx_equal(self, other: "Box3", tol: float = 1e-12) -> bool:
         return (
@@ -368,28 +359,6 @@ def _rasterize(tree: Octree, values: np.ndarray) -> np.ndarray:
     return cells.transpose(np.argsort(_morton_axes(d))).reshape((1 << d,) * 3)
 
 
-def build_octree(geom: GeometryConfig, pred, box: Box3, max_depth: int) -> Octree:
-    """Classify every max-depth cell center with ``pred`` and merge.
-
-    ``pred`` is a callable f(x, y, z) -> bool array under numpy broadcasting.
-    The kinematic cell classifier of the aspects lives in ``aspects``.
-    """
-    if not 1 <= max_depth <= 12:
-        raise ValueError("max_depth must be in [1, 12]")
-    n = 1 << max_depth
-    xs = box.centers(0, max_depth)
-    ys = box.centers(1, max_depth)
-    zs = box.centers(2, max_depth)
-    labels = np.empty((n, n, n), dtype=bool)
-    slab = max(1, (1 << 22) // (n * n))
-    for z0 in range(0, n, slab):
-        z = zs[z0 : z0 + slab]
-        shape = (n, n, len(z))
-        vals = pred(xs[:, None, None], ys[None, :, None], z[None, None, :])
-        labels[:, :, z0 : z0 + slab] = np.broadcast_to(np.asarray(vals, dtype=bool), shape)
-    return _grid_to_tree(labels, box, max_depth)
-
-
 def _union_small(n_labels: int, pairs) -> np.ndarray:
     parent = list(range(n_labels))
 
@@ -428,12 +397,10 @@ def _label_grid(grid: np.ndarray, wrap: tuple[bool, bool, bool]) -> np.ndarray:
     return lab
 
 
-def _renumber_by_storage_order(
-    tree: Octree, raw: np.ndarray
-) -> tuple[np.ndarray, int, np.ndarray]:
+def _renumber_by_storage_order(tree: Octree, raw: np.ndarray) -> tuple[np.ndarray, int]:
     """Renumber raw component ids by first appearance over IN leaves.
 
-    Returns (per-leaf comp, count, rank) where rank maps raw id -> new id.
+    Returns (per-leaf comp, count).
     """
     raw_in = raw[tree.label]
     ids, first = np.unique(raw_in, return_index=True)
@@ -441,60 +408,74 @@ def _renumber_by_storage_order(
     rank[ids[np.argsort(first)]] = np.arange(ids.size)
     comp = np.full(tree.n_leaves, -1, dtype=np.int64)
     comp[tree.label] = rank[raw_in]
-    return comp, int(ids.size), rank
+    return comp, int(ids.size)
 
 
-def _components_from_grid(
-    tree: Octree, grid: np.ndarray
-) -> tuple[Octree, int, np.ndarray, np.ndarray]:
-    """Component labels from the rasterized IN grid.
-
-    Returns (labeled tree, count, raw label grid, raw -> canonical rank map).
-    """
+def _components_from_grid(tree: Octree) -> tuple[Octree, int]:
+    """Component labels of the rasterized IN grid: the dense reference labeler."""
     wrap = tuple(tree.box.wraps(axis) for axis in range(3))
-    lab = _label_grid(grid, wrap)
-    ox, oy, oz = tree.leaf_origins()
-    raw = lab[ox.astype(int), oy.astype(int), oz.astype(int)]
-    comp, count, rank = _renumber_by_storage_order(tree, raw)
-    return replace(tree, comp=comp), count, lab, rank
+    lab = _label_grid(_rasterize(tree, tree.label), wrap)
+    ox, oy, oz = (o.astype(int) for o in tree.leaf_origins())
+    comp, count = _renumber_by_storage_order(tree, lab[ox, oy, oz])
+    return replace(tree, comp=comp), count
 
 
-def _leaf_adjacency_pairs(tree: Octree) -> np.ndarray:
-    """Face-adjacent IN-leaf index pairs (positive-area shared face).
+def _voxel_leaves(tree: Octree, ix, iy, iz) -> np.ndarray:
+    """Leaf holding each max-depth voxel (int64 index arrays, broadcast).
 
-    Each IN leaf k probes the voxel just across each of its 6 faces at the
-    face's minimum corner and finds the leaf j holding it. Leaves are dyadic,
-    so the smaller of two adjacent faces lies inside the larger one: keeping
-    (k, j) when j is IN and no smaller than k finds every adjacent pair from
-    its smaller side. Pairs index into the IN leaves in storage order.
+    Indices wrap on the axes that wrap; a voxel past a non-wrapping edge
+    gets -1.
     """
     n = 1 << tree.max_depth
-    ids = np.flatnonzero(tree.label)
-    origins = np.stack(tree.leaf_origins(), axis=1)[ids].astype(np.int64)
-    side = np.int64(1) << (tree.max_depth - tree.depth[ids].astype(np.int64))
-    unit = np.eye(3, dtype=np.int64)[:, None, :]
-    probe = np.concatenate([origins + side[:, None] * unit, origins - unit]).reshape(-1, 3)
-    k = np.tile(np.arange(ids.size), 6)
-    wraps = np.array([tree.box.wraps(axis) for axis in range(3)])
-    probe = np.where(wraps, probe % n, probe)
-    inside = ((probe >= 0) & (probe < n)).all(axis=1)
-    probe, k = probe[inside], k[inside]
-    j = np.searchsorted(tree.starts, morton_encode(*probe.T), side="right") - 1
-    keep = tree.label[j] & (j != ids[k]) & (tree.depth[j] <= tree.depth[ids[k]])
-    rank = np.cumsum(tree.label) - 1
-    return np.stack([k[keep], rank[j[keep]]], axis=1)
+    inside = True
+    voxels = []
+    for axis, v in enumerate((ix, iy, iz)):
+        if tree.box.wraps(axis):
+            v = v & (n - 1)
+        else:
+            inside = inside & (v >= 0) & (v < n)
+        voxels.append(v)
+    j = np.searchsorted(tree.starts, morton_encode(*voxels), side="right") - 1
+    return np.where(inside, j, -1)
+
+
+def _leaf_adjacency_pairs(tree: Octree, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Face-adjacent leaf pairs (k, j) (positive-area shared face), k in ``ids``.
+
+    Each leaf k probes the voxel just across each of its 6 faces at the
+    face's minimum corner and finds the leaf j holding it. Leaves are dyadic,
+    so the smaller of two adjacent faces lies inside the larger one: keeping
+    (k, j) when j is no smaller than k finds every adjacent pair of leaves in
+    ``ids`` from its smaller side (from both sides when they are equal).
+    """
+    origins = [o.astype(np.int64) for o in morton_decode(tree.starts[ids])]
+    depth = tree.depth[ids]
+    side = np.int64(1) << (tree.max_depth - depth.astype(np.int64))
+    pairs = []
+    for axis in range(3):
+        for step in (side, -1):
+            probe = list(origins)
+            probe[axis] = probe[axis] + step
+            j = _voxel_leaves(tree, *probe)
+            keep = (j >= 0) & (j != ids) & (tree.depth[j] <= depth)
+            pairs.append((ids[keep], j[keep]))
+    k, j = zip(*pairs)
+    return np.concatenate(k), np.concatenate(j)
 
 
 def _components_from_graph(tree: Octree) -> tuple[Octree, int]:
     ids = np.flatnonzero(tree.label)
     if ids.size == 0:
         return replace(tree, comp=np.full(tree.n_leaves, -1, dtype=np.int64)), 0
-    pairs = _leaf_adjacency_pairs(tree)
-    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(ids.size,) * 2)
+    k, j = _leaf_adjacency_pairs(tree, ids)
+    keep = tree.label[j]
+    rank = np.cumsum(tree.label) - 1
+    edges = (rank[k[keep]], rank[j[keep]])
+    graph = coo_matrix((np.ones(edges[0].size), edges), shape=(ids.size,) * 2)
     _, labels = _csgraph_components(graph, directed=False)
     raw = np.zeros(tree.n_leaves, dtype=np.int64)
     raw[ids] = labels + 1
-    comp, count, _ = _renumber_by_storage_order(tree, raw)
+    comp, count = _renumber_by_storage_order(tree, raw)
     return replace(tree, comp=comp), count
 
 
@@ -506,25 +487,40 @@ def connected_components(tree: Octree, method: str = "graph") -> tuple[Octree, i
     labels the rasterized voxel grid instead, an independent reference.
     """
     if method == "grid":
-        grid = _rasterize(tree, tree.label)
-        labeled, count, _, _ = _components_from_grid(tree, grid)
-        return labeled, count
+        return _components_from_grid(tree)
     if method == "graph":
         return _components_from_graph(tree)
     raise ValueError(f"unknown method {method!r}")
 
 
+def leaf_indices(tree: Octree, points) -> np.ndarray:
+    """Index of the leaf containing each point (rows x, y, z), or -1 outside.
+
+    Periodic coordinates are folded into the box first; a point outside the
+    box after folding (NaN included) gets -1.
+    """
+    box = tree.box
+    n = 1 << tree.max_depth
+    p = np.array(points, dtype=float).reshape(-1, 3)
+    inside = np.ones(len(p), dtype=bool)
+    voxels = []
+    for axis in range(3):
+        lo, hi = box.lo[axis], box.hi[axis]
+        v = p[:, axis]
+        if box.axes[axis] == AXIS_PERIODIC:
+            v = lo + (v - lo) % TWO_PI
+        ok = (v >= lo) & (v <= hi)
+        inside &= ok
+        w = (hi - lo) / n
+        voxels.append(np.clip(np.where(ok, v - lo, 0.0) / w, 0, n - 1).astype(np.int64))
+    return np.where(inside, _voxel_leaves(tree, *voxels), -1)
+
+
 def locate(tree: Octree, point) -> LeafRecord:
     """The unique leaf containing a point (periodic axes folded first)."""
-    p = tree.box.normalize(point)
-    n = 1 << tree.max_depth
-    idx = []
-    for axis in range(3):
-        w = (tree.box.hi[axis] - tree.box.lo[axis]) / n
-        i = int((p[axis] - tree.box.lo[axis]) / w)
-        idx.append(min(max(i, 0), n - 1))
-    code = morton_encode(np.uint64(idx[0]), np.uint64(idx[1]), np.uint64(idx[2]))
-    i = int(np.searchsorted(tree.starts, code, side="right")) - 1
+    i = int(leaf_indices(tree, [point])[0])
+    if i < 0:
+        raise OutOfBoxError(point, tree.box)
     comp = int(tree.comp[i]) if tree.comp is not None else None
     return LeafRecord(
         index=i,

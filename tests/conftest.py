@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from planar3rrr.geometry import GeometryConfig, Pose
+from planar3rrr.octree import Octree, _grid_to_tree
 
 #: Benchmark actuated angles with four assembly poses (radians).
 ALPHA_REF = (5.862610, 1.277470, 5.213885)
@@ -55,6 +56,27 @@ NEAR_TANGENT_CLUSTERS = [
     # A clustered root that plain degree-3 scanning returned twice.
     ((0.8878786963550236, 3.1124772795929054, -1.125822520198203), 6),
 ]
+
+
+def build_octree(geom, pred, box, max_depth: int) -> Octree:
+    """The tree of ``pred`` sampled at every max-depth cell center.
+
+    ``pred`` is a callable f(x, y, z) -> bool array under numpy broadcasting;
+    ``geom`` is not read.
+    """
+    if not 1 <= max_depth <= 12:
+        raise ValueError("max_depth must be in [1, 12]")
+    n = 1 << max_depth
+    xs = box.centers(0, max_depth)
+    ys = box.centers(1, max_depth)
+    zs = box.centers(2, max_depth)
+    labels = np.empty((n, n, n), dtype=bool)
+    slab = max(1, (1 << 22) // (n * n))
+    for z0 in range(0, n, slab):
+        z = zs[z0 : z0 + slab]
+        vals = pred(xs[:, None, None], ys[None, :, None], z[None, None, :])
+        labels[:, :, z0 : z0 + slab] = np.broadcast_to(np.asarray(vals, dtype=bool), (n, n, len(z)))
+    return _grid_to_tree(labels, box, max_depth)
 
 
 @pytest.fixture(scope="session")

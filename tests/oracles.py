@@ -268,6 +268,83 @@ def loads_rows(text):
     return rows
 
 
+def leaf_grid(tree, values):
+    """Per-leaf ``values`` painted onto the max-depth voxel grid, leaf by leaf."""
+    n = 1 << tree.max_depth
+    grid = np.empty((n, n, n), dtype=np.asarray(values).dtype)
+    for i, (ox, oy, oz) in enumerate(zip(*(o.astype(int) for o in tree.leaf_origins()))):
+        s = 1 << (tree.max_depth - int(tree.depth[i]))
+        grid[ox : ox + s, oy : oy + s, oz : oz + s] = values[i]
+    return grid
+
+
+def erode_box_cells(grid, wrap):
+    """One-cell erosion with a full 3x3x3 box (separable): a cell stays when
+    its whole block is set. Wrapping axes roll; past an edge is unset."""
+    out = grid
+    for axis in range(3):
+        plus = np.roll(out, 1, axis=axis)
+        minus = np.roll(out, -1, axis=axis)
+        if not wrap[axis]:
+            sl = [slice(None)] * 3
+            sl[axis] = 0
+            plus[tuple(sl)] = False
+            sl[axis] = -1
+            minus[tuple(sl)] = False
+        out = out & plus & minus
+    return out
+
+
+def _wraps(tree):
+    return tuple(tree.box.wraps(axis) for axis in range(3))
+
+
+def solid_ids_dense(tree):
+    """Component ids (of ``tree.comp``) of the voxels whose whole 3x3x3 block
+    is IN, by eroding the rasterized IN grid."""
+    comp = leaf_grid(tree, tree.comp)
+    return tuple(int(c) for c in np.unique(comp[erode_box_cells(comp >= 0, _wraps(tree))]))
+
+
+def boundary_pairs_dense(tree, component_id):
+    """Distinct (IN leaf, OUT leaf) pairs over the face-adjacent voxel pairs
+    whose IN voxel is in the component, by rolling the rasterized grid."""
+    comp = leaf_grid(tree, tree.comp)
+    index = leaf_grid(tree, np.arange(tree.n_leaves))
+    pairs = []
+    for axis, wrapped in enumerate(_wraps(tree)):
+        for step in (1, -1):
+            mask = (comp == component_id) & (np.roll(comp, -step, axis=axis) < 0)
+            if not wrapped:
+                edge = [slice(None)] * 3
+                edge[axis] = -1 if step == 1 else 0
+                mask[tuple(edge)] = False
+            pairs.append(np.stack([index[mask], np.roll(index, -step, axis=axis)[mask]], axis=1))
+    return np.unique(np.concatenate(pairs), axis=0)
+
+
+def leaf_index_scalar(tree, point):
+    """Index of the leaf holding a point, or -1 outside the box: periodic
+    coordinates folded, the voxel found axis by axis in Python floats, and
+    the leaf found by its extent."""
+    n = 1 << tree.max_depth
+    voxel = []
+    for axis in range(3):
+        lo, hi = tree.box.lo[axis], tree.box.hi[axis]
+        v = float(point[axis])
+        if tree.box.axes[axis] == "per":
+            v = lo + (v - lo) % (2.0 * math.pi)
+        if not lo <= v <= hi:
+            return -1
+        voxel.append(min(max(int((v - lo) / ((hi - lo) / n)), 0), n - 1))
+    size = 1 << (tree.max_depth - tree.depth.astype(int))
+    held = np.ones(tree.n_leaves, dtype=bool)
+    for o, v in zip(tree.leaf_origins(), voxel):
+        held &= (o.astype(int) <= v) & (v < o.astype(int) + size)
+    (i,) = np.flatnonzero(held)
+    return int(i)
+
+
 def _dense_branch_rows(geom, x, y, theta):
     """Rows (ex, ey, w) of A for both elbow branches of every leg at every
     sample, with the strict reach mask: the census's full-grid kernel before

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ALPHA_REF, TABLE_INDICES, TABLE_POSES, posture
+from conftest import ALPHA_REF, TABLE_INDICES, TABLE_POSES, build_octree, posture
 from planar3rrr import batch
 from planar3rrr.aspects import characteristic_surface, enumerate_aspects
 from planar3rrr.cli import bundled_data_path, main
@@ -19,7 +19,6 @@ from planar3rrr.jacobians import jacobians
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
 from planar3rrr.octree import (
     _tree_from_cells,
-    build_octree,
     connected_components,
     dumps,
     intersect,

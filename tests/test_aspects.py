@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import ALPHA_REF, posture
-from planar3rrr import aspects
+from planar3rrr import aspects, batch
 from planar3rrr.aspects import (
     AspectAtlas,
     characteristic_surface,
@@ -19,7 +19,7 @@ from planar3rrr.cli import main
 from planar3rrr.errors import ConfigError, ModeMismatchError
 from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.kinematics import inverse_kinematics, inverse_kinematics_all
-from planar3rrr.octree import locate, workspace_box
+from planar3rrr.octree import connected_components, locate, workspace_box
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,49 @@ def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
             assert 0 < reach.sum() < reach.size
             assert np.array_equal(reach, want_reach)
             assert np.array_equal(signs, want_signs)
+
+
+@pytest.fixture(scope="module", params=["reference", "congruent", "unequal_links", "random"])
+def census5(request):
+    geom = _census_geometry(request.param, np.random.default_rng(20260808))
+    return geom, enumerate_aspects(geom, depth=5)
+
+
+def test_leaf_census_matches_dense_oracle(census5):
+    # Labels from the leaf graph, solidity from leaf probes: the dense
+    # labeler and the 3x3x3 erosion of the rasterized grid agree.
+    _, atlas = census5
+    for entry in atlas.entries.values():
+        tree = entry.workspace
+        dense, count = connected_components(tree, method="grid")
+        assert np.array_equal(tree.comp, dense.comp)
+        assert entry.n_components_raw == count
+        assert entry.solid_component_ids == oracles.solid_ids_dense(tree)
+        assert entry.n_components == len(entry.solid_component_ids)
+
+
+def test_joint_tree_labels_match_dense_oracle(census5):
+    _, atlas = census5
+    for entry in atlas.entries.values():
+        dense, count = connected_components(entry.joint, method="grid")
+        assert np.array_equal(entry.joint.comp, dense.comp)
+        assert entry.n_joint_components == count
+
+
+def test_characteristic_surface_boundary_matches_voxel_oracle(ref_geom):
+    # Face probes between leaves find the same IN -> OUT boundary as rolling
+    # the rasterized grid, on every raw component.
+    geom = ref_geom
+    atlas = enumerate_aspects(geom, depth=5, build_joint=False)
+    for (mode, sign), entry in atlas.entries.items():
+        tree = entry.workspace
+        centers = tree.leaf_centers()
+        for cid in range(entry.n_components_raw):
+            pairs = oracles.boundary_pairs_dense(tree, cid)
+            c = centers[pairs[:, 1]]
+            reach, _ = batch.leg_reach(geom, c[:, 0], c[:, 1], c[:, 2])
+            surf = characteristic_surface(geom, atlas, mode, sign, cid)
+            assert np.array_equal(surf.boundary_leaves, np.unique(pairs[reach, 0]))
 
 
 @pytest.mark.parametrize("geom", [GeometryConfig(), GeometryConfig(r=5, s=5)])
@@ -256,12 +299,9 @@ def test_membership_stable_under_refinement(ref_geom, rng):
     )
     tree6 = coarse.entries[(WorkingMode.C, 1)].workspace
     tree8 = fine.entries[(WorkingMode.C, 1)].workspace
-    from planar3rrr.octree import _rasterize
-    from planar3rrr.aspects import _erode_box_cells
-
-    grid = _rasterize(tree6, tree6.label)
+    grid = oracles.leaf_grid(tree6, tree6.label)
     wrap = tuple(tree6.box.wraps(axis) for axis in range(3))
-    interior = _erode_box_cells(_erode_box_cells(grid, wrap), wrap)
+    interior = oracles.erode_box_cells(oracles.erode_box_cells(grid, wrap), wrap)
     ids = np.flatnonzero(tree6.label)
     centers = tree6.leaf_centers()
     ox, oy, oz = tree6.leaf_origins()

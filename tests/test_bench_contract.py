@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_EMPTY, ALPHA_REF
-from planar3rrr import batch, kinematics
+from planar3rrr import aspects, batch, kinematics
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -53,3 +53,14 @@ def test_traced_forward_kinematics_records_solver_spans(spans, ref_geom):
     assert {"kinematics.forward_kinematics", "batch.fk_roots", "batch.scan_roots"} <= names
     assert recorder.counters["kinematics.forward_kinematics.poses"] == len(poses) == 4
     assert recorder.counters["batch.fk_roots.distinct"] == 4
+
+
+def test_traced_census_books_its_labeling_to_named_layers(spans, ref_geom):
+    # A census stage that no target covers grows the traced run's
+    # trace.uncovered_share without any metric naming it.
+    with spans.SpanRecorder() as recorder:
+        aspects.enumerate_aspects(ref_geom, depth=4)
+    names = {span[0] for span in recorder.spans}
+    layers = {"octree.connected_components", "octree.grid_to_tree", "batch.mode_determinants"}
+    assert layers <= names
+    assert recorder.counters["octree.connected_components.calls"] == 32

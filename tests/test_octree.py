@@ -4,17 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
+from conftest import build_octree
 from planar3rrr.errors import BoxMismatchError, OutOfBoxError
 from planar3rrr.geometry import TWO_PI, WorkingMode
 from planar3rrr.octree import (
     Box3,
     _tree_from_cells,
-    build_octree,
     connected_components,
     dumps,
     export,
     intersect,
     joint_box,
+    leaf_indices,
     load,
     loads,
     locate,
@@ -292,6 +294,29 @@ def test_locate_examples(ref_geom):
     assert locate(tree, (-6.0, 0.0, -math.pi)).label is True
     with pytest.raises(OutOfBoxError):
         locate(tree, (20.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("box", [workspace_box(), joint_box()], ids=["workspace", "joint"])
+def test_leaf_indices_match_scalar_oracle(ref_geom, rng, box):
+    # One array lookup folds, tests the box and finds the voxel's leaf as a
+    # scalar loop does: points outside the box, theta outside [0, 2pi), box
+    # faces and NaN included.
+    tree = _random_tree(ref_geom, rng, depth=4, box=box)
+    lo, hi = np.array(box.lo), np.array(box.hi)
+    wide = lo - 0.2 * (hi - lo) + rng.random((400, 3)) * 1.4 * (hi - lo)
+    wide[:, 2] = rng.uniform(-4 * math.pi, 6 * math.pi, 400)
+    faces = np.array([lo, hi, [lo[0], hi[1], TWO_PI], [hi[0], lo[1], -TWO_PI], [math.nan, 0, 0]])
+    points = np.concatenate([wide, faces])
+    got = leaf_indices(tree, points)
+    want = [oracles.leaf_index_scalar(tree, p) for p in points]
+    assert got.tolist() == want
+    assert 0 < (got < 0).sum() < len(got)
+    for p, i in zip(points, want):
+        if i < 0:
+            with pytest.raises(OutOfBoxError):
+                locate(tree, p)
+        else:
+            assert locate(tree, p).index == i
 
 
 def test_volume_monotonicity_under_refinement(ref_geom, rng):
