@@ -1,17 +1,25 @@
 """Vectorized kinematic kernels.
 
 Array-oriented versions of the leg reach test, branch selection, det(A)
-evaluation and direct-kinematics root isolation. ``solve_legs`` is the one
-inverse-kinematic leg solver: ``kinematics.inverse_kinematics``,
-``inverse_kinematics_all`` and ``trajectory.monitor`` call it, and
-``jacobians.jacobians`` builds its matrix pair with ``jacobian_rows``. Its
-angles reproduce the scalar operation order bit for bit, with ``math.hypot``
-and ``math.atan2`` applied elementwise, because the monitor's profile and
-evidence files are byte-identical artifacts. The census keeps its own
-branch-row code (``mode_determinants``), which needs only det(A) signs: it
-tests reach first (``leg_reach``) and evaluates both elbow branches of every
-leg, without an arctangent, only at the samples all three legs reach.
-``fk_roots`` is the only direct-kinematics solver:
+evaluation and direct-kinematics root isolation, on one leg geometry: every
+kernel takes its platform joints from ``geometry.platform_joints`` (or
+``platform_frame``, which adds their directions; legs along a leading axis,
+one cos and one sin), its reach annulus from the geometry's ``reach_min``
+and ``reach_max``, and its rows of A from ``_a_row``, with det(A) as
+row 1 . (row 2 x row 3) (``_cross``, ``_dot``). ``_matrix_pair`` builds A,
+det(A) and B_ii from joints and elbows.
+
+``solve_legs`` is the one inverse-kinematic leg solver:
+``kinematics.inverse_kinematics``, ``inverse_kinematics_all`` and
+``trajectory.monitor`` call it, and ``jacobians.jacobians`` builds its matrix
+pair with ``jacobian_rows``. Its angles reproduce the scalar operation order
+bit for bit, with ``math.hypot`` and ``math.atan2`` mapped over the flattened
+leg axis, because the monitor's profile and evidence files are
+byte-identical artifacts. The census needs only det(A) signs
+(``mode_determinants``): it tests reach first (``leg_reach``), then builds
+both elbow branches of every leg without an arctangent, only at the samples
+all three legs reach, and reuses the cross product of rows 2 and 3 across
+modes. ``fk_roots`` is the only direct-kinematics solver:
 ``kinematics.forward_kinematics`` calls it for one triple. Its closure
 kernels evaluate the three legs with one cos and one sin, in the per-leg
 operation order, and its full-system Newton stops a row at the rounding
@@ -29,114 +37,129 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KinematicError, SerialBoundaryError, UnreachableError
-from .geometry import EPS_SING, TWO_PI, GeometryConfig, WorkingMode, wrap_angles
+from .geometry import (
+    EPS_SING,
+    TWO_PI,
+    GeometryConfig,
+    WorkingMode,
+    elbow_points,
+    platform_frame,
+    platform_joints,
+    wrap_angles,
+)
 
 #: Enum order used whenever modes are indexed 0..7.
 MODE_ORDER = tuple(WorkingMode)
 
 
-def elbow_points(geom: GeometryConfig, alphas):
-    """Elbow coordinates (bx, by), each (K, 3), of actuated-angle rows (K, 3)."""
+def _a_row(x, y, cx, cy, bx, by):
+    """Row (ex, ey, w) of A: e = c - b and w = -(c - b)^T E (p - c)."""
+    ex = cx - bx
+    ey = cy - by
+    return ex, ey, (y - cy) * ex - (x - cx) * ey
+
+
+def _cross(r2, r3):
+    """Cross product r2 x r3 of two rows of A."""
+    return (
+        r2[1] * r3[2] - r2[2] * r3[1],
+        r2[2] * r3[0] - r2[0] * r3[2],
+        r2[0] * r3[1] - r2[1] * r3[0],
+    )
+
+
+def _dot(r1, v):
+    """Dot product of a row of A with a vector, term by term from the first."""
+    return r1[0] * v[0] + r1[1] * v[1] + r1[2] * v[2]
+
+
+def _matrix_pair(geom: GeometryConfig, x, y, cx, cy, bx, by):
+    """Rows of A, det(A), B_ii and the row-norm scale of N poses.
+
+    The joints (cx, cy) and elbows (bx, by) are (3, N), legs first; x and y
+    are (N,). Returns (rows (N, 3, 3), det (N,), b_diag (N, 3), scale (N,))
+    with B_ii = (c_i - b_i)^T E (b_i - a_i).
+    """
     a = geom.base_points
-    return a[:, 0][None, :] + geom.l * np.cos(alphas), a[:, 1][None, :] + geom.l * np.sin(alphas)
+    ex, ey, w = _a_row(x, y, cx, cy, bx, by)
+    b_diag = (bx - a[:, :1]) * ey - (by - a[:, 1:]) * ex
+    # Leg i's row of A is (ex[i], ey[i], w[i]).
+    r1, r2, r3 = zip(ex, ey, w)
+    rows = np.stack((ex.T, ey.T, w.T), axis=-1)
+    norms = np.linalg.norm(rows, axis=-1)
+    return rows, _dot(r1, _cross(r2, r3)), b_diag.T, norms[:, 0] * norms[:, 1] * norms[:, 2]
 
 
 def leg_reach(geom: GeometryConfig, x, y, theta):
-    """Strict reach mask of all three legs, and each leg's platform joint.
+    """Strict reach mask of all three legs, and the platform joints.
 
-    Returns (reach, joints) with joints[leg] = (cx, cy) at the inputs'
-    broadcast shapes. A leg is in reach when its base-to-platform distance
-    lies strictly inside the annulus [|l - m|, l + m].
+    Returns (reach, (cx, cy)), the joints as ``platform_joints`` gives them.
+    A leg is in reach when its base-to-platform distance lies strictly
+    inside the annulus (reach_min, reach_max).
     """
     a = geom.base_points
-    psi = geom.platform_phase
-    s = geom.s
-    lo2 = (geom.l - geom.m) ** 2
-    hi2 = (geom.l + geom.m) ** 2
+    lo2 = geom.reach_min**2
+    hi2 = geom.reach_max**2
+    cx, cy = platform_joints(geom, x, y, theta)
     reach = None
-    joints = []
     for i in range(3):
-        cx = x + s * np.cos(theta + psi[i])
-        cy = y + s * np.sin(theta + psi[i])
-        dx = cx - a[i, 0]
-        dy = cy - a[i, 1]
+        dx = cx[i] - a[i, 0]
+        dy = cy[i] - a[i, 1]
         d2 = dx * dx + dy * dy
         ok = (d2 > lo2) & (d2 < hi2)
         reach = ok if reach is None else (reach & ok)
-        joints.append((cx, cy))
-    return reach, joints
+    return reach, (cx, cy)
 
 
-def _branch_rows(geom: GeometryConfig, x, y, joints):
-    """Per-leg, per-branch rows of A at samples in reach.
+def _branch_rows(geom: GeometryConfig, i: int, x, y, cx, cy):
+    """Rows of A of leg i for both elbow branches, without an arctangent.
 
-    x, y and the platform joints ``joints[leg] = (cx, cy)`` are 1-D arrays
-    of samples that ``leg_reach`` accepted. Returns rows[leg][branch_idx] =
-    (ex, ey, w); branch index 0 is the positive elbow sign.
+    x, y and the leg's platform joint (cx, cy) are 1-D arrays of samples
+    that ``leg_reach`` accepted. Branch index 0 is the positive elbow sign.
     """
-    a = geom.base_points
+    ax, ay = geom.base_points[i]
     l, m = geom.l, geom.m
-    rows = []
-    for i, (cx, cy) in enumerate(joints):
-        dx = cx - a[i, 0]
-        dy = cy - a[i, 1]
-        d2 = dx * dx + dy * dy
-        d = np.sqrt(d2)
-        inv = 1.0 / d
-        cos_d = (d2 - l * l - m * m) / (2.0 * l * m)
-        sin_d = np.sqrt(np.maximum(0.0, 1.0 - cos_d * cos_d))
-        cphi = (l + m * cos_d) * inv
-        sphi = (m * sin_d) * inv
-        dhx = dx * inv
-        dhy = dy * inv
-        per_branch = []
-        for sign in (1.0, -1.0):
-            sp = sign * sphi
-            # u(alpha) = R(-phi_signed) applied to the unit target vector.
-            uax = dhx * cphi + dhy * sp
-            uay = -dhx * sp + dhy * cphi
-            bx = a[i, 0] + l * uax
-            by = a[i, 1] + l * uay
-            ex = cx - bx
-            ey = cy - by
-            w = (y - cy) * ex - (x - cx) * ey
-            per_branch.append((ex, ey, w))
-        rows.append(per_branch)
-    return rows
+    dx = cx - ax
+    dy = cy - ay
+    d2 = dx * dx + dy * dy
+    d = np.sqrt(d2)
+    inv = 1.0 / d
+    cos_d = (d2 - l * l - m * m) / (2.0 * l * m)
+    sin_d = np.sqrt(np.maximum(0.0, 1.0 - cos_d * cos_d))
+    cphi = (l + m * cos_d) * inv
+    sphi = (m * sin_d) * inv
+    dhx = dx * inv
+    dhy = dy * inv
+    # u(alpha) = R(-phi_signed) applied to the unit target vector.
+    return [
+        _a_row(x, y, cx, cy, ax + l * (dhx * cphi + dhy * sp), ay + l * (-dhx * sp + dhy * cphi))
+        for sp in (sphi, -sphi)
+    ]
 
 
 def mode_determinants(geom: GeometryConfig, x, y, theta, modes=MODE_ORDER):
     """(reach, dets) with dets[j] = det(A) for modes[j]; NaN off reach.
 
-    The rows of A are built only at the samples in reach, gathered once.
+    The rows of A are built only at the samples in reach, gathered once per
+    leg, and each cross product of rows 2 and 3 serves every mode that uses
+    its branch pair.
     """
-    reach, joints = leg_reach(geom, x, y, theta)
+    reach, (cx, cy) = leg_reach(geom, x, y, theta)
     shape = reach.shape
 
     def gather(v):
         return np.broadcast_to(v, shape)[reach]
 
-    rows = _branch_rows(
-        geom, gather(x), gather(y), [(gather(cx), gather(cy)) for cx, cy in joints]
-    )
-    branches = [tuple(0 if sg > 0 else 1 for sg in mode.signs) for mode in modes]
-    # Cross products of rows 2 and 3 for the branch combinations in use.
+    xs, ys = gather(x), gather(y)
+    rows = [_branch_rows(geom, i, xs, ys, gather(cx[i]), gather(cy[i])) for i in range(3)]
     cross = {}
-    for _, j2, j3 in branches:
-        if (j2, j3) not in cross:
-            r2 = rows[1][j2]
-            r3 = rows[2][j3]
-            cross[(j2, j3)] = (
-                r2[1] * r3[2] - r2[2] * r3[1],
-                r2[2] * r3[0] - r2[0] * r3[2],
-                r2[0] * r3[1] - r2[1] * r3[0],
-            )
     dets = []
-    for j1, j2, j3 in branches:
-        r1 = rows[0][j1]
-        cx_, cy_, cz_ = cross[(j2, j3)]
+    for mode in modes:
+        j1, j2, j3 = (0 if sg > 0 else 1 for sg in mode.signs)
+        if (j2, j3) not in cross:
+            cross[j2, j3] = _cross(rows[1][j2], rows[2][j3])
         det = np.full(shape, np.nan)
-        det[reach] = r1[0] * cx_ + r1[1] * cy_ + r1[2] * cz_
+        det[reach] = _dot(rows[0][j1], cross[j2, j3])
         dets.append(det)
     return reach, dets
 
@@ -196,7 +219,7 @@ def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, eps: float 
     """Solve every leg of N poses in ``mode`` and evaluate A, B there.
 
     x, y, theta are (N,) arrays. A leg is LEG_BOUNDARY when its distance is
-    within ``eps * (l + m)`` of either reach circle (checked first) and
+    within ``eps * reach_max`` of either reach circle (checked first) and
     LEG_UNREACHABLE when outside the annulus. The arithmetic follows the
     scalar two-bar solution term by term, so one sample gives the same
     floats as solving it alone.
@@ -205,36 +228,29 @@ def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, eps: float 
     y = np.asarray(y, dtype=float)
     theta = np.asarray(theta, dtype=float)
     a = geom.base_points
-    l, m, s = geom.l, geom.m, geom.s
-    lo = abs(l - m)
-    hi = l + m
+    l, m = geom.l, geom.m
+    lo, hi = geom.reach_min, geom.reach_max
     tol = eps * hi
-    n = x.shape[0]
-    alpha = np.empty((n, 3))
-    beta = np.empty((n, 3))
-    dist = np.empty((n, 3))
-    status = np.empty((n, 3), dtype=np.int8)
-    for i in range(3):
-        dx = x + s * np.cos(theta + geom.platform_phase[i]) - a[i, 0]
-        dy = y + s * np.sin(theta + geom.platform_phase[i]) - a[i, 1]
-        dx_list = dx.tolist()
-        dy_list = dy.tolist()
-        d = _math_map(math.hypot, dx_list, dy_list)
-        boundary = (np.abs(d - hi) < tol) | (np.abs(d - lo) < tol)
-        outside = (d > hi) | (d < lo)
-        status[:, i] = np.where(boundary, LEG_BOUNDARY, np.where(outside, LEG_UNREACHABLE, LEG_OK))
-        dist[:, i] = d
-        cos_d = np.clip((d * d - l * l - m * m) / (2.0 * l * m), -1.0, 1.0)
-        sin_d = mode.signs[i] * np.sqrt(np.maximum(0.0, 1.0 - cos_d * cos_d))
-        al = _math_map(math.atan2, dy_list, dx_list) - _math_map(
-            math.atan2, (m * sin_d).tolist(), (l + m * cos_d).tolist()
-        )
-        alpha[:, i] = wrap_angles(al)
-        beta[:, i] = wrap_angles(al + _math_map(math.atan2, sin_d.tolist(), cos_d.tolist()))
-    failed = status != LEG_OK
-    alpha[failed] = np.nan
-    beta[failed] = np.nan
-    rows, det, b_diag, scale = jacobian_rows(geom, alpha, x, y, theta)
+    cx, cy = platform_joints(geom, x, y, theta)
+    dx_list = (cx - a[:, :1]).ravel().tolist()
+    dy_list = (cy - a[:, 1:]).ravel().tolist()
+    d = _math_map(math.hypot, dx_list, dy_list).reshape(3, -1)
+    boundary = (np.abs(d - hi) < tol) | (np.abs(d - lo) < tol)
+    outside = (d > hi) | (d < lo)
+    status = np.where(boundary, LEG_BOUNDARY, np.where(outside, LEG_UNREACHABLE, LEG_OK))
+    cos_d = np.clip((d * d - l * l - m * m) / (2.0 * l * m), -1.0, 1.0)
+    sin_d = np.reshape(mode.signs, (3, 1)) * np.sqrt(np.maximum(0.0, 1.0 - cos_d * cos_d))
+    al = _math_map(math.atan2, dy_list, dx_list) - _math_map(
+        math.atan2, (m * sin_d).ravel().tolist(), (l + m * cos_d).ravel().tolist()
+    )
+    be = al + _math_map(math.atan2, sin_d.ravel().tolist(), cos_d.ravel().tolist())
+    failed = (status != LEG_OK).ravel()
+    al[failed] = np.nan
+    be[failed] = np.nan
+    alpha = wrap_angles(al).reshape(3, -1).T
+    beta = wrap_angles(be).reshape(3, -1).T
+    bx, by = elbow_points(geom, alpha)
+    rows, det, b_diag, scale = _matrix_pair(geom, x, y, cx, cy, bx.T, by.T)
     # rows[..., :2] = c_i - b_i: its length is m, its direction beta_i.
     ex = rows[:, :, 0]
     ey = rows[:, :, 1]
@@ -243,8 +259,8 @@ def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, eps: float 
     return LegSolution(
         alpha=alpha,
         beta=beta,
-        status=status,
-        dist=dist,
+        status=status.T.astype(np.int8),
+        dist=d.T,
         rows=rows,
         det=det,
         b_diag=b_diag,
@@ -260,32 +276,11 @@ def jacobian_rows(geom: GeometryConfig, alphas: np.ndarray, x, y, theta):
 
     ``alphas`` has shape (N, 3) aligned with the (N,) pose arrays. Returns
     (rows (N, 3, 3), det (N,), b_diag (N, 3), scale (N,)); row i of A is
-    [(c_i - b_i)^T, -(c_i - b_i)^T E (p - c_i)] and
-    B_ii = (c_i - b_i)^T E (b_i - a_i), det(A) by cofactor expansion.
+    [(c_i - b_i)^T, -(c_i - b_i)^T E (p - c_i)] (see ``_matrix_pair``).
     """
-    a = geom.base_points
-    s = geom.s
     bx, by = elbow_points(geom, alphas)
-    n = bx.shape[0]
-    rows = np.empty((n, 3, 3))
-    b_diag = np.empty((n, 3))
-    for i in range(3):
-        cx = x + s * np.cos(theta + geom.platform_phase[i])
-        cy = y + s * np.sin(theta + geom.platform_phase[i])
-        ex = cx - bx[:, i]
-        ey = cy - by[:, i]
-        rows[:, i, 0] = ex
-        rows[:, i, 1] = ey
-        rows[:, i, 2] = (y - cy) * ex - (x - cx) * ey
-        b_diag[:, i] = (bx[:, i] - a[i, 0]) * ey - (by[:, i] - a[i, 1]) * ex
-    r = rows
-    det = (
-        r[:, 0, 0] * (r[:, 1, 1] * r[:, 2, 2] - r[:, 1, 2] * r[:, 2, 1])
-        - r[:, 0, 1] * (r[:, 1, 0] * r[:, 2, 2] - r[:, 1, 2] * r[:, 2, 0])
-        + r[:, 0, 2] * (r[:, 1, 0] * r[:, 2, 1] - r[:, 1, 1] * r[:, 2, 0])
-    )
-    norms = np.linalg.norm(rows, axis=-1)
-    return rows, det, b_diag, norms[:, 0] * norms[:, 1] * norms[:, 2]
+    cx, cy = platform_joints(geom, x, y, theta)
+    return _matrix_pair(geom, x, y, cx, cy, bx.T, by.T)
 
 
 def _fk_system_pieces(geom: GeometryConfig, bx, by, theta):
@@ -369,14 +364,11 @@ def _positions_batch(geom: GeometryConfig, bx, by, theta):
 
 def _full_system(geom: GeometryConfig, bx, by, x, y, theta):
     """Closure values g (K, 3) and Jacobian (K, 3, 3) of the full system at (K,) poses."""
-    s, m = geom.s, geom.m
-    ang = theta[:, None] + np.asarray(geom.platform_phase)
-    ux = np.cos(ang)
-    uy = np.sin(ang)
-    wx = x[:, None] + s * ux - bx
-    wy = y[:, None] + s * uy - by
-    jac = 2.0 * np.array((wx, wy, s * (wy * ux - wx * uy))).transpose(1, 2, 0)
-    return wx * wx + wy * wy - m * m, jac
+    cx, cy, ux, uy = platform_frame(geom, x, y, theta)
+    wx = cx - bx.T
+    wy = cy - by.T
+    jac = 2.0 * np.array((wx, wy, geom.s * (wy * ux - wx * uy))).transpose(2, 1, 0)
+    return (wx * wx + wy * wy - geom.m * geom.m).T, jac
 
 
 def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta, iters: int = 30):
@@ -417,10 +409,8 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta, iters: int = 3
 
 def _closure_error(geom: GeometryConfig, bx, by, x, y, theta):
     """Largest leg closure error | |c_i - b_i| - m | of each (K,) pose."""
-    ang = theta[:, None] + np.asarray(geom.platform_phase)
-    cx = x[:, None] + geom.s * np.cos(ang)
-    cy = y[:, None] + geom.s * np.sin(ang)
-    return np.max(np.abs(np.hypot(cx - bx, cy - by) - geom.m), axis=1)
+    cx, cy = platform_joints(geom, x, y, theta)
+    return np.max(np.abs(np.hypot(cx - bx.T, cy - by.T) - geom.m), axis=0)
 
 
 #: Trigonometric degree of the scan polynomial N: the direct problem is the

@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .aspects import (
     MAX_DEPTH,
     MIN_DEPTH,
@@ -23,9 +25,10 @@ from .aspects import (
     write_manifest,
 )
 from .errors import ConfigError, KinematicError
-from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, angle_difference, parse_mode
-from .jacobians import jacobians, singularity_report, working_mode_of
-from .kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
+from .batch import jacobian_rows
+from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, parse_mode
+from .jacobians import jacobians, singularity_report
+from .kinematics import forward_kinematics, inverse_kinematics
 from .octree import export, volume, workspace_box
 from .trajectory import PathSpec, monitor, verify_assembly_mode_change, write_profile
 
@@ -143,31 +146,15 @@ def _load_waypoints(path: str) -> tuple[WorkingMode, list[Pose], int | None]:
 def cmd_fk(cfg: RunConfig, args) -> int:
     alpha = (args.alpha1, args.alpha2, args.alpha3)
     poses = forward_kinematics(cfg.geometry, alpha)
+    x, y, theta = np.array([p.as_tuple() for p in poses]).reshape(-1, 3).T
+    _, det, b_diag, _ = jacobian_rows(cfg.geometry, np.tile(alpha, (len(poses), 1)), x, y, theta)
     print("sol        x            y     theta_deg        detA       B11       B22       B33  mode")
-    for k, pose in enumerate(poses, start=1):
-        cfgs = inverse_kinematics_all(cfg.geometry, pose, cfg.eps_sing)
-        best = min(
-            cfgs.values(),
-            key=lambda c: max(abs(angle_difference(a, b)) for a, b in zip(c.alpha, alpha)),
-        )
-        pair = jacobians(cfg.geometry, best)
-        try:
-            label = working_mode_of(pair, cfg.eps_sing).label
-        except KinematicError:
-            label = "-"
+    for k, (pose, d, b) in enumerate(zip(poses, det.tolist(), b_diag.tolist()), start=1):
+        serial = min(abs(v) for v in b) < cfg.eps_sing
+        label = "-" if serial else WorkingMode.from_signs(b).label
         print(
             "%3d %12.6f %12.6f %12.5f %11.4f %9.4f %9.4f %9.4f   %s"
-            % (
-                k,
-                pose.x,
-                pose.y,
-                math.degrees(pose.theta),
-                pair.det_a,
-                pair.b_diag[0],
-                pair.b_diag[1],
-                pair.b_diag[2],
-                label,
-            )
+            % (k, pose.x, pose.y, math.degrees(pose.theta), d, *b, label)
         )
     return 0
 

@@ -152,29 +152,6 @@ class Pose:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
 
-    @classmethod
-    def from_arrays(cls, x, y, theta) -> list["Pose"]:
-        """The poses ``[Pose(*v) for v in zip(x, y, theta)]`` of float arrays.
-
-        Normalizes theta for all poses at once and fills each pose without
-        the per-pose constructor call, which dominates building the tens of
-        thousands of poses of a densely sampled path.
-        """
-        new = object.__new__
-        put = object.__setattr__
-        poses = []
-        for px, py, pt in zip(
-            np.asarray(x, dtype=float).tolist(),
-            np.asarray(y, dtype=float).tolist(),
-            wrap_angles(np.asarray(theta, dtype=float)).tolist(),
-        ):
-            pose = new(cls)
-            put(pose, "x", px)
-            put(pose, "y", py)
-            put(pose, "theta", pt)
-            poses.append(pose)
-        return poses
-
     @property
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
@@ -191,19 +168,37 @@ class Pose:
         )
 
 
+def platform_frame(geom: GeometryConfig, x, y, theta):
+    """Platform joints c_i = p + s u(theta + psi_i) and their directions u.
+
+    x, y and theta broadcast against each other. Returns (cx, cy, ux, uy),
+    each of shape (3, *broadcast shape) with the legs along the leading
+    axis, from one cos and one sin over all three legs; every element is the
+    one-leg expression, bit for bit. This is the one place the platform
+    joints are computed.
+    """
+    nd = max(np.ndim(x), np.ndim(y), np.ndim(theta))
+    ang = theta + np.asarray(geom.platform_phase).reshape((3,) + (1,) * nd)
+    ux = np.cos(ang)
+    uy = np.sin(ang)
+    return x + geom.s * ux, y + geom.s * uy, ux, uy
+
+
+def platform_joints(geom: GeometryConfig, x, y, theta):
+    """Platform joints (cx, cy) of poses, legs first (see ``platform_frame``)."""
+    return platform_frame(geom, x, y, theta)[:2]
+
+
+def elbow_points(geom: GeometryConfig, alphas):
+    """Elbow coordinates (bx, by) of actuated-angle rows (..., 3), legs last."""
+    a = geom.base_points
+    return a[:, 0] + geom.l * np.cos(alphas), a[:, 1] + geom.l * np.sin(alphas)
+
+
 def platform_points(geom: GeometryConfig, pose: Pose) -> tuple[np.ndarray, np.ndarray]:
     """Platform joint positions c_i (3, 2) and the operation point p (2,)."""
-    p = np.array([pose.x, pose.y])
-    c = np.array(
-        [
-            [
-                pose.x + geom.s * math.cos(pose.theta + psi),
-                pose.y + geom.s * math.sin(pose.theta + psi),
-            ]
-            for psi in geom.platform_phase
-        ]
-    )
-    return c, p
+    c = np.stack(platform_joints(geom, pose.x, pose.y, pose.theta), axis=1)
+    return c, np.array([pose.x, pose.y])
 
 
 class WorkingMode(Enum):
@@ -284,10 +279,7 @@ class FullConfiguration:
     @property
     def b(self) -> np.ndarray:
         """Elbow positions b_i = a_i + l * u(alpha_i), shape (3, 2)."""
-        a = self.geom.base_points
-        return a + self.geom.l * np.array(
-            [[math.cos(t), math.sin(t)] for t in self.alpha]
-        )
+        return np.stack(elbow_points(self.geom, self.alpha), axis=1)
 
     @property
     def c(self) -> np.ndarray:

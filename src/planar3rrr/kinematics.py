@@ -123,6 +123,6 @@ def forward_kinematics(geom: GeometryConfig, alpha) -> list[Pose]:
     alphas = np.array([[float(v) for v in alpha]])
     _check_degenerate(geom, *batch.elbow_points(geom, alphas))
     _, xs, ys, thetas = batch.fk_roots(geom, alphas)
-    poses = Pose.from_arrays(xs, ys, thetas)
+    poses = [Pose(*v) for v in zip(xs.tolist(), ys.tolist(), thetas.tolist())]
     poses.sort(key=lambda q: (q.theta, q.x, q.y))
     return poses

@@ -8,10 +8,10 @@ A tree is stored as its leaf cells in Morton (bit-interleaved, x least
 significant) order: records (morton code at leaf depth, depth, label) that
 tile the root box exactly. Identical-label sibling groups are always merged,
 so the stored form is the canonical minimal tree. One sibling merger,
-``_canonical_tree``, canonicalizes the records of ``loads``, of the Boolean
-operations and of ``_tree_from_cells``; ``_grid_to_tree`` runs the same merge
-as groups-of-8 reductions over the Morton-ordered grid. Periodic axes
-(period 2pi) wrap for point location and for adjacency. Neighbors are found
+``_canonical_tree``, canonicalizes the records of ``loads`` and of the
+Boolean operations; ``_grid_to_tree`` runs the same merge as groups-of-8
+reductions over the Morton-ordered grid. Periodic axes (period 2pi) wrap for
+point location and for adjacency. Neighbors are found
 by probing voxels next to a leaf and searching the leaf starts
 (``_voxel_leaves``): the component labeler, the census's solidity test and
 the characteristic surface's boundary all work on leaves this way.
@@ -302,13 +302,6 @@ def _canonical_tree(box: Box3, max_depth: int, morton, depth, label, comp=None) 
         depth[first] = d - 1
         morton, depth, label = (np.delete(a, drop) for a in (morton, depth, label))
     return Octree(box=box, max_depth=max_depth, morton=morton, depth=depth, label=label, comp=comp)
-
-
-def _tree_from_cells(box: Box3, max_depth: int, cells, with_comp: bool = False) -> Octree:
-    """The canonical tree of (morton, depth, label[, comp]) cells in any order."""
-    cols = list(zip(*cells)) or [()] * 3
-    comp = cols[3] if with_comp and len(cols) > 3 else None
-    return _canonical_tree(box, max_depth, *cols[:3], comp)
 
 
 def _morton_axes(max_depth: int) -> list[int]:

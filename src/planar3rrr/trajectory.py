@@ -1,10 +1,14 @@
-"""Pose-space paths, singularity-margin monitoring and mode-change evidence."""
+"""Pose-space paths, singularity-margin monitoring and mode-change evidence.
+
+The monitor keeps a path's samples as arrays from the sampling to the
+profile export: ``_segment_samples`` gives the sample columns, one
+``batch.solve_legs`` call solves them all, and ``MonitorResult.records`` is
+a numpy record array with one row per sample and one field per profile
+column (``RECORD_FIELDS``), which ``write_profile`` formats row by row.
+"""
 
 from __future__ import annotations
 
-import gc
-import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,9 @@ VERDICT_NO_CHANGE = "NotDemonstrated"
 #: CSV header of the profile export (9-significant-digit %.9g cells).
 PROFILE_HEADER = "t,x,y,theta_deg,alpha1,alpha2,alpha3,detA,B11,B22,B33,detA_n,B11_n,B22_n,B33_n"
 
+#: Fields of a monitor record, one per profile column; theta is in radians.
+RECORD_FIELDS = "t,x,y,theta,alpha1,alpha2,alpha3,det_a,b11,b22,b33,det_a_n,b11_n,b22_n,b33_n"
+
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -48,25 +55,12 @@ class PathSpec:
             raise ValueError("samples_per_segment must be at least 2")
 
 
-@dataclass(frozen=True, slots=True)
-class SampleRecord:
-    t: float
-    pose: Pose
-    alpha: tuple[float, float, float]
-    det_a: float
-    b11: float
-    b22: float
-    b33: float
-    det_a_n: float
-    b11_n: float
-    b22_n: float
-    b33_n: float
-
-
 @dataclass(frozen=True)
 class MonitorResult:
+    """A monitored path: ``records`` is a record array of ``RECORD_FIELDS``, one row per sample."""
+
     mode: WorkingMode
-    records: tuple[SampleRecord, ...]
+    records: np.recarray
     verdict: str
     offending_t: float | None
     min_abs_det_scaled: float
@@ -74,52 +68,29 @@ class MonitorResult:
     det_sign: int
 
 
-@contextmanager
-def _no_cyclic_gc():
-    """Pause the cyclic collector while a path's poses and records are built.
-
-    A dense path allocates a few hundred thousand container objects, none
-    of them in a reference cycle; without the pause the collector rescans
-    the growing heap several times per path, about a quarter of the
-    monitor's time on a 27k-sample path.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def _segment_samples(spec: PathSpec):
-    """Global parameters and poses; waypoints are reproduced bit-exactly."""
-    nseg = len(spec.waypoints) - 1
-    spp = spec.samples_per_segment
-    u = np.arange(spp) / (spp - 1)
+    """Global parameters and poses (t, x, y, theta) of the samples, as arrays.
+
+    Waypoints are reproduced bit-exactly; theta is wrapped to (-pi, pi].
+    """
+    w = spec.waypoints
+    nseg = len(w) - 1
+    u = np.arange(spec.samples_per_segment) / (spec.samples_per_segment - 1)
     inner = u[1:-1]
-    ts = []
-    poses = [spec.waypoints[0]]
-    for j in range(nseg):
-        a = spec.waypoints[j]
-        b = spec.waypoints[j + 1]
-        dth = angle_difference(b.theta, a.theta)
-        # Segment j > 0 shares its first sample with the previous endpoint.
-        ts.extend(((j + (u[1:] if j else u)) / nseg).tolist())
-        poses.extend(
-            Pose.from_arrays(
-                a.x + inner * (b.x - a.x),
-                a.y + inner * (b.y - a.y),
-                wrap_angles(a.theta + inner * dth),
-            )
-        )
-        poses.append(b)
-    return ts, poses
+    # Segment j > 0 shares its first sample with the previous endpoint.
+    t = [(j + (u[1:] if j else u)) / nseg for j in range(nseg)]
+    x, y, theta = [w[0].x], [w[0].y], [w[0].theta]
+    for a, b in zip(w, w[1:]):
+        x += [a.x + inner * (b.x - a.x), b.x]
+        y += [a.y + inner * (b.y - a.y), b.y]
+        theta += [wrap_angles(a.theta + inner * angle_difference(b.theta, a.theta)), b.theta]
+    return tuple(np.hstack(col) for col in (t, x, y, theta))
 
 
 def interpolate(spec: PathSpec) -> list[Pose]:
     """Sampled poses of the path."""
-    return _segment_samples(spec)[1]
+    _, x, y, theta = _segment_samples(spec)
+    return [Pose(*v) for v in zip(x.tolist(), y.tolist(), theta.tolist())]
 
 
 def _normalized(v: np.ndarray) -> np.ndarray:
@@ -140,11 +111,7 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
     sample whose legs violate loop closure by more than LOOP_TOL raises
     ValueError, as FullConfiguration does.
     """
-    with _no_cyclic_gc():
-        ts, poses = _segment_samples(spec)
-    x = np.array([p.x for p in poses])
-    y = np.array([p.y for p in poses])
-    theta = np.array([p.theta for p in poses])
+    t, x, y, theta = _segment_samples(spec)
     legs = batch.solve_legs(geom, x, y, theta, spec.mode, eps)
     failed = (legs.status != batch.LEG_OK).any(axis=1)
     loose = legs.loop_gap > LOOP_TOL
@@ -153,31 +120,19 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
         k = int(bad[0])
         if failed[k]:
             cause = legs.error(k)
-            raise UnreachableSampleError(ts[k], cause) from cause
+            raise UnreachableSampleError(float(t[k]), cause) from cause
         i = int(np.argmax(loose[k]))
         raise ValueError(
-            f"path sample at t = {ts[k]:.9g}: leg {i + 1} violates loop closure "
+            f"path sample at t = {t[k]:.9g}: leg {i + 1} violates loop closure "
             f"by {legs.loop_gap[k, i]:.3g}"
         )
 
     det = legs.det
     b = legs.b_diag
-    det_n = _normalized(det)
-    b_n = _normalized(b)
-    with _no_cyclic_gc():
-        records = tuple(
-            map(
-                SampleRecord,
-                ts,
-                poses,
-                map(tuple, legs.alpha.tolist()),
-                det.tolist(),
-                *b.T.tolist(),
-                det_n.tolist(),
-                *b_n.T.tolist(),
-            )
-        )
-
+    records = np.rec.fromarrays(
+        (t, x, y, theta, *legs.alpha.T, det, *b.T, _normalized(det), *_normalized(b).T),
+        names=RECORD_FIELDS,
+    )
     det_scaled = np.abs(det) / legs.scale
     flip = ((det < 0.0) != (det[0] < 0.0)) | ((b < 0.0) != (b[0] < 0.0)).any(axis=1)
     weak = (det_scaled <= eps) | (np.abs(b) <= eps).any(axis=1)
@@ -186,7 +141,7 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
         mode=spec.mode,
         records=records,
         verdict=VERDICT_SINGULAR if bad.size else VERDICT_NON_SINGULAR,
-        offending_t=ts[bad[0]] if bad.size else None,
+        offending_t=float(t[bad[0]]) if bad.size else None,
         min_abs_det_scaled=float(det_scaled.min()),
         min_abs_b=float(np.abs(b).min()),
         det_sign=1 if det[0] > 0.0 else -1,
@@ -195,28 +150,12 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
 
 def write_profile(result: MonitorResult, path) -> None:
     """CSV export of the monitored profile."""
-    row = ",".join(["%.9g"] * len(PROFILE_HEADER.split(","))) + "\n"
+    rec = result.records
+    cols = [np.degrees(rec.theta) if name == "theta" else rec[name] for name in rec.dtype.names]
+    row = ",".join(["%.9g"] * len(cols)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(PROFILE_HEADER + "\n")
-        for r in result.records:
-            cells = (
-                r.t,
-                r.pose.x,
-                r.pose.y,
-                math.degrees(r.pose.theta),
-                r.alpha[0],
-                r.alpha[1],
-                r.alpha[2],
-                r.det_a,
-                r.b11,
-                r.b22,
-                r.b33,
-                r.det_a_n,
-                r.b11_n,
-                r.b22_n,
-                r.b33_n,
-            )
-            fh.write(row % cells)
+        fh.writelines(row % cells for cells in zip(*(col.tolist() for col in cols)))
 
 
 @dataclass(frozen=True)
@@ -250,8 +189,9 @@ def verify_assembly_mode_change(
     component; the path was monitored NonSingular.
     """
     mode = path.mode
-    pose_a = path.records[0].pose
-    pose_b = path.records[-1].pose
+    rec = path.records
+    pose_a = Pose(rec.x[0], rec.y[0], rec.theta[0])
+    pose_b = Pose(rec.x[-1], rec.y[-1], rec.theta[-1])
     if pose_a.distance(pose_b) < 1e-12:
         raise ValueError("the path must end at a pose other than its first")
     cfg_a = inverse_kinematics(geom, pose_a, mode, eps)

@@ -160,6 +160,13 @@ def serial_alignment(geom, config, leg):
     )
 
 
+def det_cofactor(rows):
+    """det of a 3x3 matrix given as three rows of three entries (floats or
+    arrays of one shape), by cofactor expansion along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _wrap(theta):
     t = theta % (2.0 * math.pi)
     if t > math.pi:
@@ -197,11 +204,7 @@ def scalar_leg_solution(geom, x, y, theta, signs):
         ey = c[i][1] - by
         rows.append((ex, ey, (y - c[i][1]) * ex - (x - c[i][0]) * ey))
         b_diag.append((bx - a[i][0]) * ey - (by - a[i][1]) * ex)
-    det = (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
+    det = det_cofactor(rows)
     norms = np.linalg.norm(np.array(rows), axis=1)
     return tuple(alpha), det, tuple(b_diag), float(norms[0] * norms[1] * norms[2])
 

@@ -18,7 +18,7 @@ from planar3rrr.geometry import Pose, WorkingMode, angle_difference
 from planar3rrr.jacobians import jacobians
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
 from planar3rrr.octree import (
-    _tree_from_cells,
+    _canonical_tree,
     connected_components,
     dumps,
     intersect,
@@ -328,9 +328,10 @@ def test_criterion_6_property_suite(ref_geom, rng, capsys):
         ok_oct = ok_oct and float(t1.leaf_volumes().sum()) == pytest.approx(
             box.volume, rel=1e-12
         )
-        cells = list(zip(t1.morton.tolist(), t1.depth.tolist(), t1.label.tolist()))
-        rng.shuffle(cells)
-        ok_oct = ok_oct and dumps(_tree_from_cells(box, 4, cells)) == dumps(t1)
+        order = np.arange(t1.n_leaves)
+        rng.shuffle(order)
+        rebuilt = _canonical_tree(box, 4, t1.morton[order], t1.depth[order], t1.label[order])
+        ok_oct = ok_oct and dumps(rebuilt) == dumps(t1)
         vu = volume(union(t1, t2))
         vi = volume(intersect(t1, t2))
         ok_oct = ok_oct and vu + vi == pytest.approx(volume(t1) + volume(t2), rel=1e-12)

@@ -8,13 +8,15 @@ resolves and that its counters accept the package's results.
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import ALPHA_EMPTY, ALPHA_REF
-from planar3rrr import aspects, batch, kinematics
+from conftest import ALPHA_EMPTY, ALPHA_REF, VIA_POSTURE, posture
+from planar3rrr import aspects, batch, kinematics, trajectory
+from planar3rrr.geometry import Pose, WorkingMode
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -64,3 +66,25 @@ def test_traced_census_books_its_labeling_to_named_layers(spans, ref_geom):
     layers = {"octree.connected_components", "octree.grid_to_tree", "batch.mode_determinants"}
     assert layers <= names
     assert recorder.counters["octree.connected_components.calls"] == 32
+
+
+def test_monitor_counter_accepts_a_real_result(spans, ref_geom):
+    via = Pose(VIA_POSTURE[0], VIA_POSTURE[1], math.radians(VIA_POSTURE[2]))
+    spec = trajectory.PathSpec(
+        waypoints=(posture(1), via, posture(4)), mode=WorkingMode.C, samples_per_segment=30
+    )
+    result = trajectory.monitor(ref_geom, spec)
+    counter = spans.TARGETS["trajectory.monitor"][2]
+    assert counter((ref_geom, spec), {}, result) == {"samples": 59}
+
+
+def test_mode_determinants_counter_accepts_real_arguments(spans, ref_geom):
+    # The census's slab layout: x rows against every (y, theta) corner.
+    xs = np.linspace(-12.0, 12.0, 3)[:, None, None]
+    ys = np.linspace(-12.0, 12.0, 5)[None, :, None]
+    ts = np.linspace(0.0, 6.0, 4)[None, None, :]
+    args = (ref_geom, xs, ys, ts, batch.MODE_ORDER)
+    reach, dets = batch.mode_determinants(*args)
+    assert reach.shape == (3, 5, 4) and len(dets) == 8
+    counter = spans.TARGETS["batch.mode_determinants"][2]
+    assert counter(args, {}, (reach, dets)) == {"points": 60}

@@ -65,6 +65,18 @@ def test_fk_empty_table(ref_config, capsys):
     assert rows == []
 
 
+def test_fk_labels_a_stretched_leg_pose(ref_config, capsys):
+    # Pose 1 of this triple has B_11 = -3.6e-14: leg 1 is stretched, so the
+    # pose has no working mode and its row is labeled '-'.
+    alpha = ("0.391753959623329", "-0.46046646817957626", "-1.118012514725395")
+    rc = main(["--config", ref_config, "fk", *alpha])
+    assert rc == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:] if ln.strip()]
+    assert [row[0] for row in rows] == ["1", "2"]
+    assert rows[0][-1] == "-"
+    assert rows[1][-1] != "-"
+
+
 def test_ik_and_jac_smoke(ref_config, capsys):
     rc = main(["--config", ref_config, "ik", "1.102292", "1.9563", "57.5029", "--mode", "PPN"])
     assert rc == 0

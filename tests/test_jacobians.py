@@ -40,7 +40,7 @@ def test_rotation_matrix():
 
 
 def test_jacobian_det_matches_numpy(ref_geom, rng):
-    # The cofactor expansion of batch.jacobian_rows against numpy's LU.
+    # det(A) of batch.jacobian_rows against numpy's LU.
     alphas = rng.uniform(-math.pi, math.pi, (20, 3))
     x, y, theta = rng.normal(size=(3, 20))
     rows, det, _, _ = batch.jacobian_rows(ref_geom, alphas, x, y, theta)

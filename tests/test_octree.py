@@ -10,7 +10,7 @@ from planar3rrr.errors import BoxMismatchError, OutOfBoxError
 from planar3rrr.geometry import TWO_PI, WorkingMode
 from planar3rrr.octree import (
     Box3,
-    _tree_from_cells,
+    _canonical_tree,
     connected_components,
     dumps,
     export,
@@ -117,9 +117,11 @@ def test_dump_load_round_trip_and_canonical_form(ref_geom, rng):
     again = loads(text)
     assert dumps(again) == text
     # Rebuilding from its own (shuffled) leaves reproduces the same dump.
-    cells = list(zip(tree.morton.tolist(), tree.depth.tolist(), tree.label.tolist()))
-    rng.shuffle(cells)
-    rebuilt = _tree_from_cells(tree.box, tree.max_depth, cells)
+    order = np.arange(tree.n_leaves)
+    rng.shuffle(order)
+    rebuilt = _canonical_tree(
+        tree.box, tree.max_depth, tree.morton[order], tree.depth[order], tree.label[order]
+    )
     assert dumps(rebuilt) == text
 
 
@@ -279,9 +281,11 @@ def test_components_grid_and_graph_agree(ref_geom, rng):
 def test_component_ids_invariant_under_leaf_permutation(ref_geom, rng):
     tree = _random_tree(ref_geom, rng, depth=3)
     labeled, count = connected_components(tree)
-    cells = list(zip(tree.morton.tolist(), tree.depth.tolist(), tree.label.tolist()))
-    rng.shuffle(cells)
-    rebuilt = _tree_from_cells(tree.box, tree.max_depth, cells)
+    order = np.arange(tree.n_leaves)
+    rng.shuffle(order)
+    rebuilt = _canonical_tree(
+        tree.box, tree.max_depth, tree.morton[order], tree.depth[order], tree.label[order]
+    )
     relabeled, count2 = connected_components(rebuilt)
     assert count == count2
     assert np.array_equal(labeled.comp, relabeled.comp)

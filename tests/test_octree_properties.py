@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 import oracles
 from planar3rrr.octree import (
     Box3,
+    _canonical_tree,
     _grid_to_tree,
     _rasterize,
-    _tree_from_cells,
     connected_components,
     dumps,
     intersect,
@@ -126,8 +126,8 @@ def test_merger_equals_stack_merger(case):
     comps = rng.integers(0, 2, len(morton)).tolist()
     cells = list(zip(morton, depths, labels, comps))
     expected = oracles.canonical_cells(depth, cells)
-    shuffled = [cells[k] for k in rng.permutation(len(cells))]
-    got = _tree_from_cells(box, depth, shuffled, with_comp=True)
+    order = rng.permutation(len(cells))
+    got = _canonical_tree(box, depth, *(np.asarray(c)[order] for c in (morton, depths, labels, comps)))
     columns = (got.morton.tolist(), got.depth.tolist(), got.label.tolist(), got.comp.tolist())
     assert [list(c) for c in zip(*columns)] == expected
 
