@@ -20,10 +20,11 @@ byte-identical artifacts. The census needs only det(A) signs
 both elbow branches of every leg without an arctangent, only at the samples
 all three legs reach, and reuses the cross product of rows 2 and 3 across
 modes. ``fk_roots`` is the only direct-kinematics solver:
-``kinematics.forward_kinematics`` calls it for one triple. Its closure
-kernels evaluate the three legs with one cos and one sin, in the per-leg
-operation order, and its full-system Newton stops a row at the rounding
-floor, not only at a step below 1e-13.
+``kinematics.forward_kinematics`` calls it for one triple. It isolates
+orientations with the eigenvalues of one real sextic per triple
+(``scan_roots``). Its closure kernels evaluate the three legs with one cos
+and one sin, in the per-leg operation order, and its full-system Newton
+stops a row at the rounding floor, not only at a step below 1e-13.
 
 Shapes follow numpy broadcasting; x, y, theta must broadcast against each
 other. Actuated angles come as (K, 3) rows.
@@ -35,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import KinematicError, SerialBoundaryError, UnreachableError
 from .geometry import (
@@ -319,11 +321,15 @@ def _positions_batch(geom: GeometryConfig, bx, by, theta):
     well-conditioned row and two rank-1 line candidates per nearly singular
     row. Rows in between get all three: there a cluster of roots can hold
     two assembly modes at almost the same orientation but far apart, and
-    the single Cramer point leads the full-system polish to only one.
+    the single Cramer point leads the full-system polish to only one. Rows
+    with a row of M shorter than SHORT_ROW * m get the line candidates too
+    (see SHORT_ROW).
     """
     (m11, m12, m21, m22), (r1, r2), det, e0x, e0y, h0 = _fk_system_pieces(geom, bx, by, theta)
     scale = np.sqrt((m11 * m11 + m12 * m12) * (m21 * m21 + m22 * m22))
     scale = np.maximum(scale, 1e-300)
+    n1 = np.hypot(m11, m12)
+    n2 = np.hypot(m21, m22)
     big = np.abs(det) > 1e-4 * scale
     rows_list = []
     xs_list = []
@@ -333,10 +339,10 @@ def _positions_batch(geom: GeometryConfig, bx, by, theta):
         rows_list.append(bi)
         xs_list.append((r1[bi] * m22[bi] - r2[bi] * m12[bi]) / det[bi])
         ys_list.append((m11[bi] * r2[bi] - m21[bi] * r1[bi]) / det[bi])
-    si = np.flatnonzero(np.abs(det) <= 1e-1 * scale)
+    si = np.flatnonzero((np.abs(det) <= 1e-1 * scale) | (np.minimum(n1, n2) <= SHORT_ROW * geom.m))
     if si.size:
-        n1 = np.hypot(m11[si], m12[si])
-        n2 = np.hypot(m21[si], m22[si])
+        n1 = n1[si]
+        n2 = n2[si]
         use1 = n1 >= n2
         nv = np.maximum(np.where(use1, n1, n2), 1e-300)
         vx = np.where(use1, m11[si], m21[si])
@@ -417,14 +423,16 @@ def _closure_error(geom: GeometryConfig, bx, by, x, y, theta):
 #: classical sextic, at most six real assembly modes.
 SCAN_DEGREE = 3
 
-#: Largest ||z| - 1| of a companion eigenvalue z kept as an orientation root.
-#: The eigenvalues of clustered roots near a tangency leave the unit circle by
-#: a few 1e-3 through rounding; spurious candidates the window lets in are
-#: rejected later by the closure gate of fk_roots.
+#: Largest ||z| - 1| of an orientation root z = exp(i theta) taken from a
+#: companion eigenvalue. The eigenvalues of clustered roots near a tangency
+#: leave the real axis, so z leaves the unit circle by a few 1e-3 through
+#: rounding; spurious candidates the window lets in are rejected later by the
+#: closure gate of fk_roots.
 UNIT_WINDOW = 1e-2
 
-#: Orientation samples of N per triple: the smallest power of two above
-#: 2*SCAN_DEGREE, so the DFT returns gamma_0..gamma_3 without aliasing.
+#: Orientation samples of N per triple, at multiples of 2 pi / SCAN_SAMPLES:
+#: the smallest power of two above 2*SCAN_DEGREE, so they fix N without
+#: aliasing.
 SCAN_SAMPLES = 8
 
 #: Triples per block of fk_roots; bounds the size of the scan arrays.
@@ -438,48 +446,78 @@ RESIDUAL_TOL = 1e-9
 #: can stop copies of two roots 1.03e-6 apart close enough to merge them.
 STALL_ULPS = 4
 
+#: A row of the 2x2 system M is twice the distance between two legs' circles
+#: of platform positions at one theta; when it is shorter than this many m,
+#: the circles nearly coincide, so the Cramer point slides along them as
+#: theta moves by rounding while the true poses stay at the intersections
+#: with the third leg's circle, which the rank-1 line candidates give.
+SHORT_ROW = 1e-2
+
 #: Records of one triple at most this far apart (Chebyshev over x, y and
 #: wrapped theta) are one pose: near a double root, copies of one root polish
 #: up to 7e-7 apart; the closest distinct poses seen are 6e-5 apart.
 MERGE_TOL = 1e-6
 
 
-def scan_coefficients(geom: GeometryConfig, bx, by):
-    """Complex Fourier coefficients gamma_0..gamma_3 of N per input row."""
-    grid = np.arange(SCAN_SAMPLES) * (TWO_PI / SCAN_SAMPLES)
-    f = _fk_scan(geom, bx, by, grid[None, :])
-    return np.fft.rfft(f, axis=1)[:, : SCAN_DEGREE + 1] / SCAN_SAMPLES
+def _sextic_matrix():
+    """(SCAN_SAMPLES, 2*SCAN_DEGREE + 1) map from samples of N to the sextic P.
 
-
-def scan_roots(gamma):
-    """Orientation seeds for all real roots of N from its Fourier coefficients.
-
-    With z = exp(i theta), z^3 N is a self-reciprocal degree-6 polynomial;
-    the eigenvalues of its 6x6 companion matrices (one batched call) within
-    UNIT_WINDOW of the unit circle give the seeds. Rounding can push a close
-    pair of real roots off the circle as z and 1/conj(z) of equal angle, so
-    a seed is angle(z) + ln|z|: one on either side of such a pair. A leading
-    coefficient below rounding level is raised to it (its root goes to
-    infinity); rows with N identically zero are skipped. Returns (rows, theta).
+    Samples s_k = N(phi + 2 pi k / SCAN_SAMPLES) give N's Fourier
+    coefficients g_j; with t = tan((theta - phi) / 2), exp(i (theta - phi))
+    is (1 + it) / (1 - it), so P(t) = (1 + t^2)^3 N = sum_j g_j (1 + it)^(3+j)
+    (1 - it)^(3-j), a real polynomial (ascending powers of t) whose leading
+    coefficient is N(phi + pi).
     """
     deg = SCAN_DEGREE
-    n = 2 * deg
-    coeffs = np.empty((gamma.shape[0], n + 1), dtype=complex)
-    coeffs[:, deg:] = gamma
-    coeffs[:, :deg] = np.conj(gamma[:, :0:-1])
-    mag = np.max(np.abs(coeffs), axis=1)
-    gi = np.flatnonzero(mag > 0.0)
-    coeffs = coeffs[gi]
-    floor = np.finfo(float).eps * mag[gi]
-    lead = coeffs[:, -1]
-    lead = np.where(np.abs(lead) > floor, lead, floor)
-    comp = np.zeros((gi.size, n, n), dtype=complex)
-    comp[:, np.arange(1, n), np.arange(0, n - 1)] = 1.0
-    comp[:, :, -1] = -coeffs[:, :n] / lead[:, None]
-    z = np.linalg.eigvals(comp)
+    k = np.arange(SCAN_SAMPLES)
+    out = np.zeros((SCAN_SAMPLES, 2 * deg + 1), dtype=complex)
+    for j in range(-deg, deg + 1):
+        poly = npoly.polymul(npoly.polypow((1.0, 1j), deg + j), npoly.polypow((1.0, -1j), deg - j))
+        out += np.outer(np.exp(-1j * j * k * (TWO_PI / SCAN_SAMPLES)), poly)
+    return out.real / SCAN_SAMPLES
+
+
+_SEXTIC = _sextic_matrix()
+
+#: Row j: the sample indices in order from sample j on.
+_ROLL = (np.arange(SCAN_SAMPLES)[:, None] + np.arange(SCAN_SAMPLES)) % SCAN_SAMPLES
+
+
+def scan_samples(geom: GeometryConfig, bx, by):
+    """N at the SCAN_SAMPLES orientations 2 pi k / SCAN_SAMPLES, per input row."""
+    grid = np.arange(SCAN_SAMPLES) * (TWO_PI / SCAN_SAMPLES)
+    return _fk_scan(geom, bx, by, grid[None, :])
+
+
+def scan_roots(samples):
+    """Orientation seeds for all real roots of N from its (K, SCAN_SAMPLES) samples.
+
+    Column j holds N at theta = 2 pi j / SCAN_SAMPLES. Each row is solved
+    as the real sextic P(t), t = tan((theta - phi) / 2), with phi + pi at
+    its sample of largest |N|, so P's leading coefficient is that sample
+    and no root lies near t = infinity. The eigenvalues t of the real 6x6
+    companion matrices (one batched call) map back to
+    z = exp(i phi) (1 + it) / (1 - it); those within UNIT_WINDOW of the
+    unit circle give the seeds. Rounding can split a close pair of real
+    roots into a conjugate pair a +- ib, whose z and 1/conj(z) share one
+    angle, so a seed is angle(z) + ln|z|: one on either side of such a pair.
+    Rows with N identically zero are skipped. Returns (rows, theta).
+    """
+    n = SCAN_SAMPLES
+    mag = np.abs(samples)
+    gi = np.flatnonzero(mag.max(axis=1) > 0.0)
+    shift = (mag[gi].argmax(axis=1) + n // 2) % n
+    p = samples[gi[:, None], _ROLL[shift]] @ _SEXTIC
+    deg = p.shape[1] - 1
+    comp = np.zeros((gi.size, deg, deg))
+    comp[:, np.arange(1, deg), np.arange(0, deg - 1)] = 1.0
+    comp[:, :, -1] = -p[:, :deg] / p[:, deg:]
+    t = np.linalg.eigvals(comp)
+    z = (1.0 + 1j * t) / (1.0 - 1j * t)
     ri, rj = np.nonzero(np.abs(np.abs(z) - 1.0) < UNIT_WINDOW)
     z = z[ri, rj]
-    return gi[ri], (np.angle(z) + np.log(np.abs(z))) % TWO_PI
+    phi = shift[ri] * (TWO_PI / n)
+    return gi[ri], (phi + np.angle(z) + np.log(np.abs(z))) % TWO_PI
 
 
 def _may_assemble(geom: GeometryConfig, bx, by):
@@ -531,7 +569,7 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
     for start in range(0, n, FK_CHUNK):
         bx, by = elbow_points(geom, alphas[start : start + FK_CHUNK])
         live = np.flatnonzero(_may_assemble(geom, bx, by))
-        ci, theta = scan_roots(scan_coefficients(geom, bx[live], by[live]))
+        ci, theta = scan_roots(scan_samples(geom, bx[live], by[live]))
         ci = live[ci]
         if ci.size == 0:
             continue

@@ -265,10 +265,7 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
     }
     if len(points) in (2, 3):
         depth = cfg.depth_or(6)
-        first = inverse_kinematics(cfg.geometry, points[0], mode, cfg.eps_sing)
-        pair = jacobians(cfg.geometry, first)
-        sign = 1 if pair.det_a > 0 else -1
-        atlas = _pair_census(cfg, mode, sign, depth)
+        atlas = _pair_census(cfg, mode, result.det_sign, depth)
         evidence = verify_assembly_mode_change(cfg.geometry, atlas, result, cfg.eps_sing)
         print(
             f"assembly-mode change: {evidence.verdict} "

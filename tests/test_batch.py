@@ -133,11 +133,26 @@ def test_assembly_modes_match_direct_classification(ref_geom, rng):
         assert got == expect
 
 
-def test_scan_roots_with_vanishing_lead_coefficient():
-    # N = cos(2 theta) - 1/2 has gamma_3 = 0 and roots at odd multiples of
-    # pi/6; N = 0 has no isolated roots; N = cos(3 theta) has six.
-    gamma = np.array([[-0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    rows, theta = batch.scan_roots(gamma.astype(complex))
-    assert np.allclose(np.sort(theta[rows == 0]), np.array([1, 5, 7, 11]) * math.pi / 6)
-    assert not (rows == 1).any()
-    assert np.allclose(np.sort(theta[rows == 2]), np.arange(1, 12, 2) * math.pi / 6)
+def test_scan_roots_of_sampled_trig_polynomials():
+    # N = cos(2 theta) - 1/2 (no degree-3 term) has roots at odd multiples of
+    # pi/6; N = 0 has no isolated roots; N = cos(3 theta) has six, and
+    # N = sin(3 theta) six at multiples of pi/3, two of them (0 and pi) on
+    # scan angles: there the sextic's variable t is 0 or the largest sample
+    # sits next to a root.
+    grid = np.arange(batch.SCAN_SAMPLES) * (2 * math.pi / batch.SCAN_SAMPLES)
+    samples = np.array(
+        [np.cos(2 * grid) - 0.5, np.zeros_like(grid), np.cos(3 * grid), np.sin(3 * grid)]
+    )
+    rows, theta = batch.scan_roots(samples)
+    expect = {
+        0: np.array([1, 5, 7, 11]) * math.pi / 6,
+        2: np.arange(1, 12, 2) * math.pi / 6,
+        3: np.arange(6) * math.pi / 3,
+    }
+    assert set(rows.tolist()) == set(expect)
+    for row, roots in expect.items():
+        got = theta[rows == row]
+        assert got.shape == roots.shape
+        assert ((got >= 0.0) & (got < 2 * math.pi)).all()
+        gap = np.abs(np.angle(np.exp(1j * (got[:, None] - roots[None, :]))))
+        assert (gap.min(axis=0) < 1e-12).all()

@@ -135,6 +135,69 @@ def test_near_tangent_root_clusters(ref_geom, alpha, count):
         assert min(s.distance(Pose(x, y, t)) for s in sols) < 1e-4
 
 
+#: Near a det(A) = 0 wall, triples where two legs' circles of platform
+#: positions nearly coincide at the clustered orientations (a row of the 2x2
+#: reduction shorter than ``batch.SHORT_ROW`` * m). There the Cramer point
+#: slides along the circles with rounding-level changes of theta, and the
+#: poses that only the rank-1 line candidates reach were dropped: from the
+#: ``fk_sweep`` benchmark, seed 2 triple 2618 (3 of 4 found), seed 35 triple
+#: 790 (3 of 4) and seed 30 triple 2602 (3 of 6); seed 5 triple 295 and seed
+#: 20 triple 2731 lost one pose to the real scan alone.
+COINCIDENT_CIRCLE_TRIPLES = [
+    ((1.3133083049434806, 1.2627869657227286, -1.422040485657619), 4),
+    ((0.8177298635833843, -2.742556324274858, -2.796288302825381), 4),
+    ((0.9133250442241151, 3.007595921797302, -1.1810252380678818), 6),
+    ((0.9141132550779644, 3.0089299751036163, -1.1812905355572276), 6),
+    ((0.09136477734698994, -2.3404106479812037, -2.4679723455365794), 4),
+]
+
+
+def _closures(mpmath, geom, alpha):
+    """The three closure equations |c_i - b_i|^2 - m^2 of ``alpha`` in mpmath."""
+    mpf = mpmath.mpf
+    elbows = [
+        (
+            geom.r * mpmath.cos(mpf(phase)) + geom.l * mpmath.cos(mpf(a)),
+            geom.r * mpmath.sin(mpf(phase)) + geom.l * mpmath.sin(mpf(a)),
+        )
+        for phase, a in zip(geom.base_phase, alpha)
+    ]
+
+    def f(x, y, t):
+        return [
+            (x + geom.s * mpmath.cos(t + psi) - bx) ** 2
+            + (y + geom.s * mpmath.sin(t + psi) - by) ** 2
+            - geom.m**2
+            for (bx, by), psi in zip(elbows, geom.platform_phase)
+        ]
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "alpha, count", COINCIDENT_CIRCLE_TRIPLES, ids=[f"alpha{k}" for k in range(5)]
+)
+def test_nearly_coincident_leg_circles_keep_every_pose(ref_geom, alpha, count):
+    mpmath = pytest.importorskip("mpmath")
+    sols = forward_kinematics(ref_geom, alpha)
+    assert len(sols) == count
+    roots = []
+    with mpmath.workdps(50):
+        f = _closures(mpmath, ref_geom, alpha)
+        for s in sols:
+            assert closure_residual(ref_geom, alpha, s) < 1e-12
+            # A 50-digit Newton from the pose lands on a root next to it (the
+            # close pair of the last triple is 2e-5 apart, its Jacobian
+            # nearly singular, so the pose is 2e-8 from its root).
+            root = mpmath.findroot(f, (s.x, s.y, s.theta), solver="mdnewton")
+            assert max(abs(v) for v in f(*root)) < 1e-40
+            assert max(abs(r - v) for r, v in zip(root, (s.x, s.y, s.theta))) < 1e-7
+            roots.append(root)
+        # ... and every pose on a root of its own.
+        for k, p in enumerate(roots):
+            assert all(max(abs(a - b) for a, b in zip(p, q)) > batch.MERGE_TOL for q in roots[:k])
+
+
 def test_degenerate_reduction_raises():
     # The platform triangle mirrors the base one at equal size, so the elbow
     # triangle of equal actuated angles mirrors the platform and the 2x2
