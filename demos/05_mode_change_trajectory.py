@@ -14,8 +14,6 @@ from pathlib import Path
 from planar3rrr import GeometryConfig, Pose, parse_mode
 from planar3rrr.aspects import characteristic_surface, enumerate_aspects
 from planar3rrr.cli import bundled_data_path
-from planar3rrr.jacobians import jacobians
-from planar3rrr.kinematics import inverse_kinematics
 from planar3rrr.octree import locate
 from planar3rrr.trajectory import PathSpec, monitor, verify_assembly_mode_change, write_profile
 
@@ -34,12 +32,12 @@ def main():
     write_profile(result, out)
     print(f"  normalized profile written to {out}")
 
-    sign = 1 if jacobians(geom, inverse_kinematics(geom, way[0], mode)).det_a > 0 else -1
+    sign = result.det_sign
     atlas = enumerate_aspects(geom, depth=6, modes=[mode], det_signs=(sign,), build_joint=False)
     evidence = verify_assembly_mode_change(geom, atlas, result)
     print(f"\nassembly-mode change: {evidence.verdict}")
     print(f"  shared actuated input (gap {evidence.alpha_gap:.1e}): {tuple(round(a, 6) for a in evidence.alpha)}")
-    print(f"  same aspect: {evidence.in_same_aspect}, monitored: {evidence.monitor_verdict}")
+    print(f"  same aspect: {evidence.in_same_aspect}, monitored: {result.verdict}")
 
     comp = locate(atlas.entries[(mode, sign)].workspace, way[0].as_tuple()).comp
     surf = characteristic_surface(geom, atlas, mode, sign, comp)

@@ -36,9 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import batch
-from .errors import ConfigError, ModeMismatchError, ParallelSingularError
+from .errors import ConfigError, ModeMismatchError, ParallelSingularError, SerialSingularError
 from .geometry import EPS_SING, FullConfiguration, GeometryConfig, WorkingMode
-from .jacobians import jacobians, working_mode_of
 from .octree import (
     Box3,
     Octree,
@@ -133,15 +132,15 @@ def _slab_rows(counts: tuple[int, int, int]) -> int:
 def census_bytes(box: Box3, depth: int, n_modes: int, joint_depth: int | None) -> int:
     """Estimated peak bytes of the census's dense arrays, from their shapes.
 
-    The reach mask and sign grids live throughout; on top of them come the
-    larger of a sign-grid slab's working set and one pair's cell grids, and
-    the joint sweep when ``joint_depth`` is given.
+    The sign grids live throughout; on top of them come the larger of a
+    sign-grid slab's working set and one pair's cell grids, and the joint
+    sweep when ``joint_depth`` is given.
     """
     c0, c1, c2 = counts = _corner_counts(box, depth)
     slab = min(_slab_rows(counts), c0) * c1 * c2
     work = max(SLAB_BYTES_PER_POINT * slab, PAIR_BYTES_PER_CELL << (3 * depth))
     joint = 0 if joint_depth is None else JOINT_BYTES_PER_CELL << (3 * joint_depth)
-    return (n_modes + 1) * c0 * c1 * c2 + work + joint
+    return n_modes * c0 * c1 * c2 + work + joint
 
 
 def memory_budget() -> int:
@@ -153,13 +152,12 @@ def memory_budget() -> int:
 
 
 def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, modes):
-    """Reach mask and det(A) signs of ``modes`` at the cell corners.
+    """det(A) signs of ``modes`` at the cell corners, 0 off reach.
 
-    ``signs[j]`` belongs to ``modes[j]`` and is 0 off reach. The grids are
-    filled in slabs of corner rows, and det(A) is evaluated only at the
-    samples in reach. The grids have n+1 samples along
-    non-wrapping axes and n along wrapping ones (corner n coincides with
-    corner 0).
+    ``signs[j]`` belongs to ``modes[j]``. The grids are filled in slabs of
+    corner rows, and det(A) is evaluated only at the samples in reach. The
+    grids have n+1 samples along non-wrapping axes and n along wrapping ones
+    (corner n coincides with corner 0).
     """
     n = 1 << depth
     counts = _corner_counts(box, depth)
@@ -167,20 +165,18 @@ def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, modes):
         box.lo[axis] + np.arange(counts[axis]) * ((box.hi[axis] - box.lo[axis]) / n)
         for axis in range(3)
     ]
-    reach = np.empty(counts, dtype=bool)
     signs = np.empty((len(modes), *counts), dtype=np.int8)
     slab = _slab_rows(counts)
     for x0 in range(0, counts[0], slab):
         xs = coords[0][x0 : x0 + slab]
-        rch, dets = batch.mode_determinants(
+        _, dets = batch.mode_determinants(
             geom, xs[:, None, None], coords[1][None, :, None], coords[2][None, None, :], modes
         )
         sl = slice(x0, x0 + len(xs))
-        reach[sl] = rch
         for j, det in enumerate(dets):
             # NaN, the det of a sample out of reach, compares false both ways.
             np.subtract(det > 0, det < 0, out=signs[j, sl], dtype=np.int8)
-    return reach, signs
+    return signs
 
 
 def _corner_expand(vals: np.ndarray, box: Box3) -> np.ndarray:
@@ -248,7 +244,6 @@ def enumerate_aspects(
     depth: int = 8,
     box: Box3 | None = None,
     joint_depth: int | None = None,
-    jbox: Box3 | None = None,
     modes=None,
     det_signs=(1, -1),
     build_joint: bool = True,
@@ -268,7 +263,7 @@ def enumerate_aspects(
     box = box or workspace_box()
     modes = list(modes) if modes is not None else list(WorkingMode)
     if build_joint:
-        jbox = jbox or joint_box()
+        jbox = joint_box()
         joint_depth = min(depth, 5) if joint_depth is None else joint_depth
     else:
         jbox = None
@@ -281,26 +276,20 @@ def enumerate_aspects(
             f"{need / 2**30:.2f} GiB, over the memory budget of {budget / 2**30:.2f} GiB "
             "(physical memory or the RLIMIT_AS soft limit)"
         )
-    reach, signs = _sign_grids(geom, box, depth, modes)
+    signs = _sign_grids(geom, box, depth, modes)
     joint_flags = None if jbox is None else _joint_flag_grids(geom, jbox, joint_depth)
 
     entries: dict[tuple[WorkingMode, int], AspectEntry] = {}
     for j, mode in enumerate(modes):
         k = batch.MODE_ORDER.index(mode)
         for sign in det_signs:
-            tree = _grid_to_tree(_corner_expand(reach & (signs[j] == sign), box), box, depth)
+            tree = _grid_to_tree(_corner_expand(signs[j] == sign, box), box, depth)
             tree, count_raw = connected_components(tree)
             solid = _solid_ids(tree)
             in_mask = tree.label
             comp_in = tree.comp[in_mask]
-            leaf_counts = (
-                np.bincount(comp_in, minlength=count_raw) if count_raw else np.empty(0, int)
-            )
-            vols = (
-                np.bincount(comp_in, weights=tree.leaf_volumes()[in_mask], minlength=count_raw)
-                if count_raw
-                else np.empty(0)
-            )
+            leaf_counts = np.bincount(comp_in, minlength=count_raw)
+            vols = np.bincount(comp_in, weights=tree.leaf_volumes()[in_mask], minlength=count_raw)
             joint_tree = None
             n_joint = 0
             if joint_flags is not None:
@@ -323,13 +312,36 @@ def enumerate_aspects(
     )
 
 
-def _classify(config: FullConfiguration, eps: float):
-    pair = jacobians(config.geom, config)
-    mode = working_mode_of(pair, eps)
-    scale = pair.row_norm_scale
-    if abs(pair.det_a) < eps * scale:
-        raise ParallelSingularError(pair.det_a, scale)
-    return mode, (1 if pair.det_a > 0 else -1)
+def _same_component(geom: GeometryConfig, atlas: AspectAtlas, alphas, poses, eps: float) -> bool:
+    """True when two poses (x, y, theta) with actuated angles ``alphas`` share a component.
+
+    One ``batch.jacobian_rows`` call gives both matrix pairs. Pose by pose,
+    |B_ii| < eps raises SerialSingularError and |det(A)| < eps * scale
+    ParallelSingularError; differing working modes or det(A) signs raise
+    ModeMismatchError.
+    """
+    x, y, theta = np.array(poses, dtype=float).T
+    _, det, b_diag, scale = batch.jacobian_rows(geom, np.array(alphas, dtype=float), x, y, theta)
+    keys = []
+    for d, b, s in zip(det.tolist(), b_diag.tolist(), scale.tolist()):
+        for i, v in enumerate(b):
+            if abs(v) < eps:
+                raise SerialSingularError(i + 1, v)
+        if abs(d) < eps * s:
+            raise ParallelSingularError(d, s)
+        mode = WorkingMode.from_signs(tuple(1 if v > 0 else -1 for v in b))
+        keys.append((mode, 1 if d > 0 else -1))
+    k1, k2 = keys
+    if k1 != k2:
+        raise ModeMismatchError(
+            f"configurations differ: mode {k1[0].label}/sign {k1[1]:+d} vs "
+            f"mode {k2[0].label}/sign {k2[1]:+d}"
+        )
+    entry = atlas.entries.get(k1)
+    if entry is None:
+        raise KeyError(f"atlas has no entry for mode {k1[0].label}, sign {k1[1]:+d}")
+    la, lb = (locate(entry.workspace, tuple(p)) for p in poses)
+    return la.comp is not None and la.comp >= 0 and la.comp == lb.comp
 
 
 def same_aspect(
@@ -343,19 +355,8 @@ def same_aspect(
     Both must be non-singular and share working mode and det(A) sign;
     otherwise ModeMismatchError is raised.
     """
-    k1 = _classify(config1, eps)
-    k2 = _classify(config2, eps)
-    if k1 != k2:
-        raise ModeMismatchError(
-            f"configurations differ: mode {k1[0].label}/sign {k1[1]:+d} vs "
-            f"mode {k2[0].label}/sign {k2[1]:+d}"
-        )
-    entry = atlas.entries.get(k1)
-    if entry is None:
-        raise KeyError(f"atlas has no entry for mode {k1[0].label}, sign {k1[1]:+d}")
-    la = locate(entry.workspace, config1.pose.as_tuple())
-    lb = locate(entry.workspace, config2.pose.as_tuple())
-    return la.comp is not None and la.comp >= 0 and la.comp == lb.comp
+    poses = (config1.pose.as_tuple(), config2.pose.as_tuple())
+    return _same_component(config1.geom, atlas, (config1.alpha, config2.alpha), poses, eps)
 
 
 @dataclass(frozen=True)

@@ -270,7 +270,7 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
         print(
             f"assembly-mode change: {evidence.verdict} "
             f"(shared_alpha={evidence.shared_alpha}, alpha_gap={evidence.alpha_gap:.3e}, "
-            f"same_aspect={evidence.in_same_aspect}, monitor={evidence.monitor_verdict})"
+            f"same_aspect={evidence.in_same_aspect}, monitor={result.verdict})"
         )
         evidence_data.update(
             {
@@ -307,7 +307,8 @@ def cmd_charsurf(cfg: RunConfig, args) -> int:
         ],
         "boundary_count": int(surf.boundary_leaves.size),
     }
-    out = _outdir(cfg) / f"charsurf_{mode.label}_{'pos' if sign > 0 else 'neg'}_{args.component}.json"
+    tag = "pos" if sign > 0 else "neg"
+    out = _outdir(cfg) / f"charsurf_{mode.label}_{tag}_{args.component}.json"
     with open(out, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -25,21 +25,20 @@ E = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 @dataclass(frozen=True)
 class JacobianPair:
-    """The 3x3 direct-kinematics matrix A, the diagonal of B, and det(A)."""
+    """The 3x3 direct-kinematics matrix A, the diagonal of B, and det(A).
+
+    ``row_norm_scale`` is the product of the row norms of A; it makes det(A)
+    dimensionless.
+    """
 
     a_mat: np.ndarray
     b_diag: tuple[float, float, float]
     det_a: float
+    row_norm_scale: float
 
     @property
     def b_mat(self) -> np.ndarray:
         return np.diag(self.b_diag)
-
-    @property
-    def row_norm_scale(self) -> float:
-        """Product of the row norms of A; scales det(A) dimensionless."""
-        rows = np.linalg.norm(self.a_mat, axis=1)
-        return float(rows[0] * rows[1] * rows[2])
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,10 @@ class SingularityReport:
 def jacobians(geom: GeometryConfig, config: FullConfiguration) -> JacobianPair:
     """Build the matrix pair at a configuration (``batch.jacobian_rows``, one pose)."""
     x, y, theta = (np.array([v]) for v in config.pose.as_tuple())
-    rows, det, b_diag, _ = batch.jacobian_rows(geom, np.array([config.alpha]), x, y, theta)
+    rows, det, b_diag, scale = batch.jacobian_rows(geom, np.array([config.alpha]), x, y, theta)
     a_mat = rows[0]
     a_mat.setflags(write=False)
-    return JacobianPair(a_mat=a_mat, b_diag=tuple(b_diag[0].tolist()), det_a=float(det[0]))
+    return JacobianPair(a_mat, tuple(b_diag[0].tolist()), float(det[0]), float(scale[0]))
 
 
 def working_mode_of(pair: JacobianPair, eps: float = EPS_SING) -> WorkingMode:

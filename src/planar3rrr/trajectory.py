@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import batch
-from .aspects import AspectAtlas, same_aspect
+from .aspects import AspectAtlas, _same_component
 from .errors import ModeMismatchError, UnreachableSampleError
 from .geometry import (
     EPS_SING,
@@ -25,12 +25,14 @@ from .geometry import (
     angle_difference,
     wrap_angles,
 )
-from .kinematics import inverse_kinematics
 
 VERDICT_NON_SINGULAR = "NonSingular"
 VERDICT_SINGULAR = "Singular"
 VERDICT_CHANGE = "ChangeDemonstrated"
 VERDICT_NO_CHANGE = "NotDemonstrated"
+
+#: Largest actuated-angle gap (radians) at which two poses share one input.
+ALPHA_TOL = 1e-4
 
 #: CSV header of the profile export (9-significant-digit %.9g cells).
 PROFILE_HEADER = "t,x,y,theta_deg,alpha1,alpha2,alpha3,detA,B11,B22,B33,detA_n,B11_n,B22_n,B33_n"
@@ -160,18 +162,13 @@ def write_profile(result: MonitorResult, path) -> None:
 
 @dataclass(frozen=True)
 class ChangeEvidence:
-    """Outcome of the three assembly-mode-change checks."""
+    """Outcome of the mode-change checks; the monitor's verdict and margins stay on its result."""
 
     verdict: str
     shared_alpha: bool
     alpha_gap: float
     alpha: tuple[float, float, float]
     in_same_aspect: bool
-    aspect_note: str
-    monitor_verdict: str
-    min_abs_det_scaled: float
-    min_abs_b: float
-    det_sign: int
 
 
 def verify_assembly_mode_change(
@@ -179,45 +176,35 @@ def verify_assembly_mode_change(
     atlas: AspectAtlas,
     path: MonitorResult,
     eps: float = EPS_SING,
-    alpha_tol: float = 1e-4,
 ) -> ChangeEvidence:
     """Demonstrate a non-singular assembly-mode change along a monitored path.
 
-    The change is between the first and the last pose of ``path``, in its
-    working mode. All three checks must hold: the two poses share the
-    actuated input within ``alpha_tol``; they lie in the same aspect
-    component; the path was monitored NonSingular.
+    The change is between the first and the last sample of ``path``, in its
+    working mode, and is read from the monitored records: nothing is solved
+    again. All three checks must hold: the two poses share the actuated
+    input within ``ALPHA_TOL``; they lie in the same aspect component; the
+    path was monitored NonSingular. An end sample whose margins are below
+    ``eps`` raises SerialSingularError or ParallelSingularError; the reach
+    tests are the monitor's, made with the ``eps`` it was given.
     """
-    mode = path.mode
-    rec = path.records
-    pose_a = Pose(rec.x[0], rec.y[0], rec.theta[0])
-    pose_b = Pose(rec.x[-1], rec.y[-1], rec.theta[-1])
+    rec = path.records[[0, -1]]
+    pose_a, pose_b = (Pose(*p) for p in zip(rec.x.tolist(), rec.y.tolist(), rec.theta.tolist()))
     if pose_a.distance(pose_b) < 1e-12:
         raise ValueError("the path must end at a pose other than its first")
-    cfg_a = inverse_kinematics(geom, pose_a, mode, eps)
-    cfg_b = inverse_kinematics(geom, pose_b, mode, eps)
-    alpha_gap = max(
-        abs(angle_difference(x, y)) for x, y in zip(cfg_a.alpha, cfg_b.alpha)
-    )
-    shared = alpha_gap <= alpha_tol
-
+    alpha_a, alpha_b = zip(*(rec[f"alpha{i}"].tolist() for i in (1, 2, 3)))
+    alpha_gap = max(abs(angle_difference(a, b)) for a, b in zip(alpha_a, alpha_b))
+    shared = alpha_gap <= ALPHA_TOL
+    poses = (pose_a.as_tuple(), pose_b.as_tuple())
     try:
-        in_same = same_aspect(atlas, cfg_a, cfg_b, eps)
-        note = "" if in_same else "different components"
-    except ModeMismatchError as exc:
+        in_same = _same_component(geom, atlas, (alpha_a, alpha_b), poses, eps)
+    except ModeMismatchError:
         in_same = False
-        note = str(exc)
 
     ok = shared and in_same and path.verdict == VERDICT_NON_SINGULAR
     return ChangeEvidence(
         verdict=VERDICT_CHANGE if ok else VERDICT_NO_CHANGE,
         shared_alpha=shared,
         alpha_gap=alpha_gap,
-        alpha=cfg_a.alpha,
+        alpha=alpha_a,
         in_same_aspect=in_same,
-        aspect_note=note,
-        monitor_verdict=path.verdict,
-        min_abs_det_scaled=path.min_abs_det_scaled,
-        min_abs_b=path.min_abs_b,
-        det_sign=path.det_sign,
     )

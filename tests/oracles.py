@@ -392,8 +392,8 @@ def _dense_branch_rows(geom, x, y, theta):
 
 
 def sign_grids_dense(geom, box, depth, modes):
-    """Reach mask and int8 det(A) signs of ``modes`` at the census's cell
-    corners, from det(A) at every corner sample (0 off reach)."""
+    """int8 det(A) signs of ``modes`` at the census's cell corners, from
+    det(A) at every corner sample (0 off reach)."""
     n = 1 << depth
     counts = [n if box.wraps(axis) else n + 1 for axis in range(3)]
     coords = [
@@ -411,7 +411,7 @@ def sign_grids_dense(geom, box, depth, modes):
         det = e1 * (f2 * w3 - w2 * f3) + f1 * (w2 * e3 - e2 * w3) + w1 * (e2 * f3 - f2 * e3)
         with np.errstate(invalid="ignore"):
             signs[j] = np.where(reach, np.sign(det), 0.0).astype(np.int8)
-    return reach, signs
+    return signs
 
 
 def fk_system_pieces_per_leg(geom, bx, by, theta):

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_criterion_3_assembly_mode_change(ref_geom, tmp_path, capsys):
     ok = ok and evidence["same_aspect"] and evidence["monitor_verdict"] == "NonSingular"
     ok = ok and evidence["min_abs_det_scaled"] > 0.0
     # Stability under sample doubling.
-    doubled = json.loads(open(REF_PATH).read())
+    doubled = json.loads(Path(REF_PATH).read_text())
     doubled["samples_per_segment"] = 1000
     wp = tmp_path / "doubled.json"
     wp.write_text(json.dumps(doubled))

@@ -89,11 +89,10 @@ def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
     for slab_points in (aspects.SLAB_POINTS, 1):
         monkeypatch.setattr(aspects, "SLAB_POINTS", slab_points)
         for modes in (list(WorkingMode), subset):
-            want_reach, want_signs = want[len(modes)]
-            reach, signs = aspects._sign_grids(geom, box, 5, modes)
-            assert 0 < reach.sum() < reach.size
-            assert np.array_equal(reach, want_reach)
-            assert np.array_equal(signs, want_signs)
+            # The oracle's signs are 0 off reach, so equal signs check reach too.
+            signs = aspects._sign_grids(geom, box, 5, modes)
+            assert 0 < np.count_nonzero(signs) < signs.size
+            assert np.array_equal(signs, want[len(modes)])
 
 
 @pytest.fixture(scope="module", params=["reference", "congruent", "unequal_links", "random"])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -173,7 +174,7 @@ def test_workspace_runs_the_census(ref_config, tmp_path, capsys):
 
 
 def test_workspace_limit_sets_census_box(ref_config, tmp_path, capsys):
-    data = json.loads(open(ref_config).read())
+    data = json.loads(Path(ref_config).read_text())
     data["workspace_limit"] = 6
     cfg = tmp_path / "limit6.json"
     cfg.write_text(json.dumps(data))

@@ -1,13 +1,21 @@
 import csv
+import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import ALPHA_REF, VIA_POSTURE, posture
-from planar3rrr.aspects import enumerate_aspects
-from planar3rrr.errors import SerialBoundaryError, UnreachableError, UnreachableSampleError
+from planar3rrr.aspects import enumerate_aspects, same_aspect
+from planar3rrr.errors import (
+    ModeMismatchError,
+    ParallelSingularError,
+    SerialBoundaryError,
+    UnreachableError,
+    UnreachableSampleError,
+)
 from planar3rrr.geometry import Pose, WorkingMode, angle_difference
 from planar3rrr.trajectory import (
     PROFILE_HEADER,
@@ -21,6 +29,7 @@ from planar3rrr.trajectory import (
     verify_assembly_mode_change,
     write_profile,
 )
+from planar3rrr.kinematics import inverse_kinematics
 
 MODE = WorkingMode.C
 
@@ -216,11 +225,12 @@ def test_profile_export(ref_geom, tmp_path):
 
 
 def test_verify_assembly_mode_change_benchmark(ref_geom, atlas):
-    evidence = verify_assembly_mode_change(ref_geom, atlas, monitor(ref_geom, _benchmark_spec()))
+    path = monitor(ref_geom, _benchmark_spec())
+    evidence = verify_assembly_mode_change(ref_geom, atlas, path)
     assert evidence.verdict == VERDICT_CHANGE
     assert evidence.shared_alpha and evidence.alpha_gap < 1e-4
     assert evidence.in_same_aspect
-    assert evidence.monitor_verdict == VERDICT_NON_SINGULAR
+    assert path.verdict == VERDICT_NON_SINGULAR
     # The shared actuated input is the benchmark joint triple.
     for got, want in zip(evidence.alpha, ALPHA_REF):
         assert abs(angle_difference(got, want)) < 1e-6
@@ -239,4 +249,54 @@ def test_verify_posture_pair_1_2_fails(ref_geom, atlas):
     evidence = verify_assembly_mode_change(ref_geom, atlas, path)
     assert evidence.verdict == VERDICT_NO_CHANGE
     assert not evidence.in_same_aspect
-    assert evidence.monitor_verdict == VERDICT_SINGULAR
+    assert path.verdict == VERDICT_SINGULAR
+
+
+def _forbid_resolves(monkeypatch):
+    # Replace every binding of the one-pose solvers in every loaded module.
+    targets = tuple(
+        getattr(importlib.import_module(f"planar3rrr.{name}"), attr)
+        for name, attr in (("kinematics", "inverse_kinematics"), ("jacobians", "jacobians"))
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the end samples were solved again")
+
+    for module in list(sys.modules.values()):
+        if module is None or not module.__name__.startswith("planar3rrr"):
+            continue
+        for name, value in list(vars(module).items()):
+            if any(value is target for target in targets):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "waypoints", [(posture(1), _via(), posture(4)), (posture(1), posture(2))], ids=["bench", "1-2"]
+)
+def test_verify_reads_the_monitored_records(ref_geom, atlas, monkeypatch, waypoints):
+    # The evidence equals what solving the two end poses again gives, but
+    # comes from the monitor's records alone.
+    path = monitor(ref_geom, PathSpec(waypoints=waypoints, mode=MODE))
+    cfg_a, cfg_b = (inverse_kinematics(ref_geom, p, MODE) for p in (waypoints[0], waypoints[-1]))
+    gap = max(abs(angle_difference(a, b)) for a, b in zip(cfg_a.alpha, cfg_b.alpha))
+    try:
+        in_same = same_aspect(atlas, cfg_a, cfg_b)
+    except ModeMismatchError:
+        in_same = False
+    _forbid_resolves(monkeypatch)
+    evidence = verify_assembly_mode_change(ref_geom, atlas, path)
+    assert evidence.alpha == cfg_a.alpha
+    assert evidence.alpha_gap == gap
+    assert evidence.shared_alpha == (gap <= 1e-4)
+    assert evidence.in_same_aspect == in_same
+    change = evidence.shared_alpha and in_same and path.verdict == VERDICT_NON_SINGULAR
+    assert evidence.verdict == (VERDICT_CHANGE if change else VERDICT_NO_CHANGE)
+    assert evidence.verdict == (VERDICT_CHANGE if len(waypoints) == 3 else VERDICT_NO_CHANGE)
+
+
+def test_verify_refuses_an_end_inside_the_margin(ref_geom, atlas):
+    # |det(A)| / scale is 0.031 at posture (1): an eps above it makes that end
+    # parallel singular, while its legs stay clear of the reach boundaries.
+    path = monitor(ref_geom, _benchmark_spec())
+    with pytest.raises(ParallelSingularError):
+        verify_assembly_mode_change(ref_geom, atlas, path, eps=0.1)
