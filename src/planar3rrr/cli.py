@@ -98,10 +98,12 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if cfg.samples_per_segment < 2:
         raise ConfigError("samples_per_segment must be at least 2")
-    if cfg.eps_sing <= 0:
-        raise ConfigError("eps_sing must be positive")
+    if not 0 < cfg.eps_sing < math.inf:
+        raise ConfigError(f"eps_sing must be positive and finite, got {cfg.eps_sing}")
     if cfg.depth is not None:
         _check_depth(cfg.depth, "config depth")
+    if cfg.joint_depth is not None and not 0 <= cfg.joint_depth <= MAX_DEPTH:
+        raise ConfigError(f"config joint_depth must be in [0, {MAX_DEPTH}], got {cfg.joint_depth}")
     return cfg
 
 
@@ -111,8 +113,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         _check_depth(args.depth, "--depth")
         updates["depth"] = args.depth
     if args.eps is not None:
-        if args.eps <= 0:
-            raise ConfigError("eps must be positive")
+        if not 0 < args.eps < math.inf:
+            raise ConfigError(f"--eps must be positive and finite, got {args.eps}")
         updates["eps_sing"] = args.eps
     if args.out is not None:
         updates["out"] = Path(args.out)
@@ -246,7 +248,7 @@ def cmd_aspects(cfg: RunConfig, args) -> int:
 
 def cmd_trajectory(cfg: RunConfig, args) -> int:
     mode, points, spp = _load_waypoints(args.waypoints)
-    spp = spp or cfg.samples_per_segment
+    spp = cfg.samples_per_segment if spp is None else spp
     spec = PathSpec(waypoints=tuple(points), mode=mode, samples_per_segment=spp)
     result = monitor(cfg.geometry, spec, cfg.eps_sing)
     outdir = _outdir(cfg)

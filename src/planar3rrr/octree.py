@@ -32,9 +32,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components as _csgraph_components
 
 from .errors import BoxMismatchError, OutOfBoxError
 from .geometry import TWO_PI
@@ -370,6 +367,8 @@ def _union_small(n_labels: int, pairs) -> np.ndarray:
 
 def _label_grid(grid: np.ndarray, wrap: tuple[bool, bool, bool]) -> np.ndarray:
     """6-connected component labels (0 = background), merged across wraps."""
+    from scipy import ndimage  # the dense reference only; the import path stays numpy-only
+
     structure = ndimage.generate_binary_structure(3, 1)
     lab, n = ndimage.label(grid, structure=structure)
     if n > 1 and any(wrap):
@@ -463,11 +462,20 @@ def _components_from_graph(tree: Octree) -> tuple[Octree, int]:
     k, j = _leaf_adjacency_pairs(tree, ids)
     keep = tree.label[j]
     rank = np.cumsum(tree.label) - 1
-    edges = (rank[k[keep]], rank[j[keep]])
-    graph = coo_matrix((np.ones(edges[0].size), edges), shape=(ids.size,) * 2)
-    _, labels = _csgraph_components(graph, directed=False)
+    u, v = rank[k[keep]], rank[j[keep]]
+    # Union-find by root hooking and pointer jumping: each round hooks the
+    # larger root of every edge that still joins two trees onto the smaller,
+    # then flattens the forest, so each IN leaf ends on its component's least index.
+    parent = np.arange(ids.size)
+    while u.size:
+        np.minimum.at(parent, np.maximum(parent[u], parent[v]), np.minimum(parent[u], parent[v]))
+        flat = parent[parent]
+        while not np.array_equal(flat, parent):
+            parent, flat = flat, flat[flat]
+        join = parent[u] != parent[v]
+        u, v = u[join], v[join]
     raw = np.zeros(tree.n_leaves, dtype=np.int64)
-    raw[ids] = labels + 1
+    raw[ids] = parent + 1
     comp, count = _renumber_by_storage_order(tree, raw)
     return replace(tree, comp=comp), count
 

@@ -117,6 +117,36 @@ def test_depth_outside_census_range(tmp_path, capsys, argv, config, name):
     assert not list(tmp_path.glob("*.oct"))
 
 
+@pytest.mark.parametrize(
+    "argv, config, name",
+    [
+        (["--eps", "nan"], {}, "--eps"),
+        (["--eps", "inf"], {}, "--eps"),
+        ([], {"eps_sing": math.nan}, "eps_sing"),
+    ],
+    ids=["flag-nan", "flag-inf", "config-nan"],
+)
+def test_non_finite_eps_refused(tmp_path, capsys, argv, config, name):
+    # A NaN threshold makes every margin test false, so a grazing path would pass as NonSingular.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    rc = main(["--config", str(p), *argv, "fk", "0.5", "1.0", "1.5"])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("joint_depth", [-2, 11])
+def test_joint_depth_outside_range(tmp_path, capsys, joint_depth):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"joint_depth": joint_depth}))
+    out = tmp_path / "a"
+    rc = main(["--config", str(p), "--out", str(out), "--depth", "4", "aspects"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "joint_depth" in err and "[0, 10]" in err
+    assert not out.exists()
+
+
 def test_trajectory_outputs_pinned(ref_config, ref_path, tmp_path, capsys):
     # The sha256 values of bench/golden.json ("path" -> "bundled"), recorded
     # by bench/record_golden.py from the per-sample scalar monitor.
@@ -219,6 +249,18 @@ def test_trajectory_bad_waypoints(ref_config, tmp_path, capsys):
     p.write_text('{"mode": "PPN", "waypoints": [[0, 0, 0]]}')
     rc = main(["--config", ref_config, "trajectory", str(p)])
     assert rc == 2
+
+
+def test_trajectory_refuses_zero_samples_per_segment(ref_config, ref_path, tmp_path, capsys):
+    data = json.loads(Path(ref_path).read_text())
+    data["samples_per_segment"] = 0
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(data))
+    out = tmp_path / "t"
+    rc = main(["--config", ref_config, "--out", str(out), "trajectory", str(p)])
+    assert rc == 2
+    assert "samples_per_segment" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_charsurf_command(ref_config, tmp_path, capsys):

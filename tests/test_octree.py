@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from planar3rrr.geometry import TWO_PI, WorkingMode
 from planar3rrr.octree import (
     Box3,
     _canonical_tree,
+    _grid_to_tree,
     connected_components,
     dumps,
     export,
@@ -276,6 +282,98 @@ def test_components_grid_and_graph_agree(ref_geom, rng):
         g2, c2 = connected_components(tree, method="graph")
         assert c1 == c2
         assert np.array_equal(g1.comp, g2.comp)
+
+
+def _hilbert_cell(order: int, d: int) -> tuple[int, int]:
+    """Cell (x, y) at distance ``d`` along the order-``order`` Hilbert curve."""
+    x = y = 0
+    s = 1
+    while s < (1 << order):
+        rx = 1 & (d // 2)
+        ry = 1 & (d ^ rx)
+        if ry == 0:
+            if rx == 1:
+                x, y = s - 1 - x, s - 1 - y
+            x, y = y, x
+        x, y = x + s * rx, y + s * ry
+        d //= 4
+        s *= 2
+    return x, y
+
+
+def _two_hilbert_tubes(n: int) -> np.ndarray:
+    """Two 1-voxel-wide Hilbert-curve tubes at z = 0 and z = 2, two voxels apart.
+
+    Along a tube the Morton order of its voxels rises and falls at every
+    scale, so the union-find needs many hooking rounds to join it.
+    """
+    grid = np.zeros((n, n, n), dtype=bool)
+    cells = [_hilbert_cell(int(math.log2(n)) - 1, d) for d in range((n // 2) ** 2)]
+    for (x0, y0), (x1, y1) in zip(cells, cells[1:]):
+        grid[2 * x0, 2 * y0, (0, 2)] = grid[x0 + x1, y0 + y1, (0, 2)] = True
+        grid[2 * x1, 2 * y1, (0, 2)] = True
+    return grid
+
+
+def _theta_ring_with_gap(n: int) -> np.ndarray:
+    """A column along theta with one gap: joined only across the theta seam."""
+    grid = np.zeros((n, n, n), dtype=bool)
+    grid[1, 2, :] = True
+    grid[1, 2, n // 2] = False
+    return grid
+
+
+def _single_voxel(n: int) -> np.ndarray:
+    grid = np.zeros((n, n, n), dtype=bool)
+    grid[3, 5, 2] = True
+    return grid
+
+
+@pytest.mark.parametrize(
+    "make_grid, depth, axes, expected",
+    [
+        (_two_hilbert_tubes, 5, ("lin", "lin", "lin"), 2),
+        (_theta_ring_with_gap, 3, ("lin", "lin", "per"), 1),
+        (lambda n: np.zeros((n, n, n), dtype=bool), 3, ("lin", "lin", "per"), 0),
+        (_single_voxel, 3, ("lin", "lin", "per"), 1),
+    ],
+    ids=["serpentine-tubes", "theta-seam", "all-out", "single-in-leaf"],
+)
+def test_labeler_edge_cases_graph_equals_grid(make_grid, depth, axes, expected):
+    box = Box3(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, TWO_PI), axes=axes)
+    tree = _grid_to_tree(make_grid(1 << depth), box, depth)
+    by_graph, count = connected_components(tree, method="graph")
+    by_grid, grid_count = connected_components(tree, method="grid")
+    assert count == grid_count == expected
+    assert np.array_equal(by_graph.comp, by_grid.comp)
+    assert np.array_equal(by_graph.comp >= 0, tree.label)
+
+
+def test_cli_import_loads_no_scipy():
+    # The import path is numpy-only; the dense reference labeler imports
+    # scipy.ndimage when it is first called.
+    code = """if True:
+        import json, sys
+        import numpy as np
+        import planar3rrr.cli
+        from planar3rrr.octree import Box3, _grid_to_tree, connected_components
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        grid = np.zeros((4, 4, 4), dtype=bool)
+        grid[0, :, 0] = grid[3, :, 3] = True
+        tree = _grid_to_tree(grid, Box3(lo=(0, 0, 0), hi=(1, 1, 1), axes=("lin",) * 3), 2)
+        _, count = connected_components(tree, method="grid")
+        print(json.dumps([loaded, count, "scipy.ndimage" in sys.modules]))
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], 2, True]
 
 
 def test_component_ids_invariant_under_leaf_permutation(ref_geom, rng):
