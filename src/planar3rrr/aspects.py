@@ -65,12 +65,13 @@ SLAB_POINTS = 1 << 16
 #: peaks at depths 5-8 on the reference and the congruent (r = s) geometry:
 #: per sample of a sign-grid slab whose samples are all in reach (at most
 #: 434 B), per workspace cell of the (mode, sign) pairs being labeled (at
-#: most 17.0 B at depths 7 and 8, where this term outweighs the slab's; it
-#: includes the trees of the pairs already done), and per joint cell of the
-#: joint sweep (at most 1,159 B, on the congruent geometry, whose every
+#: most 16.1 B at depths 7 and 8, where this term outweighs the slab's; it
+#: includes the trees of the pairs already done, and its peak is the leaf
+#: labeler's, on the congruent geometry at depth 7), and per joint cell of
+#: the joint sweep (at most 1,159 B, on the congruent geometry, whose every
 #: triple passes the leg-pair test and is solved).
 SLAB_BYTES_PER_POINT = 448
-PAIR_BYTES_PER_CELL = 18
+PAIR_BYTES_PER_CELL = 17
 JOINT_BYTES_PER_CELL = 1280
 
 

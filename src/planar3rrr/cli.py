@@ -62,6 +62,23 @@ class RunConfig:
         return self.depth if self.depth is not None else default
 
 
+def _read_json_object(path: str, what: str, int_keys) -> dict:
+    """The JSON object in ``path``; ConfigError names the file on a bad root or int key."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path}: root must be a JSON object")
+    for key in int_keys:
+        if key in data and (isinstance(data[key], bool) or not isinstance(data[key], int)):
+            raise ConfigError(f"{what} {path}: key {key!r} must be an integer, got {data[key]!r}")
+    return data
+
+
 def _check_depth(depth: int, name: str) -> None:
     """Every command that takes a depth runs the census, which takes only this range."""
     if not MIN_DEPTH <= depth <= MAX_DEPTH:
@@ -71,15 +88,7 @@ def _check_depth(depth: int, name: str) -> None:
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig(geometry=GeometryConfig())
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
+    data = _read_json_object(path, "config", ("depth", "joint_depth", "samples_per_segment"))
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -87,10 +96,10 @@ def load_config(path: str | None) -> RunConfig:
         geometry = GeometryConfig.from_dict(data.get("geometry", {}))
         cfg = RunConfig(
             geometry=geometry,
-            depth=int(data["depth"]) if "depth" in data else None,
-            joint_depth=int(data["joint_depth"]) if "joint_depth" in data else None,
+            depth=data.get("depth"),
+            joint_depth=data.get("joint_depth"),
             eps_sing=float(data.get("eps_sing", EPS_SING)),
-            samples_per_segment=int(data.get("samples_per_segment", 500)),
+            samples_per_segment=data.get("samples_per_segment", 500),
             workspace_limit=float(data.get("workspace_limit", 12.0)),
             out=Path(data["out"]) if "out" in data else Path("."),
         )
@@ -98,8 +107,9 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if cfg.samples_per_segment < 2:
         raise ConfigError("samples_per_segment must be at least 2")
-    if not 0 < cfg.eps_sing < math.inf:
-        raise ConfigError(f"eps_sing must be positive and finite, got {cfg.eps_sing}")
+    for key in ("eps_sing", "workspace_limit"):
+        if not 0 < getattr(cfg, key) < math.inf:
+            raise ConfigError(f"{key} must be positive and finite, got {getattr(cfg, key)}")
     if cfg.depth is not None:
         _check_depth(cfg.depth, "config depth")
     if cfg.joint_depth is not None and not 0 <= cfg.joint_depth <= MAX_DEPTH:
@@ -122,13 +132,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 
 def _load_waypoints(path: str) -> tuple[WorkingMode, list[Pose], int | None]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read waypoints {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"waypoints {path} is not valid JSON: {exc}") from exc
+    data = _read_json_object(path, "waypoints", ("samples_per_segment",))
     unknown = set(data) - {"mode", "waypoints", "samples_per_segment"}
     if unknown:
         raise ConfigError(f"unknown waypoint keys: {sorted(unknown)}")
@@ -141,8 +145,7 @@ def _load_waypoints(path: str) -> tuple[WorkingMode, list[Pose], int | None]:
         raise ConfigError(f"invalid waypoints file: {exc}") from exc
     if len(points) < 2:
         raise ConfigError("waypoints file needs at least two poses")
-    spp = data.get("samples_per_segment")
-    return mode, points, int(spp) if spp is not None else None
+    return mode, points, data.get("samples_per_segment")
 
 
 def cmd_fk(cfg: RunConfig, args) -> int:

@@ -9,8 +9,8 @@ significant) order: records (morton code at leaf depth, depth, label) that
 tile the root box exactly. Identical-label sibling groups are always merged,
 so the stored form is the canonical minimal tree. One sibling merger,
 ``_canonical_tree``, canonicalizes the records of ``loads`` and of the
-Boolean operations; ``_grid_to_tree`` runs the same merge as groups-of-8
-reductions over the Morton-ordered grid. Periodic axes (period 2pi) wrap for
+Boolean operations; ``_grid_to_tree`` walks an all-IN and an any-IN pyramid of
+the (x, y, z) grid down to uniform cells. Periodic axes (period 2pi) wrap for
 point location and for adjacency. Neighbors are found
 by probing voxels next to a leaf and searching the leaf starts
 (``_voxel_leaves``): the component labeler, the census's solidity test and
@@ -311,31 +311,38 @@ def _morton_axes(max_depth: int) -> list[int]:
 
 
 def _grid_to_tree(labels: np.ndarray, box: Box3, max_depth: int) -> Octree:
-    """Merge a full max-depth label grid bottom-up into the canonical tree.
+    """The canonical tree of a full max-depth label grid, in (x, y, z) order.
 
-    In Morton order each level is a reduction over groups of 8: a cell is 0
-    (uniform OUT), 1 (uniform IN) or 2 (mixed), and 8 cells read as one uint64.
+    Bottom-up, an AND (all IN) and an OR (any IN) pyramid halve the grid over
+    pairs along x, then y, then z; the grid is the finest level of both.
+    Top-down from the root, a child of a mixed cell is a leaf where the two
+    pyramids agree and is split where they differ. Only leaves are Morton-encoded.
     """
     n = 1 << max_depth
     labels = np.asarray(labels, dtype=bool)
     if labels.shape != (n, n, n):
         raise ValueError(f"label grid must have shape {(n, n, n)}, got {labels.shape}")
-    cells = labels.reshape((2,) * (3 * max_depth)).transpose(_morton_axes(max_depth))
-    state = [None] * max_depth + [cells.ravel().view(np.uint8)]
-    all_in = np.uint64(0x0101010101010101)
-    for d in range(max_depth, 0, -1):
-        groups = state[d].view(np.uint64)
-        state[d - 1] = np.where(groups == 0, 0, np.where(groups == all_in, 1, 2)).astype(np.uint8)
-    codes = [np.zeros(int(state[0][0] != 2), dtype=np.int64)]
-    for d in range(1, max_depth + 1):
-        kids = (np.flatnonzero(state[d - 1] == 2)[:, None] * 8 + np.arange(8)).ravel()
-        codes.append(kids[state[d][kids] != 2])
-    depth = np.repeat(np.arange(max_depth + 1, dtype=np.uint8), [len(c) for c in codes])
-    morton = np.concatenate(codes).astype(np.uint64)
+    all_in, any_in = [labels], [labels]
+    for pyramid, op in ((all_in, np.logical_and), (any_in, np.logical_or)):
+        for _ in range(max_depth):
+            g = op(pyramid[-1][0::2], pyramid[-1][1::2])
+            z_pairs = op(g[:, 0::2], g[:, 1::2]).view(np.uint16)  # a z pair per word
+            pyramid.append(z_pairs == 0x0101 if op is np.logical_and else z_pairs != 0)
+    # A walk cell is the int64 x << 42 | y << 21 | z (21 bits per axis, as in a
+    # Morton code): doubling it doubles x, y and z, and each child adds its offset.
+    kid = np.array([(k & 1) << 42 | (k >> 1 & 1) << 21 | k >> 2 for k in range(8)])
+    cells, leaves = np.zeros(1, dtype=np.int64), []
+    for d in range(max_depth + 1):
+        xyz = (cells >> 42, cells >> 21 & 0x1FFFFF, cells & 0x1FFFFF)
+        full, some = all_in[max_depth - d][xyz], any_in[max_depth - d][xyz]
+        mixed = some & ~full
+        leaves.append((cells[~mixed], full[~mixed]))
+        cells = (2 * cells[mixed, None] + kid).ravel()
+    cells, label = (np.concatenate(f) for f in zip(*leaves))
+    depth = np.repeat(np.arange(max_depth + 1, dtype=np.uint8), [len(f[1]) for f in leaves])
+    morton = morton_encode(cells >> 42, cells >> 21 & 0x1FFFFF, cells & 0x1FFFFF)
     order = np.argsort(morton << _level_shift(max_depth, depth), kind="stable")
-    morton, depth = morton[order], depth[order]
-    label = (np.concatenate([state[d][c] for d, c in enumerate(codes)]) == 1)[order]
-    return Octree(box=box, max_depth=max_depth, morton=morton, depth=depth, label=label)
+    return Octree(box, max_depth, morton[order], depth[order], label[order])
 
 
 def _rasterize(tree: Octree, values: np.ndarray) -> np.ndarray:

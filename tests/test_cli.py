@@ -251,6 +251,62 @@ def test_trajectory_bad_waypoints(ref_config, tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("root", ["[[1, 2]]", '"x"', "3", "null"])
+def test_waypoints_root_must_be_an_object(ref_config, tmp_path, capsys, root):
+    # A list root used to crash with "unhashable type" (exit 1), a string
+    # root to be read as unknown keys.
+    p = tmp_path / "w.json"
+    p.write_text(root)
+    out = tmp_path / "t"
+    rc = main(["--config", ref_config, "--out", str(out), "trajectory", str(p)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(p) in err and "root must be a JSON object" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "file, key, value",
+    [
+        ("config", "depth", True),
+        ("config", "depth", 7.5),
+        ("config", "joint_depth", 3.9),
+        ("config", "samples_per_segment", 2.7),
+        ("config", "samples_per_segment", "500"),
+        ("waypoints", "samples_per_segment", 2.7),
+        ("waypoints", "samples_per_segment", False),
+        ("waypoints", "samples_per_segment", None),
+    ],
+)
+def test_integer_keys_refuse_other_values(ref_config, ref_path, tmp_path, capsys, file, key, value):
+    # int() used to truncate 3.9 to 3 and read true as 1.
+    files = {"config": ref_config, "waypoints": ref_path}
+    data = {name: json.loads(Path(path).read_text()) for name, path in files.items()}
+    data[file][key] = value
+    for name, d in data.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+    out = tmp_path / "t"
+    argv = ["--config", str(tmp_path / "config.json"), "--out", str(out), "--depth", "4"]
+    rc = main([*argv, "trajectory", str(tmp_path / "waypoints.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}' must be an integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("limit", [-3, 0, math.nan, math.inf])
+def test_workspace_limit_must_be_positive_and_finite(ref_config, tmp_path, capsys, limit):
+    data = json.loads(Path(ref_config).read_text())
+    data["workspace_limit"] = limit
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "a"
+    rc = main(["--config", str(cfg), "--out", str(out), "--depth", "4", "aspects", "--no-joint"])
+    assert rc == 2
+    assert "workspace_limit must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trajectory_refuses_zero_samples_per_segment(ref_config, ref_path, tmp_path, capsys):
     data = json.loads(Path(ref_path).read_text())
     data["samples_per_segment"] = 0

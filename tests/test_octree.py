@@ -349,6 +349,57 @@ def test_labeler_edge_cases_graph_equals_grid(make_grid, depth, axes, expected):
     assert np.array_equal(by_graph.comp >= 0, tree.label)
 
 
+def _corner_voxels(depth: int, corners) -> np.ndarray:
+    """IN voxels at the given box corners (bit a of a corner: high end of axis a)."""
+    n = 1 << depth
+    grid = np.zeros((n, n, n), dtype=bool)
+    for corner in corners:
+        grid[tuple((n - 1) * (corner >> axis & 1) for axis in range(3))] = True
+    return grid
+
+
+def _checkerboard(depth: int) -> np.ndarray:
+    return np.indices((1 << depth,) * 3).sum(axis=0) % 2 == 0
+
+
+GRID_EDGE_CASES = {
+    "depth0-in": (np.ones((1, 1, 1), dtype=bool), 1),
+    "depth0-out": (np.zeros((1, 1, 1), dtype=bool), 1),
+    "depth1-x-plane": (np.indices((2, 2, 2))[0] == 0, 8),
+    "depth1-all-in": (np.ones((2, 2, 2), dtype=bool), 1),
+    "all-in": (np.ones((16, 16, 16), dtype=bool), 1),
+    "all-out": (np.zeros((16, 16, 16), dtype=bool), 1),
+    "checkerboard": (_checkerboard(3), 8**3),
+    **{f"corner{c}": (_corner_voxels(3, [c]), 1 + 7 * 3) for c in range(8)},
+    "all-corners": (_corner_voxels(3, range(8)), 8 * (1 + 7 * 2)),
+}
+
+
+@pytest.mark.parametrize("grid, n_leaves", GRID_EDGE_CASES.values(), ids=GRID_EDGE_CASES.keys())
+def test_grid_to_tree_edge_cases(grid, n_leaves):
+    # The pyramid build against the stack merger and the sibling merger of
+    # the voxel records, on the wrapping pose box.
+    box, depth = workspace_box(), int(math.log2(len(grid)))
+    ix, iy, iz = np.indices(grid.shape).reshape(3, -1)
+    codes, depths = morton_encode(ix, iy, iz), np.full(ix.size, depth)
+    tree = _grid_to_tree(grid, box, depth)
+    got = [list(c) for c in zip(tree.morton.tolist(), tree.depth.tolist(), tree.label.tolist())]
+    voxels = zip(codes.tolist(), depths.tolist(), grid.ravel().tolist())
+    assert got == oracles.canonical_cells(depth, voxels)
+    assert dumps(tree) == dumps(_canonical_tree(box, depth, codes, depths, grid.ravel()))
+    assert tree.n_leaves == n_leaves
+    assert volume(tree) == pytest.approx(box.volume * grid.mean())
+
+
+@pytest.mark.parametrize(
+    "shape, depth",
+    [((8, 8, 4), 3), ((8, 8), 3), ((2, 2, 2), 0), ((1, 1, 1), 1), ((4, 4, 4, 1), 2)],
+)
+def test_grid_to_tree_refuses_a_wrong_grid_shape(shape, depth):
+    with pytest.raises(ValueError, match="label grid must have shape"):
+        _grid_to_tree(np.zeros(shape, dtype=bool), workspace_box(), depth)
+
+
 def test_cli_import_loads_no_scipy():
     # The import path is numpy-only; the dense reference labeler imports
     # scipy.ndimage when it is first called.
