@@ -22,9 +22,12 @@ all three legs reach, and reuses the cross product of rows 2 and 3 across
 modes. ``fk_roots`` is the only direct-kinematics solver:
 ``kinematics.forward_kinematics`` calls it for one triple. It isolates
 orientations with the eigenvalues of one real sextic per triple
-(``scan_roots``). Its closure kernels evaluate the three legs with one cos
-and one sin, in the per-leg operation order, and its full-system Newton
-stops a row at the rounding floor, not only at a step below 1e-13.
+(``scan_roots``), gives each orientation root either one Cramer position or
+two rank-1 line positions, never both, and keeps the full-system polish of
+each candidate as the candidate. Its closure kernels evaluate the three
+legs with one cos and one sin, in the per-leg operation order, and its
+full-system Newton stops a row at the rounding floor, not only at a step
+below 1e-13.
 
 Shapes follow numpy broadcasting; x, y, theta must broadcast against each
 other. Actuated angles come as (K, 3) rows.
@@ -187,8 +190,8 @@ class LegSolution:
 
     Per-leg arrays have shape (N, 3). ``alpha`` and ``beta`` are wrapped to
     (-pi, pi] and NaN on legs whose status is not LEG_OK; ``dist`` is the
-    base-to-platform joint distance of each leg. ``rows`` (N, 3, 3) holds
-    the rows of A, ``scale`` the product of their norms. ``loop_gap`` is
+    base-to-platform joint distance of each leg. ``scale`` is the product
+    of the norms of the rows of A. ``loop_gap`` is
     the larger of the loop-closure and passive-angle errors of each leg,
     the quantities FullConfiguration bounds by LOOP_TOL. ``lo`` and ``hi``
     are the radii of the reachable annulus.
@@ -198,7 +201,6 @@ class LegSolution:
     beta: np.ndarray
     status: np.ndarray
     dist: np.ndarray
-    rows: np.ndarray
     det: np.ndarray
     b_diag: np.ndarray
     scale: np.ndarray
@@ -263,7 +265,6 @@ def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, eps: float 
         beta=beta,
         status=status.T.astype(np.int8),
         dist=d.T,
-        rows=rows,
         det=det,
         b_diag=b_diag,
         scale=scale,
@@ -317,54 +318,44 @@ def _fk_scan(geom: GeometryConfig, bx, by, theta):
 def _positions_batch(geom: GeometryConfig, bx, by, theta):
     """Candidate platform positions at scan-function roots.
 
-    (K,) inputs; returns (rows, x, y) with one Cramer candidate per
-    well-conditioned row and two rank-1 line candidates per nearly singular
-    row. Rows in between get all three: there a cluster of roots can hold
-    two assembly modes at almost the same orientation but far apart, and
-    the single Cramer point leads the full-system polish to only one. Rows
-    with a row of M shorter than SHORT_ROW * m get the line candidates too
-    (see SHORT_ROW).
+    (K,) inputs; returns (rows, x, y). The rows fall in two parts: a row
+    whose |det M| is at most 1e-1 of the product of its row norms, or whose
+    M has a row shorter than SHORT_ROW * m (see SHORT_ROW), gets the two
+    rank-1 line candidates (none where the line misses leg 1's circle);
+    every other row gets its one Cramer candidate. Near a singular M a
+    cluster of roots can hold two assembly modes at almost the same
+    orientation but far apart, and the line points lead the full-system
+    polish to both.
     """
     (m11, m12, m21, m22), (r1, r2), det, e0x, e0y, h0 = _fk_system_pieces(geom, bx, by, theta)
-    scale = np.sqrt((m11 * m11 + m12 * m12) * (m21 * m21 + m22 * m22))
-    scale = np.maximum(scale, 1e-300)
     n1 = np.hypot(m11, m12)
     n2 = np.hypot(m21, m22)
-    big = np.abs(det) > 1e-4 * scale
-    rows_list = []
-    xs_list = []
-    ys_list = []
-    bi = np.flatnonzero(big)
-    if bi.size:
-        rows_list.append(bi)
-        xs_list.append((r1[bi] * m22[bi] - r2[bi] * m12[bi]) / det[bi])
-        ys_list.append((m11[bi] * r2[bi] - m21[bi] * r1[bi]) / det[bi])
-    si = np.flatnonzero((np.abs(det) <= 1e-1 * scale) | (np.minimum(n1, n2) <= SHORT_ROW * geom.m))
-    if si.size:
-        n1 = n1[si]
-        n2 = n2[si]
-        use1 = n1 >= n2
-        nv = np.maximum(np.where(use1, n1, n2), 1e-300)
-        vx = np.where(use1, m11[si], m21[si])
-        vy = np.where(use1, m12[si], m22[si])
-        rv = np.where(use1, r1[si], r2[si])
-        px = rv * vx / (nv * nv)
-        py = rv * vy / (nv * nv)
-        nx = -vy / nv
-        ny = vx / nv
-        bq = 2.0 * (nx * (px + e0x[si]) + ny * (py + e0y[si]))
-        cq = px * px + py * py + 2.0 * (px * e0x[si] + py * e0y[si]) + h0[si]
-        disc = bq * bq - 4.0 * cq
-        okd = np.isfinite(disc) & (disc >= 0.0)
-        if okd.any():
-            sq = np.sqrt(disc[okd])
-            base = si[okd]
-            for t in (0.5 * (-bq[okd] + sq), 0.5 * (-bq[okd] - sq)):
-                rows_list.append(base)
-                xs_list.append(px[okd] + t * nx[okd])
-                ys_list.append(py[okd] + t * ny[okd])
-    if not rows_list:
-        return np.empty(0, dtype=int), np.empty(0), np.empty(0)
+    line = (np.abs(det) <= 1e-1 * n1 * n2) | (np.minimum(n1, n2) <= SHORT_ROW * geom.m)
+    bi = np.flatnonzero(~line)
+    rows_list = [bi]
+    xs_list = [(r1[bi] * m22[bi] - r2[bi] * m12[bi]) / det[bi]]
+    ys_list = [(m11[bi] * r2[bi] - m21[bi] * r1[bi]) / det[bi]]
+    si = np.flatnonzero(line)
+    n1 = n1[si]
+    n2 = n2[si]
+    use1 = n1 >= n2
+    nv = np.maximum(np.where(use1, n1, n2), 1e-300)
+    vx = np.where(use1, m11[si], m21[si])
+    vy = np.where(use1, m12[si], m22[si])
+    rv = np.where(use1, r1[si], r2[si])
+    px = rv * vx / (nv * nv)
+    py = rv * vy / (nv * nv)
+    nx = -vy / nv
+    ny = vx / nv
+    bq = 2.0 * (nx * (px + e0x[si]) + ny * (py + e0y[si]))
+    cq = px * px + py * py + 2.0 * (px * e0x[si] + py * e0y[si]) + h0[si]
+    disc = bq * bq - 4.0 * cq
+    okd = np.isfinite(disc) & (disc >= 0.0)
+    sq = np.sqrt(disc[okd])
+    for t in (0.5 * (-bq[okd] + sq), 0.5 * (-bq[okd] - sq)):
+        rows_list.append(si[okd])
+        xs_list.append(px[okd] + t * nx[okd])
+        ys_list.append(py[okd] + t * ny[okd])
     return np.concatenate(rows_list), np.concatenate(xs_list), np.concatenate(ys_list)
 
 
@@ -377,8 +368,8 @@ def _full_system(geom: GeometryConfig, bx, by, x, y, theta):
     return (wx * wx + wy * wy - geom.m * geom.m).T, jac
 
 
-def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta, iters: int = 30):
-    """Vectorized Newton on the full closure system.
+def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta):
+    """Vectorized Newton on the full closure system, at most 30 steps per row.
 
     A row stops after a step below 1e-13, or at the rounding floor, where
     its closure values are within STALL_ULPS of m^2 and its step did not
@@ -389,7 +380,7 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta, iters: int = 3
     z = np.stack((x, y, theta), axis=1)
     act = np.arange(len(x))
     prev = np.full(len(x), np.inf)
-    for _ in range(iters):
+    for _ in range(30):
         if act.size == 0:
             break
         g, jac = _full_system(geom, bx[act], by[act], *z[act].T)
@@ -450,7 +441,8 @@ STALL_ULPS = 4
 #: of platform positions at one theta; when it is shorter than this many m,
 #: the circles nearly coincide, so the Cramer point slides along them as
 #: theta moves by rounding while the true poses stay at the intersections
-#: with the third leg's circle, which the rank-1 line candidates give.
+#: with the third leg's circle, which the rank-1 line candidates give; such
+#: a row gets only the line candidates.
 SHORT_ROW = 1e-2
 
 #: Records of one triple at most this far apart (Chebyshev over x, y and
@@ -556,9 +548,12 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
     """Direct-kinematics roots for a batch of actuated-angle triples.
 
     The scan polynomial's roots are isolated algebraically (see scan_roots)
-    for the triples whose elbows can hold the platform (``_may_assemble``),
-    then positions are recovered and everything is polished on the full
-    closure system. Returns (idx, x, y, theta): flat arrays of validated
+    for the triples whose elbows can hold the platform (``_may_assemble``)
+    and sharpened by three Newton steps on N. Each root then gives one kind
+    of position candidate, a Cramer point or two line points
+    (``_positions_batch``); every candidate is polished on the full closure
+    system, and the polished point passes the RESIDUAL_TOL closure gate or
+    is dropped. Returns (idx, x, y, theta): flat arrays of validated
     assembly poses, one record per pose, ``idx`` pointing into ``alphas``
     (sorted by idx). Records of one triple within MERGE_TOL of each other
     are one pose, represented by the record with the smallest closure error.
@@ -587,24 +582,13 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
             continue
         bxr = bxr[rows]
         byr = byr[rows]
-        root = theta[rows]
         # Full-system polish repairs the conditioning of the 2x2 recovery
         # near singular orientations of the reduction.
-        px2, py2, root2 = _newton_full_batch(geom, bxr, byr, px, py, root)
-        err1 = _closure_error(geom, bxr, byr, px, py, root)
-        err2 = _closure_error(geom, bxr, byr, px2, py2, root2)
-        err1 = np.where(np.isfinite(err1), err1, np.inf)
-        err2 = np.where(np.isfinite(err2), err2, np.inf)
-        use2 = err2 <= err1
-        err = np.minimum(err1, err2)
+        px, py, root = _newton_full_batch(geom, bxr, byr, px, py, theta[rows])
+        err = _closure_error(geom, bxr, byr, px, py, root)
         keep = np.flatnonzero(err < RESIDUAL_TOL)
         keep = keep[np.lexsort((err[keep], ci[rows[keep]]))]
-        rec = (
-            ci[rows[keep]] + start,
-            np.where(use2, px2, px)[keep],
-            np.where(use2, py2, py)[keep],
-            np.where(use2, root2, root)[keep] % TWO_PI,
-        )
+        rec = (ci[rows[keep]] + start, px[keep], py[keep], root[keep] % TWO_PI)
         first = _first_of_each_pose(*rec)
         out.append([v[first] for v in rec])
     if not out:

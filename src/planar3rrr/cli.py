@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .aspects import (
+    _SIGN_TAG,
     MAX_DEPTH,
     MIN_DEPTH,
     characteristic_surface,
@@ -214,14 +215,13 @@ def _pair_census(cfg: RunConfig, mode: WorkingMode, sign: int, depth: int):
 
 def cmd_workspace(cfg: RunConfig, args) -> int:
     mode = parse_mode(args.mode)
-    sign = 1 if args.sign in ("+", "pos") else -1
     depth = cfg.depth_or(8)
-    entry = _pair_census(cfg, mode, sign, depth).entries[(mode, sign)]
+    entry = _pair_census(cfg, mode, args.sign, depth).entries[(mode, args.sign)]
     tree = entry.workspace
-    out = _outdir(cfg) / f"workspace_{mode.label}_{'pos' if sign > 0 else 'neg'}.oct"
+    out = _outdir(cfg) / f"workspace_{mode.label}_{_SIGN_TAG[args.sign]}.oct"
     export(tree, out)
     print(
-        f"workspace mode {mode.label} sign {args.sign}: depth {depth}, "
+        f"workspace mode {mode.label} sign {'+' if args.sign > 0 else '-'}: depth {depth}, "
         f"{tree.n_leaves} leaves, volume {volume(tree):.6f}, "
         f"{entry.n_components} components ({entry.n_components_raw} raw)"
     )
@@ -296,14 +296,14 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
 
 def cmd_charsurf(cfg: RunConfig, args) -> int:
     mode = parse_mode(args.mode)
-    sign = 1 if args.sign in ("+", "pos") else -1
+    symbol = "+" if args.sign > 0 else "-"
     depth = cfg.depth_or(6)
-    atlas = _pair_census(cfg, mode, sign, depth)
-    surf = characteristic_surface(cfg.geometry, atlas, mode, sign, args.component)
-    tree = atlas.entries[(mode, sign)].workspace
+    atlas = _pair_census(cfg, mode, args.sign, depth)
+    surf = characteristic_surface(cfg.geometry, atlas, mode, args.sign, args.component)
+    tree = atlas.entries[(mode, args.sign)].workspace
     payload = {
         "mode": mode.label,
-        "sign": "+" if sign > 0 else "-",
+        "sign": symbol,
         "component": args.component,
         "depth": depth,
         "marked": [
@@ -312,17 +312,23 @@ def cmd_charsurf(cfg: RunConfig, args) -> int:
         ],
         "boundary_count": int(surf.boundary_leaves.size),
     }
-    tag = "pos" if sign > 0 else "neg"
-    out = _outdir(cfg) / f"charsurf_{mode.label}_{tag}_{args.component}.json"
+    out = _outdir(cfg) / f"charsurf_{mode.label}_{_SIGN_TAG[args.sign]}_{args.component}.json"
     with open(out, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(
-        f"characteristic surface mode {mode.label} sign {args.sign} component {args.component}: "
+        f"characteristic surface mode {mode.label} sign {symbol} component {args.component}: "
         f"{surf.marked_leaves.size} marked leaves from {surf.boundary_leaves.size} boundary cells"
     )
     print(f"wrote {out}")
     return 0
+
+
+def _det_sign(text: str) -> int:
+    """The det(A) sign a --sign value names: + or pos is 1, - or neg is -1."""
+    if text not in ("+", "-", "pos", "neg"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from +, -, pos, neg)")
+    return 1 if text in ("+", "pos") else -1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("workspace", help="octree of one (mode, det sign) workspace region")
     p.add_argument("--mode", required=True)
-    p.add_argument("--sign", choices=["+", "-", "pos", "neg"], required=True)
+    p.add_argument("--sign", type=_det_sign, required=True, metavar="{+,-,pos,neg}")
     p.set_defaults(func=cmd_workspace)
 
     p = sub.add_parser("aspects", help="aspect census over all modes and det signs")
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("charsurf", help="characteristic surface of one aspect component")
     p.add_argument("--mode", required=True)
-    p.add_argument("--sign", choices=["+", "-", "pos", "neg"], required=True)
+    p.add_argument("--sign", type=_det_sign, required=True, metavar="{+,-,pos,neg}")
     p.add_argument("--component", type=int, default=0)
     p.set_defaults(func=cmd_charsurf)
     return parser

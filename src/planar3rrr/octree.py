@@ -135,12 +135,9 @@ class Box3:
         w = (self.hi[axis] - self.lo[axis]) / n
         return self.lo[axis] + (np.arange(n) + 0.5) * w
 
-    def approx_equal(self, other: "Box3", tol: float = 1e-12) -> bool:
-        return (
-            self.axes == other.axes
-            and all(abs(self.lo[i] - other.lo[i]) <= tol for i in range(3))
-            and all(abs(self.hi[i] - other.hi[i]) <= tol for i in range(3))
-        )
+    def approx_equal(self, other: "Box3") -> bool:
+        bounds = zip(self.lo + self.hi, other.lo + other.hi)
+        return self.axes == other.axes and all(abs(a - b) <= 1e-12 for a, b in bounds)
 
 
 def workspace_box(limit: float = 12.0) -> Box3:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ALPHA_EMPTY, ALPHA_REF, TABLE_POSES
-from planar3rrr.cli import bundled_data_path, load_config, main
+from planar3rrr.cli import build_parser, bundled_data_path, load_config, main
 from planar3rrr.errors import ConfigError
 from planar3rrr.octree import load as load_tree
 
@@ -331,3 +331,17 @@ def test_charsurf_command(ref_config, tmp_path, capsys):
     payload = json.loads(files[0].read_text())
     assert payload["mode"] == "c"
     assert len(payload["marked"]) > 0
+
+
+@pytest.mark.parametrize("command", ["workspace", "charsurf"])
+@pytest.mark.parametrize("text, sign", [("+", 1), ("pos", 1), ("-", -1), ("neg", -1)])
+def test_sign_is_parsed_to_det_sign(command, text, sign):
+    args = build_parser().parse_args([command, "--mode", "a", "--sign", text])
+    assert args.sign == sign
+
+
+def test_unknown_sign_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["workspace", "--mode", "a", "--sign", "plus"])
+    assert exc.value.code == 2
+    assert "--sign" in capsys.readouterr().err

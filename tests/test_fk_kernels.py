@@ -4,7 +4,8 @@ The kernels evaluate all three legs at once; ``oracles`` keeps their
 one-leg-at-a-time form, which they must reproduce bit for bit at every
 theta shape their callers pass. The Newton stops a row at the rounding
 floor as well as at a step below 1e-13; on simple roots it must follow the
-step-only loop bit for bit.
+step-only loop bit for bit. Each scan root gets one kind of position
+candidate: one Cramer point or two rank-1 line points.
 """
 
 import math
@@ -96,6 +97,25 @@ def test_newton_follows_step_floor_loop_on_simple_roots(geom, rng):
     assert np.abs(got - want).max() < 1e-10
 
 
+@pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES.keys())
+def test_positions_give_each_row_cramer_or_line_candidates(geom, rng):
+    # Rows with 1e-4 < |det M| / scale <= 1e-1 once got the Cramer point and
+    # both line points; now every row is either a Cramer row or a line row.
+    k = 4096
+    bx, by = _elbows(geom, rng, k)
+    theta = rng.uniform(-math.pi, math.pi, k)
+    (m11, m12, m21, m22), _, det, *_ = batch._fk_system_pieces(geom, bx, by, theta)
+    n1 = np.hypot(m11, m12)
+    n2 = np.hypot(m21, m22)
+    ratio = np.abs(det) / (n1 * n2)
+    line = (ratio <= 1e-1) | (np.minimum(n1, n2) <= batch.SHORT_ROW * geom.m)
+    rows, _, _ = batch._positions_batch(geom, bx, by, theta)
+    count = np.bincount(rows, minlength=k)
+    assert (count[~line] == 1).all()
+    assert set(count[line].tolist()) <= {0, 2}
+    assert (count[(ratio > 1e-4) & (ratio <= 1e-1)] == 2).any()
+
+
 def _rows_evaluated(monkeypatch, module, name):
     """Count the rows each call of ``module.name`` evaluates."""
     rows = []
@@ -168,3 +188,16 @@ def test_close_root_pair_is_two_poses(ref_geom):
     for s in sols:
         for i, (cx, cy) in enumerate(oracles.platform_joints(ref_geom, s.x, s.y, s.theta)):
             assert abs(math.hypot(cx - b[i, 0], cy - b[i, 1]) - ref_geom.m) < 1e-9
+
+
+def test_two_root_cluster_has_no_spurious_third_pose(ref_geom):
+    # fk_sweep seed 34, triple 583: the sextic has exactly two real roots
+    # (checked at 40 digits). A Cramer point at an unsharpened seed near
+    # theta = 5.6807, where M has a short row, polishes to a third pose at
+    # theta = -0.2340940 with closure error 1.7e-10, under RESIDUAL_TOL.
+    alpha = (0.7900056765594622, -3.033432731933553, 2.7384389411240515)
+    sols = forward_kinematics(ref_geom, alpha)
+    assert len(sols) == 2
+    roots = (-0.234091351549583, -0.234085064057311)
+    for s, root in zip(sorted(sols, key=lambda s: s.theta), roots):
+        assert abs(s.theta - root) < 1e-7
