@@ -330,7 +330,7 @@ def _same_component(geom: GeometryConfig, atlas: AspectAtlas, alphas, poses, eps
                 raise SerialSingularError(i + 1, v)
         if abs(d) < eps * s:
             raise ParallelSingularError(d, s)
-        mode = WorkingMode.from_signs(tuple(1 if v > 0 else -1 for v in b))
+        mode = WorkingMode.from_signs(b)
         keys.append((mode, 1 if d > 0 else -1))
     k1, k2 = keys
     if k1 != k2:

@@ -2,12 +2,11 @@
 
 Array-oriented versions of the leg reach test, branch selection, det(A)
 evaluation and direct-kinematics root isolation, on one leg geometry: every
-kernel takes its platform joints from ``geometry.platform_joints`` (or
-``platform_frame``, which adds their directions; legs along a leading axis,
-one cos and one sin), its reach annulus from the geometry's ``reach_min``
-and ``reach_max``, and its rows of A from ``_a_row``, with det(A) as
-row 1 . (row 2 x row 3) (``_cross``, ``_dot``). ``_matrix_pair`` builds A,
-det(A) and B_ii from joints and elbows.
+kernel takes its platform joints from ``geometry.platform_joints`` (legs
+along a leading axis, one cos and one sin), its reach annulus from the
+geometry's ``reach_min`` and ``reach_max``, and its rows of A from
+``_a_row``, with det(A) as row 1 . (row 2 x row 3) (``_cross``, ``_dot``).
+``_matrix_pair`` builds A, det(A) and B_ii from joints and elbows.
 
 ``solve_legs`` is the one inverse-kinematic leg solver:
 ``kinematics.inverse_kinematics``, ``inverse_kinematics_all`` and
@@ -25,9 +24,9 @@ orientations with the eigenvalues of one real sextic per triple
 (``scan_roots``), gives each orientation root either one Cramer position or
 two rank-1 line positions, never both, and keeps the full-system polish of
 each candidate as the candidate. Its closure kernels evaluate the three
-legs with one cos and one sin, in the per-leg operation order, and its
-full-system Newton stops a row at the rounding floor, not only at a step
-below 1e-13.
+legs with one cos and one sin, in the per-leg operation order. Its
+full-system Newton steps on 2A, the closure Jacobian, from ``_a_row``, and
+stops a row at the rounding floor, not only at a step below 1e-13.
 
 Shapes follow numpy broadcasting; x, y, theta must broadcast against each
 other. Actuated angles come as (K, 3) rows.
@@ -48,7 +47,6 @@ from .geometry import (
     GeometryConfig,
     WorkingMode,
     elbow_points,
-    platform_frame,
     platform_joints,
     wrap_angles,
 )
@@ -359,22 +357,16 @@ def _positions_batch(geom: GeometryConfig, bx, by, theta):
     return np.concatenate(rows_list), np.concatenate(xs_list), np.concatenate(ys_list)
 
 
-def _full_system(geom: GeometryConfig, bx, by, x, y, theta):
-    """Closure values g (K, 3) and Jacobian (K, 3, 3) of the full system at (K,) poses."""
-    cx, cy, ux, uy = platform_frame(geom, x, y, theta)
-    wx = cx - bx.T
-    wy = cy - by.T
-    jac = 2.0 * np.array((wx, wy, geom.s * (wy * ux - wx * uy))).transpose(2, 1, 0)
-    return (wx * wx + wy * wy - geom.m * geom.m).T, jac
-
-
 def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta):
     """Vectorized Newton on the full closure system, at most 30 steps per row.
 
-    A row stops after a step below 1e-13, or at the rounding floor, where
-    its closure values are within STALL_ULPS of m^2 and its step did not
-    shrink (near a double root such steps wander above 1e-13); it then
-    keeps the iterate that step was computed at.
+    The closure values are g_i = |c_i - b_i|^2 - m^2, and their Jacobian
+    is 2A with its rows from ``_a_row``, so an ill-conditioned row is a
+    pose near det(A) = 0. A row stops after a step below 1e-13, or at the
+    rounding floor, where its closure values are within STALL_ULPS of m^2
+    and its step did not shrink (near a double root such steps wander above
+    1e-13); it then keeps the iterate that step was computed at. A row whose
+    2A is exactly singular gets a zero step.
     """
     floor = STALL_ULPS * np.spacing(geom.m * geom.m)
     z = np.stack((x, y, theta), axis=1)
@@ -383,7 +375,11 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta):
     for _ in range(30):
         if act.size == 0:
             break
-        g, jac = _full_system(geom, bx[act], by[act], *z[act].T)
+        px, py, pt = z[act].T
+        cx, cy = platform_joints(geom, px, py, pt)
+        ex, ey, w = _a_row(px, py, cx, cy, bx[act].T, by[act].T)
+        g = (ex * ex + ey * ey - geom.m * geom.m).T
+        jac = 2.0 * np.array((ex, ey, w)).transpose(2, 1, 0)
         try:
             step = np.linalg.solve(jac, g[..., None])[..., 0]
         except np.linalg.LinAlgError:

@@ -81,8 +81,8 @@ class GeometryConfig:
             object.__setattr__(self, name, v)
         for name in ("base_phase", "platform_phase"):
             phases = tuple(float(v) for v in getattr(self, name))
-            if len(phases) != 3:
-                raise ValueError(f"{name} must contain three angles")
+            if len(phases) != 3 or not all(map(math.isfinite, phases)):
+                raise ValueError(f"{name} must contain three finite angles, got {phases}")
             for i in range(3):
                 for j in range(i + 1, 3):
                     d = abs(wrap_angle(phases[i] - phases[j]))
@@ -141,20 +141,22 @@ class GeometryConfig:
 
 @dataclass(frozen=True, slots=True)
 class Pose:
-    """Platform position (x, y) and orientation theta, normalized to (-pi, pi]."""
+    """Platform position (x, y) and orientation theta, normalized to (-pi, pi].
+
+    A coordinate that is not finite raises ValueError.
+    """
 
     x: float
     y: float
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
+        x, y, theta = float(self.x), float(self.y), float(self.theta)
+        if not all(map(math.isfinite, (x, y, theta))):
+            raise ValueError(f"pose must be finite, got ({x}, {y}, {theta})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "theta", wrap_angle(theta))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.theta)
@@ -168,25 +170,18 @@ class Pose:
         )
 
 
-def platform_frame(geom: GeometryConfig, x, y, theta):
-    """Platform joints c_i = p + s u(theta + psi_i) and their directions u.
+def platform_joints(geom: GeometryConfig, x, y, theta):
+    """Platform joints c_i = p + s u(theta + psi_i) of poses.
 
-    x, y and theta broadcast against each other. Returns (cx, cy, ux, uy),
-    each of shape (3, *broadcast shape) with the legs along the leading
-    axis, from one cos and one sin over all three legs; every element is the
-    one-leg expression, bit for bit. This is the one place the platform
-    joints are computed.
+    x, y and theta broadcast against each other. Returns (cx, cy), each of
+    shape (3, *broadcast shape) with the legs along the leading axis, from
+    one cos and one sin over all three legs; every element is the one-leg
+    expression, bit for bit. This is the one platform-joint kernel; only
+    ``batch._fk_system_pieces`` keeps its own copy, at p = 0.
     """
     nd = max(np.ndim(x), np.ndim(y), np.ndim(theta))
     ang = theta + np.asarray(geom.platform_phase).reshape((3,) + (1,) * nd)
-    ux = np.cos(ang)
-    uy = np.sin(ang)
-    return x + geom.s * ux, y + geom.s * uy, ux, uy
-
-
-def platform_joints(geom: GeometryConfig, x, y, theta):
-    """Platform joints (cx, cy) of poses, legs first (see ``platform_frame``)."""
-    return platform_frame(geom, x, y, theta)[:2]
+    return x + geom.s * np.cos(ang), y + geom.s * np.sin(ang)
 
 
 def elbow_points(geom: GeometryConfig, alphas):
@@ -269,11 +264,11 @@ class FullConfiguration:
         c = self.c
         for i in range(3):
             gap = abs(math.hypot(c[i, 0] - b[i, 0], c[i, 1] - b[i, 1]) - self.geom.m)
-            if gap > LOOP_TOL:
+            if not gap <= LOOP_TOL:
                 raise ValueError(f"leg {i + 1} violates loop closure by {gap:.3g}")
             ex = b[i, 0] + self.geom.m * math.cos(self.beta[i]) - c[i, 0]
             ey = b[i, 1] + self.geom.m * math.sin(self.beta[i]) - c[i, 1]
-            if math.hypot(ex, ey) > LOOP_TOL:
+            if not math.hypot(ex, ey) <= LOOP_TOL:
                 raise ValueError(f"leg {i + 1} passive angle inconsistent with its endpoints")
 
     @property
@@ -285,7 +280,3 @@ class FullConfiguration:
     def c(self) -> np.ndarray:
         """Platform joint positions, derived from the pose."""
         return platform_points(self.geom, self.pose)[0]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.pose.position

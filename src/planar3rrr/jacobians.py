@@ -65,7 +65,7 @@ def working_mode_of(pair: JacobianPair, eps: float = EPS_SING) -> WorkingMode:
     for i, v in enumerate(pair.b_diag):
         if abs(v) < eps:
             raise SerialSingularError(i + 1, v)
-    return WorkingMode.from_signs(tuple(1 if v > 0 else -1 for v in pair.b_diag))
+    return WorkingMode.from_signs(pair.b_diag)
 
 
 def singularity_report(pair: JacobianPair, eps: float = EPS_SING) -> SingularityReport:

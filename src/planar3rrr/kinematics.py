@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 
@@ -115,12 +116,14 @@ def forward_kinematics(geom: GeometryConfig, alpha) -> list[Pose]:
     A single-triple call of ``batch.fk_roots``. Every returned pose
     satisfies the three loop closures to better than 1e-9, no two are within
     ``batch.MERGE_TOL`` of each other, and the list is sorted by
-    (theta, x, y). Raises DegenerateLinearSystemError when the 2x2 reduction
-    is singular at every orientation.
+    (theta, x, y). Raises ValueError for an angle that is not finite, and
+    DegenerateLinearSystemError when the 2x2 reduction is singular at every
+    orientation.
     """
-    if len(alpha) != 3:
-        raise ValueError("alpha must contain three angles")
-    alphas = np.array([[float(v) for v in alpha]])
+    alpha = [float(v) for v in alpha]
+    if len(alpha) != 3 or not all(map(math.isfinite, alpha)):
+        raise ValueError(f"alpha must contain three finite angles, got {alpha}")
+    alphas = np.array([alpha])
     _check_degenerate(geom, *batch.elbow_points(geom, alphas))
     _, xs, ys, thetas = batch.fk_roots(geom, alphas)
     poses = [Pose(*v) for v in zip(xs.tolist(), ys.tolist(), thetas.tolist())]

@@ -105,10 +105,10 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
     """Track det(A) and B_ii along the path in the path's working mode.
 
     Every sample is solved in one ``batch.solve_legs`` call. The verdict is
-    NonSingular when every sign stays constant and the scaled margins stay
-    above ``eps`` at all samples; otherwise ``offending_t`` is the first
-    sample where a sign differs from the first sample's or a margin is at
-    most ``eps``. The first failing sample aborts with
+    NonSingular when every sign stays constant and no scaled margin is below
+    ``eps`` at any sample; otherwise ``offending_t`` is the first sample
+    where a sign differs from the first sample's or a margin is below
+    ``eps``. The first failing sample aborts with
     UnreachableSampleError wrapping the error of its lowest failing leg; a
     sample whose legs violate loop closure by more than LOOP_TOL raises
     ValueError, as FullConfiguration does.
@@ -137,7 +137,7 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
     )
     det_scaled = np.abs(det) / legs.scale
     flip = ((det < 0.0) != (det[0] < 0.0)) | ((b < 0.0) != (b[0] < 0.0)).any(axis=1)
-    weak = (det_scaled <= eps) | (np.abs(b) <= eps).any(axis=1)
+    weak = (det_scaled < eps) | (np.abs(b) < eps).any(axis=1)
     bad = np.flatnonzero(flip | weak)
     return MonitorResult(
         mode=spec.mode,

@@ -441,20 +441,24 @@ def fk_system_pieces_per_leg(geom, bx, by, theta):
 
 
 def full_system_per_leg(geom, bx, by, x, y, theta):
-    """Closure values and Jacobian of the full system, one leg at a time."""
+    """Closure values and Jacobian of the full system, one leg at a time.
+
+    The theta column is 2 (c_i - b_i)^T E (c_i - p), written as in the rows
+    of A: the Jacobian is 2A.
+    """
     s, m = geom.s, geom.m
     psi = np.asarray(geom.platform_phase)
     g = np.empty((len(x), 3))
     jac = np.empty((len(x), 3, 3))
     for i in range(3):
-        ux = np.cos(theta + psi[i])
-        uy = np.sin(theta + psi[i])
-        wx = x + s * ux - bx[:, i]
-        wy = y + s * uy - by[:, i]
+        cx = x + s * np.cos(theta + psi[i])
+        cy = y + s * np.sin(theta + psi[i])
+        wx = cx - bx[:, i]
+        wy = cy - by[:, i]
         g[:, i] = wx * wx + wy * wy - m * m
         jac[:, i, 0] = 2.0 * wx
         jac[:, i, 1] = 2.0 * wy
-        jac[:, i, 2] = 2.0 * s * (wy * ux - wx * uy)
+        jac[:, i, 2] = 2.0 * ((y - cy) * wx - (x - cx) * wy)
     return g, jac
 
 

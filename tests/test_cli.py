@@ -307,6 +307,50 @@ def test_workspace_limit_must_be_positive_and_finite(ref_config, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fk", "nan", "0.2", "0.3"],
+        ["ik", "nan", "0", "0", "--mode", "a"],
+        ["jac", "0", "0", "inf", "--mode", "a"],
+    ],
+    ids=["fk", "ik", "jac"],
+)
+def test_non_finite_inputs_refused(ref_config, tmp_path, capsys, argv):
+    # NaN fails every comparison, so it would pass the reach and closure
+    # tests: fk would print an empty table and ik NaN angles.
+    out = tmp_path / "t"
+    rc = main(["--config", ref_config, "--out", str(out), *argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    assert not out.exists()
+
+
+def test_trajectory_refuses_a_non_finite_waypoint(ref_config, ref_path, tmp_path, capsys):
+    # A NaN waypoint would solve to NaN samples and an evidence.json holding NaN.
+    data = json.loads(Path(ref_path).read_text())
+    data["waypoints"][1] = [math.nan, 1, 20]
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(data))
+    out = tmp_path / "t"
+    rc = main(["--config", ref_config, "--out", str(out), "trajectory", str(p)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_config_phase_refused(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"geometry": {"base_phase_deg": [math.nan, 120, 240]}}))
+    out = tmp_path / "t"
+    rc = main(["--config", str(p), "--out", str(out), "fk", "0.5", "1.0", "1.5"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trajectory_refuses_zero_samples_per_segment(ref_config, ref_path, tmp_path, capsys):
     data = json.loads(Path(ref_path).read_text())
     data["samples_per_segment"] = 0

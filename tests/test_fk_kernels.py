@@ -4,8 +4,9 @@ The kernels evaluate all three legs at once; ``oracles`` keeps their
 one-leg-at-a-time form, which they must reproduce bit for bit at every
 theta shape their callers pass. The Newton stops a row at the rounding
 floor as well as at a step below 1e-13; on simple roots it must follow the
-step-only loop bit for bit. Each scan root gets one kind of position
-candidate: one Cramer point or two rank-1 line points.
+step-only loop bit for bit. Its Jacobian is 2A from the shared row builder.
+Each scan root gets one kind of position candidate: one Cramer point or two
+rank-1 line points.
 """
 
 import math
@@ -17,7 +18,7 @@ import oracles
 from conftest import NEAR_TANGENT_CLUSTERS
 from planar3rrr import batch
 from planar3rrr.errors import DegenerateLinearSystemError, KinematicError
-from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode
+from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, platform_joints
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics
 
 K = 17
@@ -59,13 +60,16 @@ def test_system_pieces_match_per_leg_oracle(geom, shape, rng):
 
 @pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES.keys())
 def test_full_system_and_closure_error_match_per_leg_oracle(geom, rng):
-    bx, by = _elbows(geom, rng)
+    # The Newton's closure Jacobian is 2A, from the one row builder.
+    alphas = rng.uniform(-math.pi, math.pi, (K, 3))
+    bx, by = batch.elbow_points(geom, alphas)
     x, y = rng.uniform(-6.0, 6.0, (2, K))
     theta = rng.uniform(-7.0, 7.0, K)
-    g, jac = batch._full_system(geom, bx, by, x, y, theta)
     g_want, jac_want = oracles.full_system_per_leg(geom, bx, by, x, y, theta)
-    assert np.array_equal(g, g_want)
-    assert np.array_equal(jac, jac_want)
+    rows = batch.jacobian_rows(geom, alphas, x, y, theta)[0]
+    assert np.array_equal(jac_want, 2 * rows)
+    ex, ey = rows[..., 0], rows[..., 1]
+    assert np.array_equal(g_want, ex * ex + ey * ey - geom.m * geom.m)
     assert np.array_equal(
         batch._closure_error(geom, bx, by, x, y, theta),
         oracles.closure_error_per_leg(geom, bx, by, x, y, theta),
@@ -88,13 +92,37 @@ def test_newton_follows_step_floor_loop_on_simple_roots(geom, rng):
         poses.append(pose.as_tuple())
     bx, by = batch.elbow_points(geom, np.array(alphas))
     exact = np.array(poses)
-    simple = np.linalg.cond(batch._full_system(geom, bx, by, *exact.T)[1]) < 100.0
+    # cond(2A) = cond(A).
+    simple = np.linalg.cond(batch.jacobian_rows(geom, np.array(alphas), *exact.T)[0]) < 100.0
     assert simple.sum() > 150
     x, y, theta = (exact + rng.normal(0.0, 1e-3, exact.shape)).T
     got = np.array(batch._newton_full_batch(geom, bx, by, x, y, theta))
     want = np.array(oracles.newton_full_step_floor(geom, bx, by, x, y, theta))
     assert np.array_equal(got[:, simple], want[:, simple])
     assert np.abs(got - want).max() < 1e-10
+
+
+def test_newton_zero_row_falls_back_and_leaves_other_rows_alone(ref_geom, monkeypatch):
+    # Elbow 1 of candidate 0 sits on its platform joint, so leg 1's row of A
+    # is exactly zero: the batched solve raises LinAlgError, and the fallback
+    # gives that candidate a zero step and solves the other one as alone.
+    pose = Pose(0.3, 0.2, 0.1)
+    alpha = inverse_kinematics(ref_geom, pose, WorkingMode.A).alpha
+    bx, by = batch.elbow_points(ref_geom, np.array([alpha, alpha]))
+    x = np.array([1.0, pose.x + 1e-3])
+    y = np.array([-0.5, pose.y - 1e-3])
+    theta = np.array([0.7, pose.theta + 1e-3])
+    cx, cy = platform_joints(ref_geom, x[0], y[0], theta[0])
+    bx[0, 0], by[0, 0] = cx[0], cy[0]
+    fallback = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: fallback.append(len(a)) or det(a))
+    got = np.array(batch._newton_full_batch(ref_geom, bx, by, x, y, theta))
+    assert fallback == [2]
+    solo = np.array(batch._newton_full_batch(ref_geom, bx[1:], by[1:], x[1:], y[1:], theta[1:]))
+    assert np.array_equal(got[:, 0], (x[0], y[0], theta[0]))
+    assert np.array_equal(got[:, 1:], solo)
+    assert np.abs(got[:, 1] - pose.as_tuple()).max() < 1e-12
 
 
 @pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES.keys())
@@ -116,14 +144,14 @@ def test_positions_give_each_row_cramer_or_line_candidates(geom, rng):
     assert (count[(ratio > 1e-4) & (ratio <= 1e-1)] == 2).any()
 
 
-def _rows_evaluated(monkeypatch, module, name):
-    """Count the rows each call of ``module.name`` evaluates."""
+def _rows_evaluated(monkeypatch, module, name, arg):
+    """Count the rows each call of ``module.name`` evaluates: the length of argument ``arg``."""
     rows = []
     fn = getattr(module, name)
 
-    def counted(geom, bx, *args):
-        rows.append(len(bx))
-        return fn(geom, bx, *args)
+    def counted(*args):
+        rows.append(len(args[arg]))
+        return fn(*args)
 
     monkeypatch.setattr(module, name, counted)
     return rows
@@ -131,9 +159,10 @@ def _rows_evaluated(monkeypatch, module, name):
 
 def test_near_tangent_clusters_keep_their_poses_with_fewer_newton_rows(ref_geom, monkeypatch):
     alphas = np.array([alpha for alpha, _ in NEAR_TANGENT_CLUSTERS])
-    new_rows = _rows_evaluated(monkeypatch, batch, "_full_system")
+    # Inside fk_roots only the full-system Newton builds rows of A.
+    new_rows = _rows_evaluated(monkeypatch, batch, "_a_row", 0)
     idx, x, y, theta = batch.fk_roots(ref_geom, alphas)
-    old_rows = _rows_evaluated(monkeypatch, oracles, "full_system_per_leg")
+    old_rows = _rows_evaluated(monkeypatch, oracles, "full_system_per_leg", 1)
     monkeypatch.setattr(batch, "_newton_full_batch", oracles.newton_full_step_floor)
     idx0, x0, y0, theta0 = batch.fk_roots(ref_geom, alphas)
     assert np.bincount(idx, minlength=len(alphas)).tolist() == [c for _, c in NEAR_TANGENT_CLUSTERS]
@@ -147,7 +176,7 @@ def test_near_tangent_clusters_keep_their_poses_with_fewer_newton_rows(ref_geom,
         b = oracles.elbow_points(ref_geom, alphas[idx[j]])
         for i, (cx, cy) in enumerate(oracles.platform_joints(ref_geom, x[j], y[j], theta[j])):
             assert abs(math.hypot(cx - b[i, 0], cy - b[i, 1]) - ref_geom.m) < 1e-9
-    assert sum(new_rows) < sum(old_rows)
+    assert 0 < sum(new_rows) < sum(old_rows)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -57,6 +57,15 @@ def test_empty_solution_set(ref_geom):
     assert forward_kinematics(ref_geom, ALPHA_EMPTY) == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_alpha_refused(ref_geom, bad):
+    # A NaN angle would give an empty pose list, as if no pose existed.
+    with pytest.raises(ValueError, match="finite"):
+        forward_kinematics(ref_geom, (0.2, bad, 0.3))
+    with pytest.raises(ValueError, match="three"):
+        forward_kinematics(ref_geom, (0.2, 0.3))
+
+
 def test_round_trip_fk_of_ik_contains_pose(ref_geom, rng):
     count = 0
     while count < 25:

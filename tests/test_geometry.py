@@ -36,6 +36,18 @@ def test_phases_must_be_distinct_mod_2pi():
         GeometryConfig(platform_phase=(0.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_phases_and_poses_refused(value):
+    # NaN fails every comparison, so it would pass the distinct-phase test.
+    with pytest.raises(ValueError, match="finite"):
+        GeometryConfig(base_phase=(value, 1.0, 2.0))
+    with pytest.raises(ValueError, match="finite"):
+        GeometryConfig(platform_phase=(0.0, 1.0, value))
+    for pose in ((value, 0.0, 0.0), (0.0, value, 0.0), (0.0, 0.0, value)):
+        with pytest.raises(ValueError, match="finite"):
+            Pose(*pose)
+
+
 def test_geometry_dict_round_trip(ref_geom):
     again = GeometryConfig.from_dict(ref_geom.to_dict())
     assert again.base_phase == pytest.approx(ref_geom.base_phase)
@@ -118,3 +130,9 @@ def test_full_configuration_rejects_inconsistent_angles(ref_geom):
             alpha=(cfg.alpha[0] + 0.1, cfg.alpha[1], cfg.alpha[2]),
             beta=cfg.beta,
         )
+    # A NaN gap fails the closure test instead of passing it.
+    nan_alpha = (math.nan, *cfg.alpha[1:])
+    nan_beta = (math.nan, *cfg.beta[1:])
+    for alpha, beta in ((nan_alpha, cfg.beta), (cfg.alpha, nan_beta)):
+        with pytest.raises(ValueError):
+            FullConfiguration(geom=ref_geom, pose=cfg.pose, alpha=alpha, beta=beta)

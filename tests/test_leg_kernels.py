@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from planar3rrr import batch
-from planar3rrr.geometry import GeometryConfig, platform_frame, platform_joints
+from planar3rrr.geometry import GeometryConfig, platform_joints
 
 GEOMETRIES = {
     "reference": GeometryConfig.reference(),
@@ -53,12 +53,12 @@ def test_platform_joints_match_per_leg_oracle(geom, layout, rng):
         assert np.array_equal(cy[i], want_y)
 
 
-def test_platform_frame_directions_are_unit_vectors(ref_geom):
-    cx, cy, ux, uy = platform_frame(ref_geom, 1.5, -2.0, 0.3)
-    assert cx.shape == ux.shape == (3,)
+def test_platform_joints_of_a_scalar_pose_are_the_one_leg_expression(ref_geom):
+    cx, cy = platform_joints(ref_geom, 1.5, -2.0, 0.3)
+    assert cx.shape == cy.shape == (3,)
     for i, psi in enumerate(ref_geom.platform_phase):
-        assert (ux[i], uy[i]) == (math.cos(0.3 + psi), math.sin(0.3 + psi))
-        assert (cx[i], cy[i]) == (1.5 + ref_geom.s * ux[i], -2.0 + ref_geom.s * uy[i])
+        want = (1.5 + ref_geom.s * math.cos(0.3 + psi), -2.0 + ref_geom.s * math.sin(0.3 + psi))
+        assert (cx[i], cy[i]) == want
 
 
 def test_shared_det_matches_cofactor_expansion(rng):

@@ -105,6 +105,18 @@ def test_benchmark_path_monitor(ref_geom):
     assert signs == {(1.0, 1.0, -1.0)}
 
 
+def test_margin_equal_to_eps_is_not_singular(ref_geom):
+    # A margin equal to eps passes, as in singularity_report: only a margin
+    # below eps makes a sample singular.
+    spec = _benchmark_spec(spp=50)
+    eps = monitor(ref_geom, spec).min_abs_det_scaled
+    assert 0.0174 < eps < 0.0175
+    result = monitor(ref_geom, spec, eps=eps)
+    assert result.verdict == VERDICT_NON_SINGULAR
+    assert result.offending_t is None
+    assert monitor(ref_geom, spec, eps=np.nextafter(eps, 1.0)).verdict == VERDICT_SINGULAR
+
+
 def test_normalization_invariants(ref_geom):
     result = monitor(ref_geom, _benchmark_spec(spp=100))
     n = np.array([[r.det_a_n, r.b11_n, r.b22_n, r.b33_n] for r in result.records])
