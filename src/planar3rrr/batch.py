@@ -18,8 +18,8 @@ byte-identical artifacts. The census needs only det(A) signs
 (``mode_determinants``): it tests reach first (``leg_reach``), then builds
 both elbow branches of every leg without an arctangent, only at the samples
 all three legs reach, and reuses the cross product of rows 2 and 3 across
-modes. ``fk_roots`` is the only direct-kinematics solver:
-``kinematics.forward_kinematics`` calls it for one triple. It isolates
+modes. ``fk_roots`` is the only direct-kinematics solver and raises all its
+refusals; ``kinematics.forward_kinematics`` calls it for one triple. It isolates
 orientations with the eigenvalues of one real sextic per triple
 (``scan_roots``), gives each orientation root either one Cramer position or
 two rank-1 line positions, never both, and keeps the full-system polish of
@@ -40,7 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import KinematicError, SerialBoundaryError, UnreachableError
+from .errors import (
+    DegenerateLinearSystemError, KinematicError, SerialBoundaryError, UnreachableError
+)
 from .geometry import (
     EPS_SING,
     TWO_PI,
@@ -508,20 +510,33 @@ def scan_roots(samples):
     return gi[ri], (phi + np.angle(z) + np.log(np.abs(z))) % TWO_PI
 
 
-def _may_assemble(geom: GeometryConfig, bx, by):
-    """Rows whose elbow points pass the triangle inequality of every leg pair.
+def _screen_elbows(geom: GeometryConfig, bx, by):
+    """Compare each row's elbow triangle with the platform triangle.
 
-    Legs i and j close only if ||b_i - b_j| - |c_i - c_j|| <= 2m, where
-    |c_i - c_j| is a side of the platform triangle; a row that fails for
-    some pair has no assembly pose. The margin covers the closure gate.
+    Returns (live, degenerate) row indices. Legs i and j close only if
+    ||b_i - b_j| - |c_i - c_j|| <= 2m, where |c_i - c_j| is a side of the
+    platform triangle; a row that fails for some pair has no assembly pose
+    and is not live. The margin covers the closure gate. Row k of the 2x2
+    reduction M is 2 (e^(i theta) q_k - d_k), q_k = s (e^(i psi_k) - e^(i psi_0))
+    and d_k = b_k - b_0, so det(M) / 4 = c + Im(e^(i theta) w) has at most two
+    zeros unless c = Im(q_1* q_2 + d_1* d_2) and w = q_1 d_2* - q_2 d_1*
+    vanish: a degenerate row's M is singular at every orientation.
     """
     psi = geom.platform_phase
-    ok = True
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        side = 2.0 * geom.s * abs(math.sin(0.5 * (psi[i] - psi[j])))
-        gap = np.abs(np.hypot(bx[:, i] - bx[:, j], by[:, i] - by[:, j]) - side)
-        ok = ok & (gap <= 2.0 * geom.m + 1e-6)
-    return ok
+    pairs = ((0, 1), (0, 2), (1, 2))
+    side = [2.0 * geom.s * abs(math.sin(0.5 * (psi[i] - psi[j]))) for i, j in pairs]
+    b = bx + 1j * by
+    d = b[:, [1, 2, 2]] - b[:, [0, 0, 1]]  # b_j - b_i of each pair: d_1, d_2, then b_2 - b_1
+    dn = np.abs(d)
+    close = np.abs(dn - side) <= 2.0 * geom.m + 1e-6
+    q = [geom.s * complex(math.cos(p), math.sin(p)) for p in psi]
+    q1, q2 = q[1] - q[0], q[2] - q[0]
+    dc = d.conj()
+    c = (q1.conjugate() * q2 + dc[:, 0] * d[:, 1]).imag
+    w = q1 * dc[:, 1] - q2 * dc[:, 0]
+    scale = (abs(q1) + dn[:, 0]) * (abs(q2) + dn[:, 1])
+    live = close[:, 0] & close[:, 1] & close[:, 2]
+    return live.nonzero()[0], (np.abs(c) + np.abs(w) <= 1e-12 * scale).nonzero()[0]
 
 
 def _first_of_each_pose(idx, x, y, theta):
@@ -544,7 +559,7 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
     """Direct-kinematics roots for a batch of actuated-angle triples.
 
     The scan polynomial's roots are isolated algebraically (see scan_roots)
-    for the triples whose elbows can hold the platform (``_may_assemble``)
+    for the triples whose elbows can hold the platform (``_screen_elbows``)
     and sharpened by three Newton steps on N. Each root then gives one kind
     of position candidate, a Cramer point or two line points
     (``_positions_batch``); every candidate is polished on the full closure
@@ -553,13 +568,26 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
     assembly poses, one record per pose, ``idx`` pointing into ``alphas``
     (sorted by idx). Records of one triple within MERGE_TOL of each other
     are one pose, represented by the record with the smallest closure error.
+    Raises ValueError before solving unless ``alphas`` is (3,) or (K, 3)
+    finite angles, and DegenerateLinearSystemError for a row whose 2x2
+    reduction is singular at every orientation; both name the row of a batch.
     """
+    single = np.ndim(alphas) == 1
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
-    n = alphas.shape[0]
-    out = []
-    for start in range(0, n, FK_CHUNK):
+    if alphas.shape[1:] != (3,) or not np.isfinite(alphas).all():
+        # The first row that is not three finite angles.
+        k = int(np.argmin(np.isfinite(alphas).all(axis=1) & (alphas.shape[1:] == (3,))))
+        name = "alpha" if single else f"alpha row {k}"
+        raise ValueError(
+            f"direct kinematics: {name} = {tuple(alphas[k].tolist())} is not three finite angles"
+        )
+    out = [(np.empty(0, dtype=int), *[np.empty(0)] * 3)]
+    for start in range(0, len(alphas), FK_CHUNK):
         bx, by = elbow_points(geom, alphas[start : start + FK_CHUNK])
-        live = np.flatnonzero(_may_assemble(geom, bx, by))
+        live, degenerate = _screen_elbows(geom, bx, by)
+        if degenerate.size:
+            k = start + int(degenerate[0])
+            raise DegenerateLinearSystemError(alphas[k], 0.0, TWO_PI, None if single else k)
         ci, theta = scan_roots(scan_samples(geom, bx[live], by[live]))
         ci = live[ci]
         if ci.size == 0:
@@ -587,9 +615,6 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
         rec = (ci[rows[keep]] + start, px[keep], py[keep], root[keep] % TWO_PI)
         first = _first_of_each_pose(*rec)
         out.append([v[first] for v in rec])
-    if not out:
-        empty = np.empty(0)
-        return np.empty(0, dtype=int), empty, empty, empty
     return tuple(np.concatenate(col) for col in zip(*out))
 
 

@@ -25,7 +25,7 @@ from .aspects import (
     enumerate_aspects,
     write_manifest,
 )
-from .errors import ConfigError, KinematicError
+from .errors import ConfigError, KinematicError, OctreeError
 from .batch import jacobian_rows
 from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, parse_mode
 from .jacobians import jacobians, singularity_report
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         return args.func(cfg, args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, OctreeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KinematicError as exc:

@@ -49,10 +49,14 @@ class ParallelSingularError(KinematicError):
 class DegenerateLinearSystemError(KinematicError):
     """The direct-kinematics 2x2 reduction is singular over an orientation interval."""
 
-    def __init__(self, theta_lo: float, theta_hi: float):
+    def __init__(self, alpha, theta_lo: float, theta_hi: float, row: int | None = None):
+        self.alpha = tuple(float(a) for a in alpha)
         self.theta_lo = theta_lo
         self.theta_hi = theta_hi
+        self.row = row
+        name = "alpha" if row is None else f"alpha row {row}"
         super().__init__(
+            f"direct kinematics, {name} = {self.alpha}: "
             f"position system singular over theta in [{theta_lo:.6g}, {theta_hi:.6g}]"
         )
 

@@ -13,21 +13,18 @@ Differencing pairs (1,2) and (1,3) leaves a linear 2x2 system for (x, y) as a
 function of theta; substituting its solution back into closure 1 gives a
 scalar residual f(theta) whose zeros on [0, 2pi) are the assembly modes. The
 reduction is equivalent to a degree-6 polynomial in tan(theta/2), so at most
-six real solutions exist. ``batch.fk_roots`` finds them algebraically; the
-scalar ``forward_kinematics`` is a one-triple wrapper over it.
+six real solutions exist. ``batch.fk_roots`` finds them and raises every
+refusal; the scalar ``forward_kinematics`` is a one-triple wrapper over it.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
 
 import numpy as np
 
 from . import batch
-from .errors import DegenerateLinearSystemError
-from .geometry import EPS_SING, TWO_PI, FullConfiguration, GeometryConfig, Pose, WorkingMode
+from .geometry import EPS_SING, FullConfiguration, GeometryConfig, Pose, WorkingMode
 
 
 def _solve(geom: GeometryConfig, pose: Pose, mode: WorkingMode, eps: float) -> batch.LegSolution:
@@ -91,41 +88,13 @@ def inverse_kinematics_all(
     return result
 
 
-def _check_degenerate(geom: GeometryConfig, bx, by) -> None:
-    """Raise when the 2x2 reduction is singular at every orientation.
-
-    In complex form row k of M is 2 (e^(i theta) q_k - d_k), with
-    q_k = s (e^(i psi_k) - e^(i psi_0)) and d_k = b_k - b_0, so det(M) / 4 =
-    Im(q_1* q_2 + d_1* d_2) + Im(e^(i theta) (q_1 d_2* - q_2 d_1*)). Unless
-    this degree-one polynomial vanishes identically (architecture-singular
-    actuated angles) it has at most two zeros, isolated singular
-    orientations that fk_roots handles by a rank-1 line analysis.
-    """
-    q = [geom.s * cmath.exp(1j * p) for p in geom.platform_phase]
-    b = [complex(u, v) for u, v in zip(bx[0].tolist(), by[0].tolist())]
-    q1, q2, d1, d2 = q[1] - q[0], q[2] - q[0], b[1] - b[0], b[2] - b[0]
-    c = (q1.conjugate() * q2 + d1.conjugate() * d2).imag
-    w = q1 * d2.conjugate() - q2 * d1.conjugate()
-    if abs(c) + abs(w) <= 1e-12 * (abs(q1) + abs(d1)) * (abs(q2) + abs(d2)):
-        raise DegenerateLinearSystemError(0.0, TWO_PI)
-
-
 def forward_kinematics(geom: GeometryConfig, alpha) -> list[Pose]:
-    """All real assembly modes for the given actuated angles.
+    """All real assembly modes for the given actuated angles, sorted by (theta, x, y).
 
-    A single-triple call of ``batch.fk_roots``. Every returned pose
-    satisfies the three loop closures to better than 1e-9, no two are within
-    ``batch.MERGE_TOL`` of each other, and the list is sorted by
-    (theta, x, y). Raises ValueError for an angle that is not finite, and
-    DegenerateLinearSystemError when the 2x2 reduction is singular at every
-    orientation.
+    A single-triple call of ``batch.fk_roots``: the same closure and merge
+    guarantees, and the same refusals (ValueError, DegenerateLinearSystemError).
     """
-    alpha = [float(v) for v in alpha]
-    if len(alpha) != 3 or not all(map(math.isfinite, alpha)):
-        raise ValueError(f"alpha must contain three finite angles, got {alpha}")
-    alphas = np.array([alpha])
-    _check_degenerate(geom, *batch.elbow_points(geom, alphas))
-    _, xs, ys, thetas = batch.fk_roots(geom, alphas)
+    _, xs, ys, thetas = batch.fk_roots(geom, np.ravel(alpha))
     poses = [Pose(*v) for v in zip(xs.tolist(), ys.tolist(), thetas.tolist())]
     poses.sort(key=lambda q: (q.theta, q.x, q.y))
     return poses

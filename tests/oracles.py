@@ -502,3 +502,28 @@ def newton_full_step_floor(geom, bx, by, x, y, theta, iters=30):
         theta[act] -= step[:, 2]
         act = act[norm >= 1e-13]
     return x, y, theta
+
+
+def elbow_screen_per_row(geom, bx, by):
+    """Row-at-a-time (live, degenerate) flags of the direct solver's elbow screen.
+
+    live: every leg pair passes ||b_i - b_j| - |c_i - c_j|| <= 2m + 1e-6, one
+    pair at a time; degenerate: det(M) / 4 = c + Im(e^(i theta) w) vanishes
+    identically to 1e-12 relative, in Python complex scalars.
+    """
+    psi = geom.platform_phase
+    live, degenerate = [], []
+    for row_x, row_y in zip(bx.tolist(), by.tolist()):
+        ok = True
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            side = 2.0 * geom.s * abs(math.sin(0.5 * (psi[i] - psi[j])))
+            gap = abs(math.hypot(row_x[i] - row_x[j], row_y[i] - row_y[j]) - side)
+            ok = ok and gap <= 2.0 * geom.m + 1e-6
+        live.append(ok)
+        q = [geom.s * complex(math.cos(p), math.sin(p)) for p in psi]
+        b = [complex(u, v) for u, v in zip(row_x, row_y)]
+        q1, q2, d1, d2 = q[1] - q[0], q[2] - q[0], b[1] - b[0], b[2] - b[0]
+        c = (q1.conjugate() * q2 + d1.conjugate() * d2).imag
+        w = q1 * d2.conjugate() - q2 * d1.conjugate()
+        degenerate.append(abs(c) + abs(w) <= 1e-12 * (abs(q1) + abs(d1)) * (abs(q2) + abs(d2)))
+    return np.array(live), np.array(degenerate)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from planar3rrr import batch
-from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, angle_difference
+from planar3rrr.errors import DegenerateLinearSystemError
+from planar3rrr.geometry import DEFAULT_PHASES, GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.jacobians import jacobians
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
 
@@ -156,3 +157,56 @@ def test_scan_roots_of_sampled_trig_polynomials():
         assert ((got >= 0.0) & (got < 2 * math.pi)).all()
         gap = np.abs(np.angle(np.exp(1j * (got[:, None] - roots[None, :]))))
         assert (gap.min(axis=0) < 1e-12).all()
+
+
+# The platform triangle mirrors the base one at equal size, so equal actuated
+# angles make the direct problem's 2x2 reduction singular at every theta.
+MIRRORED = GeometryConfig(
+    r=5, s=5, base_phase=DEFAULT_PHASES, platform_phase=tuple(DEFAULT_PHASES[i] for i in (0, 2, 1))
+)
+# Rows 0 and 2 round the mode-A IK of (0.5, -0.3, 0.4) and (-0.4, 0.2, 1.0).
+BATCH_WITH_DEGENERATE_ROW = np.array(
+    [[2.153, -0.437, 2.457], [0.3, 0.3, 0.3], [2.434, -0.085, 2.477]]
+)
+
+
+@pytest.mark.parametrize("solver", [batch.fk_roots, batch.assembly_modes])
+def test_degenerate_row_refuses_the_batch(solver):
+    with pytest.raises(DegenerateLinearSystemError, match=r"row 1 = \(0\.3, 0\.3, 0\.3\)") as info:
+        solver(MIRRORED, BATCH_WITH_DEGENERATE_ROW)
+    assert info.value.row == 1
+    assert info.value.alpha == (0.3, 0.3, 0.3)
+    idx = solver(MIRRORED, BATCH_WITH_DEGENERATE_ROW[[0, 2]])[0]
+    assert np.bincount(idx).tolist() == [2, 4]
+
+
+def test_degenerate_row_of_a_later_chunk_keeps_its_batch_index(monkeypatch):
+    monkeypatch.setattr(batch, "FK_CHUNK", 2)
+    alphas = np.roll(BATCH_WITH_DEGENERATE_ROW, 2, axis=0)
+    with pytest.raises(DegenerateLinearSystemError) as info:
+        batch.fk_roots(MIRRORED, np.vstack((alphas, alphas)))
+    assert info.value.row == 0
+    with pytest.raises(DegenerateLinearSystemError) as info:
+        batch.fk_roots(MIRRORED, np.vstack((alphas[1:], alphas[1:], alphas)))
+    assert info.value.row == 4
+
+
+@pytest.mark.parametrize("solver", [batch.fk_roots, batch.assembly_modes])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_row_refused(ref_geom, solver, bad):
+    # A NaN row used to give no poses, as if the triple had no assembly.
+    alphas = np.array([[0.1, 0.2, 0.3], [0.2, 0.3, 0.4], [0.2, bad, 0.3], [0.1, bad, 0.3]])
+    with pytest.raises(ValueError, match="alpha row 2 = .* is not three finite angles"):
+        solver(ref_geom, alphas)
+
+
+def test_rows_of_two_angles_refused(ref_geom):
+    # Used to fail inside elbow_points: "operands could not be broadcast".
+    with pytest.raises(ValueError, match="alpha row 0 = .* is not three finite angles"):
+        batch.fk_roots(ref_geom, np.zeros((4, 2)))
+
+
+def test_empty_batch_returns_four_empty_arrays(ref_geom):
+    idx, x, y, theta = batch.fk_roots(ref_geom, np.empty((0, 3)))
+    assert idx.dtype.kind == "i"
+    assert idx.size == x.size == y.size == theta.size == 0

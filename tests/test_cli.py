@@ -244,6 +244,35 @@ def test_trajectory_command(ref_config, ref_path, tmp_path, capsys):
     assert len(profile) == 1 + evidence["samples"]
 
 
+def test_trajectory_pose_outside_census_box_exits_2(ref_config, ref_path, tmp_path, capsys):
+    # Waypoint 1, (1.10, 1.96), lies outside the [-1, 1]^2 census box: its
+    # OutOfBoxError used to escape main with a traceback and exit 1.
+    data = json.loads(Path(ref_config).read_text())
+    data["workspace_limit"] = 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "t"
+    rc = main(["--config", str(cfg), "--out", str(out), "--depth", "4", "trajectory", ref_path])
+    assert rc == 2
+    assert "error: point (1.1022919743997779, 1.9563001858738114," in capsys.readouterr().err
+    assert not (out / "evidence.json").exists()
+
+
+def test_fk_degenerate_triple_exit_code(tmp_path, capsys):
+    # Base and platform triangles mirrored at equal size: equal actuated
+    # angles leave the 2x2 position system singular at every orientation.
+    p = tmp_path / "mirrored.json"
+    phases = {"base_phase_deg": [90, 210, 330], "platform_phase_deg": [90, 330, 210]}
+    p.write_text(json.dumps({"geometry": {"r": 5, "s": 5, **phases}}))
+    assert main(["--config", str(p), "fk", "0.3", "0.3", "0.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "kinematic error: direct kinematics, alpha = (0.3, 0.3, 0.3): "
+        "position system singular over theta in [0, 6.28319]\n"
+    )
+
+
 def test_trajectory_bad_waypoints(ref_config, tmp_path, capsys):
     p = tmp_path / "w.json"
     p.write_text('{"mode": "PPN", "waypoints": [[0, 0, 0]]}')

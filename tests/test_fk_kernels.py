@@ -18,7 +18,7 @@ import oracles
 from conftest import NEAR_TANGENT_CLUSTERS
 from planar3rrr import batch
 from planar3rrr.errors import DegenerateLinearSystemError, KinematicError
-from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, platform_joints
+from planar3rrr.geometry import DEFAULT_PHASES, GeometryConfig, Pose, WorkingMode, platform_joints
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics
 
 K = 17
@@ -36,6 +36,10 @@ GEOMETRIES = {
         platform_phase=(5.3, 1.2, 3.3),
     ),
 }
+
+#: The platform triangle mirrors the base one at equal size: equal actuated
+#: angles make the 2x2 reduction singular at every theta.
+MIRRORED = GeometryConfig(r=5, s=5, platform_phase=tuple(DEFAULT_PHASES[i] for i in (0, 2, 1)))
 
 
 def _elbows(geom, rng, k=K):
@@ -56,6 +60,20 @@ def test_system_pieces_match_per_leg_oracle(geom, shape, rng):
     for g, w in zip(flat_got, flat_want):
         assert g.shape == w.shape
         assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("geom", [*GEOMETRIES.values(), MIRRORED], ids=[*GEOMETRIES, "mirrored"])
+def test_elbow_screen_matches_per_row_oracle(geom, rng):
+    # Uniform triples, and equal-angle triples (degenerate on the mirrored
+    # geometry, self-motion candidates on the congruent one).
+    equal = np.repeat(rng.uniform(-math.pi, math.pi, (20, 1)), 3, axis=1)
+    alphas = np.vstack((rng.uniform(-math.pi, math.pi, (500, 3)), equal))
+    bx, by = batch.elbow_points(geom, alphas)
+    live, degenerate = batch._screen_elbows(geom, bx, by)
+    want_live, want_degenerate = oracles.elbow_screen_per_row(geom, bx, by)
+    assert np.array_equal(live, np.flatnonzero(want_live))
+    assert np.array_equal(degenerate, np.flatnonzero(want_degenerate))
+    assert degenerate.tolist() == (list(range(500, 520)) if geom is MIRRORED else [])
 
 
 @pytest.mark.parametrize("geom", GEOMETRIES.values(), ids=GEOMETRIES.keys())

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ALPHA_EMPTY, ALPHA_REF, FK_REF_POSES, NEAR_TANGENT_CLUSTERS, TABLE_POSES
 from planar3rrr import batch
-from planar3rrr.errors import DegenerateLinearSystemError
+from planar3rrr.errors import DegenerateLinearSystemError, KinematicError
 from planar3rrr.geometry import DEFAULT_PHASES, GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.jacobians import jacobians, working_mode_of
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
@@ -216,6 +216,32 @@ def test_degenerate_reduction_raises():
     with pytest.raises(DegenerateLinearSystemError) as info:
         forward_kinematics(geom, (0.3, 0.3, 0.3))
     assert info.value.theta_hi - info.value.theta_lo > math.pi
+
+
+def test_degenerate_error_names_stage_and_triple():
+    p = DEFAULT_PHASES
+    geom = GeometryConfig(r=5, s=5, base_phase=p, platform_phase=(p[0], p[2], p[1]))
+    with pytest.raises(DegenerateLinearSystemError) as info:
+        forward_kinematics(geom, (0.3, 0.3, 0.3))
+    assert info.value.alpha == (0.3, 0.3, 0.3)
+    assert info.value.row is None
+    assert str(info.value) == (
+        "direct kinematics, alpha = (0.3, 0.3, 0.3): "
+        "position system singular over theta in [0, 6.28319]"
+    )
+
+
+@pytest.mark.xfail(
+    raises=pytest.fail.Exception,
+    reason="self-motion is returned as isolated poses, with no refusal (ROADMAP item 4)",
+)
+def test_self_motion_is_refused():
+    # The mode-A IK of pose (0.3, 0.2, 0) on the congruent geometry: the
+    # platform can translate on a circle at theta = 0 with these actuated
+    # angles, besides the isolated poses at theta = +-1.287. The solver
+    # returns 5 poses, three of them arbitrary points of that circle.
+    with pytest.raises(KinematicError):
+        forward_kinematics(GeometryConfig(r=5, s=5), (-0.9527429399314791,) * 3)
 
 
 def test_mirrored_platform_solves_generic_triples():
