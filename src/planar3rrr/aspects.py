@@ -316,23 +316,19 @@ def enumerate_aspects(
 def _same_component(geom: GeometryConfig, atlas: AspectAtlas, alphas, poses, eps: float) -> bool:
     """True when two poses (x, y, theta) with actuated angles ``alphas`` share a component.
 
-    One ``batch.jacobian_rows`` call gives both matrix pairs. Pose by pose,
-    |B_ii| < eps raises SerialSingularError and |det(A)| < eps * scale
-    ParallelSingularError; differing working modes or det(A) signs raise
-    ModeMismatchError.
+    One ``batch.classify`` call decides both poses. Pose by pose, a serial flag raises
+    SerialSingularError (lowest leg first), a parallel flag ParallelSingularError;
+    differing working modes or det(A) signs raise ModeMismatchError.
     """
     x, y, theta = np.array(poses, dtype=float).T
     _, det, b_diag, scale = batch.jacobian_rows(geom, np.array(alphas, dtype=float), x, y, theta)
-    keys = []
-    for d, b, s in zip(det.tolist(), b_diag.tolist(), scale.tolist()):
-        for i, v in enumerate(b):
-            if abs(v) < eps:
-                raise SerialSingularError(i + 1, v)
-        if abs(d) < eps * s:
-            raise ParallelSingularError(d, s)
-        mode = WorkingMode.from_signs(b)
-        keys.append((mode, 1 if d > 0 else -1))
-    k1, k2 = keys
+    mode_idx, det_sign, serial, parallel = batch.classify(det, b_diag, scale, eps)
+    for k in range(2):
+        for i in np.flatnonzero(serial[k]).tolist():
+            raise SerialSingularError(i + 1, float(b_diag[k, i]))
+        if parallel[k]:
+            raise ParallelSingularError(float(det[k]), float(scale[k]))
+    k1, k2 = ((batch.MODE_ORDER[m], s) for m, s in zip(mode_idx.tolist(), det_sign.tolist()))
     if k1 != k2:
         raise ModeMismatchError(
             f"configurations differ: mode {k1[0].label}/sign {k1[1]:+d} vs "

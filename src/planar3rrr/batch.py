@@ -28,6 +28,9 @@ legs with one cos and one sin, in the per-leg operation order. Its
 full-system Newton steps on 2A, the closure Jacobian, from ``_a_row``, and
 stops a row at the rounding floor, not only at a step below 1e-13.
 
+``classify`` is the one singularity rule: every caller that compares a B_ii
+or det(A) margin with eps calls it; the census needs only det(A) signs.
+
 Shapes follow numpy broadcasting; x, y, theta must broadcast against each
 other. Actuated angles come as (K, 3) rows.
 """
@@ -618,11 +621,25 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
     return tuple(np.concatenate(col) for col in zip(*out))
 
 
-#: Weights of the sign code of a B_ii sign triple: bit 2-i is set when B_ii < 0.
+#: Weights of the sign code of a B_ii sign triple: bit 2-i is set when B_ii is not positive.
 _SIGN_BITS = np.array([4, 2, 1])
 
 #: MODE_ORDER index by sign code.
 _MODE_BY_CODE = np.argsort((np.array([mode.signs for mode in MODE_ORDER]) < 0) @ _SIGN_BITS)
+
+
+def classify(det, b_diag, scale, eps: float):
+    """The one singularity rule, over poses with det and scale (...) and b_diag (..., 3).
+
+    Returns (mode_idx, det_sign, serial, parallel): the MODE_ORDER index of
+    the B_ii signs and the det(A) sign (+1 or -1), a zero counting as
+    negative as in ``WorkingMode.from_signs``; the flags |B_ii| < eps,
+    (..., 3), and |det(A)| / scale < eps. A margin equal to eps is not singular.
+    """
+    b_diag = np.asarray(b_diag, dtype=float)
+    mode_idx = _MODE_BY_CODE[~(b_diag > 0.0) @ _SIGN_BITS]
+    det_sign = np.where(det > 0.0, 1, -1)
+    return mode_idx, det_sign, np.abs(b_diag) < eps, np.abs(det) / scale < eps
 
 
 def assembly_modes(geom: GeometryConfig, alphas: np.ndarray):
@@ -631,13 +648,12 @@ def assembly_modes(geom: GeometryConfig, alphas: np.ndarray):
     Solves the direct problem for the (K, 3) rows of ``alphas`` and keeps
     the poses with nonzero B_ii and det(A), the ones that lie in an aspect.
     Returns (idx, x, y, theta, mode_idx, det_sign): per pose, its row of
-    ``alphas``, its MODE_ORDER index and the sign of det(A) as +1 or -1.
+    ``alphas``, its MODE_ORDER index and the sign of det(A) as +1 or -1
+    (``classify``).
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=float))
     idx, x, y, theta = fk_roots(geom, alphas)
-    _, det, b_diag, _ = jacobian_rows(geom, alphas[idx], x, y, theta)
-    sgn = np.sign(b_diag)
-    ok = (sgn != 0).all(axis=1) & (det != 0.0)
-    code = (sgn[ok] < 0) @ _SIGN_BITS
-    det_sign = np.where(det[ok] > 0.0, 1, -1)
-    return idx[ok], x[ok], y[ok], theta[ok], _MODE_BY_CODE[code], det_sign
+    _, det, b_diag, scale = jacobian_rows(geom, alphas[idx], x, y, theta)
+    ok = (b_diag != 0.0).all(axis=1) & (det != 0.0)
+    mode_idx, det_sign, _, _ = classify(det[ok], b_diag[ok], scale[ok], EPS_SING)
+    return idx[ok], x[ok], y[ok], theta[ok], mode_idx, det_sign

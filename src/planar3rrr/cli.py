@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -26,22 +26,12 @@ from .aspects import (
     write_manifest,
 )
 from .errors import ConfigError, KinematicError, OctreeError
-from .batch import jacobian_rows
-from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, parse_mode
+from .batch import MODE_ORDER, classify, jacobian_rows
+from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, as_float, parse_mode
 from .jacobians import jacobians, singularity_report
 from .kinematics import forward_kinematics, inverse_kinematics
 from .octree import export, volume, workspace_box
 from .trajectory import PathSpec, monitor, verify_assembly_mode_change, write_profile
-
-_CONFIG_KEYS = {
-    "geometry",
-    "depth",
-    "joint_depth",
-    "eps_sing",
-    "samples_per_segment",
-    "workspace_limit",
-    "out",
-}
 
 
 def bundled_data_path(name: str) -> Path:
@@ -90,7 +80,7 @@ def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig(geometry=GeometryConfig())
     data = _read_json_object(path, "config", ("depth", "joint_depth", "samples_per_segment"))
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
@@ -99,9 +89,9 @@ def load_config(path: str | None) -> RunConfig:
             geometry=geometry,
             depth=data.get("depth"),
             joint_depth=data.get("joint_depth"),
-            eps_sing=float(data.get("eps_sing", EPS_SING)),
+            eps_sing=as_float(data.get("eps_sing", EPS_SING), "key 'eps_sing'"),
             samples_per_segment=data.get("samples_per_segment", 500),
-            workspace_limit=float(data.get("workspace_limit", 12.0)),
+            workspace_limit=as_float(data.get("workspace_limit", 12.0), "key 'workspace_limit'"),
             out=Path(data["out"]) if "out" in data else Path("."),
         )
     except (TypeError, ValueError) as exc:
@@ -139,9 +129,8 @@ def _load_waypoints(path: str) -> tuple[WorkingMode, list[Pose], int | None]:
         raise ConfigError(f"unknown waypoint keys: {sorted(unknown)}")
     try:
         mode = parse_mode(str(data["mode"]))
-        points = [
-            Pose(float(x), float(y), math.radians(float(t))) for x, y, t in data["waypoints"]
-        ]
+        coords = [[as_float(v, "key 'waypoints' entry") for v in w] for w in data["waypoints"]]
+        points = [Pose(x, y, math.radians(t)) for x, y, t in coords]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid waypoints file: {exc}") from exc
     if len(points) < 2:
@@ -153,11 +142,12 @@ def cmd_fk(cfg: RunConfig, args) -> int:
     alpha = (args.alpha1, args.alpha2, args.alpha3)
     poses = forward_kinematics(cfg.geometry, alpha)
     x, y, theta = np.array([p.as_tuple() for p in poses]).reshape(-1, 3).T
-    _, det, b_diag, _ = jacobian_rows(cfg.geometry, np.tile(alpha, (len(poses), 1)), x, y, theta)
+    alphas = np.tile(alpha, (len(poses), 1))
+    _, det, b_diag, scale = jacobian_rows(cfg.geometry, alphas, x, y, theta)
+    mode_idx, _, serial, _ = classify(det, b_diag, scale, cfg.eps_sing)
+    labels = ["-" if s else MODE_ORDER[i].label for i, s in zip(mode_idx, serial.any(axis=1))]
     print("sol        x            y     theta_deg        detA       B11       B22       B33  mode")
-    for k, (pose, d, b) in enumerate(zip(poses, det.tolist(), b_diag.tolist()), start=1):
-        serial = min(abs(v) for v in b) < cfg.eps_sing
-        label = "-" if serial else WorkingMode.from_signs(b).label
+    for k, (pose, d, b, label) in enumerate(zip(poses, det.tolist(), b_diag.tolist(), labels), 1):
         print(
             "%3d %12.6f %12.6f %12.5f %11.4f %9.4f %9.4f %9.4f   %s"
             % (k, pose.x, pose.y, math.degrees(pose.theta), d, *b, label)
@@ -254,9 +244,6 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
     spp = cfg.samples_per_segment if spp is None else spp
     spec = PathSpec(waypoints=tuple(points), mode=mode, samples_per_segment=spp)
     result = monitor(cfg.geometry, spec, cfg.eps_sing)
-    outdir = _outdir(cfg)
-    profile = outdir / "profile.csv"
-    write_profile(result, profile)
     print(
         f"monitor: {result.verdict} over {len(result.records)} samples; "
         f"min |detA|/scale {result.min_abs_det_scaled:.6f}, min |B_ii| {result.min_abs_b:.6f}"
@@ -266,7 +253,7 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
         "min_abs_det_scaled": result.min_abs_det_scaled,
         "min_abs_b": result.min_abs_b,
         "samples": len(result.records),
-        "profile": profile.name,
+        "profile": "profile.csv",
     }
     if len(points) in (2, 3):
         depth = cfg.depth_or(6)
@@ -287,6 +274,10 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
                 "aspect_depth": depth,
             }
         )
+    # Nothing is written until every check has passed.
+    outdir = _outdir(cfg)
+    profile = outdir / "profile.csv"
+    write_profile(result, profile)
     with open(outdir / "evidence.json", "w", encoding="ascii") as fh:
         json.dump(evidence_data, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -39,6 +39,13 @@ DEFAULT_PHASES = (0.5 * math.pi, 0.5 * math.pi + TWO_PI / 3.0, 0.5 * math.pi + 2
 REFERENCE_PHASES = (math.radians(210.0), math.radians(330.0), math.radians(90.0))
 
 
+def as_float(value, name: str) -> float:
+    """A JSON number as a float; a bool, string or other value raises TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def wrap_angle(theta: float) -> float:
     """Fold an angle into (-pi, pi]."""
     t = theta % TWO_PI
@@ -114,18 +121,16 @@ class GeometryConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeometryConfig":
-        """Build from a config mapping; phase angles are given in degrees."""
+        """Build from a config mapping of numbers (``as_float``); phase angles are in degrees."""
         allowed = {"l", "m", "r", "s", "base_phase_deg", "platform_phase_deg"}
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"unknown geometry keys: {sorted(unknown)}")
-        kwargs = {k: float(data[k]) for k in ("l", "m", "r", "s") if k in data}
-        if "base_phase_deg" in data:
-            kwargs["base_phase"] = tuple(math.radians(float(v)) for v in data["base_phase_deg"])
-        if "platform_phase_deg" in data:
-            kwargs["platform_phase"] = tuple(
-                math.radians(float(v)) for v in data["platform_phase_deg"]
-            )
+        kwargs = {k: as_float(data[k], f"key {k!r}") for k in ("l", "m", "r", "s") if k in data}
+        for key in ("base_phase", "platform_phase"):
+            if f"{key}_deg" in data:
+                name = f"key '{key}_deg' entry"
+                kwargs[key] = tuple(math.radians(as_float(v, name)) for v in data[f"{key}_deg"])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -222,11 +227,8 @@ class WorkingMode(Enum):
 
     @classmethod
     def from_signs(cls, signs) -> "WorkingMode":
-        key = tuple(1 if s > 0 else -1 for s in signs)
-        for mode in cls:
-            if mode.value == key:
-                return mode
-        raise ValueError(f"invalid sign triple {signs!r}")
+        """The mode of a B_ii sign triple; a zero counts as negative."""
+        return cls(tuple(1 if s > 0 else -1 for s in signs))
 
     @classmethod
     def from_label(cls, label: str) -> "WorkingMode":

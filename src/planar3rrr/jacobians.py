@@ -62,39 +62,34 @@ def jacobians(geom: GeometryConfig, config: FullConfiguration) -> JacobianPair:
 
 def working_mode_of(pair: JacobianPair, eps: float = EPS_SING) -> WorkingMode:
     """Classify the branch from the signs of B_ii; singular entries are an error."""
-    for i, v in enumerate(pair.b_diag):
-        if abs(v) < eps:
-            raise SerialSingularError(i + 1, v)
-    return WorkingMode.from_signs(pair.b_diag)
+    mode_idx, _, serial, _ = batch.classify(pair.det_a, pair.b_diag, pair.row_norm_scale, eps)
+    for i in np.flatnonzero(serial).tolist():
+        raise SerialSingularError(i + 1, pair.b_diag[i])
+    return batch.MODE_ORDER[mode_idx]
 
 
 def singularity_report(pair: JacobianPair, eps: float = EPS_SING) -> SingularityReport:
-    scale = pair.row_norm_scale
-    serial = min(abs(v) for v in pair.b_diag) < eps
-    parallel = abs(pair.det_a) < eps * scale
+    _, _, serial, parallel = batch.classify(pair.det_a, pair.b_diag, pair.row_norm_scale, eps)
     return SingularityReport(
         serial_margins=pair.b_diag,
         parallel_margin=pair.det_a,
-        scale=scale,
+        scale=pair.row_norm_scale,
         eps=eps,
-        is_serial_singular=serial,
-        is_parallel_singular=parallel,
+        is_serial_singular=bool(serial.any()),
+        is_parallel_singular=bool(parallel),
     )
 
 
 def forward_velocity(pair: JacobianPair, alpha_dot, eps: float = EPS_SING) -> np.ndarray:
     """Platform twist (x_dot, y_dot, theta_dot) from actuated rates."""
-    scale = pair.row_norm_scale
-    if abs(pair.det_a) < eps * scale:
-        raise ParallelSingularError(pair.det_a, scale)
+    if singularity_report(pair, eps).is_parallel_singular:
+        raise ParallelSingularError(pair.det_a, pair.row_norm_scale)
     rhs = np.asarray(pair.b_diag) * np.asarray(alpha_dot, dtype=float)
     return np.linalg.solve(pair.a_mat, rhs)
 
 
 def inverse_velocity(pair: JacobianPair, twist, eps: float = EPS_SING) -> np.ndarray:
-    """Actuated rates from the platform twist."""
-    for i, v in enumerate(pair.b_diag):
-        if abs(v) < eps:
-            raise SerialSingularError(i + 1, v)
+    """Actuated rates from the platform twist; a serial-singular leg is an error."""
+    working_mode_of(pair, eps)
     lhs = pair.a_mat @ np.asarray(twist, dtype=float)
     return lhs / np.asarray(pair.b_diag)

@@ -104,11 +104,11 @@ def _normalized(v: np.ndarray) -> np.ndarray:
 def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> MonitorResult:
     """Track det(A) and B_ii along the path in the path's working mode.
 
-    Every sample is solved in one ``batch.solve_legs`` call. The verdict is
-    NonSingular when every sign stays constant and no scaled margin is below
-    ``eps`` at any sample; otherwise ``offending_t`` is the first sample
-    where a sign differs from the first sample's or a margin is below
-    ``eps``. The first failing sample aborts with
+    One ``batch.solve_legs`` call solves every sample, one ``batch.classify``
+    call classifies them. The verdict is NonSingular when every sample keeps
+    the first sample's working mode and det(A) sign and none is serial- or
+    parallel-singular; otherwise ``offending_t`` is the first sample where
+    this fails. The first failing sample aborts with
     UnreachableSampleError wrapping the error of its lowest failing leg; a
     sample whose legs violate loop closure by more than LOOP_TOL raises
     ValueError, as FullConfiguration does.
@@ -135,18 +135,17 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
         (t, x, y, theta, *legs.alpha.T, det, *b.T, _normalized(det), *_normalized(b).T),
         names=RECORD_FIELDS,
     )
-    det_scaled = np.abs(det) / legs.scale
-    flip = ((det < 0.0) != (det[0] < 0.0)) | ((b < 0.0) != (b[0] < 0.0)).any(axis=1)
-    weak = (det_scaled < eps) | (np.abs(b) < eps).any(axis=1)
-    bad = np.flatnonzero(flip | weak)
+    mode_idx, det_sign, serial, parallel = batch.classify(det, b, legs.scale, eps)
+    flip = (mode_idx != mode_idx[0]) | (det_sign != det_sign[0])
+    bad = np.flatnonzero(flip | serial.any(axis=1) | parallel)
     return MonitorResult(
         mode=spec.mode,
         records=records,
         verdict=VERDICT_SINGULAR if bad.size else VERDICT_NON_SINGULAR,
         offending_t=float(t[bad[0]]) if bad.size else None,
-        min_abs_det_scaled=float(det_scaled.min()),
+        min_abs_det_scaled=float((np.abs(det) / legs.scale).min()),
         min_abs_b=float(np.abs(b).min()),
-        det_sign=1 if det[0] > 0.0 else -1,
+        det_sign=int(det_sign[0]),
     )
 
 

@@ -255,7 +255,41 @@ def test_trajectory_pose_outside_census_box_exits_2(ref_config, ref_path, tmp_pa
     rc = main(["--config", str(cfg), "--out", str(out), "--depth", "4", "trajectory", ref_path])
     assert rc == 2
     assert "error: point (1.1022919743997779, 1.9563001858738114," in capsys.readouterr().err
-    assert not (out / "evidence.json").exists()
+    # A refused run writes nothing, profile.csv included.
+    assert not out.exists()
+
+
+#: A sample of the reference path whose scaled margin |det(A)| / scale is this eps.
+EDGE_POSE = (0.7153860532146339, 1.9514297810823649, 49.141247799191255)
+EDGE_EPS = "0.01746742770328138"
+
+
+def test_jac_margin_equal_to_eps_is_not_parallel_singular(ref_config, capsys):
+    # |det A| < eps * scale used to call this pose singular while the
+    # monitor's |det A| / scale < eps did not.
+    argv = ["--config", ref_config, "--eps", EDGE_EPS, "jac", *map(repr, EDGE_POSE)]
+    assert main([*argv, "--mode", "PPN"]) == 0
+    text = capsys.readouterr().out
+    assert "detA/scale = 1.747e-02" in text
+    assert "serial_singular=False parallel_singular=False (eps=0.0175)" in text
+
+
+def test_trajectory_to_a_pose_at_eps_gives_one_verdict(ref_config, tmp_path, capsys):
+    # The monitor called this path NonSingular and the mode-change check then
+    # refused its end pose as parallel-singular (exit 3, profile.csv left behind).
+    path = tmp_path / "w.json"
+    start = [1.1022919743997779, 1.9563001858738114, 57.50289502628018]
+    path.write_text(
+        json.dumps({"mode": "PPN", "samples_per_segment": 5, "waypoints": [start, EDGE_POSE]})
+    )
+    out = tmp_path / "t"
+    argv = ["--config", ref_config, "--eps", EDGE_EPS, "--depth", "4", "--out", str(out)]
+    assert main([*argv, "trajectory", str(path)]) == 0
+    assert "monitor: NonSingular over 5 samples" in capsys.readouterr().out
+    evidence = json.loads((out / "evidence.json").read_text())
+    assert evidence["monitor_verdict"] == "NonSingular"
+    assert evidence["min_abs_det_scaled"] == float(EDGE_EPS)
+    assert len((out / "profile.csv").read_text().splitlines()) == 6
 
 
 def test_fk_degenerate_triple_exit_code(tmp_path, capsys):
@@ -320,6 +354,42 @@ def test_integer_keys_refuse_other_values(ref_config, ref_path, tmp_path, capsys
     assert rc == 2
     err = capsys.readouterr().err
     assert f"key '{key}' must be an integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "file, keys, value",
+    [
+        ("config", ("eps_sing",), True),
+        ("config", ("eps_sing",), "1e-8"),
+        ("config", ("workspace_limit",), "12"),
+        ("config", ("geometry", "l"), "6"),
+        ("config", ("geometry", "m"), True),
+        ("config", ("geometry", "s"), None),
+        ("config", ("geometry", "base_phase_deg", 1), False),
+        ("config", ("geometry", "platform_phase_deg", 0), "210"),
+        ("waypoints", ("waypoints", 0, 1), "1.9563001858738114"),
+        ("waypoints", ("waypoints", 2, 2), True),
+    ],
+)
+def test_number_keys_refuse_other_values(ref_config, ref_path, tmp_path, capsys, file, keys, value):
+    # float() used to read "6" as 6 and true as 1: {"eps_sing": true} ran with eps = 1.
+    files = {"config": ref_config, "waypoints": ref_path}
+    data = {name: json.loads(Path(path).read_text()) for name, path in files.items()}
+    parent = data[file]
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    for name, d in data.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(d))
+    out = tmp_path / "t"
+    argv = ["--config", str(tmp_path / "config.json"), "--out", str(out), "--depth", "4"]
+    rc = main([*argv, "trajectory", str(tmp_path / "waypoints.json")])
+    assert rc == 2
+    name = next(k for k in reversed(keys) if isinstance(k, str))
+    err = capsys.readouterr().err
+    assert f"key '{name}'" in err
+    assert f"must be a number, got {value!r}" in err
     assert not out.exists()
 
 
