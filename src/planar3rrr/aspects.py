@@ -166,17 +166,15 @@ def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, modes):
         box.lo[axis] + np.arange(counts[axis]) * ((box.hi[axis] - box.lo[axis]) / n)
         for axis in range(3)
     ]
-    signs = np.empty((len(modes), *counts), dtype=np.int8)
+    signs = np.zeros((len(modes), *counts), dtype=np.int8)
     slab = _slab_rows(counts)
     for x0 in range(0, counts[0], slab):
         xs = coords[0][x0 : x0 + slab]
-        _, dets = batch.mode_determinants(
+        reach, dets = batch.mode_determinants(
             geom, xs[:, None, None], coords[1][None, :, None], coords[2][None, None, :], modes
         )
-        sl = slice(x0, x0 + len(xs))
         for j, det in enumerate(dets):
-            # NaN, the det of a sample out of reach, compares false both ways.
-            np.subtract(det > 0, det < 0, out=signs[j, sl], dtype=np.int8)
+            signs[j, x0 : x0 + len(xs)][reach] = np.sign(det)
     return signs
 
 

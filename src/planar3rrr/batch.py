@@ -28,8 +28,8 @@ legs with one cos and one sin, in the per-leg operation order. Its
 full-system Newton steps on 2A, the closure Jacobian, from ``_a_row``, and
 stops a row at the rounding floor, not only at a step below 1e-13.
 
-``classify`` is the one singularity rule: every caller that compares a B_ii
-or det(A) margin with eps calls it; the census needs only det(A) signs.
+``classify`` is the one singularity rule and the only kernel that eps
+enters; the reach band of ``solve_legs`` is the fixed ``REACH_BAND``.
 
 Shapes follow numpy broadcasting; x, y, theta must broadcast against each
 other. Actuated angles come as (K, 3) rows.
@@ -53,6 +53,7 @@ from .geometry import (
     WorkingMode,
     elbow_points,
     platform_joints,
+    platform_offsets,
     wrap_angles,
 )
 
@@ -146,17 +147,17 @@ def _branch_rows(geom: GeometryConfig, i: int, x, y, cx, cy):
 
 
 def mode_determinants(geom: GeometryConfig, x, y, theta, modes=MODE_ORDER):
-    """(reach, dets) with dets[j] = det(A) for modes[j]; NaN off reach.
+    """(reach, dets) with dets[j] = det(A) for modes[j] at the samples in reach.
 
-    The rows of A are built only at the samples in reach, gathered once per
-    leg, and each cross product of rows 2 and 3 serves every mode that uses
-    its branch pair.
+    Each det is 1-D, one value per True entry of the reach mask, in the
+    order of ``x[reach]``. The rows of A are built only at those samples,
+    gathered once per leg, and each cross product of rows 2 and 3 serves
+    every mode that uses its branch pair.
     """
     reach, (cx, cy) = leg_reach(geom, x, y, theta)
-    shape = reach.shape
 
     def gather(v):
-        return np.broadcast_to(v, shape)[reach]
+        return np.broadcast_to(v, reach.shape)[reach]
 
     xs, ys = gather(x), gather(y)
     rows = [_branch_rows(geom, i, xs, ys, gather(cx[i]), gather(cy[i])) for i in range(3)]
@@ -166,15 +167,17 @@ def mode_determinants(geom: GeometryConfig, x, y, theta, modes=MODE_ORDER):
         j1, j2, j3 = (0 if sg > 0 else 1 for sg in mode.signs)
         if (j2, j3) not in cross:
             cross[j2, j3] = _cross(rows[1][j2], rows[2][j3])
-        det = np.full(shape, np.nan)
-        det[reach] = _dot(rows[0][j1], cross[j2, j3])
-        dets.append(det)
+        dets.append(_dot(rows[0][j1], cross[j2, j3]))
     return reach, dets
 
 
+#: Relative width of the reach band of ``solve_legs``, in units of l + m: a fixed
+#: geometric tolerance, not the singularity margin eps of ``classify``.
+REACH_BAND = 1e-8
+
 #: Per-leg status codes of ``solve_legs``.
 LEG_OK = 0
-LEG_BOUNDARY = 1  # within eps*(l+m) of a reach circle: SerialBoundaryError
+LEG_BOUNDARY = 1  # within the reach band of a reach circle: SerialBoundaryError
 LEG_UNREACHABLE = 2  # outside the reachable annulus: UnreachableError
 
 
@@ -222,12 +225,13 @@ class LegSolution:
         return None
 
 
-def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, eps: float = EPS_SING):
+def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, band: float = REACH_BAND):
     """Solve every leg of N poses in ``mode`` and evaluate A, B there.
 
     x, y, theta are (N,) arrays. A leg is LEG_BOUNDARY when its distance is
-    within ``eps * reach_max`` of either reach circle (checked first) and
-    LEG_UNREACHABLE when outside the annulus. The arithmetic follows the
+    within ``band * reach_max`` of either reach circle (checked first) and
+    LEG_UNREACHABLE when outside the annulus; ``band`` is the relative width
+    of the reach band, 0.0 for the bare annulus. The arithmetic follows the
     scalar two-bar solution term by term, so one sample gives the same
     floats as solving it alone.
     """
@@ -237,7 +241,7 @@ def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, eps: float 
     a = geom.base_points
     l, m = geom.l, geom.m
     lo, hi = geom.reach_min, geom.reach_max
-    tol = eps * hi
+    tol = band * hi
     cx, cy = platform_joints(geom, x, y, theta)
     dx_list = (cx - a[:, :1]).ravel().tolist()
     dy_list = (cy - a[:, 1:]).ravel().tolist()
@@ -295,11 +299,11 @@ def _fk_system_pieces(geom: GeometryConfig, bx, by, theta):
     The legs run along a leading axis of one cos and one sin; each element
     is computed in the order of a per-leg evaluation, bit for bit.
     """
-    s, m = geom.s, geom.m
+    m = geom.m
     pad = (1,) * (theta.ndim - 1)
-    ang = theta + np.reshape(geom.platform_phase, (3, 1, *pad))
-    ex = s * np.cos(ang) - bx.T.reshape(3, -1, *pad)
-    ey = s * np.sin(ang) - by.T.reshape(3, -1, *pad)
+    ux, uy = platform_offsets(geom, theta, theta.ndim)
+    ex = ux - bx.T.reshape(3, -1, *pad)
+    ey = uy - by.T.reshape(3, -1, *pad)
     h = ex * ex + ey * ey - m * m
     m11, m21 = 2.0 * (ex[1:] - ex[0])
     m12, m22 = 2.0 * (ey[1:] - ey[0])

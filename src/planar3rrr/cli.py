@@ -158,7 +158,7 @@ def cmd_fk(cfg: RunConfig, args) -> int:
 def cmd_ik(cfg: RunConfig, args) -> int:
     pose = Pose(args.x, args.y, math.radians(args.theta_deg))
     mode = parse_mode(args.mode)
-    config = inverse_kinematics(cfg.geometry, pose, mode, cfg.eps_sing)
+    config = inverse_kinematics(cfg.geometry, pose, mode)
     pair = jacobians(cfg.geometry, config)
     print(f"mode {mode.label} ({mode.sign_string})")
     print("alpha_rad %12.9f %12.9f %12.9f" % config.alpha)
@@ -171,7 +171,7 @@ def cmd_ik(cfg: RunConfig, args) -> int:
 def cmd_jac(cfg: RunConfig, args) -> int:
     pose = Pose(args.x, args.y, math.radians(args.theta_deg))
     mode = parse_mode(args.mode)
-    config = inverse_kinematics(cfg.geometry, pose, mode, cfg.eps_sing)
+    config = inverse_kinematics(cfg.geometry, pose, mode)
     pair = jacobians(cfg.geometry, config)
     rep = singularity_report(pair, cfg.eps_sing)
     print("A =")

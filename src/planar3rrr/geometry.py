@@ -175,18 +175,21 @@ class Pose:
         )
 
 
+def platform_offsets(geom: GeometryConfig, theta, nd: int):
+    """s u(theta + psi_i), legs first and ``nd`` axes after them, from one cos and one sin."""
+    ang = theta + np.asarray(geom.platform_phase).reshape((3,) + (1,) * nd)
+    return geom.s * np.cos(ang), geom.s * np.sin(ang)
+
+
 def platform_joints(geom: GeometryConfig, x, y, theta):
     """Platform joints c_i = p + s u(theta + psi_i) of poses.
 
     x, y and theta broadcast against each other. Returns (cx, cy), each of
-    shape (3, *broadcast shape) with the legs along the leading axis, from
-    one cos and one sin over all three legs; every element is the one-leg
-    expression, bit for bit. This is the one platform-joint kernel; only
-    ``batch._fk_system_pieces`` keeps its own copy, at p = 0.
+    shape (3, *broadcast shape) with the legs along the leading axis; every
+    element is the one-leg expression, bit for bit (``platform_offsets``).
     """
-    nd = max(np.ndim(x), np.ndim(y), np.ndim(theta))
-    ang = theta + np.asarray(geom.platform_phase).reshape((3,) + (1,) * nd)
-    return x + geom.s * np.cos(ang), y + geom.s * np.sin(ang)
+    ux, uy = platform_offsets(geom, theta, max(np.ndim(x), np.ndim(y), np.ndim(theta)))
+    return x + ux, y + uy
 
 
 def elbow_points(geom: GeometryConfig, alphas):

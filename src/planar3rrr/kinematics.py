@@ -4,7 +4,8 @@ The inverse problem factors per leg into a standard two-bar reach with two
 elbow branches; a working mode fixes the branch of every leg through the sign
 of B_ii = (c_i - b_i)^T E (b_i - a_i). The array kernel ``batch.solve_legs``
 solves it; ``inverse_kinematics`` and ``inverse_kinematics_all`` are
-one-pose calls into it.
+one-pose calls into it, with its fixed reach band ``batch.REACH_BAND``: no
+singularity tolerance enters the inverse problem.
 
 The direct problem is reduced to one dimension: with the actuated angles
 fixed, the elbows b_i are fixed points and the three loop closures
@@ -24,24 +25,20 @@ import itertools
 import numpy as np
 
 from . import batch
-from .geometry import EPS_SING, FullConfiguration, GeometryConfig, Pose, WorkingMode
+from .geometry import FullConfiguration, GeometryConfig, Pose, WorkingMode
 
 
-def _solve(geom: GeometryConfig, pose: Pose, mode: WorkingMode, eps: float) -> batch.LegSolution:
-    return batch.solve_legs(geom, [pose.x], [pose.y], [pose.theta], mode, eps)
+def _solve(geom: GeometryConfig, pose: Pose, mode: WorkingMode, band=batch.REACH_BAND):
+    return batch.solve_legs(geom, [pose.x], [pose.y], [pose.theta], mode, band)
 
 
-def inverse_kinematics(
-    geom: GeometryConfig,
-    pose: Pose,
-    mode: WorkingMode,
-    eps: float = EPS_SING,
-) -> FullConfiguration:
+def inverse_kinematics(geom: GeometryConfig, pose: Pose, mode: WorkingMode) -> FullConfiguration:
     """Inverse kinematics in one working mode: a one-pose ``batch.solve_legs``.
 
-    Raises UnreachableError or SerialBoundaryError for the lowest failing leg.
+    Raises UnreachableError for the lowest leg outside the reachable annulus,
+    or SerialBoundaryError for one within the reach band of its boundary.
     """
-    legs = _solve(geom, pose, mode, eps)
+    legs = _solve(geom, pose, mode)
     err = legs.error(0)
     if err is not None:
         raise err
@@ -49,25 +46,23 @@ def inverse_kinematics(
 
 
 def inverse_kinematics_all(
-    geom: GeometryConfig,
-    pose: Pose,
-    eps: float = EPS_SING,
+    geom: GeometryConfig, pose: Pose
 ) -> dict[WorkingMode, FullConfiguration]:
     """All realizable inverse-kinematic branches of a pose, keyed by working mode.
 
-    A leg exactly on its reach boundary has a single branch; the collapsed
-    branch is keyed under the '+' sign for that leg, so a pose with one
-    stretched leg yields four entries. An unreachable pose yields an empty
-    mapping.
+    A leg within the reach band of its reach boundary has a single branch;
+    the collapsed branch is keyed under the '+' sign for that leg, so a pose
+    with one stretched leg yields four entries. An unreachable pose yields
+    an empty mapping.
     """
-    plus = _solve(geom, pose, WorkingMode.A, eps)
-    minus = _solve(geom, pose, WorkingMode.G, eps)
+    plus = _solve(geom, pose, WorkingMode.A)
+    minus = _solve(geom, pose, WorkingMode.G)
     status = plus.status[0]
     if (status == batch.LEG_UNREACHABLE).any():
         return {}
     if (status == batch.LEG_BOUNDARY).any():
-        # Without the boundary tolerance a boundary leg solves to its one
-        # elbow position, unless it lies just outside the annulus.
+        # Without the reach band a boundary leg solves to its one elbow
+        # position, unless it lies just outside the annulus.
         collapsed = _solve(geom, pose, WorkingMode.A, 0.0)
         if collapsed.error(0) is not None:
             return {}

@@ -229,9 +229,7 @@ class Octree:
 
     def leaf_origins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Voxel-grid origin indices of every leaf at max-depth resolution."""
-        ix, iy, iz = morton_decode(self.morton)
-        f = (np.uint64(1) << (self.max_depth - self.depth.astype(np.uint64))).astype(np.uint64)
-        return ix * f, iy * f, iz * f
+        return morton_decode(self.starts)
 
     def leaf_box(self, i: int) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         ox, oy, oz = (int(v[i]) for v in self.leaf_origins())

@@ -108,13 +108,13 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
     call classifies them. The verdict is NonSingular when every sample keeps
     the first sample's working mode and det(A) sign and none is serial- or
     parallel-singular; otherwise ``offending_t`` is the first sample where
-    this fails. The first failing sample aborts with
-    UnreachableSampleError wrapping the error of its lowest failing leg; a
-    sample whose legs violate loop closure by more than LOOP_TOL raises
-    ValueError, as FullConfiguration does.
+    this fails; ``eps`` enters nothing else. The first sample out of reach
+    or in the fixed reach band aborts with UnreachableSampleError wrapping
+    the error of its lowest failing leg; a sample whose legs violate loop
+    closure by more than LOOP_TOL raises ValueError, as FullConfiguration does.
     """
     t, x, y, theta = _segment_samples(spec)
-    legs = batch.solve_legs(geom, x, y, theta, spec.mode, eps)
+    legs = batch.solve_legs(geom, x, y, theta, spec.mode)
     failed = (legs.status != batch.LEG_OK).any(axis=1)
     loose = legs.loop_gap > LOOP_TOL
     bad = np.flatnonzero(failed | loose.any(axis=1))
@@ -184,7 +184,7 @@ def verify_assembly_mode_change(
     input within ``ALPHA_TOL``; they lie in the same aspect component; the
     path was monitored NonSingular. An end sample whose margins are below
     ``eps`` raises SerialSingularError or ParallelSingularError; the reach
-    tests are the monitor's, made with the ``eps`` it was given.
+    tests are the monitor's, made with the fixed reach band.
     """
     rec = path.records[[0, -1]]
     pose_a, pose_b = (Pose(*p) for p in zip(rec.x.tolist(), rec.y.tolist(), rec.theta.tolist()))

@@ -488,3 +488,25 @@ def test_unknown_sign_refused(capsys):
         build_parser().parse_args(["workspace", "--mode", "a", "--sign", "plus"])
     assert exc.value.code == 2
     assert "--sign" in capsys.readouterr().err
+
+
+#: A reference-geometry pose in mode PPN whose leg 3 lies 1.2 length units
+#: inside its 12-unit reach circle; its scaled margin |det(A)| / scale is 0.0793.
+BAND_POSE = ("-0.2614224488658774", "-0.9676856478756761", "73.47495524197308")
+
+
+def test_eps_enters_no_reach_test_of_jac(ref_config, capsys):
+    # A reach band of eps * (l + m) = 1.2 used to refuse leg 3 here (exit 3).
+    argv = ["--config", ref_config, "--eps", "0.1", "jac", "--mode", "PPN", "--", *BAND_POSE]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert "detA/scale = 7.934e-02" in text
+    assert "serial_singular=False parallel_singular=True (eps=0.1)" in text
+
+
+def test_eps_leaves_ik_unchanged(ref_config, capsys):
+    argv = ["ik", "--mode", "PPN", "--", *BAND_POSE]
+    assert main(["--config", ref_config, *argv]) == 0
+    plain = capsys.readouterr().out
+    assert main(["--config", ref_config, "--eps", "0.1", *argv]) == 0
+    assert capsys.readouterr().out == plain

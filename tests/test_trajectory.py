@@ -198,6 +198,17 @@ def test_sample_on_reach_boundary_aborts(default_geom):
     assert err.value.t == 0.5
 
 
+def test_eps_enters_no_reach_test_of_the_monitor(ref_geom):
+    # Leg 3 of the end pose lies 1.2 length units inside its reach circle,
+    # where a reach band of eps * (l + m) used to raise UnreachableSampleError.
+    end = Pose(-0.2614224488658774, -0.9676856478756761, math.radians(73.47495524197308))
+    spec = PathSpec((Pose(0.0, -1.2, math.radians(60.0)), end), MODE, 50)
+    assert monitor(ref_geom, spec).verdict == VERDICT_NON_SINGULAR
+    result = monitor(ref_geom, spec, eps=0.1)
+    assert result.verdict == VERDICT_SINGULAR
+    assert result.min_abs_det_scaled < 0.1
+
+
 def _jittered_spec(spp) -> PathSpec:
     offsets = ((0.03, -0.04, 1.5), (-0.05, 0.02, -2.0), (0.04, 0.05, 0.7))
     waypoints = tuple(
