@@ -28,7 +28,7 @@ def main():
     pose = Pose(1.0, 0.5, math.radians(20.0))
     print(f"\nall inverse branches at ({pose.x}, {pose.y}, {math.degrees(pose.theta):.0f} deg):")
     for mode, cfg in sorted(inverse_kinematics_all(geom, pose).items(), key=lambda kv: kv[0].label):
-        pair = jacobians(geom, cfg)
+        pair = jacobians(cfg)
         print(
             f"  mode {mode.label} ({mode.sign_string}): alpha ="
             f" ({cfg.alpha[0]: .4f}, {cfg.alpha[1]: .4f}, {cfg.alpha[2]: .4f})"

@@ -27,7 +27,7 @@ def main():
     geom = GeometryConfig()
 
     cfg = inverse_kinematics(geom, Pose(1.0, -0.5, 0.3), WorkingMode.A)
-    pair = jacobians(geom, cfg)
+    pair = jacobians(cfg)
     rep = singularity_report(pair)
     print("generic configuration:")
     print("  B_ii =", np.round(pair.b_diag, 4), " detA =", round(pair.det_a, 4))
@@ -52,11 +52,16 @@ def main():
         alpha.append(math.atan2(by - ay, bx - ax))
         beta.append(math.atan2(c[i, 1] - by, c[i, 0] - bx))
     sing = FullConfiguration(geom=geom, pose=pose, alpha=tuple(alpha), beta=tuple(beta))
-    spair = jacobians(geom, sing)
+    spair = jacobians(sing)
     srep = singularity_report(spair)
     print(f"\nconcurrent-line configuration at theta = {math.degrees(theta):.4f} deg:")
     print(f"  detA / scale = {spair.det_a / spair.row_norm_scale:.2e}")
     print("  parallel singular:", srep.is_parallel_singular)
+    # A NaN tolerance fails every margin test, so the one singularity rule refuses it.
+    try:
+        singularity_report(spair, float("nan"))
+    except ValueError as exc:
+        print("  eps = nan is refused:", exc)
 
 
 if __name__ == "__main__":

@@ -34,13 +34,14 @@ def main():
 
     sign = result.det_sign
     atlas = enumerate_aspects(geom, depth=6, modes=[mode], det_signs=(sign,), build_joint=False)
-    evidence = verify_assembly_mode_change(geom, atlas, result)
+    # The check takes the geometry and eps the path was monitored with from the path.
+    evidence = verify_assembly_mode_change(atlas, result)
     print(f"\nassembly-mode change: {evidence.verdict}")
     print(f"  shared actuated input (gap {evidence.alpha_gap:.1e}): {tuple(round(a, 6) for a in evidence.alpha)}")
     print(f"  same aspect: {evidence.in_same_aspect}, monitored: {result.verdict}")
 
     comp = locate(atlas.entries[(mode, sign)].workspace, way[0].as_tuple()).comp
-    surf = characteristic_surface(geom, atlas, mode, sign, comp)
+    surf = characteristic_surface(atlas, mode, sign, comp)
     print(
         f"\ncharacteristic surface of that aspect: {surf.marked_leaves.size} marked leaves "
         f"(from {surf.boundary_leaves.size} singular-boundary cells)"

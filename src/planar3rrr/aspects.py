@@ -119,6 +119,13 @@ class AspectAtlas:
         return sum(e.n_components for e in self.entries.values())
 
 
+def _check_depth(depth, name: str, lo: int = MIN_DEPTH) -> None:
+    """The one depth rule: ``depth`` is an integer, not a bool, in [lo, MAX_DEPTH]."""
+    whole = isinstance(depth, (int, np.integer)) and not isinstance(depth, bool)
+    if not (whole and lo <= depth <= MAX_DEPTH):
+        raise ValueError(f"{name} must be an integer in [{lo}, {MAX_DEPTH}], got {depth!r}")
+
+
 def _corner_counts(box: Box3, depth: int) -> tuple[int, int, int]:
     """Corner samples per axis: n + 1, or n on an axis that wraps."""
     n = 1 << depth
@@ -254,8 +261,7 @@ def enumerate_aspects(
     cell needs a full direct-kinematics solve, far costlier than the
     workspace test.
     """
-    if not MIN_DEPTH <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be in [{MIN_DEPTH}, {MAX_DEPTH}]")
+    _check_depth(depth, "depth")
     bad = [sign for sign in det_signs if sign not in (1, -1)]
     if bad:
         raise ValueError(f"det_signs must be +1 or -1, got {bad}")
@@ -264,6 +270,7 @@ def enumerate_aspects(
     if build_joint:
         jbox = joint_box()
         joint_depth = min(depth, 5) if joint_depth is None else joint_depth
+        _check_depth(joint_depth, "joint_depth", 0)
     else:
         jbox = None
         joint_depth = None
@@ -311,15 +318,16 @@ def enumerate_aspects(
     )
 
 
-def _same_component(geom: GeometryConfig, atlas: AspectAtlas, alphas, poses, eps: float) -> bool:
+def _same_component(atlas: AspectAtlas, alphas, poses, eps: float) -> bool:
     """True when two poses (x, y, theta) with actuated angles ``alphas`` share a component.
 
-    One ``batch.classify`` call decides both poses. Pose by pose, a serial flag raises
-    SerialSingularError (lowest leg first), a parallel flag ParallelSingularError;
-    differing working modes or det(A) signs raise ModeMismatchError.
+    One ``batch.classify`` call decides both poses, on the atlas's geometry. Pose by
+    pose, a serial flag raises SerialSingularError (lowest leg first), a parallel
+    flag ParallelSingularError; differing working modes or det(A) signs raise
+    ModeMismatchError.
     """
     x, y, theta = np.array(poses, dtype=float).T
-    _, det, b_diag, scale = batch.jacobian_rows(geom, np.array(alphas, dtype=float), x, y, theta)
+    _, det, b_diag, scale = batch.jacobian_rows(atlas.geom, alphas, x, y, theta)
     mode_idx, det_sign, serial, parallel = batch.classify(det, b_diag, scale, eps)
     for k in range(2):
         for i in np.flatnonzero(serial[k]).tolist():
@@ -348,10 +356,14 @@ def same_aspect(
     """True when both configurations sit in the same workspace component.
 
     Both must be non-singular and share working mode and det(A) sign;
-    otherwise ModeMismatchError is raised.
+    otherwise ModeMismatchError is raised. A configuration on another
+    geometry than the atlas's raises ValueError.
     """
+    for k, config in enumerate((config1, config2), 1):
+        if config.geom != atlas.geom:
+            raise ValueError(f"configuration {k} is on {config.geom}, the atlas on {atlas.geom}")
     poses = (config1.pose.as_tuple(), config2.pose.as_tuple())
-    return _same_component(config1.geom, atlas, (config1.alpha, config2.alpha), poses, eps)
+    return _same_component(atlas, (config1.alpha, config2.alpha), poses, eps)
 
 
 @dataclass(frozen=True)
@@ -370,7 +382,6 @@ class CharacteristicSurface:
 
 
 def characteristic_surface(
-    geom: GeometryConfig,
     atlas: AspectAtlas,
     mode: WorkingMode,
     det_sign: int,
@@ -402,7 +413,7 @@ def characteristic_surface(
     centers = tree.leaf_centers()
     out_ids = np.unique(leaf_out)
     oc = centers[out_ids]
-    reach, _ = batch.leg_reach(geom, oc[:, 0], oc[:, 1], oc[:, 2])
+    reach, _ = batch.leg_reach(atlas.geom, oc[:, 0], oc[:, 1], oc[:, 2])
     keep = np.isin(leaf_out, out_ids[reach])
     boundary = np.unique(leaf_in[keep])
     if boundary.size == 0:
@@ -410,11 +421,11 @@ def characteristic_surface(
         return CharacteristicSurface(mode, det_sign, component_id, empty, empty)
 
     bc = centers[boundary]
-    legs = batch.solve_legs(geom, bc[:, 0], bc[:, 1], bc[:, 2], mode)
+    legs = batch.solve_legs(atlas.geom, bc[:, 0], bc[:, 1], bc[:, 2], mode)
     solved = (legs.status == batch.LEG_OK).all(axis=1)
     alphas = legs.alpha[solved]
     bc = bc[solved]
-    idx, x, y, th, mode_idx, sign = batch.assembly_modes(geom, alphas)
+    idx, x, y, th, mode_idx, sign = batch.assembly_modes(atlas.geom, alphas)
     match = (mode_idx == batch.MODE_ORDER.index(mode)) & (sign == det_sign)
     # Drop the identity image of each boundary center itself.
     src = bc[idx]

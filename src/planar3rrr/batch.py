@@ -6,13 +6,13 @@ kernel takes its platform joints from ``geometry.platform_joints`` (legs
 along a leading axis, one cos and one sin), its reach annulus from the
 geometry's ``reach_min`` and ``reach_max``, and its rows of A from
 ``_a_row``, with det(A) as row 1 . (row 2 x row 3) (``_cross``, ``_dot``).
-``_matrix_pair`` builds A, det(A) and B_ii from joints and elbows.
+``jacobian_rows`` is the one builder of A, det(A) and B_ii from actuated
+angles and poses; ``solve_legs`` and ``jacobians.jacobians`` call it.
 
 ``solve_legs`` is the one inverse-kinematic leg solver:
 ``kinematics.inverse_kinematics``, ``inverse_kinematics_all`` and
-``trajectory.monitor`` call it, and ``jacobians.jacobians`` builds its matrix
-pair with ``jacobian_rows``. Its angles reproduce the scalar operation order
-bit for bit, with ``math.hypot`` and ``math.atan2`` mapped over the flattened
+``trajectory.monitor`` call it. Its angles reproduce the scalar operation
+order bit for bit, with ``math.hypot`` and ``math.atan2`` mapped over the flattened
 leg axis, because the monitor's profile and evidence files are
 byte-identical artifacts. The census needs only det(A) signs
 (``mode_determinants``): it tests reach first (``leg_reach``), then builds
@@ -80,23 +80,6 @@ def _cross(r2, r3):
 def _dot(r1, v):
     """Dot product of a row of A with a vector, term by term from the first."""
     return r1[0] * v[0] + r1[1] * v[1] + r1[2] * v[2]
-
-
-def _matrix_pair(geom: GeometryConfig, x, y, cx, cy, bx, by):
-    """Rows of A, det(A), B_ii and the row-norm scale of N poses.
-
-    The joints (cx, cy) and elbows (bx, by) are (3, N), legs first; x and y
-    are (N,). Returns (rows (N, 3, 3), det (N,), b_diag (N, 3), scale (N,))
-    with B_ii = (c_i - b_i)^T E (b_i - a_i).
-    """
-    a = geom.base_points
-    ex, ey, w = _a_row(x, y, cx, cy, bx, by)
-    b_diag = (bx - a[:, :1]) * ey - (by - a[:, 1:]) * ex
-    # Leg i's row of A is (ex[i], ey[i], w[i]).
-    r1, r2, r3 = zip(ex, ey, w)
-    rows = np.stack((ex.T, ey.T, w.T), axis=-1)
-    norms = np.linalg.norm(rows, axis=-1)
-    return rows, _dot(r1, _cross(r2, r3)), b_diag.T, norms[:, 0] * norms[:, 1] * norms[:, 2]
 
 
 def leg_reach(geom: GeometryConfig, x, y, theta):
@@ -260,8 +243,7 @@ def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, band: float
     be[failed] = np.nan
     alpha = wrap_angles(al).reshape(3, -1).T
     beta = wrap_angles(be).reshape(3, -1).T
-    bx, by = elbow_points(geom, alpha)
-    rows, det, b_diag, scale = _matrix_pair(geom, x, y, cx, cy, bx.T, by.T)
+    rows, det, b_diag, scale = jacobian_rows(geom, alpha, x, y, theta)
     # rows[..., :2] = c_i - b_i: its length is m, its direction beta_i.
     ex = rows[:, :, 0]
     ey = rows[:, :, 1]
@@ -286,11 +268,18 @@ def jacobian_rows(geom: GeometryConfig, alphas: np.ndarray, x, y, theta):
 
     ``alphas`` has shape (N, 3) aligned with the (N,) pose arrays. Returns
     (rows (N, 3, 3), det (N,), b_diag (N, 3), scale (N,)); row i of A is
-    [(c_i - b_i)^T, -(c_i - b_i)^T E (p - c_i)] (see ``_matrix_pair``).
+    [(c_i - b_i)^T, -(c_i - b_i)^T E (p - c_i)] and B_ii = (c_i - b_i)^T E (b_i - a_i).
     """
-    bx, by = elbow_points(geom, alphas)
+    a = geom.base_points
+    bx, by = (v.T for v in elbow_points(geom, alphas))
     cx, cy = platform_joints(geom, x, y, theta)
-    return _matrix_pair(geom, x, y, cx, cy, bx.T, by.T)
+    ex, ey, w = _a_row(x, y, cx, cy, bx, by)
+    b_diag = (bx - a[:, :1]) * ey - (by - a[:, 1:]) * ex
+    # Leg i's row of A is (ex[i], ey[i], w[i]).
+    r1, r2, r3 = zip(ex, ey, w)
+    rows = np.stack((ex.T, ey.T, w.T), axis=-1)
+    norms = np.linalg.norm(rows, axis=-1)
+    return rows, _dot(r1, _cross(r2, r3)), b_diag.T, norms[:, 0] * norms[:, 1] * norms[:, 2]
 
 
 def _fk_system_pieces(geom: GeometryConfig, bx, by, theta):
@@ -639,7 +628,10 @@ def classify(det, b_diag, scale, eps: float):
     the B_ii signs and the det(A) sign (+1 or -1), a zero counting as
     negative as in ``WorkingMode.from_signs``; the flags |B_ii| < eps,
     (..., 3), and |det(A)| / scale < eps. A margin equal to eps is not singular.
+    An eps outside (0, inf), NaN included, raises ValueError.
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be in (0, inf), got {eps!r}")
     b_diag = np.asarray(b_diag, dtype=float)
     mode_idx = _MODE_BY_CODE[~(b_diag > 0.0) @ _SIGN_BITS]
     det_sign = np.where(det > 0.0, 1, -1)

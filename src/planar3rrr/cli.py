@@ -19,8 +19,7 @@ import numpy as np
 
 from .aspects import (
     _SIGN_TAG,
-    MAX_DEPTH,
-    MIN_DEPTH,
+    _check_depth,
     characteristic_surface,
     enumerate_aspects,
     write_manifest,
@@ -70,12 +69,6 @@ def _read_json_object(path: str, what: str, int_keys) -> dict:
     return data
 
 
-def _check_depth(depth: int, name: str) -> None:
-    """Every command that takes a depth runs the census, which takes only this range."""
-    if not MIN_DEPTH <= depth <= MAX_DEPTH:
-        raise ConfigError(f"{name} must be in [{MIN_DEPTH}, {MAX_DEPTH}], got {depth}")
-
-
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig(geometry=GeometryConfig())
@@ -103,8 +96,8 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigError(f"{key} must be positive and finite, got {getattr(cfg, key)}")
     if cfg.depth is not None:
         _check_depth(cfg.depth, "config depth")
-    if cfg.joint_depth is not None and not 0 <= cfg.joint_depth <= MAX_DEPTH:
-        raise ConfigError(f"config joint_depth must be in [0, {MAX_DEPTH}], got {cfg.joint_depth}")
+    if cfg.joint_depth is not None:
+        _check_depth(cfg.joint_depth, "config joint_depth", 0)
     return cfg
 
 
@@ -159,7 +152,7 @@ def cmd_ik(cfg: RunConfig, args) -> int:
     pose = Pose(args.x, args.y, math.radians(args.theta_deg))
     mode = parse_mode(args.mode)
     config = inverse_kinematics(cfg.geometry, pose, mode)
-    pair = jacobians(cfg.geometry, config)
+    pair = jacobians(config)
     print(f"mode {mode.label} ({mode.sign_string})")
     print("alpha_rad %12.9f %12.9f %12.9f" % config.alpha)
     print("beta_rad  %12.9f %12.9f %12.9f" % config.beta)
@@ -172,7 +165,7 @@ def cmd_jac(cfg: RunConfig, args) -> int:
     pose = Pose(args.x, args.y, math.radians(args.theta_deg))
     mode = parse_mode(args.mode)
     config = inverse_kinematics(cfg.geometry, pose, mode)
-    pair = jacobians(cfg.geometry, config)
+    pair = jacobians(config)
     rep = singularity_report(pair, cfg.eps_sing)
     print("A =")
     for row in pair.a_mat:
@@ -258,7 +251,7 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
     if len(points) in (2, 3):
         depth = cfg.depth_or(6)
         atlas = _pair_census(cfg, mode, result.det_sign, depth)
-        evidence = verify_assembly_mode_change(cfg.geometry, atlas, result, cfg.eps_sing)
+        evidence = verify_assembly_mode_change(atlas, result)
         print(
             f"assembly-mode change: {evidence.verdict} "
             f"(shared_alpha={evidence.shared_alpha}, alpha_gap={evidence.alpha_gap:.3e}, "
@@ -290,7 +283,7 @@ def cmd_charsurf(cfg: RunConfig, args) -> int:
     symbol = "+" if args.sign > 0 else "-"
     depth = cfg.depth_or(6)
     atlas = _pair_census(cfg, mode, args.sign, depth)
-    surf = characteristic_surface(cfg.geometry, atlas, mode, args.sign, args.component)
+    surf = characteristic_surface(atlas, mode, args.sign, args.component)
     tree = atlas.entries[(mode, args.sign)].workspace
     payload = {
         "mode": mode.label,

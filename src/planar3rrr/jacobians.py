@@ -17,7 +17,7 @@ import numpy as np
 
 from . import batch
 from .errors import ParallelSingularError, SerialSingularError
-from .geometry import EPS_SING, FullConfiguration, GeometryConfig, WorkingMode
+from .geometry import EPS_SING, FullConfiguration, WorkingMode
 
 #: 90-degree rotation matrix used throughout the velocity relations.
 E = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -51,10 +51,10 @@ class SingularityReport:
     is_parallel_singular: bool
 
 
-def jacobians(geom: GeometryConfig, config: FullConfiguration) -> JacobianPair:
-    """Build the matrix pair at a configuration (``batch.jacobian_rows``, one pose)."""
+def jacobians(config: FullConfiguration) -> JacobianPair:
+    """Build the matrix pair at a configuration, on its own geometry (``batch.jacobian_rows``)."""
     x, y, theta = (np.array([v]) for v in config.pose.as_tuple())
-    rows, det, b_diag, scale = batch.jacobian_rows(geom, np.array([config.alpha]), x, y, theta)
+    rows, det, b_diag, scale = batch.jacobian_rows(config.geom, [config.alpha], x, y, theta)
     a_mat = rows[0]
     a_mat.setflags(write=False)
     return JacobianPair(a_mat, tuple(b_diag[0].tolist()), float(det[0]), float(scale[0]))

@@ -59,8 +59,10 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class MonitorResult:
-    """A monitored path: ``records`` is a record array of ``RECORD_FIELDS``, one row per sample."""
+    """A path monitored on ``geom`` at ``eps``: one ``RECORD_FIELDS`` record per sample."""
 
+    geom: GeometryConfig
+    eps: float
     mode: WorkingMode
     records: np.recarray
     verdict: str
@@ -139,6 +141,8 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
     flip = (mode_idx != mode_idx[0]) | (det_sign != det_sign[0])
     bad = np.flatnonzero(flip | serial.any(axis=1) | parallel)
     return MonitorResult(
+        geom=geom,
+        eps=eps,
         mode=spec.mode,
         records=records,
         verdict=VERDICT_SINGULAR if bad.size else VERDICT_NON_SINGULAR,
@@ -170,12 +174,7 @@ class ChangeEvidence:
     in_same_aspect: bool
 
 
-def verify_assembly_mode_change(
-    geom: GeometryConfig,
-    atlas: AspectAtlas,
-    path: MonitorResult,
-    eps: float = EPS_SING,
-) -> ChangeEvidence:
+def verify_assembly_mode_change(atlas: AspectAtlas, path: MonitorResult) -> ChangeEvidence:
     """Demonstrate a non-singular assembly-mode change along a monitored path.
 
     The change is between the first and the last sample of ``path``, in its
@@ -183,9 +182,11 @@ def verify_assembly_mode_change(
     again. All three checks must hold: the two poses share the actuated
     input within ``ALPHA_TOL``; they lie in the same aspect component; the
     path was monitored NonSingular. An end sample whose margins are below
-    ``eps`` raises SerialSingularError or ParallelSingularError; the reach
-    tests are the monitor's, made with the fixed reach band.
+    ``path.eps`` raises SerialSingularError or ParallelSingularError; the reach
+    tests are the monitor's. A path on another geometry raises ValueError.
     """
+    if path.geom != atlas.geom:
+        raise ValueError(f"the path is on {path.geom}, the atlas on {atlas.geom}")
     rec = path.records[[0, -1]]
     pose_a, pose_b = (Pose(*p) for p in zip(rec.x.tolist(), rec.y.tolist(), rec.theta.tolist()))
     if pose_a.distance(pose_b) < 1e-12:
@@ -195,7 +196,7 @@ def verify_assembly_mode_change(
     shared = alpha_gap <= ALPHA_TOL
     poses = (pose_a.as_tuple(), pose_b.as_tuple())
     try:
-        in_same = _same_component(geom, atlas, (alpha_a, alpha_b), poses, eps)
+        in_same = _same_component(atlas, (alpha_a, alpha_b), poses, path.eps)
     except ModeMismatchError:
         in_same = False
 

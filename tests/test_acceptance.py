@@ -82,7 +82,7 @@ def _benchmark_pair(geom, k):
         cfgs.values(),
         key=lambda c: max(abs(angle_difference(a, b)) for a, b in zip(c.alpha, ALPHA_REF)),
     )
-    return jacobians(geom, cfg)
+    return jacobians(cfg)
 
 
 @pytest.mark.xfail(
@@ -280,7 +280,7 @@ def test_criterion_6_property_suite(ref_geom, rng, capsys):
     for k in rng.integers(0, n_poses, 200):
         pose = Pose(*poses[k])
         for cfg in inverse_kinematics_all(ref_geom, pose).values():
-            pair = jacobians(ref_geom, cfg)
+            pair = jacobians(cfg)
             for leg in range(3):
                 dot = oracles.serial_alignment(ref_geom, cfg, leg + 1)
                 worst_leg = max(worst_leg, abs(pair.b_diag[leg] ** 2 + dot**2 - lm2) / lm2)
@@ -298,7 +298,7 @@ def test_criterion_6_property_suite(ref_geom, rng, capsys):
         mode = WorkingMode(tuple(rng.choice([-1, 1], 3).tolist()))
         try:
             cfg = inverse_kinematics(ref_geom, pose, mode)
-            qd = inverse_velocity(jacobians(ref_geom, cfg), twist)
+            qd = inverse_velocity(jacobians(cfg), twist)
             ap = inverse_kinematics(
                 ref_geom,
                 Pose(pose.x + h * twist[0], pose.y + h * twist[1], pose.theta + h * twist[2]),
@@ -377,7 +377,7 @@ def test_criterion_7_characteristic_surface(ref_geom, capsys):
     rec1 = locate(entry.workspace, posture(1).as_tuple())
     rec4 = locate(entry.workspace, posture(4).as_tuple())
     ok = rec1.comp == rec4.comp and rec1.comp >= 0
-    surf = characteristic_surface(ref_geom, atlas, WorkingMode.C, 1, rec1.comp)
+    surf = characteristic_surface(atlas, WorkingMode.C, 1, rec1.comp)
     ok = ok and surf.marked_leaves.size > 0
     comp = entry.workspace.comp
     label = entry.workspace.label

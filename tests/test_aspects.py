@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ import oracles
 from conftest import ALPHA_REF, posture
 from planar3rrr import aspects, batch
 from planar3rrr.aspects import (
+    MIN_DEPTH,
     AspectAtlas,
     characteristic_surface,
     enumerate_aspects,
@@ -36,6 +38,21 @@ def test_depth_validation(ref_geom):
         enumerate_aspects(ref_geom, depth=3)
     with pytest.raises(ValueError):
         enumerate_aspects(ref_geom, depth=11)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"depth": 5.5}, {"depth": True}, {"joint_depth": -1}, {"joint_depth": 2.5},
+     {"joint_depth": True}, {"joint_depth": 11}],
+    ids=["depth-float", "depth-bool", "joint-negative", "joint-float", "joint-bool", "joint-11"],
+)
+def test_depth_rule_names_the_argument(ref_geom, kwargs):
+    # joint_depth = -1 failed on a negative shift count, 2.5 and depth = 5.5 on
+    # a TypeError from <<, and joint_depth = True ran at joint depth 1.
+    (name, _), = kwargs.items()
+    lo = 0 if name == "joint_depth" else MIN_DEPTH
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[{lo}, 10\], got"):
+        enumerate_aspects(ref_geom, **{"depth": 4, **kwargs})
 
 
 def test_memory_guard_refuses_before_allocating(ref_geom, monkeypatch, tmp_path, capsys):
@@ -134,7 +151,7 @@ def test_characteristic_surface_boundary_matches_voxel_oracle(ref_geom):
             pairs = oracles.boundary_pairs_dense(tree, cid)
             c = centers[pairs[:, 1]]
             reach, _ = batch.leg_reach(geom, c[:, 0], c[:, 1], c[:, 2])
-            surf = characteristic_surface(geom, atlas, mode, sign, cid)
+            surf = characteristic_surface(atlas, mode, sign, cid)
             assert np.array_equal(surf.boundary_leaves, np.unique(pairs[reach, 0]))
 
 
@@ -187,7 +204,7 @@ def test_reference_postures_lie_in_aspects(ref_geom, atlas6):
             cfgs.values(),
             key=lambda c: max(abs(angle_difference(a, b)) for a, b in zip(c.alpha, ALPHA_REF)),
         )
-        pair = jacobians(ref_geom, cfg)
+        pair = jacobians(cfg)
         mode = working_mode_of(pair)
         sign = 1 if pair.det_a > 0 else -1
         assert abs(pair.det_a) > 0.0
@@ -219,6 +236,17 @@ def test_same_aspect_mode_mismatch_cases(ref_geom, atlas6):
     )
     with pytest.raises(ModeMismatchError):
         same_aspect(atlas6, c1, cfg3)
+
+
+def test_same_aspect_refuses_configurations_on_another_geometry(ref_geom, atlas6):
+    # Configurations solved with a platform radius of 5.2 used to be judged
+    # on the reference atlas, and postures (1) and (4) came out in one aspect.
+    other = dataclasses.replace(ref_geom, s=5.2)
+    c1, c4 = _config(other, 1), _config(other, 4)
+    with pytest.raises(ValueError, match="configuration 1 is on .*, the atlas on"):
+        same_aspect(atlas6, c1, c4)
+    with pytest.raises(ValueError, match="configuration 2 is on .*, the atlas on"):
+        same_aspect(atlas6, _config(ref_geom, 1), c4)
 
 
 def test_distinct_components_are_not_same_aspect(ref_geom):
@@ -259,7 +287,7 @@ def test_tiny_platform_atlas_tiles(ref_geom):
 
 def test_characteristic_surface_reference_component(ref_geom, atlas6):
     rec = locate(atlas6.entries[(WorkingMode.C, 1)].workspace, posture(1).as_tuple())
-    surf = characteristic_surface(ref_geom, atlas6, WorkingMode.C, 1, rec.comp)
+    surf = characteristic_surface(atlas6, WorkingMode.C, 1, rec.comp)
     assert not surf.is_empty
     assert surf.boundary_leaves.size > 0
     comp = atlas6.entries[(WorkingMode.C, 1)].workspace.comp
@@ -276,14 +304,14 @@ def test_characteristic_surface_empty_case(ref_geom):
                               build_joint=False)
     entry = atlas.entries[(WorkingMode.A, 1)]
     cid = entry.solid_component_ids[0]
-    surf = characteristic_surface(ref_geom, atlas, WorkingMode.A, 1, cid)
+    surf = characteristic_surface(atlas, WorkingMode.A, 1, cid)
     assert surf.boundary_leaves.size > 0
     assert surf.is_empty
 
 
 def test_characteristic_surface_invalid_component(ref_geom, atlas6):
     with pytest.raises(ValueError):
-        characteristic_surface(ref_geom, atlas6, WorkingMode.C, 1, 10**6)
+        characteristic_surface(atlas6, WorkingMode.C, 1, 10**6)
 
 
 def test_membership_stable_under_refinement(ref_geom, rng):

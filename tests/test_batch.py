@@ -30,7 +30,7 @@ def test_mode_determinants_match_scalar(ref_geom, rng):
         assert dets[mi].shape == (np.count_nonzero(reach),)
         for k, det in zip(np.flatnonzero(reach), dets[mi].tolist()):
             cfg = inverse_kinematics(ref_geom, Pose(xs[k], ys[k], ts[k]), mode)
-            pair = jacobians(ref_geom, cfg)
+            pair = jacobians(cfg)
             assert det == pytest.approx(pair.det_a, rel=1e-9, abs=1e-9)
 
 
@@ -117,7 +117,7 @@ def test_solution_signs_match_jacobians(ref_geom, rng):
                 abs(angle_difference(a, b)) for a, b in zip(c.alpha, alphas[idx[r]])
             ),
         )
-        pair = jacobians(ref_geom, cfg)
+        pair = jacobians(cfg)
         assert tuple(sgn[r]) == tuple(np.sign(pair.b_diag).astype(int))
         assert det[r] == pytest.approx(pair.det_a, rel=1e-6)
 
@@ -136,7 +136,7 @@ def test_assembly_modes_match_direct_classification(ref_geom, rng):
                 if max(
                     abs(angle_difference(a, b)) for a, b in zip(cfg.alpha, alphas[k])
                 ) < 1e-6:
-                    pair = jacobians(ref_geom, cfg)
+                    pair = jacobians(cfg)
                     expect.add((mode, 1 if pair.det_a > 0 else -1))
         assert got == expect
 

@@ -92,7 +92,7 @@ def test_ik_of_fk_recovers_alpha(ref_geom, rng):
                     abs(angle_difference(a, b)) for a, b in zip(c.alpha, alpha)
                 ),
             )
-            mode = working_mode_of(jacobians(ref_geom, best))
+            mode = working_mode_of(jacobians(best))
             cfg = inverse_kinematics(ref_geom, sol, mode)
             for got, want in zip(cfg.alpha, alpha):
                 assert abs(angle_difference(got, want)) < 1e-9

@@ -20,7 +20,7 @@ def test_centered_pose_reachable(default_geom):
         assert np.hypot(*(c[i] - a[i])) == pytest.approx(5.0)
     for mode in WorkingMode:
         cfg = inverse_kinematics(default_geom, Pose(0.0, 0.0, 0.0), mode)
-        pair = jacobians(default_geom, cfg)
+        pair = jacobians(cfg)
         assert tuple(np.sign(pair.b_diag)) == mode.signs
 
 
@@ -55,7 +55,7 @@ def test_all_modes_generic_pose(ref_geom):
     assert len(result) == 8
     assert set(result) == set(WorkingMode)
     for mode, cfg in result.items():
-        pair = jacobians(ref_geom, cfg)
+        pair = jacobians(cfg)
         assert tuple(np.sign(pair.b_diag)) == mode.signs
 
 
@@ -100,11 +100,11 @@ def test_just_outside_reach_boundary_is_unreachable(default_geom):
 def test_branch_flip_flips_exactly_one_sign(ref_geom, rng):
     pose = Pose(0.8, -0.4, 0.25)
     base = inverse_kinematics(ref_geom, pose, WorkingMode.A)
-    base_signs = np.sign(jacobians(ref_geom, base).b_diag)
+    base_signs = np.sign(jacobians(base).b_diag)
     flips = {0: WorkingMode.F, 1: WorkingMode.B, 2: WorkingMode.C}
     for leg, mode in flips.items():
         other = inverse_kinematics(ref_geom, pose, mode)
-        signs = np.sign(jacobians(ref_geom, other).b_diag)
+        signs = np.sign(jacobians(other).b_diag)
         diff = [i for i in range(3) if signs[i] != base_signs[i]]
         assert diff == [leg]
         same = [i for i in range(3) if i != leg]

@@ -9,6 +9,7 @@ from planar3rrr import batch
 from planar3rrr.errors import ParallelSingularError, SerialSingularError
 from planar3rrr.geometry import (
     FullConfiguration,
+    GeometryConfig,
     Pose,
     WorkingMode,
     angle_difference,
@@ -58,14 +59,14 @@ def test_benchmark_indices_regression(ref_geom):
             cfgs.values(),
             key=lambda c: max(abs(angle_difference(a, b)) for a, b in zip(c.alpha, ALPHA_REF)),
         )
-        pair = jacobians(ref_geom, cfg)
+        pair = jacobians(cfg)
         assert pair.det_a == pytest.approx(expected[0], rel=1e-9)
         assert pair.b_diag == pytest.approx(expected[1:], rel=1e-9)
 
 
 def test_row_structure_matches_definition(ref_geom):
     cfg = _benchmark_config(ref_geom, 1)
-    pair = jacobians(ref_geom, cfg)
+    pair = jacobians(cfg)
     c, p = platform_points(ref_geom, cfg.pose)
     b = cfg.b
     a = ref_geom.base_points
@@ -84,7 +85,7 @@ def test_leg_pythagorean_identity(ref_geom, rng):
     for _ in range(30):
         pose = Pose(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-math.pi, math.pi))
         for cfg in inverse_kinematics_all(ref_geom, pose).values():
-            pair = jacobians(ref_geom, cfg)
+            pair = jacobians(cfg)
             for leg in range(3):
                 dot = serial_alignment(ref_geom, cfg, leg + 1)
                 assert pair.b_diag[leg] ** 2 + dot**2 == pytest.approx(lm2, rel=1e-9)
@@ -94,8 +95,8 @@ def test_working_mode_of_examples(ref_geom):
     pose = Pose(1.0, 0.5, 0.3)
     for mode in (WorkingMode.A, WorkingMode.G):
         cfg = inverse_kinematics(ref_geom, pose, mode)
-        assert working_mode_of(jacobians(ref_geom, cfg)) is mode
-    fake = jacobians(ref_geom, inverse_kinematics(ref_geom, pose, WorkingMode.A))
+        assert working_mode_of(jacobians(cfg)) is mode
+    fake = jacobians(inverse_kinematics(ref_geom, pose, WorkingMode.A))
     broken = dataclasses.replace(fake, b_diag=(fake.b_diag[0], 0.0, fake.b_diag[2]))
     with pytest.raises(SerialSingularError) as err:
         working_mode_of(broken)
@@ -106,7 +107,7 @@ def test_serial_singularity_stretched_leg(default_geom):
     # Leg 1 exactly stretched: B_11 = 0 and (b-a).(c-b) = +l*m.
     pose = Pose(0.0, -7.0, 0.0)
     cfg = inverse_kinematics_all(default_geom, pose)[WorkingMode.A]
-    pair = jacobians(default_geom, cfg)
+    pair = jacobians(cfg)
     rep = singularity_report(pair)
     assert rep.is_serial_singular
     assert abs(pair.b_diag[0]) < 1e-9
@@ -134,15 +135,32 @@ def test_parallel_singularity_concurrent_lines(default_geom):
     for i in range(3):
         cross = b[i, 0] * (c[i, 1] - b[i, 1]) - b[i, 1] * (c[i, 0] - b[i, 0])
         assert abs(cross) < 1e-9
-    pair = jacobians(default_geom, cfg)
+    pair = jacobians(cfg)
     rep = singularity_report(pair)
     assert rep.is_parallel_singular
     assert abs(pair.det_a) / pair.row_norm_scale < 1e-9
     assert working_mode_of(pair) is WorkingMode.A
 
 
+@pytest.mark.parametrize(
+    "geom",
+    [GeometryConfig.reference(), GeometryConfig(), GeometryConfig(s=5.2)],
+    ids=["reference", "default", "s=5.2"],
+)
+def test_jacobians_use_the_configuration_geometry(geom):
+    # The pair is the leg solver's on cfg.geom. Passing GeometryConfig() next
+    # to the reference configuration gave det(A) = 2134.9, not -1087.9.
+    pose = Pose(1.0, 0.5, math.radians(20.0))
+    pair = jacobians(inverse_kinematics(geom, pose, WorkingMode.A))
+    legs = batch.solve_legs(geom, *(np.array([v]) for v in pose.as_tuple()), WorkingMode.A)
+    assert pair.det_a == legs.det[0]
+    assert pair.b_diag == tuple(legs.b_diag[0].tolist())
+    if geom == GeometryConfig.reference():
+        assert pair.det_a == pytest.approx(-1087.9065, abs=1e-4)
+
+
 def test_generic_config_not_singular(ref_geom):
-    pair = jacobians(ref_geom, _benchmark_config(ref_geom, 1))
+    pair = jacobians(_benchmark_config(ref_geom, 1))
     rep = singularity_report(pair)
     assert not rep.is_serial_singular
     assert not rep.is_parallel_singular
@@ -152,7 +170,7 @@ def test_generic_config_not_singular(ref_geom):
 
 def test_velocity_round_trip(ref_geom, rng):
     cfg = _benchmark_config(ref_geom, 1)
-    pair = jacobians(ref_geom, cfg)
+    pair = jacobians(cfg)
     assert np.allclose(forward_velocity(pair, np.zeros(3)), 0.0)
     for _ in range(20):
         qd = rng.normal(size=3)
@@ -164,12 +182,12 @@ def test_velocity_round_trip(ref_geom, rng):
 
 def test_velocity_guards(default_geom):
     stretched = inverse_kinematics_all(default_geom, Pose(0.0, -7.0, 0.0))[WorkingMode.A]
-    pair = jacobians(default_geom, stretched)
+    pair = jacobians(stretched)
     with pytest.raises(SerialSingularError):
         inverse_velocity(pair, np.array([0.1, 0.0, 0.0]))
     theta = math.acos(185.0 / 220.0)
     sing = inverse_kinematics(default_geom, Pose(0.0, 0.0, theta), WorkingMode.A)
-    spair = jacobians(default_geom, sing)
+    spair = jacobians(sing)
     with pytest.raises(ParallelSingularError):
         forward_velocity(spair, np.array([0.1, 0.0, 0.0]))
 
@@ -186,7 +204,7 @@ def test_velocity_matches_finite_differences(ref_geom, rng):
             cfg = inverse_kinematics(ref_geom, pose, mode)
         except Exception:
             continue
-        pair = jacobians(ref_geom, cfg)
+        pair = jacobians(cfg)
         qd = inverse_velocity(pair, twist)
 
         def alpha_at(t):

@@ -1,0 +1,63 @@
+"""One geometry per result: no function takes a geometry next to an object that carries one.
+
+A ``FullConfiguration``, an ``AspectAtlas`` and a ``MonitorResult`` each
+record the geometry they were computed on, so a function that also takes a
+``GeometryConfig`` can be handed two that disagree. The annotations are
+strings under ``from __future__ import annotations``, so they are compared
+as strings.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import pkgutil
+import re
+
+import planar3rrr
+from planar3rrr.aspects import AspectAtlas
+from planar3rrr.geometry import FullConfiguration, GeometryConfig
+from planar3rrr.trajectory import MonitorResult
+
+CARRIERS = {"FullConfiguration", "AspectAtlas", "MonitorResult"}
+
+
+def _mixes_geometries(fn) -> bool:
+    """True when ``fn`` takes a GeometryConfig and a parameter whose type carries one."""
+    names = [
+        set(re.findall(r"\w+", p.annotation))
+        for p in inspect.signature(fn).parameters.values()
+        if isinstance(p.annotation, str)
+    ]
+    return any("GeometryConfig" in n for n in names) and any(n & CARRIERS for n in names)
+
+
+def _package_functions():
+    """Every function and method defined in a module of the package, by qualified name."""
+    for info in pkgutil.iter_modules(planar3rrr.__path__):
+        module = importlib.import_module(f"planar3rrr.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{obj.__qualname__}", obj
+            elif inspect.isclass(obj):
+                for member in vars(obj).values():
+                    fn = getattr(member, "__func__", member)
+                    if inspect.isfunction(fn):
+                        yield f"{module.__name__}.{fn.__qualname__}", fn
+
+
+def test_the_lint_sees_a_mixed_signature():
+    def mixed(geom: GeometryConfig, config: FullConfiguration | None) -> None: ...
+
+    def carried(atlas: AspectAtlas, path: MonitorResult) -> GeometryConfig: ...
+
+    assert _mixes_geometries(mixed)
+    assert not _mixes_geometries(carried)
+
+
+def test_no_function_takes_a_second_geometry():
+    functions = dict(_package_functions())
+    assert {"planar3rrr.jacobians.jacobians", "planar3rrr.trajectory.monitor"} <= set(functions)
+    assert [name for name, fn in functions.items() if _mixes_geometries(fn)] == []

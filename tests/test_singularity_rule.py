@@ -19,7 +19,7 @@ from planar3rrr.aspects import MIN_DEPTH, enumerate_aspects, same_aspect
 from planar3rrr.cli import main
 from planar3rrr.errors import KinematicError, ParallelSingularError, SerialSingularError
 from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode
-from planar3rrr.jacobians import jacobians, singularity_report, working_mode_of
+from planar3rrr.jacobians import forward_velocity, jacobians, singularity_report, working_mode_of
 from planar3rrr.kinematics import inverse_kinematics
 from planar3rrr.octree import workspace_box
 from planar3rrr.trajectory import VERDICT_SINGULAR, PathSpec, monitor
@@ -45,7 +45,7 @@ def _edge_cases(geom, seed):
             cfg = inverse_kinematics(geom, pose, mode)
         except KinematicError:
             continue
-        pair = jacobians(geom, cfg)
+        pair = jacobians(cfg)
         cases.append((cfg, mode, pair, abs(pair.det_a) / pair.row_norm_scale))
     return cases
 
@@ -121,3 +121,22 @@ def test_from_signs_counts_zero_as_negative():
     assert det_sign == -1
     assert serial.tolist() == [True, False, False]
     assert parallel
+
+
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0, math.inf], ids=["nan", "0", "-1", "inf"])
+def test_eps_outside_zero_to_infinity_is_refused(eps):
+    # At the concurrent-line pose (det/scale 2.0e-15), eps = nan or -1
+    # reported no parallel singularity and forward_velocity returned a
+    # theta rate of 3.5e14; the monitor passed any path at eps = 0.
+    geom = GeometryConfig()
+    theta = math.acos(185.0 / 220.0)
+    pair = jacobians(inverse_kinematics(geom, Pose(0.0, 0.0, theta), WorkingMode.A))
+    spec = PathSpec((Pose(1.0, -0.5, 0.3), Pose(1.0, -0.4, 0.3)), WorkingMode.A, 2)
+    calls = (
+        lambda: singularity_report(pair, eps),
+        lambda: forward_velocity(pair, (0.2, -0.1, 0.05), eps),
+        lambda: monitor(geom, spec, eps),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"eps must be in \(0, inf\)"):
+            call()

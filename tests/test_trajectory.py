@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import math
 import sys
@@ -16,7 +17,7 @@ from planar3rrr.errors import (
     UnreachableError,
     UnreachableSampleError,
 )
-from planar3rrr.geometry import Pose, WorkingMode, angle_difference
+from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.trajectory import (
     PROFILE_HEADER,
     PathSpec,
@@ -249,7 +250,7 @@ def test_profile_export(ref_geom, tmp_path):
 
 def test_verify_assembly_mode_change_benchmark(ref_geom, atlas):
     path = monitor(ref_geom, _benchmark_spec())
-    evidence = verify_assembly_mode_change(ref_geom, atlas, path)
+    evidence = verify_assembly_mode_change(atlas, path)
     assert evidence.verdict == VERDICT_CHANGE
     assert evidence.shared_alpha and evidence.alpha_gap < 1e-4
     assert evidence.in_same_aspect
@@ -262,14 +263,14 @@ def test_verify_assembly_mode_change_benchmark(ref_geom, atlas):
 def test_verify_rejects_identical_poses(ref_geom, atlas):
     path = monitor(ref_geom, PathSpec(waypoints=(posture(1), posture(1)), mode=MODE))
     with pytest.raises(ValueError):
-        verify_assembly_mode_change(ref_geom, atlas, path)
+        verify_assembly_mode_change(atlas, path)
 
 
 def test_verify_posture_pair_1_2_fails(ref_geom, atlas):
     # Same working mode, opposite det(A) sign: the aspect check fails (and
     # the monitored path is singular), so no change is demonstrated.
     path = monitor(ref_geom, PathSpec(waypoints=(posture(1), posture(2)), mode=MODE))
-    evidence = verify_assembly_mode_change(ref_geom, atlas, path)
+    evidence = verify_assembly_mode_change(atlas, path)
     assert evidence.verdict == VERDICT_NO_CHANGE
     assert not evidence.in_same_aspect
     assert path.verdict == VERDICT_SINGULAR
@@ -307,7 +308,7 @@ def test_verify_reads_the_monitored_records(ref_geom, atlas, monkeypatch, waypoi
     except ModeMismatchError:
         in_same = False
     _forbid_resolves(monkeypatch)
-    evidence = verify_assembly_mode_change(ref_geom, atlas, path)
+    evidence = verify_assembly_mode_change(atlas, path)
     assert evidence.alpha == cfg_a.alpha
     assert evidence.alpha_gap == gap
     assert evidence.shared_alpha == (gap <= 1e-4)
@@ -317,9 +318,23 @@ def test_verify_reads_the_monitored_records(ref_geom, atlas, monkeypatch, waypoi
     assert evidence.verdict == (VERDICT_CHANGE if len(waypoints) == 3 else VERDICT_NO_CHANGE)
 
 
+@pytest.mark.parametrize(
+    "geom",
+    [dataclasses.replace(GeometryConfig.reference(), s=5.2), GeometryConfig()],
+    ids=["s=5.2", "default"],
+)
+def test_verify_refuses_a_path_on_another_geometry(geom, atlas):
+    # Against the reference atlas, the s = 5.2 path was "ChangeDemonstrated"
+    # and the default-geometry path raised a bare KeyError.
+    path = monitor(geom, _benchmark_spec())
+    assert path.geom == geom
+    with pytest.raises(ValueError, match="the path is on .*, the atlas on"):
+        verify_assembly_mode_change(atlas, path)
+
+
 def test_verify_refuses_an_end_inside_the_margin(ref_geom, atlas):
     # |det(A)| / scale is 0.031 at posture (1): an eps above it makes that end
     # parallel singular, while its legs stay clear of the reach boundaries.
-    path = monitor(ref_geom, _benchmark_spec())
+    path = monitor(ref_geom, _benchmark_spec(), eps=0.1)
     with pytest.raises(ParallelSingularError):
-        verify_assembly_mode_change(ref_geom, atlas, path, eps=0.1)
+        verify_assembly_mode_change(atlas, path)
