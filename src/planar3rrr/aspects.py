@@ -118,6 +118,13 @@ class AspectAtlas:
     def grand_total(self) -> int:
         return sum(e.n_components for e in self.entries.values())
 
+    def entry(self, mode: WorkingMode, det_sign: int) -> AspectEntry:
+        """The entry of one (mode, det sign) pair; ValueError naming the pairs if it is absent."""
+        if (mode, det_sign) not in self.entries:
+            pairs = ", ".join(f"{m.label}{s:+d}" for m, s in self.entries)
+            raise ValueError(f"atlas has no mode {mode.label}, sign {det_sign:+d}; it has {pairs}")
+        return self.entries[(mode, det_sign)]
+
 
 def _check_depth(depth, name: str, lo: int = MIN_DEPTH) -> None:
     """The one depth rule: ``depth`` is an integer, not a bool, in [lo, MAX_DEPTH]."""
@@ -324,7 +331,7 @@ def _same_component(atlas: AspectAtlas, alphas, poses, eps: float) -> bool:
     One ``batch.classify`` call decides both poses, on the atlas's geometry. Pose by
     pose, a serial flag raises SerialSingularError (lowest leg first), a parallel
     flag ParallelSingularError; differing working modes or det(A) signs raise
-    ModeMismatchError.
+    ModeMismatchError, and a pair the atlas lacks ValueError (``AspectAtlas.entry``).
     """
     x, y, theta = np.array(poses, dtype=float).T
     _, det, b_diag, scale = batch.jacobian_rows(atlas.geom, alphas, x, y, theta)
@@ -340,10 +347,8 @@ def _same_component(atlas: AspectAtlas, alphas, poses, eps: float) -> bool:
             f"configurations differ: mode {k1[0].label}/sign {k1[1]:+d} vs "
             f"mode {k2[0].label}/sign {k2[1]:+d}"
         )
-    entry = atlas.entries.get(k1)
-    if entry is None:
-        raise KeyError(f"atlas has no entry for mode {k1[0].label}, sign {k1[1]:+d}")
-    la, lb = (locate(entry.workspace, tuple(p)) for p in poses)
+    tree = atlas.entry(*k1).workspace
+    la, lb = (locate(tree, tuple(p)) for p in poses)
     return la.comp is not None and la.comp >= 0 and la.comp == lb.comp
 
 
@@ -394,8 +399,9 @@ def characteristic_surface(
     reach). Each boundary center is mapped through inverse kinematics in
     ``mode``; every other assembly pose of those actuated angles realizing
     (mode, det sign) inside the same component marks its containing leaf.
+    A pair the atlas lacks raises ValueError (``AspectAtlas.entry``).
     """
-    entry = atlas.entries[(mode, det_sign)]
+    entry = atlas.entry(mode, det_sign)
     tree = entry.workspace
     if tree.comp is None:
         raise ValueError("atlas workspace tree lacks component labels")

@@ -11,10 +11,11 @@ angles and poses; ``solve_legs`` and ``jacobians.jacobians`` call it.
 
 ``solve_legs`` is the one inverse-kinematic leg solver:
 ``kinematics.inverse_kinematics``, ``inverse_kinematics_all`` and
-``trajectory.monitor`` call it. Its angles reproduce the scalar operation
-order bit for bit, with ``math.hypot`` and ``math.atan2`` mapped over the flattened
-leg axis, because the monitor's profile and evidence files are
-byte-identical artifacts. The census needs only det(A) signs
+``trajectory.monitor`` call it, and its leg status, which reads
+``geometry.loop_gaps``, is their only refusal. Its angles reproduce the
+scalar operation order bit for bit, with ``math.hypot`` and ``math.atan2``
+mapped over the flattened leg axis, because the monitor's profile and
+evidence files are byte-identical artifacts. The census needs only det(A) signs
 (``mode_determinants``): it tests reach first (``leg_reach``), then builds
 both elbow branches of every leg without an arctangent, only at the samples
 all three legs reach, and reuses the cross product of rows 2 and 3 across
@@ -48,10 +49,12 @@ from .errors import (
 )
 from .geometry import (
     EPS_SING,
+    LOOP_TOL,
     TWO_PI,
     GeometryConfig,
     WorkingMode,
     elbow_points,
+    loop_gaps,
     platform_joints,
     platform_offsets,
     wrap_angles,
@@ -160,8 +163,14 @@ REACH_BAND = 1e-8
 
 #: Per-leg status codes of ``solve_legs``.
 LEG_OK = 0
-LEG_BOUNDARY = 1  # within the reach band of a reach circle: SerialBoundaryError
+LEG_BOUNDARY = 1  # in the reach band, or angles that miss LOOP_TOL: SerialBoundaryError
 LEG_UNREACHABLE = 2  # outside the reachable annulus: UnreachableError
+
+
+def _in_reach_band(d, lo: float, hi: float):
+    """Mask of leg distances within REACH_BAND * hi of either reach circle."""
+    tol = REACH_BAND * hi
+    return (np.abs(d - hi) < tol) | (np.abs(d - lo) < tol)
 
 
 def _math_map(fn, *columns: list) -> np.ndarray:
@@ -178,12 +187,11 @@ class LegSolution:
     """Inverse kinematics and the matrix pair of N poses in one working mode.
 
     Per-leg arrays have shape (N, 3). ``alpha`` and ``beta`` are wrapped to
-    (-pi, pi] and NaN on legs whose status is not LEG_OK; ``dist`` is the
-    base-to-platform joint distance of each leg. ``scale`` is the product
-    of the norms of the rows of A. ``loop_gap`` is
-    the larger of the loop-closure and passive-angle errors of each leg,
-    the quantities FullConfiguration bounds by LOOP_TOL. ``lo`` and ``hi``
-    are the radii of the reachable annulus.
+    (-pi, pi] and NaN only on legs outside the reachable annulus; ``dist``
+    is the base-to-platform joint distance of each leg. ``scale`` is the
+    product of the norms of the rows of A. ``loop_gap`` is
+    ``geometry.loop_gaps`` of each leg. ``lo`` and ``hi`` are the radii of
+    the reachable annulus.
     """
 
     alpha: np.ndarray
@@ -198,8 +206,12 @@ class LegSolution:
     hi: float
 
     def error(self, k: int) -> KinematicError | None:
-        """The error of sample k's lowest failing leg, or None if all legs solve."""
-        for i in range(3):
+        """The error of sample k's lowest failing leg, or None if all legs solve.
+
+        Folds, legs refused only for their loop gap, come after the others.
+        """
+        fold = (self.status[k] == LEG_BOUNDARY) & ~_in_reach_band(self.dist[k], self.lo, self.hi)
+        for i in np.argsort(fold, kind="stable").tolist():
             code = self.status[k, i]
             if code == LEG_BOUNDARY:
                 return SerialBoundaryError(i + 1, float(self.dist[k, i]))
@@ -208,15 +220,16 @@ class LegSolution:
         return None
 
 
-def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, band: float = REACH_BAND):
+def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode):
     """Solve every leg of N poses in ``mode`` and evaluate A, B there.
 
-    x, y, theta are (N,) arrays. A leg is LEG_BOUNDARY when its distance is
-    within ``band * reach_max`` of either reach circle (checked first) and
-    LEG_UNREACHABLE when outside the annulus; ``band`` is the relative width
-    of the reach band, 0.0 for the bare annulus. The arithmetic follows the
-    scalar two-bar solution term by term, so one sample gives the same
-    floats as solving it alone.
+    x, y, theta are (N,) arrays. A leg is LEG_BOUNDARY within
+    ``REACH_BAND * reach_max`` of either reach circle (checked first) or
+    where its angles miss loop closure by more than LOOP_TOL, a fold the
+    float elbow formula cannot resolve (with l = m, a platform joint within
+    about 5e-6 of its base joint); LEG_UNREACHABLE outside the annulus. The
+    arithmetic follows the scalar two-bar solution term by term, so one
+    sample gives the same floats as solving it alone.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -224,40 +237,32 @@ def solve_legs(geom: GeometryConfig, x, y, theta, mode: WorkingMode, band: float
     a = geom.base_points
     l, m = geom.l, geom.m
     lo, hi = geom.reach_min, geom.reach_max
-    tol = band * hi
     cx, cy = platform_joints(geom, x, y, theta)
     dx_list = (cx - a[:, :1]).ravel().tolist()
     dy_list = (cy - a[:, 1:]).ravel().tolist()
     d = _math_map(math.hypot, dx_list, dy_list).reshape(3, -1)
-    boundary = (np.abs(d - hi) < tol) | (np.abs(d - lo) < tol)
-    outside = (d > hi) | (d < lo)
-    status = np.where(boundary, LEG_BOUNDARY, np.where(outside, LEG_UNREACHABLE, LEG_OK))
     cos_d = np.clip((d * d - l * l - m * m) / (2.0 * l * m), -1.0, 1.0)
     sin_d = np.reshape(mode.signs, (3, 1)) * np.sqrt(np.maximum(0.0, 1.0 - cos_d * cos_d))
     al = _math_map(math.atan2, dy_list, dx_list) - _math_map(
         math.atan2, (m * sin_d).ravel().tolist(), (l + m * cos_d).ravel().tolist()
     )
     be = al + _math_map(math.atan2, sin_d.ravel().tolist(), cos_d.ravel().tolist())
-    failed = (status != LEG_OK).ravel()
-    al[failed] = np.nan
-    be[failed] = np.nan
-    alpha = wrap_angles(al).reshape(3, -1).T
-    beta = wrap_angles(be).reshape(3, -1).T
+    outside = ((d > hi) | (d < lo)).T
+    alpha = np.where(outside, np.nan, wrap_angles(al).reshape(3, -1).T)
+    beta = np.where(outside, np.nan, wrap_angles(be).reshape(3, -1).T)
     rows, det, b_diag, scale = jacobian_rows(geom, alpha, x, y, theta)
-    # rows[..., :2] = c_i - b_i: its length is m, its direction beta_i.
-    ex = rows[:, :, 0]
-    ey = rows[:, :, 1]
-    closure = np.abs(np.hypot(ex, ey) - m)
-    passive = np.hypot(m * np.cos(beta) - ex, m * np.sin(beta) - ey)
+    loop_gap = loop_gaps(m, rows[:, :, 0], rows[:, :, 1], beta)  # rows[..., :2] = c_i - b_i
+    boundary = _in_reach_band(d.T, lo, hi) | (loop_gap > LOOP_TOL)
+    status = np.where(boundary, LEG_BOUNDARY, np.where(outside, LEG_UNREACHABLE, LEG_OK))
     return LegSolution(
         alpha=alpha,
         beta=beta,
-        status=status.T.astype(np.int8),
+        status=status.astype(np.int8),
         dist=d.T,
         det=det,
         b_diag=b_diag,
         scale=scale,
-        loop_gap=np.maximum(closure, passive),
+        loop_gap=loop_gap,
         lo=lo,
         hi=hi,
     )
@@ -583,7 +588,7 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
         live, degenerate = _screen_elbows(geom, bx, by)
         if degenerate.size:
             k = start + int(degenerate[0])
-            raise DegenerateLinearSystemError(alphas[k], 0.0, TWO_PI, None if single else k)
+            raise DegenerateLinearSystemError(alphas[k], None if single else k)
         ci, theta = scan_roots(scan_samples(geom, bx[live], by[live]))
         ci = live[ci]
         if ci.size == 0:

@@ -199,7 +199,7 @@ def _pair_census(cfg: RunConfig, mode: WorkingMode, sign: int, depth: int):
 def cmd_workspace(cfg: RunConfig, args) -> int:
     mode = parse_mode(args.mode)
     depth = cfg.depth_or(8)
-    entry = _pair_census(cfg, mode, args.sign, depth).entries[(mode, args.sign)]
+    entry = _pair_census(cfg, mode, args.sign, depth).entry(mode, args.sign)
     tree = entry.workspace
     out = _outdir(cfg) / f"workspace_{mode.label}_{_SIGN_TAG[args.sign]}.oct"
     export(tree, out)
@@ -284,7 +284,7 @@ def cmd_charsurf(cfg: RunConfig, args) -> int:
     depth = cfg.depth_or(6)
     atlas = _pair_census(cfg, mode, args.sign, depth)
     surf = characteristic_surface(atlas, mode, args.sign, args.component)
-    tree = atlas.entries[(mode, args.sign)].workspace
+    tree = atlas.entry(mode, args.sign).workspace
     payload = {
         "mode": mode.label,
         "sign": symbol,

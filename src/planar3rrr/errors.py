@@ -20,7 +20,7 @@ class UnreachableError(KinematicError):
 
 
 class SerialBoundaryError(KinematicError):
-    """A leg target sits on the reach boundary; the elbow branch is undefined."""
+    """A leg target sits on the reach boundary, or at a fold whose elbow angles miss closure."""
 
     def __init__(self, leg: int, distance: float):
         self.leg = leg
@@ -47,17 +47,15 @@ class ParallelSingularError(KinematicError):
 
 
 class DegenerateLinearSystemError(KinematicError):
-    """The direct-kinematics 2x2 reduction is singular over an orientation interval."""
+    """The direct-kinematics 2x2 reduction is singular at every orientation."""
 
-    def __init__(self, alpha, theta_lo: float, theta_hi: float, row: int | None = None):
+    def __init__(self, alpha, row: int | None = None):
         self.alpha = tuple(float(a) for a in alpha)
-        self.theta_lo = theta_lo
-        self.theta_hi = theta_hi
         self.row = row
         name = "alpha" if row is None else f"alpha row {row}"
         super().__init__(
             f"direct kinematics, {name} = {self.alpha}: "
-            f"position system singular over theta in [{theta_lo:.6g}, {theta_hi:.6g}]"
+            "position system singular at every orientation"
         )
 
 

@@ -192,6 +192,15 @@ def platform_joints(geom: GeometryConfig, x, y, theta):
     return x + ux, y + uy
 
 
+def loop_gaps(m: float, ex, ey, beta):
+    """The one loop-closure rule, max(| |e| - m |, |m u(beta) - e|) of legs with e = c - b.
+
+    ``FullConfiguration`` and ``batch.solve_legs`` bound it by LOOP_TOL.
+    """
+    closure = np.abs(np.hypot(ex, ey) - m)
+    return np.maximum(closure, np.hypot(m * np.cos(beta) - ex, m * np.sin(beta) - ey))
+
+
 def elbow_points(geom: GeometryConfig, alphas):
     """Elbow coordinates (bx, by) of actuated-angle rows (..., 3), legs last."""
     a = geom.base_points
@@ -265,16 +274,9 @@ class FullConfiguration:
         object.__setattr__(self, "beta", tuple(float(v) for v in self.beta))
         if len(self.alpha) != 3 or len(self.beta) != 3:
             raise ValueError("alpha and beta must each contain three angles")
-        b = self.b
-        c = self.c
-        for i in range(3):
-            gap = abs(math.hypot(c[i, 0] - b[i, 0], c[i, 1] - b[i, 1]) - self.geom.m)
-            if not gap <= LOOP_TOL:
-                raise ValueError(f"leg {i + 1} violates loop closure by {gap:.3g}")
-            ex = b[i, 0] + self.geom.m * math.cos(self.beta[i]) - c[i, 0]
-            ey = b[i, 1] + self.geom.m * math.sin(self.beta[i]) - c[i, 1]
-            if not math.hypot(ex, ey) <= LOOP_TOL:
-                raise ValueError(f"leg {i + 1} passive angle inconsistent with its endpoints")
+        gaps = loop_gaps(self.geom.m, *(self.c - self.b).T, np.array(self.beta))
+        for i in np.flatnonzero(~(gaps <= LOOP_TOL)).tolist():
+            raise ValueError(f"leg {i + 1} violates loop closure by {gaps[i]:.3g}")
 
     @property
     def b(self) -> np.ndarray:

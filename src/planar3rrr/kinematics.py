@@ -4,7 +4,7 @@ The inverse problem factors per leg into a standard two-bar reach with two
 elbow branches; a working mode fixes the branch of every leg through the sign
 of B_ii = (c_i - b_i)^T E (b_i - a_i). The array kernel ``batch.solve_legs``
 solves it; ``inverse_kinematics`` and ``inverse_kinematics_all`` are
-one-pose calls into it, with its fixed reach band ``batch.REACH_BAND``: no
+one-pose calls into it, and its leg status is their only refusal. No
 singularity tolerance enters the inverse problem.
 
 The direct problem is reduced to one dimension: with the actuated angles
@@ -25,18 +25,19 @@ import itertools
 import numpy as np
 
 from . import batch
-from .geometry import FullConfiguration, GeometryConfig, Pose, WorkingMode
+from .errors import SerialBoundaryError
+from .geometry import LOOP_TOL, FullConfiguration, GeometryConfig, Pose, WorkingMode
 
 
-def _solve(geom: GeometryConfig, pose: Pose, mode: WorkingMode, band=batch.REACH_BAND):
-    return batch.solve_legs(geom, [pose.x], [pose.y], [pose.theta], mode, band)
+def _solve(geom: GeometryConfig, pose: Pose, mode: WorkingMode):
+    return batch.solve_legs(geom, [pose.x], [pose.y], [pose.theta], mode)
 
 
 def inverse_kinematics(geom: GeometryConfig, pose: Pose, mode: WorkingMode) -> FullConfiguration:
     """Inverse kinematics in one working mode: a one-pose ``batch.solve_legs``.
 
-    Raises UnreachableError for the lowest leg outside the reachable annulus,
-    or SerialBoundaryError for one within the reach band of its boundary.
+    Raises ``LegSolution.error``: UnreachableError for a leg outside the
+    annulus, SerialBoundaryError for a LEG_BOUNDARY one.
     """
     legs = _solve(geom, pose, mode)
     err = legs.error(0)
@@ -50,30 +51,26 @@ def inverse_kinematics_all(
 ) -> dict[WorkingMode, FullConfiguration]:
     """All realizable inverse-kinematic branches of a pose, keyed by working mode.
 
-    A leg within the reach band of its reach boundary has a single branch;
-    the collapsed branch is keyed under the '+' sign for that leg, so a pose
-    with one stretched leg yields four entries. An unreachable pose yields
-    an empty mapping.
+    A pose with a leg outside the reachable annulus yields an empty mapping.
+    A leg in the reach band of ``batch.solve_legs`` has a single branch, its
+    '+' angles, so a pose with one such leg yields four entries. Any other
+    LEG_BOUNDARY leg, one whose '+' or '-' angles miss loop closure, raises
+    SerialBoundaryError.
     """
     plus = _solve(geom, pose, WorkingMode.A)
     minus = _solve(geom, pose, WorkingMode.G)
-    status = plus.status[0]
-    if (status == batch.LEG_UNREACHABLE).any():
+    if np.isnan(plus.alpha[0]).any():
         return {}
-    if (status == batch.LEG_BOUNDARY).any():
-        # Without the reach band a boundary leg solves to its one elbow
-        # position, unless it lies just outside the annulus.
-        collapsed = _solve(geom, pose, WorkingMode.A, 0.0)
-        if collapsed.error(0) is not None:
-            return {}
     per_leg = []
     for i in range(3):
-        if status[i] == batch.LEG_BOUNDARY:
-            per_leg.append([(1, collapsed.alpha[0, i], collapsed.beta[0, i])])
+        leg_plus = (1, plus.alpha[0, i], plus.beta[0, i])
+        if plus.status[0, i] == minus.status[0, i] == batch.LEG_OK:
+            per_leg.append([leg_plus, (-1, minus.alpha[0, i], minus.beta[0, i])])
+        elif plus.status[0, i] == batch.LEG_BOUNDARY and plus.loop_gap[0, i] <= LOOP_TOL:
+            # In the reach band: the one elbow position.
+            per_leg.append([leg_plus])
         else:
-            per_leg.append(
-                [(1, plus.alpha[0, i], plus.beta[0, i]), (-1, minus.alpha[0, i], minus.beta[0, i])]
-            )
+            raise SerialBoundaryError(i + 1, float(plus.dist[0, i]))
     result: dict[WorkingMode, FullConfiguration] = {}
     for legs in itertools.product(*per_leg):
         signs, alpha, beta = zip(*legs)

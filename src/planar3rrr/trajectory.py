@@ -18,7 +18,6 @@ from .aspects import AspectAtlas, _same_component
 from .errors import ModeMismatchError, UnreachableSampleError
 from .geometry import (
     EPS_SING,
-    LOOP_TOL,
     GeometryConfig,
     Pose,
     WorkingMode,
@@ -110,26 +109,16 @@ def monitor(geom: GeometryConfig, spec: PathSpec, eps: float = EPS_SING) -> Moni
     call classifies them. The verdict is NonSingular when every sample keeps
     the first sample's working mode and det(A) sign and none is serial- or
     parallel-singular; otherwise ``offending_t`` is the first sample where
-    this fails; ``eps`` enters nothing else. The first sample out of reach
-    or in the fixed reach band aborts with UnreachableSampleError wrapping
-    the error of its lowest failing leg; a sample whose legs violate loop
-    closure by more than LOOP_TOL raises ValueError, as FullConfiguration does.
+    this fails; ``eps`` enters nothing else. The first sample with a leg that
+    ``solve_legs`` does not call LEG_OK aborts with UnreachableSampleError
+    wrapping ``LegSolution.error``, the only refusal.
     """
     t, x, y, theta = _segment_samples(spec)
     legs = batch.solve_legs(geom, x, y, theta, spec.mode)
-    failed = (legs.status != batch.LEG_OK).any(axis=1)
-    loose = legs.loop_gap > LOOP_TOL
-    bad = np.flatnonzero(failed | loose.any(axis=1))
+    bad = np.flatnonzero((legs.status != batch.LEG_OK).any(axis=1))
     if bad.size:
-        k = int(bad[0])
-        if failed[k]:
-            cause = legs.error(k)
-            raise UnreachableSampleError(float(t[k]), cause) from cause
-        i = int(np.argmax(loose[k]))
-        raise ValueError(
-            f"path sample at t = {t[k]:.9g}: leg {i + 1} violates loop closure "
-            f"by {legs.loop_gap[k, i]:.3g}"
-        )
+        cause = legs.error(int(bad[0]))
+        raise UnreachableSampleError(float(t[bad[0]]), cause) from cause
 
     det = legs.det
     b = legs.b_diag

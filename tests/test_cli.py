@@ -303,7 +303,7 @@ def test_fk_degenerate_triple_exit_code(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "kinematic error: direct kinematics, alpha = (0.3, 0.3, 0.3): "
-        "position system singular over theta in [0, 6.28319]\n"
+        "position system singular at every orientation\n"
     )
 
 
@@ -510,3 +510,30 @@ def test_eps_leaves_ik_unchanged(ref_config, capsys):
     plain = capsys.readouterr().out
     assert main(["--config", ref_config, "--eps", "0.1", *argv]) == 0
     assert capsys.readouterr().out == plain
+
+
+#: A reference-geometry pose whose leg 1 platform joint lies 1e-6 from its base
+#: joint, where the elbow formula misses loop closure by 4.4e-9 (l = m).
+FOLD_POSE = ["-5.262325670470374", "-1.3320179042132647", "17.188733853924695"]
+
+
+def test_fold_pose_is_a_kinematic_error_of_ik(ref_config, capsys):
+    # This was an untyped ValueError (exit 2, "passive angle inconsistent").
+    assert main(["--config", ref_config, "ik", "--mode", "a", "--", *FOLD_POSE]) == 3
+    assert capsys.readouterr().err == (
+        "kinematic error: leg 1: target distance 1e-06 is on the reach boundary\n"
+    )
+
+
+def test_trajectory_from_a_fold_pose_is_an_unreachable_sample(ref_config, tmp_path, capsys):
+    # This was an untyped ValueError (exit 2, "violates loop closure by 4.41e-09").
+    path = tmp_path / "w.json"
+    waypoints = [[float(v) for v in FOLD_POSE], [-5.0, -1.0, 20.0]]
+    path.write_text(json.dumps({"mode": "PPP", "samples_per_segment": 5, "waypoints": waypoints}))
+    out = tmp_path / "t"
+    assert main(["--config", ref_config, "--out", str(out), "trajectory", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "kinematic error: path sample at t = 0 failed: "
+        "leg 1: target distance 1e-06 is on the reach boundary\n"
+    )
+    assert not out.exists()

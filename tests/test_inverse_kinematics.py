@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ALPHA_REF, posture
+from planar3rrr import batch
 from planar3rrr.errors import SerialBoundaryError, UnreachableError
 from planar3rrr.geometry import Pose, WorkingMode, angle_difference, platform_points
 from planar3rrr.jacobians import jacobians
@@ -75,6 +76,10 @@ def test_folded_leg_is_boundary():
     with pytest.raises(SerialBoundaryError) as err:
         inverse_kinematics(geom, pose, WorkingMode.A)
     assert err.value.leg == 1
+    # The folded leg has one elbow position, keyed '+'.
+    result = inverse_kinematics_all(geom, pose)
+    assert len(result) == 4
+    assert {mode.signs[0] for mode in result} == {1}
 
 
 def test_stretched_leg_collapses_branches(default_geom):
@@ -110,3 +115,50 @@ def test_branch_flip_flips_exactly_one_sign(ref_geom, rng):
         same = [i for i in range(3) if i != leg]
         for i in same:
             assert other.alpha[i] == pytest.approx(base.alpha[i], abs=1e-12)
+
+
+#: A reference-geometry pose whose leg 1 platform joint lies 1e-6 from its base
+#: joint. With l = m the leg's two bars nearly fold onto each other, and the
+#: float elbow formula misses loop closure there by 4.4e-9.
+FOLD_POSE = Pose(-5.262325670470374, -1.3320179042132647, math.radians(17.188733853924695))
+
+
+def test_fold_pose_is_a_serial_boundary_in_every_mode(ref_geom):
+    c, _ = platform_points(ref_geom, FOLD_POSE)
+    assert np.hypot(*(c[0] - ref_geom.base_points[0])) == pytest.approx(1e-6, rel=1e-6)
+    for mode in WorkingMode:
+        with pytest.raises(SerialBoundaryError) as err:
+            inverse_kinematics(ref_geom, FOLD_POSE, mode)
+        assert err.value.leg == 1
+    with pytest.raises(SerialBoundaryError):
+        inverse_kinematics_all(ref_geom, FOLD_POSE)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_coincident_joints_in_the_band_are_a_serial_boundary(default_geom, k):
+    # Leg 1's platform joint 1.2e-8 from its base joint, in direction k pi / 4:
+    # inside the reach band, where the '+' angles miss loop closure (this was
+    # an untyped ValueError).
+    geom = default_geom
+    theta, phi = 0.3, k * math.pi / 4
+    ang = theta + geom.platform_phase[0]
+    (ax, ay), s = geom.base_points[0], geom.s
+    pose = Pose(
+        ax + 1.2e-8 * math.cos(phi) - s * math.cos(ang),
+        ay + 1.2e-8 * math.sin(phi) - s * math.sin(ang),
+        theta,
+    )
+    with pytest.raises(SerialBoundaryError) as err:
+        inverse_kinematics_all(geom, pose)
+    assert err.value.leg == 1
+
+
+def test_a_fold_is_reported_after_an_unreachable_leg(ref_geom):
+    # Leg 1's platform joint lies 2.1e-7 from its base joint, a fold, and
+    # legs 2 and 3 are out of reach: the pose is reported as unreachable.
+    pose = Pose(-13.63897145638385, -5.4608380833891506, 2.7102924546826994)
+    legs = batch.solve_legs(ref_geom, *([v] for v in pose.as_tuple()), WorkingMode.A)
+    assert legs.status[0].tolist() == [batch.LEG_BOUNDARY] + [batch.LEG_UNREACHABLE] * 2
+    with pytest.raises(UnreachableError) as err:
+        inverse_kinematics(ref_geom, pose, WorkingMode.A)
+    assert err.value.leg == 2

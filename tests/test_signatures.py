@@ -1,14 +1,19 @@
-"""One geometry per result: no function takes a geometry next to an object that carries one.
+"""Signature lints over every function and method of the package.
 
-A ``FullConfiguration``, an ``AspectAtlas`` and a ``MonitorResult`` each
-record the geometry they were computed on, so a function that also takes a
-``GeometryConfig`` can be handed two that disagree. The annotations are
-strings under ``from __future__ import annotations``, so they are compared
-as strings.
+One geometry per result: a ``FullConfiguration``, an ``AspectAtlas`` and a
+``MonitorResult`` each record the geometry they were computed on, so a
+function that also takes a ``GeometryConfig`` can be handed two that
+disagree. The annotations are strings under ``from __future__ import
+annotations``, so they are compared as strings.
+
+One tolerance knob: the singularity margin ``eps`` is the only tolerance a
+caller can pass, and only to the functions that apply the one singularity
+rule. Reach band and loop-closure bounds are fixed constants.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -32,8 +37,12 @@ def _mixes_geometries(fn) -> bool:
     return any("GeometryConfig" in n for n in names) and any(n & CARRIERS for n in names)
 
 
-def _package_functions():
-    """Every function and method defined in a module of the package, by qualified name."""
+def _package_functions(records: bool = True):
+    """Every function and method defined in a module of the package, by qualified name.
+
+    ``records=False`` leaves out the generated ``__init__`` of dataclasses,
+    whose parameters are the fields of a record.
+    """
     for info in pkgutil.iter_modules(planar3rrr.__path__):
         module = importlib.import_module(f"planar3rrr.{info.name}")
         for obj in vars(module).values():
@@ -42,7 +51,9 @@ def _package_functions():
             if inspect.isfunction(obj):
                 yield f"{module.__name__}.{obj.__qualname__}", obj
             elif inspect.isclass(obj):
-                for member in vars(obj).values():
+                for key, member in vars(obj).items():
+                    if not records and key == "__init__" and dataclasses.is_dataclass(obj):
+                        continue
                     fn = getattr(member, "__func__", member)
                     if inspect.isfunction(fn):
                         yield f"{module.__name__}.{fn.__qualname__}", fn
@@ -61,3 +72,24 @@ def test_no_function_takes_a_second_geometry():
     functions = dict(_package_functions())
     assert {"planar3rrr.jacobians.jacobians", "planar3rrr.trajectory.monitor"} <= set(functions)
     assert [name for name, fn in functions.items() if _mixes_geometries(fn)] == []
+
+
+#: The functions that apply the one singularity rule, each with an ``eps``.
+TAKES_EPS = {
+    "planar3rrr.batch.classify",
+    "planar3rrr.jacobians.working_mode_of",
+    "planar3rrr.jacobians.singularity_report",
+    "planar3rrr.jacobians.forward_velocity",
+    "planar3rrr.jacobians.inverse_velocity",
+    "planar3rrr.aspects.same_aspect",
+    "planar3rrr.aspects._same_component",
+    "planar3rrr.trajectory.monitor",
+}
+
+
+def test_eps_is_the_only_tolerance_parameter():
+    # A record's eps field (MonitorResult, SingularityReport) applies no tolerance.
+    params = {name: inspect.signature(fn).parameters for name, fn in _package_functions(False)}
+    knobs = [(name, p) for name, ps in params.items() for p in ps if p == "band" or "tol" in p]
+    assert knobs == []
+    assert {name for name, ps in params.items() if "eps" in ps} == TAKES_EPS

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import ALPHA_REF, VIA_POSTURE, posture
-from planar3rrr.aspects import enumerate_aspects, same_aspect
+from planar3rrr.aspects import characteristic_surface, enumerate_aspects, same_aspect
 from planar3rrr.errors import (
     ModeMismatchError,
     ParallelSingularError,
@@ -199,6 +199,20 @@ def test_sample_on_reach_boundary_aborts(default_geom):
     assert err.value.t == 0.5
 
 
+def test_fold_sample_aborts(ref_geom):
+    # The via waypoint puts leg 1's platform joint 1e-6 from its base joint,
+    # where the elbow angles miss loop closure by 4.4e-9: the leg status
+    # refuses it (this was an untyped ValueError).
+    fold = Pose(-5.262325670470374, -1.3320179042132647, math.radians(17.188733853924695))
+    side = Pose(-5.0, -1.0, math.radians(20.0))
+    spec = PathSpec(waypoints=(side, fold, side), mode=WorkingMode.A, samples_per_segment=5)
+    with pytest.raises(UnreachableSampleError) as err:
+        monitor(ref_geom, spec)
+    assert isinstance(err.value.cause, SerialBoundaryError)
+    assert err.value.cause.leg == 1
+    assert err.value.t == 0.5
+
+
 def test_eps_enters_no_reach_test_of_the_monitor(ref_geom):
     # Leg 3 of the end pose lies 1.2 length units inside its reach circle,
     # where a reach band of eps * (l + m) used to raise UnreachableSampleError.
@@ -330,6 +344,18 @@ def test_verify_refuses_a_path_on_another_geometry(geom, atlas):
     assert path.geom == geom
     with pytest.raises(ValueError, match="the path is on .*, the atlas on"):
         verify_assembly_mode_change(atlas, path)
+
+
+def test_an_atlas_without_the_pair_is_refused(ref_geom):
+    # Both used to raise a bare KeyError.
+    atlas_a = enumerate_aspects(
+        ref_geom, depth=4, modes=[WorkingMode.A], det_signs=(1,), build_joint=False
+    )
+    message = r"atlas has no mode c, sign \+1; it has a\+1"
+    with pytest.raises(ValueError, match=message):
+        characteristic_surface(atlas_a, MODE, 1, 0)
+    with pytest.raises(ValueError, match=message):
+        verify_assembly_mode_change(atlas_a, monitor(ref_geom, _benchmark_spec(50)))
 
 
 def test_verify_refuses_an_end_inside_the_margin(ref_geom, atlas):
