@@ -43,6 +43,7 @@ from .octree import (
     Octree,
     _grid_to_tree,
     _leaf_adjacency_pairs,
+    _sorted_union,
     _voxel_leaves,
     connected_components,
     joint_box,
@@ -231,7 +232,7 @@ def _solid_ids(tree: Octree) -> tuple[int, ...]:
         block = (j >= 0) & tree.label[j]
         windows = np.lib.stride_tricks.sliding_window_view(block, (3, 3, 3), axis=(1, 2, 3))
         held = windows.all(axis=(4, 5, 6)).any(axis=(1, 2, 3))
-        solid = np.union1d(solid, tree.comp[ids[held]])
+        solid = _sorted_union(solid, tree.comp[ids[held]])
     return tuple(int(c) for c in solid)
 
 

@@ -9,7 +9,10 @@ significant) order: records (morton code at leaf depth, depth, label) that
 tile the root box exactly. Identical-label sibling groups are always merged,
 so the stored form is the canonical minimal tree. One sibling merger,
 ``_canonical_tree``, canonicalizes the records of ``loads`` and of the
-Boolean operations; ``_grid_to_tree`` walks an all-IN and an any-IN pyramid of
+Boolean operations in rounds, each merging every complete sibling group at
+any depth, so records already canonical cost one pass; the Boolean
+operations overlay their operands on the merged sorted leaf starts
+(``_sorted_union``). ``_grid_to_tree`` walks an all-IN and an any-IN pyramid of
 the (x, y, z) grid down to uniform cells. Periodic axes (period 2pi) wrap for
 point location and for adjacency. Neighbors are found
 by probing voxels next to a leaf and searching the leaf starts
@@ -265,33 +268,36 @@ def volume(tree: Octree) -> float:
 def _canonical_tree(box: Box3, max_depth: int, morton, depth, label, comp=None) -> Octree:
     """The canonical tree of leaf records given in any order: the sibling merger.
 
-    Records are sorted by interval start. Level by level from ``max_depth``
-    up, a run of 8 records at depth d whose first code is a multiple of 8,
-    whose codes step by 1 and whose labels agree becomes one record at depth
-    d - 1; its ``comp`` is the shared value, or -1 when the children's differ.
-    Merging keeps the covered cells, so records that do not tile the box
-    still fail the tiling check of ``Octree``.
+    Records are sorted by interval start. Each round finds every run of 8
+    records at one depth d > 0 whose first code is a multiple of 8, whose
+    codes step by 1 and whose labels agree, and makes each one record at
+    depth d - 1; its ``comp`` is the shared value, or -1 when the children's
+    differ. The runs of a round are disjoint and a parent can only merge
+    once its children have, so rounds that stop when none is found give the
+    same tree as merging level by level: records already canonical take one
+    round. Merging keeps the covered cells, so records that do not tile the
+    box still fail the tiling check of ``Octree``.
     """
     morton = np.asarray(morton, dtype=np.uint64)
     depth = np.asarray(depth, dtype=np.uint8)
     order = np.argsort(morton << _level_shift(max_depth, depth), kind="stable")
     morton, depth, label = morton[order], depth[order], np.asarray(label, dtype=bool)[order]
     comp = None if comp is None else np.asarray(comp, dtype=np.int64)[order]
-    for d in range(max_depth, 0, -1):
+    while True:
         step = (depth[1:] == depth[:-1]) & (morton[1:] == morton[:-1] + np.uint64(1))
         breaks = np.concatenate(([0], np.cumsum(~step | (label[1:] != label[:-1]))))
         first = np.flatnonzero(
-            (depth[:-7] == d) & (morton[:-7] & np.uint64(7) == 0) & (breaks[7:] == breaks[:-7])
+            (depth[:-7] != 0) & (morton[:-7] & np.uint64(7) == 0) & (breaks[7:] == breaks[:-7])
         )
         if first.size == 0:
-            continue
+            break
         drop = first[:, None] + np.arange(1, 8)
         if comp is not None:
             changes = np.concatenate(([0], np.cumsum(comp[1:] != comp[:-1])))
             comp[first] = np.where(changes[first + 7] == changes[first], comp[first], -1)
             comp = np.delete(comp, drop)
         morton[first] >>= np.uint64(3)
-        depth[first] = d - 1
+        depth[first] -= 1
         morton, depth, label = (np.delete(a, drop) for a in (morton, depth, label))
     return Octree(box=box, max_depth=max_depth, morton=morton, depth=depth, label=label, comp=comp)
 
@@ -534,15 +540,26 @@ def locate(tree: Octree, point) -> LeafRecord:
     )
 
 
+def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of two arrays: on two sorted arrays the stable
+    sort (timsort) is one linear merge of two runs."""
+    values = np.sort(np.concatenate((a, b)), kind="stable")
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _binary_op(a: Octree, b: Octree, op) -> Octree:
     """Overlay two trees and label each overlay cell with the ufunc ``op``.
 
     Each overlay cell is the smaller of the two leaves holding its start, so
     the cells are the union of both operands' leaf starts at the deeper depth.
+    Both start lists are sorted, so their union is one linear merge
+    (``_sorted_union``).
     """
     if a.max_depth != b.max_depth or not a.box.approx_equal(b.box):
         raise BoxMismatchError("operands differ in root box or depth")
-    starts = np.union1d(a.starts, b.starts)
+    starts = _sorted_union(a.starts, b.starts)
     ia = np.searchsorted(a.starts, starts, side="right") - 1
     ib = np.searchsorted(b.starts, starts, side="right") - 1
     depth = np.maximum(a.depth[ia], b.depth[ib])

@@ -211,7 +211,7 @@ def test_boolean_identities(ref_geom, rng):
     a = _random_tree(ref_geom, rng)
     assert dumps(union(a, empty)) == dumps(a)
     assert dumps(intersect(a, a)) == dumps(a)
-    assert volume(subtract(a, a)) == 0.0
+    assert dumps(subtract(a, a)) == dumps(empty)
     for _ in range(4):
         t1 = _random_tree(ref_geom, rng)
         t2 = _random_tree(ref_geom, rng)

@@ -4,7 +4,8 @@ Inputs are blocky random label grids (a coarse random grid refined to the
 tree depth, with random aligned cubes painted over it) at depths 2-6, on a
 pose box (one periodic axis), the joint box (all periodic) and an all-linear
 box. The tree operations must agree with voxel logic on the rasterized
-grids, and the merger with the stack merger in ``oracles.canonical_cells``.
+grids, and the merger with the stack merger in ``oracles.canonical_cells``,
+also on records split up to three levels below a canonical tree.
 ``loads`` must accept exactly the mutated dumps that the regex row grammar
 ``oracles.loads_rows`` accepts.
 """
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import oracles
 from planar3rrr.octree import (
     Box3,
+    Octree,
     _canonical_tree,
     _grid_to_tree,
     _rasterize,
@@ -77,6 +79,23 @@ def test_boolean_ops_match_voxel_logic(case):
 
 @PROPERTY_SETTINGS
 @given(case=grid_pairs())
+def test_boolean_ops_at_the_extremes_of_start_sharing(case):
+    # Operands that share every leaf start (a, a), whose leaves coincide
+    # with opposite labels (a, not a), or of which one is a single leaf.
+    box, depth, ga, _, _ = case
+    a = _grid_to_tree(ga, box, depth)
+    for gb in (ga, ~ga, np.zeros_like(ga), np.ones_like(ga)):
+        b = _grid_to_tree(gb, box, depth)
+        for op, grid in ((union, ga | gb), (intersect, ga & gb), (subtract, ga & ~gb)):
+            assert dumps(op(a, b)) == dumps(_grid_to_tree(grid, box, depth))
+    # Against the complement every group merges, up to a single root leaf.
+    not_a = _grid_to_tree(~ga, box, depth)
+    assert union(a, not_a).n_leaves == intersect(a, not_a).n_leaves == 1
+    assert union(a, not_a).label[0] and not intersect(a, not_a).label[0]
+
+
+@PROPERTY_SETTINGS
+@given(case=grid_pairs())
 def test_dump_round_trip_keeps_bytes_in_any_row_order(case):
     box, depth, ga, _, rng = case
     tree = _grid_to_tree(ga, box, depth)
@@ -130,6 +149,42 @@ def test_merger_equals_stack_merger(case):
     got = _canonical_tree(box, depth, *(np.asarray(c)[order] for c in (morton, depths, labels, comps)))
     columns = (got.morton.tolist(), got.depth.tolist(), got.label.tolist(), got.comp.tolist())
     assert [list(c) for c in zip(*columns)] == expected
+
+
+@st.composite
+def cascade_records(draw):
+    """(box, depth, label grid, morton, depth, label and comp columns, numpy
+    generator): the leaves of the grid's canonical tree split 1-3 levels deep
+    (no deeper than the tree), each child with a comp drawn from {0, 1} (or
+    all comps 0), in Morton order. Merging them back takes cascades of up to
+    three levels."""
+    box, depth, ga, _, rng = draw(grid_pairs(depths=(3, 5)))
+    tree = _grid_to_tree(ga, box, depth)
+    levels = np.minimum(rng.integers(1, 4, tree.n_leaves), depth - tree.depth.astype(np.int64))
+    sizes = 8**levels
+    morton = np.repeat(tree.morton << (3 * levels).astype(np.uint64), sizes)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    morton += (np.arange(len(morton)) - first).astype(np.uint64)
+    depths = np.repeat(tree.depth + levels, sizes)
+    labels = np.repeat(tree.label, sizes)
+    comps = rng.integers(0, 2, len(morton)) * draw(st.integers(0, 1))
+    return box, depth, ga, morton, depths, labels, comps, rng
+
+
+@PROPERTY_SETTINGS
+@given(case=cascade_records())
+def test_merger_equals_stack_merger_on_cascades(case):
+    box, depth, ga, *columns, rng = case
+    expected = oracles.canonical_cells(depth, zip(*(c.tolist() for c in columns)))
+    order = rng.permutation(len(columns[0]))
+    got = _canonical_tree(box, depth, *(c[order] for c in columns))
+    got_columns = (got.morton.tolist(), got.depth.tolist(), got.label.tolist(), got.comp.tolist())
+    assert [list(c) for c in zip(*got_columns)] == expected
+    assert np.array_equal(_rasterize(got, got.label), ga)
+    # The split records dumped in Morton order load as the canonical dump.
+    text = dumps(got)
+    assert dumps(loads(dumps(Octree(box, depth, *columns)))) == text
+    assert dumps(loads(text)) == text
 
 
 #: Bytes the mutations insert: row tokens, uppercase hex, line breaks,
