@@ -20,6 +20,13 @@ subdivision and is labeled but not counted. Components come from the leaf
 labeler (``octree.connected_components``), and solidity is decided on the
 leaves too (``_solid_ids``), without a voxel grid.
 
+The workspace census works on bricks of 2^BRICK_LEVELS cells per axis, and no
+array spans the 2^(3 depth) cells. A brick is dead when some leg provably
+misses its closed box (``_live_bricks``); the live bricks store det(A) signs
+at the corners each owns (``_corner_signs``), take their far faces from the
+next brick (``_brick_corners``), and build each pair's leaves with the leaf
+builder of ``_grid_to_tree`` (``_brick_tree``); the dead bricks are OUT.
+
 A joint cell is IN for a (mode, det sign) pair when some assembly pose of
 its center's actuated angles realizes that pair (``batch.assembly_modes``).
 """
@@ -37,10 +44,12 @@ import numpy as np
 
 from . import batch
 from .errors import ConfigError, ModeMismatchError, ParallelSingularError, SerialSingularError
-from .geometry import EPS_SING, FullConfiguration, GeometryConfig, WorkingMode
+from .geometry import EPS_SING, TWO_PI, FullConfiguration, GeometryConfig, WorkingMode
 from .octree import (
     Box3,
     Octree,
+    _canonical_tree,
+    _cube_leaves,
     _grid_to_tree,
     _leaf_adjacency_pairs,
     _sorted_union,
@@ -50,30 +59,48 @@ from .octree import (
     leaf_indices,
     locate,
     morton_decode,
+    morton_encode,
     workspace_box,
 )
 
 _SIGN_TAG = {1: "pos", -1: "neg"}
 
-#: Octree depths the census accepts; depth 10 already needs gigabytes of grids.
+#: Octree depths the census accepts.
 MIN_DEPTH = 4
 MAX_DEPTH = 10
 
-#: Corner samples per ``batch.mode_determinants`` call of the sign grids
-#: (2^16 ran faster than 2^14, 2^18 and 2^20 at depth 7).
-SLAB_POINTS = 1 << 16
+#: Bricks have 2^BRICK_LEVELS cells per axis and are Morton-aligned, so each
+#: is one node at depth - BRICK_LEVELS (MIN_DEPTH is not below it).
+BRICK_LEVELS = 3
+#: A brick is skipped when a leg's interval bound on |c_i - a_i|^2 clears the
+#: reach annulus by more than this share of (l + m)^2: far above the rounding
+#: of the bound and of the corner test, so rounding never skips a corner that
+#: lies on a reach circle, where the strict test ``leg_reach`` puts it out.
+REACH_SKIP_MARGIN = 1e-9
+#: Corner samples per ``batch.mode_determinants`` call of the corner signs, in
+#: whole bricks (2^14 and 2^15 ran faster than 2^13 and 2^16 at depths 6-8).
+SLAB_POINTS = 1 << 14
 #: Peak bytes of the census's transient arrays, upper bounds of tracemalloc
-#: peaks at depths 5-8 on the reference and the congruent (r = s) geometry:
-#: per sample of a sign-grid slab whose samples are all in reach (at most
-#: 434 B), per workspace cell of the (mode, sign) pairs being labeled (at
-#: most 16.1 B at depths 7 and 8, where this term outweighs the slab's; it
-#: includes the trees of the pairs already done, and its peak is the leaf
-#: labeler's, on the congruent geometry at depth 7), and per joint cell of
-#: the joint sweep (at most 1,159 B, on the congruent geometry, whose every
-#: triple passes the leg-pair test and is solved).
-SLAB_BYTES_PER_POINT = 448
-PAIR_BYTES_PER_CELL = 17
-JOINT_BYTES_PER_CELL = 1280
+#: peaks at depths 5-8 on the reference, congruent (r = s), unequal-link,
+#: random and long-link (every brick live) geometries, ``census_bytes``'s
+#: terms: per corner of a ``mode_determinants`` call whose corners are all in
+#: reach (at most 457 B); per stored brick slot, one pair's working set (its
+#: brick corners and cells, leaves and leaf labeler: at most 12.6 KB, on the
+#: congruent geometry at depth 6) and one pair's finished tree (at most 1.45
+#: KB, at depth 5); per brick of the depth - BRICK_LEVELS lattice (the reach
+#: bounds, the slot index and the OUT leaves: at most 103 B); per joint
+#: center of one ``batch.FK_CHUNK`` block of the joint sweep (at most 2,511 B,
+#: on the congruent geometry, whose every triple passes the leg-pair test and
+#: is solved); and per joint cell, its 16 flags and the 16 joint trees with
+#: their labeler (at most 186 B, congruent, joint depth 4). The per-slot terms
+#: fall with depth (4.2 KB and 0.41 KB at depth 9), so the estimate is loose
+#: there.
+SLAB_BYTES_PER_POINT = 480
+PAIR_BYTES_PER_SLOT = 13 << 10
+TREE_BYTES_PER_SLOT = 1536
+LATTICE_BYTES_PER_BRICK = 112
+JOINT_BYTES_PER_ROW = 2816
+JOINT_BYTES_PER_CELL = 192
 
 
 @dataclass(frozen=True)
@@ -134,29 +161,25 @@ def _check_depth(depth, name: str, lo: int = MIN_DEPTH) -> None:
         raise ValueError(f"{name} must be an integer in [{lo}, {MAX_DEPTH}], got {depth!r}")
 
 
-def _corner_counts(box: Box3, depth: int) -> tuple[int, int, int]:
-    """Corner samples per axis: n + 1, or n on an axis that wraps."""
-    n = 1 << depth
-    return tuple(n if box.wraps(axis) else n + 1 for axis in range(3))
+def census_bytes(n_slots: int, depth: int, n_modes: int, joint_depth: int | None) -> int:
+    """Estimated peak bytes of the census's arrays, from the number of brick
+    slots whose corners it stores (``_brick_slots``).
 
-
-def _slab_rows(counts: tuple[int, int, int]) -> int:
-    """Corner rows (first axis) per sign-grid slab: about SLAB_POINTS samples."""
-    return max(1, SLAB_POINTS // (counts[1] * counts[2]))
-
-
-def census_bytes(box: Box3, depth: int, n_modes: int, joint_depth: int | None) -> int:
-    """Estimated peak bytes of the census's dense arrays, from their shapes.
-
-    The sign grids live throughout; on top of them come the larger of a
-    sign-grid slab's working set and one pair's cell grids, and the joint
-    sweep when ``joint_depth`` is given.
+    The slots' corner signs live throughout. On top of them come the larger
+    of a corner-sign call's working set and one pair's, the trees of up to
+    2 n_modes pairs and the brick lattice, and, when ``joint_depth`` is
+    given, one joint block, the joint flags and the joint trees.
     """
-    c0, c1, c2 = counts = _corner_counts(box, depth)
-    slab = min(_slab_rows(counts), c0) * c1 * c2
-    work = max(SLAB_BYTES_PER_POINT * slab, PAIR_BYTES_PER_CELL << (3 * depth))
-    joint = 0 if joint_depth is None else JOINT_BYTES_PER_CELL << (3 * joint_depth)
-    return n_modes * c0 * c1 * c2 + work + joint
+    corners = n_slots << (3 * BRICK_LEVELS)
+    signs = n_modes * (corners + (1 << 3 * BRICK_LEVELS))
+    work = max(SLAB_BYTES_PER_POINT * min(SLAB_POINTS, corners), PAIR_BYTES_PER_SLOT * n_slots)
+    trees = 2 * n_modes * TREE_BYTES_PER_SLOT * n_slots
+    lattice = LATTICE_BYTES_PER_BRICK << (3 * (depth - BRICK_LEVELS))
+    joint = 0
+    if joint_depth is not None:
+        cells = 1 << (3 * joint_depth)
+        joint = JOINT_BYTES_PER_ROW * min(batch.FK_CHUNK, cells) + JOINT_BYTES_PER_CELL * cells
+    return signs + work + trees + lattice + joint
 
 
 def memory_budget() -> int:
@@ -167,45 +190,148 @@ def memory_budget() -> int:
     return budget if soft == resource.RLIM_INFINITY else min(budget, soft)
 
 
-def _sign_grids(geom: GeometryConfig, box: Box3, depth: int, modes):
-    """det(A) signs of ``modes`` at the cell corners, 0 off reach.
+def _cos_range(a, b):
+    """Lower and upper bounds of cos over each interval [a, b] (b - a < 2 pi)."""
+    ca, cb = np.cos(a), np.cos(b)
+    top = np.floor(b / TWO_PI) * TWO_PI >= a
+    bottom = np.floor((b - math.pi) / TWO_PI) * TWO_PI + math.pi >= a
+    return np.where(bottom, -1.0, np.minimum(ca, cb)), np.where(top, 1.0, np.maximum(ca, cb))
 
-    ``signs[j]`` belongs to ``modes[j]``. The grids are filled in slabs of
-    corner rows, and det(A) is evaluated only at the samples in reach. The
-    grids have n+1 samples along non-wrapping axes and n along wrapping ones
-    (corner n coincides with corner 0).
+
+def _square_range(lo, hi):
+    """Lower and upper bounds of v^2 over each interval [lo, hi]."""
+    low = np.where(lo > 0.0, lo * lo, np.where(hi < 0.0, hi * hi, 0.0))
+    return low, np.maximum(lo * lo, hi * hi)
+
+
+def _live_bricks(geom: GeometryConfig, box: Box3, depth: int) -> np.ndarray:
+    """Mask of the bricks, (nb, nb, nb) in (x, y, z) order, that every leg may reach.
+
+    A brick is dead when, for some leg, the interval bound on |c_i - a_i|^2
+    over its closed box (c_i = p + s u(theta + psi_i)) lies outside the reach
+    annulus by more than REACH_SKIP_MARGIN. Every corner of a dead brick is
+    then off reach.
     """
     n = 1 << depth
-    counts = _corner_counts(box, depth)
-    coords = [
-        box.lo[axis] + np.arange(counts[axis]) * ((box.hi[axis] - box.lo[axis]) / n)
-        for axis in range(3)
-    ]
-    signs = np.zeros((len(modes), *counts), dtype=np.int8)
-    slab = _slab_rows(counts)
-    for x0 in range(0, counts[0], slab):
-        xs = coords[0][x0 : x0 + slab]
-        reach, dets = batch.mode_determinants(
-            geom, xs[:, None, None], coords[1][None, :, None], coords[2][None, None, :], modes
-        )
-        for j, det in enumerate(dets):
-            signs[j, x0 : x0 + len(xs)][reach] = np.sign(det)
+    k = 1 << BRICK_LEVELS
+    lo, hi = [], []
+    for axis in range(3):
+        edges = box.lo[axis] + np.arange(0, n + 1, k) * ((box.hi[axis] - box.lo[axis]) / n)
+        lo.append(edges[:-1])
+        hi.append(edges[1:])
+    s, margin = geom.s, REACH_SKIP_MARGIN * geom.reach_max**2
+    live = True
+    for (ax, ay), psi in zip(geom.base_points, geom.platform_phase):
+        # Bounds of cos and sin (cos shifted by pi/2) of theta + psi per z brick.
+        (c0, c1), (s0, s1) = (_cos_range(lo[2] + a, hi[2] + a) for a in (psi, psi - 0.5 * math.pi))
+        dx2 = _square_range(lo[0][:, None] + s * c0 - ax, hi[0][:, None] + s * c1 - ax)
+        dy2 = _square_range(lo[1][:, None] + s * s0 - ay, hi[1][:, None] + s * s1 - ay)
+        near = dx2[0][:, None] + dy2[0]
+        far = dx2[1][:, None] + dy2[1]
+        live = live & (near <= geom.reach_max**2 + margin) & (far >= geom.reach_min**2 - margin)
+    return live
+
+
+def _brick_slots(live: np.ndarray, box: Box3):
+    """The bricks of corners the census stores, and the slot of every brick.
+
+    Corners are cut like cells: slot c on an axis holds corners c k to
+    c k + k - 1 (k = 2^BRICK_LEVELS). On an axis that does not wrap, corner n
+    makes one more layer of slots, which hold only their first corner there.
+    A slot is stored when the brick it clamps to is live: its corners lie in
+    that brick's closed box. Returns (slots, index): the (S, 3) stored slots,
+    the live bricks first in Morton order, and every slot's row of ``slots``,
+    S where it is dead.
+    """
+    nb = live.shape[0]
+    shape = tuple(nb if box.wraps(axis) else nb + 1 for axis in range(3))
+    stored = live[np.ix_(*(np.minimum(np.arange(c), nb - 1) for c in shape))]
+    coords = np.argwhere(stored)
+    layer = (coords >= nb) @ np.array([1, 2, 4])
+    slots = coords[np.lexsort((morton_encode(*coords.T), layer))]
+    index = np.full(shape, len(slots), dtype=np.int32)
+    index[tuple(slots.T)] = np.arange(len(slots))
+    return slots, index
+
+
+def _corner_signs(geom: GeometryConfig, box: Box3, depth: int, modes, slots: np.ndarray):
+    """det(A) signs of ``modes`` at the corners each slot holds, 0 off reach.
+
+    ``signs[j, i]`` holds the k^3 corners of ``slots[i]`` for ``modes[j]``,
+    and a last slot of zeros stands for every dead one. Corner i of an axis
+    sits at lo + i w, so its bits do not depend on the brick that holds it
+    (corner n of an axis that wraps is corner 0). det(A) is evaluated only at
+    the corners in reach, about SLAB_POINTS corners per call.
+    """
+    n = 1 << depth
+    k = 1 << BRICK_LEVELS
+    signs = np.zeros((len(modes), len(slots) + 1, k, k, k), dtype=np.int8)
+    held = np.where(slots >= n >> BRICK_LEVELS, 1, k)
+    # Slots come grouped by the corners they hold.
+    cuts = np.flatnonzero((held[1:] != held[:-1]).any(axis=1)) + 1
+    for first, last in zip([0, *cuts], [*cuts, len(slots)]):
+        counts = held[first]
+        step = max(1, SLAB_POINTS // int(np.prod(counts)))
+        for a in range(first, last, step):
+            b = min(a + step, last)
+            coords = []
+            for axis in range(3):
+                i = slots[a:b, axis, None] * k + np.arange(counts[axis])
+                c = box.lo[axis] + i * ((box.hi[axis] - box.lo[axis]) / n)
+                coords.append(c.reshape([b - a] + [-1 if t == axis else 1 for t in range(3)]))
+            reach, dets = batch.mode_determinants(geom, *coords, modes)
+            at = np.flatnonzero(reach)
+            block = np.zeros((len(modes), reach.size), dtype=np.int8)
+            for j, det in enumerate(dets):
+                block[j, at] = np.sign(det)
+            signs[:, a:b, : counts[0], : counts[1], : counts[2]] = block.reshape(-1, *reach.shape)
     return signs
 
 
-def _corner_expand(vals: np.ndarray, box: Box3) -> np.ndarray:
-    """AND of the 8 corner samples per cell; vals is a corner-grid boolean.
+def _neighbor_slots(bricks: np.ndarray, index: np.ndarray, box: Box3) -> np.ndarray:
+    """(8, L) slots of the corner bricks at offset (o & 1, o >> 1 & 1, o >> 2)
+    from each brick; indices wrap on the axes that wrap."""
+    near = []
+    for o in range(8):
+        ix = [bricks[:, axis] + (o >> axis & 1) for axis in range(3)]
+        ix = [v % index.shape[axis] if box.wraps(axis) else v for axis, v in enumerate(ix)]
+        near.append(index[tuple(ix)])
+    return np.stack(near)
 
-    The AND runs one axis at a time over neighboring samples; on an axis
-    that wraps, corner 0 is appended as corner n first.
-    """
-    v = vals
-    for axis in range(3):
-        if box.wraps(axis):
-            v = np.concatenate([v, np.take(v, [0], axis=axis)], axis=axis)
-        lead = (slice(None),) * axis
-        v = v[lead + (slice(None, -1),)] & v[lead + (slice(1, None),)]
-    return v
+
+def _brick_corners(signs: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """(L, k + 1, k + 1, k + 1) corner signs of each live brick: its own k^3
+    and the first faces of the 7 slots past it."""
+    k = signs.shape[-1]
+    corners = np.empty((near.shape[1], k + 1, k + 1, k + 1), dtype=signs.dtype)
+    for o, slot in enumerate(near):
+        past = [o >> axis & 1 for axis in range(3)]
+        corners[(slice(None), *(k if p else slice(0, k) for p in past))] = signs[
+            (slot, *(0 if p else slice(None) for p in past))
+        ]
+    return corners
+
+
+def _corner_expand(vals: np.ndarray) -> np.ndarray:
+    """AND of the 8 corner samples of each cell: (..., k + 1, k + 1, k + 1)
+    corner booleans to (..., k, k, k) cells, one axis at a time."""
+    v = vals[..., :-1, :, :] & vals[..., 1:, :, :]
+    v = v[..., :-1, :] & v[..., 1:, :]
+    return v[..., :-1] & v[..., 1:]
+
+
+def _brick_tree(cells: np.ndarray, codes: np.ndarray, out, box: Box3, depth: int) -> Octree:
+    """The canonical tree of the live bricks' (L, k, k, k) cells, at Morton
+    codes ``codes``, and the OUT leaves ``out`` (morton, depth) of the rest."""
+    k = cells.shape[-1]
+    morton, level, label = _cube_leaves(cells.reshape(-1, k, k), BRICK_LEVELS, codes)
+    return _canonical_tree(
+        box,
+        depth,
+        np.concatenate((morton, out[0])),
+        np.concatenate((level + (depth - BRICK_LEVELS), out[1])),
+        np.concatenate((label, np.zeros(len(out[0]), dtype=bool))),
+    )
 
 
 def _solid_ids(tree: Octree) -> tuple[int, ...]:
@@ -239,17 +365,17 @@ def _solid_ids(tree: Octree) -> tuple[int, ...]:
 def _joint_flag_grids(geom: GeometryConfig, jbox: Box3, depth: int):
     """Boolean grids flags[mode_idx][sign_idx] from one direct-kinematics sweep.
 
-    Sign index 0 is det(A) > 0 and 1 is det(A) < 0.
+    Sign index 0 is det(A) > 0 and 1 is det(A) < 0. The cells are solved in
+    blocks of ``batch.FK_CHUNK`` centers, whose rows are independent.
     """
     n = 1 << depth
-    a1 = jbox.centers(0, depth)[:, None, None]
-    a2 = jbox.centers(1, depth)[None, :, None]
-    a3 = jbox.centers(2, depth)[None, None, :]
-    g1, g2, g3 = np.broadcast_arrays(a1, a2, a3)
-    alphas = np.stack([g1.ravel(), g2.ravel(), g3.ravel()], axis=1)
-    idx, _, _, _, mode_idx, det_sign = batch.assembly_modes(geom, alphas)
-    flags = np.zeros((8, 2, alphas.shape[0]), dtype=bool)
-    flags[mode_idx, (det_sign < 0).astype(np.int64), idx] = True
+    centers = [jbox.centers(axis, depth) for axis in range(3)]
+    flags = np.zeros((8, 2, n**3), dtype=bool)
+    for start in range(0, n**3, batch.FK_CHUNK):
+        cells = np.unravel_index(np.arange(start, min(start + batch.FK_CHUNK, n**3)), (n, n, n))
+        alphas = np.stack([c[i] for c, i in zip(centers, cells)], axis=1)
+        idx, _, _, _, mode_idx, det_sign = batch.assembly_modes(geom, alphas)
+        flags[mode_idx, (det_sign < 0).astype(np.int64), start + idx] = True
     return flags.reshape(8, 2, n, n, n)
 
 
@@ -282,22 +408,30 @@ def enumerate_aspects(
     else:
         jbox = None
         joint_depth = None
-    need, budget = census_bytes(box, depth, len(modes), joint_depth), memory_budget()
+    live = _live_bricks(geom, box, depth)
+    slots, index = _brick_slots(live, box)
+    need, budget = census_bytes(len(slots), depth, len(modes), joint_depth), memory_budget()
     if need > budget:
         joint = "" if joint_depth is None else f", joint depth {joint_depth}"
         raise ConfigError(
-            f"enumerate_aspects at depth {depth}{joint}: the dense arrays need about "
+            f"enumerate_aspects at depth {depth}{joint}: the census arrays need about "
             f"{need / 2**30:.2f} GiB, over the memory budget of {budget / 2**30:.2f} GiB "
             "(physical memory or the RLIMIT_AS soft limit)"
         )
-    signs = _sign_grids(geom, box, depth, modes)
+    signs = _corner_signs(geom, box, depth, modes, slots)
+    bricks = slots[: np.count_nonzero(live)]
+    near = _neighbor_slots(bricks, index, box)
+    codes = morton_encode(*bricks.T)
+    lattice = _grid_to_tree(live, box, depth - BRICK_LEVELS)
+    out = (lattice.morton[~lattice.label], lattice.depth[~lattice.label])
     joint_flags = None if jbox is None else _joint_flag_grids(geom, jbox, joint_depth)
 
     entries: dict[tuple[WorkingMode, int], AspectEntry] = {}
     for j, mode in enumerate(modes):
         k = batch.MODE_ORDER.index(mode)
+        corners = _brick_corners(signs[j], near)
         for sign in det_signs:
-            tree = _grid_to_tree(_corner_expand(signs[j] == sign, box), box, depth)
+            tree = _brick_tree(_corner_expand(corners == sign), codes, out, box, depth)
             tree, count_raw = connected_components(tree)
             solid = _solid_ids(tree)
             in_mask = tree.label

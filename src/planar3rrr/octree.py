@@ -1,8 +1,8 @@
 """Labeled octrees over (x, y, theta) or joint space.
 
-Trees come from a full label grid (``_grid_to_tree``, which the aspect census
-feeds with its corner-classified cells), from a dump (``loads``) or from the
-Boolean operations.
+Trees come from label cubes (``_cube_leaves``: one full grid in
+``_grid_to_tree``, or the aspect census's bricks of corner-classified cells),
+from a dump (``loads``) or from the Boolean operations.
 
 A tree is stored as its leaf cells in Morton (bit-interleaved, x least
 significant) order: records (morton code at leaf depth, depth, label) that
@@ -12,8 +12,8 @@ so the stored form is the canonical minimal tree. One sibling merger,
 Boolean operations in rounds, each merging every complete sibling group at
 any depth, so records already canonical cost one pass; the Boolean
 operations overlay their operands on the merged sorted leaf starts
-(``_sorted_union``). ``_grid_to_tree`` walks an all-IN and an any-IN pyramid of
-the (x, y, z) grid down to uniform cells. Periodic axes (period 2pi) wrap for
+(``_sorted_union``). ``_cube_leaves`` walks an all-IN and an any-IN pyramid of
+each (x, y, z) label cube down to uniform cells. Periodic axes (period 2pi) wrap for
 point location and for adjacency. Neighbors are found
 by probing voxels next to a leaf and searching the leaf starts
 (``_voxel_leaves``): the component labeler, the census's solidity test and
@@ -311,37 +311,53 @@ def _morton_axes(max_depth: int) -> list[int]:
     return [axis * max_depth + level for level in range(max_depth) for axis in (2, 1, 0)]
 
 
-def _grid_to_tree(labels: np.ndarray, box: Box3, max_depth: int) -> Octree:
-    """The canonical tree of a full max-depth label grid, in (x, y, z) order.
+def _cube_leaves(labels: np.ndarray, levels: int, roots: np.ndarray):
+    """Leaves of a stack of label cubes: the one leaf builder.
 
-    Bottom-up, an AND (all IN) and an OR (any IN) pyramid halve the grid over
-    pairs along x, then y, then z; the grid is the finest level of both.
-    Top-down from the root, a child of a mixed cell is a leaf where the two
-    pyramids agree and is split where they differ. Only leaves are Morton-encoded.
+    ``labels`` is (m s, s, s) with s = 2^levels, cube j being
+    ``labels[j s:(j + 1) s]`` and ``roots[j]`` its Morton code. Bottom-up, an
+    AND (all IN) and an OR (any IN) pyramid halve the stack over pairs along
+    x, then y, then z; the stack is the finest level of both. Top-down from
+    each cube's root, a child of a mixed cell is a leaf where the two
+    pyramids agree and is split where they differ, and its code is its
+    parent's followed by 3 bits. Returns per leaf, in no particular order,
+    its Morton code, its level below the root and its label.
     """
+    all_in, any_in = [labels], [labels]
+    for pyramid, op in ((all_in, np.logical_and), (any_in, np.logical_or)):
+        for _ in range(levels):
+            g = op(pyramid[-1][0::2], pyramid[-1][1::2])
+            z_pairs = op(g[:, 0::2], g[:, 1::2]).view(np.uint16)  # a z pair per word
+            pyramid.append(z_pairs == 0x0101 if op is np.logical_and else z_pairs != 0)
+    # A walk cell at level d is the int64 x << 2w | y << w | z with w = levels
+    # bits for y and z, and x = j 2^d + the offset in cube j: doubling it
+    # doubles x, y and z, and each child adds its offset.
+    w, mask = levels, (1 << levels) - 1
+    kid = np.array([(k & 1) << 2 * w | (k >> 1 & 1) << w | k >> 2 for k in range(8)])
+    cells = np.arange(len(roots), dtype=np.int64) << 2 * w
+    codes, leaves = np.asarray(roots, dtype=np.uint64), []
+    for d in range(levels + 1):
+        # The cell's index in its level, an (m 2^d, 2^d, 2^d) array.
+        flat = ((cells >> 2 * w << d | cells >> w & mask) << d) | cells & mask
+        level = levels - d
+        full = all_in[level].ravel()[flat]
+        mixed = any_in[level].ravel()[flat] & ~full
+        leaves.append((codes[~mixed], full[~mixed]))
+        cells = (2 * cells[mixed, None] + kid).ravel()
+        codes = (codes[mixed, None] << np.uint64(3) | np.arange(8, dtype=np.uint64)).ravel()
+    codes, label = (np.concatenate(f) for f in zip(*leaves))
+    return codes, np.repeat(np.arange(levels + 1), [len(f[1]) for f in leaves]), label
+
+
+def _grid_to_tree(labels: np.ndarray, box: Box3, max_depth: int) -> Octree:
+    """The canonical tree of a full max-depth label grid, in (x, y, z) order:
+    the one cube of ``_cube_leaves``."""
     n = 1 << max_depth
     labels = np.asarray(labels, dtype=bool)
     if labels.shape != (n, n, n):
         raise ValueError(f"label grid must have shape {(n, n, n)}, got {labels.shape}")
-    all_in, any_in = [labels], [labels]
-    for pyramid, op in ((all_in, np.logical_and), (any_in, np.logical_or)):
-        for _ in range(max_depth):
-            g = op(pyramid[-1][0::2], pyramid[-1][1::2])
-            z_pairs = op(g[:, 0::2], g[:, 1::2]).view(np.uint16)  # a z pair per word
-            pyramid.append(z_pairs == 0x0101 if op is np.logical_and else z_pairs != 0)
-    # A walk cell is the int64 x << 42 | y << 21 | z (21 bits per axis, as in a
-    # Morton code): doubling it doubles x, y and z, and each child adds its offset.
-    kid = np.array([(k & 1) << 42 | (k >> 1 & 1) << 21 | k >> 2 for k in range(8)])
-    cells, leaves = np.zeros(1, dtype=np.int64), []
-    for d in range(max_depth + 1):
-        xyz = (cells >> 42, cells >> 21 & 0x1FFFFF, cells & 0x1FFFFF)
-        full, some = all_in[max_depth - d][xyz], any_in[max_depth - d][xyz]
-        mixed = some & ~full
-        leaves.append((cells[~mixed], full[~mixed]))
-        cells = (2 * cells[mixed, None] + kid).ravel()
-    cells, label = (np.concatenate(f) for f in zip(*leaves))
-    depth = np.repeat(np.arange(max_depth + 1, dtype=np.uint8), [len(f[1]) for f in leaves])
-    morton = morton_encode(cells >> 42, cells >> 21 & 0x1FFFFF, cells & 0x1FFFFF)
+    morton, depth, label = _cube_leaves(labels, max_depth, np.zeros(1, dtype=np.uint64))
+    depth = depth.astype(np.uint8)
     order = np.argsort(morton << _level_shift(max_depth, depth), kind="stable")
     return Octree(box, max_depth, morton[order], depth[order], label[order])
 

@@ -391,19 +391,29 @@ def _dense_branch_rows(geom, x, y, theta):
     return reach, rows
 
 
-def sign_grids_dense(geom, box, depth, modes):
-    """int8 det(A) signs of ``modes`` at the census's cell corners, from
-    det(A) at every corner sample (0 off reach)."""
+def _corner_coords(box, depth):
+    """The census's corner coordinates per axis, broadcast (x, y, z): n + 1
+    samples, or n on an axis that wraps."""
     n = 1 << depth
     counts = [n if box.wraps(axis) else n + 1 for axis in range(3)]
     coords = [
         box.lo[axis] + np.arange(counts[axis]) * ((box.hi[axis] - box.lo[axis]) / n)
         for axis in range(3)
     ]
-    reach, rows = _dense_branch_rows(
-        geom, coords[0][:, None, None], coords[1][None, :, None], coords[2][None, None, :]
-    )
-    signs = np.empty((len(modes), *counts), dtype=np.int8)
+    return coords[0][:, None, None], coords[1][None, :, None], coords[2][None, None, :]
+
+
+def reach_grid_dense(geom, box, depth):
+    """Strict reach of all three legs at every cell corner of the census."""
+    reach, _ = _dense_branch_rows(geom, *_corner_coords(box, depth))
+    return reach
+
+
+def sign_grids_dense(geom, box, depth, modes):
+    """int8 det(A) signs of ``modes`` at the census's cell corners, from
+    det(A) at every corner sample (0 off reach)."""
+    reach, rows = _dense_branch_rows(geom, *_corner_coords(box, depth))
+    signs = np.empty((len(modes), *reach.shape), dtype=np.int8)
     for j, mode in enumerate(modes):
         (e1, f1, w1), (e2, f2, w2), (e3, f3, w3) = (
             rows[leg][0 if sign > 0 else 1] for leg, sign in enumerate(mode.signs)
@@ -412,6 +422,21 @@ def sign_grids_dense(geom, box, depth, modes):
         with np.errstate(invalid="ignore"):
             signs[j] = np.where(reach, np.sign(det), 0.0).astype(np.int8)
     return signs
+
+
+def corner_cells_dense(corners, box):
+    """Cells whose 8 corners are all True, from a corner grid: on an axis
+    that wraps, corner 0 is repeated as corner n first."""
+    for axis in range(3):
+        if box.wraps(axis):
+            corners = np.concatenate([corners, np.take(corners, [0], axis=axis)], axis=axis)
+    n = corners.shape[0] - 1
+    cells = np.ones((n, n, n), dtype=bool)
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                cells &= corners[dx : dx + n, dy : dy + n, dz : dz + n]
+    return cells
 
 
 def fk_system_pieces_per_leg(geom, bx, by, theta):

@@ -21,7 +21,7 @@ from planar3rrr.cli import main
 from planar3rrr.errors import ConfigError, ModeMismatchError
 from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.kinematics import inverse_kinematics, inverse_kinematics_all
-from planar3rrr.octree import connected_components, locate, workspace_box
+from planar3rrr.octree import _grid_to_tree, connected_components, dumps, locate, workspace_box
 
 
 @pytest.fixture(scope="module")
@@ -55,21 +55,27 @@ def test_depth_rule_names_the_argument(ref_geom, kwargs):
         enumerate_aspects(ref_geom, **{"depth": 4, **kwargs})
 
 
-def test_memory_guard_refuses_before_allocating(ref_geom, monkeypatch, tmp_path, capsys):
-    def no_grids(*args):
-        raise AssertionError("the sign grids were allocated")
+def _slot_count(geom, depth) -> int:
+    box = workspace_box()
+    return len(aspects._brick_slots(aspects._live_bricks(geom, box, depth), box)[0])
 
-    monkeypatch.setattr(aspects, "_sign_grids", no_grids)
-    monkeypatch.setattr(aspects, "memory_budget", lambda: 7 << 30)
-    with pytest.raises(ConfigError, match=r"depth 10, joint depth 5: .* budget of 7.00 GiB"):
+
+def test_memory_guard_refuses_before_allocating(ref_geom, monkeypatch, tmp_path, capsys):
+    def no_signs(*args):
+        raise AssertionError("the corner signs were allocated")
+
+    monkeypatch.setattr(aspects, "_corner_signs", no_signs)
+    # Depth 10 on the reference geometry is estimated at about 7.2 GiB.
+    monkeypatch.setattr(aspects, "memory_budget", lambda: 6 << 30)
+    with pytest.raises(ConfigError, match=r"depth 10, joint depth 5: .* budget of 6.00 GiB"):
         enumerate_aspects(ref_geom, depth=10)
     assert main(["--out", str(tmp_path), "--depth", "10", "aspects", "--no-joint"]) == 2
-    assert "enumerate_aspects at depth 10: the dense arrays need about" in capsys.readouterr().err
+    assert "enumerate_aspects at depth 10: the census arrays need about" in capsys.readouterr().err
     monkeypatch.setattr(aspects, "memory_budget", lambda: 1 << 20)
     with pytest.raises(ConfigError, match="at depth 4:"):
         enumerate_aspects(ref_geom, depth=4, build_joint=False)
-    # Depth 9 (4.1 GiB measured peak) still fits a 7 GiB box.
-    assert aspects.census_bytes(workspace_box(), 9, 8, 5) < 7 << 30
+    # Depth 9 (416 MiB measured peak RSS without joint trees) fits a 7 GiB box.
+    assert aspects.census_bytes(_slot_count(ref_geom, 9), 9, 8, 5) < 7 << 30
 
 
 def _census_geometry(case, rng):
@@ -94,22 +100,73 @@ def _census_geometry(case, rng):
 
 @pytest.mark.parametrize("case", ["reference", "congruent", "unequal_links", "random"])
 def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
-    # The census evaluates det(A) only at the corners in reach, slab by slab;
-    # the oracle evaluates it at every corner in one pass.
+    # The census evaluates det(A) only at the corners its live bricks hold, in
+    # reach, a few bricks per call; the oracle evaluates it at every corner in
+    # one pass. The small box cuts the reach, so corners on its far faces
+    # (held by the extra layer of slots) decide cells.
+    geom = _census_geometry(case, rng)
+    depth, k = 5, 1 << aspects.BRICK_LEVELS
+    subset = [WorkingMode.H, WorkingMode.A, WorkingMode.E]
+    slab = aspects.SLAB_POINTS
+    for box in (workspace_box(), workspace_box(6.0)):
+        want = {
+            len(modes): oracles.sign_grids_dense(geom, box, depth, modes)
+            for modes in (list(WorkingMode), subset)
+        }
+        counts = want[8].shape[1:]
+        live = aspects._live_bricks(geom, box, depth)
+        slots, _ = aspects._brick_slots(live, box)
+        # Each held corner's index per axis; a slot on the extra layer of an
+        # axis that does not wrap holds only corner n there.
+        corner = [slots[:, axis, None] * k + np.arange(k) for axis in range(3)]
+        held = [c < n for c, n in zip(corner, counts)]
+        held = held[0][:, :, None, None] & held[1][:, None, :, None] & held[2][:, None, None, :]
+        at = tuple(
+            np.minimum(c, n - 1).reshape([-1] + [k if t == axis else 1 for t in range(3)])
+            for axis, (c, n) in enumerate(zip(corner, counts))
+        )
+        for slab_points in (slab, 1):
+            monkeypatch.setattr(aspects, "SLAB_POINTS", slab_points)
+            for modes in (list(WorkingMode), subset):
+                # The oracle's signs are 0 off reach, so equal signs check reach too.
+                signs = aspects._corner_signs(geom, box, depth, modes, slots)
+                assert not signs[:, -1].any()
+                for j in range(len(modes)):
+                    oracle = want[len(modes)][j][at]
+                    assert np.array_equal(signs[j, :-1][held], oracle[held])
+                    assert not signs[j, :-1][~held].any()
+                assert 0 < np.count_nonzero(signs) < signs.size
+            # Each pair's tree is the tree of the oracle's corner-classified cells.
+            atlas = enumerate_aspects(geom, depth=depth, box=box, build_joint=False)
+            for j, mode in enumerate(WorkingMode):
+                for sign in (1, -1):
+                    cells = oracles.corner_cells_dense(want[8][j] == sign, box)
+                    tree = dataclasses.replace(atlas.entry(mode, sign).workspace, comp=None)
+                    assert dumps(tree) == dumps(_grid_to_tree(cells, box, depth))
+        # No corner of a dead brick's closed box is in reach.
+        reach = oracles.reach_grid_dense(geom, box, depth)
+        for brick in np.argwhere(~live):
+            # Corner n is corner 0 on the axis that wraps, the only one with n corners.
+            box_corners = [np.arange(b * k, b * k + k + 1) % n for b, n in zip(brick, counts)]
+            assert not reach[np.ix_(*box_corners)].any()
+        if box == workspace_box():
+            assert (~live).any()
+
+
+@pytest.mark.parametrize("case", ["reference", "congruent", "unequal_links", "random"])
+def test_dead_bricks_are_out_of_reach_everywhere(case, rng):
+    # The reach skip certifies the whole closed brick box, not only its corners.
     geom = _census_geometry(case, rng)
     box = workspace_box()
-    subset = [WorkingMode.H, WorkingMode.A, WorkingMode.E]
-    want = {
-        len(modes): oracles.sign_grids_dense(geom, box, 5, modes)
-        for modes in (list(WorkingMode), subset)
-    }
-    for slab_points in (aspects.SLAB_POINTS, 1):
-        monkeypatch.setattr(aspects, "SLAB_POINTS", slab_points)
-        for modes in (list(WorkingMode), subset):
-            # The oracle's signs are 0 off reach, so equal signs check reach too.
-            signs = aspects._sign_grids(geom, box, 5, modes)
-            assert 0 < np.count_nonzero(signs) < signs.size
-            assert np.array_equal(signs, want[len(modes)])
+    for depth in (5, 6):
+        dead = np.argwhere(~aspects._live_bricks(geom, box, depth))
+        assert dead.size
+        side = np.array(box.extent) / (1 << (depth - aspects.BRICK_LEVELS))
+        u = rng.random((len(dead), 64, 3))
+        u[:, :8] = [[i & 1, i >> 1 & 1, i >> 2] for i in range(8)]
+        p = np.array(box.lo) + (dead[:, None, :] + u) * side
+        reach, _ = batch.leg_reach(geom, p[..., 0], p[..., 1], p[..., 2])
+        assert not reach.any()
 
 
 @pytest.fixture(scope="module", params=["reference", "congruent", "unequal_links", "random"])
@@ -157,14 +214,16 @@ def test_characteristic_surface_boundary_matches_voxel_oracle(ref_geom):
 
 @pytest.mark.parametrize("geom", [GeometryConfig(), GeometryConfig(r=5, s=5)])
 def test_census_bytes_bounds_traced_peak(geom):
-    # The congruent geometry has the largest share of corners in reach seen.
-    tracemalloc.start()
-    try:
-        enumerate_aspects(geom, depth=5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert aspects.census_bytes(workspace_box(), 5, 8, 5) >= peak
+    # The congruent geometry has the largest share of corners in reach seen,
+    # and its joint sweep solves every triple.
+    for depth in (5, 6):
+        tracemalloc.start()
+        try:
+            enumerate_aspects(geom, depth=depth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert aspects.census_bytes(_slot_count(geom, depth), depth, 8, 5) >= peak
 
 
 def test_det_signs_validation(ref_geom):

@@ -79,12 +79,12 @@ def test_monitor_counter_accepts_a_real_result(spans, ref_geom):
 
 
 def test_mode_determinants_counter_accepts_real_arguments(spans, ref_geom):
-    # The census's slab layout: x rows against every (y, theta) corner.
-    xs = np.linspace(-12.0, 12.0, 3)[:, None, None]
-    ys = np.linspace(-12.0, 12.0, 5)[None, :, None]
-    ts = np.linspace(0.0, 6.0, 4)[None, None, :]
+    # The census's brick layout: per brick, its x, y and theta corner axes.
+    xs = np.linspace(-12.0, 12.0, 6).reshape(2, 3, 1, 1)
+    ys = np.linspace(-12.0, 12.0, 10).reshape(2, 1, 5, 1)
+    ts = np.linspace(0.0, 6.0, 8).reshape(2, 1, 1, 4)
     args = (ref_geom, xs, ys, ts, batch.MODE_ORDER)
     reach, dets = batch.mode_determinants(*args)
-    assert reach.shape == (3, 5, 4) and len(dets) == 8
+    assert reach.shape == (2, 3, 5, 4) and len(dets) == 8
     counter = spans.TARGETS["batch.mode_determinants"][2]
-    assert counter(args, {}, (reach, dets)) == {"points": 60}
+    assert counter(args, {}, (reach, dets)) == {"points": 120}
