@@ -78,7 +78,9 @@ BRICK_LEVELS = 3
 #: lies on a reach circle, where the strict test ``leg_reach`` puts it out.
 REACH_SKIP_MARGIN = 1e-9
 #: Corner samples per ``batch.mode_determinants`` call of the corner signs, in
-#: whole bricks (2^14 and 2^15 ran faster than 2^13 and 2^16 at depths 6-8).
+#: whole bricks. Against 2^16, 2^14 made trajectory checks (each with a
+#: depth-6 one-pair census) about 6 % faster and lowered the depth-7 census's
+#: peak RSS by 1.6 MiB; depths 7 and 8 ran equally fast (BENCH_28.json, 2-CPU VM).
 SLAB_POINTS = 1 << 14
 #: Peak bytes of the census's transient arrays, upper bounds of tracemalloc
 #: peaks at depths 5-8 on the reference, congruent (r = s), unequal-link,
@@ -237,11 +239,11 @@ def _brick_slots(live: np.ndarray, box: Box3):
 
     Corners are cut like cells: slot c on an axis holds corners c k to
     c k + k - 1 (k = 2^BRICK_LEVELS). On an axis that does not wrap, corner n
-    makes one more layer of slots, which hold only their first corner there.
-    A slot is stored when the brick it clamps to is live: its corners lie in
-    that brick's closed box. Returns (slots, index): the (S, 3) stored slots,
-    the live bricks first in Morton order, and every slot's row of ``slots``,
-    S where it is dead.
+    makes one more layer of slots, of which only the first corner there, corner
+    n, is read. A slot is stored when the brick it clamps to is live: the
+    corners read from it lie in that brick's closed box. Returns (slots,
+    index): the (S, 3) stored slots, the live bricks first in Morton order,
+    and every slot's row of ``slots``, S where it is dead.
     """
     nb = live.shape[0]
     shape = tuple(nb if box.wraps(axis) else nb + 1 for axis in range(3))
@@ -255,36 +257,32 @@ def _brick_slots(live: np.ndarray, box: Box3):
 
 
 def _corner_signs(geom: GeometryConfig, box: Box3, depth: int, modes, slots: np.ndarray):
-    """det(A) signs of ``modes`` at the corners each slot holds, 0 off reach.
+    """det(A) signs of ``modes`` at the k^3 corners of each slot, 0 off reach.
 
-    ``signs[j, i]`` holds the k^3 corners of ``slots[i]`` for ``modes[j]``,
-    and a last slot of zeros stands for every dead one. Corner i of an axis
-    sits at lo + i w, so its bits do not depend on the brick that holds it
-    (corner n of an axis that wraps is corner 0). det(A) is evaluated only at
-    the corners in reach, about SLAB_POINTS corners per call.
+    ``signs[j, i]`` holds the corners of ``slots[i]`` for ``modes[j]``, and a
+    last slot of zeros stands for every dead one. Corner i of an axis sits at
+    lo + i w, so its bits do not depend on the brick that holds it (corner n
+    of an axis that wraps is corner 0). A slot on the extra layer is evaluated
+    whole, though only its first corner there is read. det(A) is evaluated
+    only at the corners in reach, SLAB_POINTS // k^3 slots per call.
     """
     n = 1 << depth
     k = 1 << BRICK_LEVELS
     signs = np.zeros((len(modes), len(slots) + 1, k, k, k), dtype=np.int8)
-    held = np.where(slots >= n >> BRICK_LEVELS, 1, k)
-    # Slots come grouped by the corners they hold.
-    cuts = np.flatnonzero((held[1:] != held[:-1]).any(axis=1)) + 1
-    for first, last in zip([0, *cuts], [*cuts, len(slots)]):
-        counts = held[first]
-        step = max(1, SLAB_POINTS // int(np.prod(counts)))
-        for a in range(first, last, step):
-            b = min(a + step, last)
-            coords = []
-            for axis in range(3):
-                i = slots[a:b, axis, None] * k + np.arange(counts[axis])
-                c = box.lo[axis] + i * ((box.hi[axis] - box.lo[axis]) / n)
-                coords.append(c.reshape([b - a] + [-1 if t == axis else 1 for t in range(3)]))
-            reach, dets = batch.mode_determinants(geom, *coords, modes)
-            at = np.flatnonzero(reach)
-            block = np.zeros((len(modes), reach.size), dtype=np.int8)
-            for j, det in enumerate(dets):
-                block[j, at] = np.sign(det)
-            signs[:, a:b, : counts[0], : counts[1], : counts[2]] = block.reshape(-1, *reach.shape)
+    step = max(1, SLAB_POINTS >> (3 * BRICK_LEVELS))
+    for a in range(0, len(slots), step):
+        b = min(a + step, len(slots))
+        coords = []
+        for axis in range(3):
+            i = slots[a:b, axis, None] * k + np.arange(k)
+            c = box.lo[axis] + i * ((box.hi[axis] - box.lo[axis]) / n)
+            coords.append(c.reshape([b - a] + [k if t == axis else 1 for t in range(3)]))
+        reach, dets = batch.mode_determinants(geom, *coords, modes)
+        at = np.flatnonzero(reach)
+        block = np.zeros((len(modes), reach.size), dtype=np.int8)
+        for j, det in enumerate(dets):
+            block[j, at] = np.sign(det)
+        signs[:, a:b] = block.reshape(-1, *reach.shape)
     return signs
 
 

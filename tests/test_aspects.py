@@ -116,8 +116,8 @@ def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
         counts = want[8].shape[1:]
         live = aspects._live_bricks(geom, box, depth)
         slots, _ = aspects._brick_slots(live, box)
-        # Each held corner's index per axis; a slot on the extra layer of an
-        # axis that does not wrap holds only corner n there.
+        # Each read corner's index per axis; of a slot on the extra layer of an
+        # axis that does not wrap only corner n is read there.
         corner = [slots[:, axis, None] * k + np.arange(k) for axis in range(3)]
         held = [c < n for c, n in zip(corner, counts)]
         held = held[0][:, :, None, None] & held[1][:, None, :, None] & held[2][:, None, None, :]
@@ -134,7 +134,6 @@ def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
                 for j in range(len(modes)):
                     oracle = want[len(modes)][j][at]
                     assert np.array_equal(signs[j, :-1][held], oracle[held])
-                    assert not signs[j, :-1][~held].any()
                 assert 0 < np.count_nonzero(signs) < signs.size
             # Each pair's tree is the tree of the oracle's corner-classified cells.
             atlas = enumerate_aspects(geom, depth=depth, box=box, build_joint=False)
@@ -151,6 +150,22 @@ def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
             assert not reach[np.ix_(*box_corners)].any()
         if box == workspace_box():
             assert (~live).any()
+
+
+def test_census_without_live_bricks_is_all_out():
+    # The bases lie about 83 units from every platform joint in the box, far
+    # past l + m = 12: every brick is dead and no corner is evaluated.
+    geom, box, depth = GeometryConfig(r=100), workspace_box(), 5
+    assert not aspects._live_bricks(geom, box, depth).any()
+    empty = dumps(_grid_to_tree(np.zeros((1 << depth,) * 3, dtype=bool), box, depth))
+    atlas = enumerate_aspects(geom, depth=depth, joint_depth=4)
+    assert atlas.total(1) == atlas.total(-1) == 0
+    pair = enumerate_aspects(
+        geom, depth=depth, modes=[WorkingMode.H], det_signs=(-1,), build_joint=False
+    )
+    for entry in [*atlas.entries.values(), pair.entry(WorkingMode.H, -1)]:
+        assert entry.n_components_raw == 0
+        assert dumps(dataclasses.replace(entry.workspace, comp=None)) == empty
 
 
 @pytest.mark.parametrize("case", ["reference", "congruent", "unequal_links", "random"])
