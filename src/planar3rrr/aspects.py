@@ -364,7 +364,11 @@ def _joint_flag_grids(geom: GeometryConfig, jbox: Box3, depth: int):
     """Boolean grids flags[mode_idx][sign_idx] from one direct-kinematics sweep.
 
     Sign index 0 is det(A) > 0 and 1 is det(A) < 0. The cells are solved in
-    blocks of ``batch.FK_CHUNK`` centers, whose rows are independent.
+    blocks of ``batch.FK_CHUNK`` centers. The rows of a block are not
+    independent bit for bit: ``batch.scan_roots`` forms the sextics through
+    one BLAS product per block, whose rounding depends on the number of
+    rows, so the last bits of a cell's poses can depend on its block. No
+    pose count or flag has been seen to move with it.
     """
     n = 1 << depth
     centers = [jbox.centers(axis, depth) for axis in range(3)]

@@ -367,20 +367,28 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta):
     is 2A with its rows from ``_a_row``, so an ill-conditioned row is a
     pose near det(A) = 0. A row stops after a step below 1e-13, or at the
     rounding floor, where its closure values are within STALL_ULPS of m^2
-    and its step did not shrink (near a double root such steps wander above
-    1e-13); it then keeps the iterate that step was computed at. A row whose
-    2A is exactly singular gets a zero step.
+    and its step did not shrink; it then keeps the iterate that step was
+    computed at. A row whose 2A is exactly singular gets a zero step. Rows
+    near a double root can still run all 30 steps: there the steps wander
+    above 1e-13 while the closure values stay more than STALL_ULPS from m^2.
+
+    Each iteration evaluates only the rows still active. Their iterates
+    (rows 0-2) and elbow points (rows 3-8) are one compact array, which
+    shrinks when rows stop; a stopped row's iterate is written back once.
+    The damping divides by ``np.fmax(norm, 1)``, which is 1 for a NaN norm.
+    A row's arithmetic does not depend on the other rows of the batch.
     """
     floor = STALL_ULPS * np.spacing(geom.m * geom.m)
-    z = np.stack((x, y, theta), axis=1)
+    out = np.stack((x, y, theta))
     act = np.arange(len(x))
+    zb = np.concatenate((out, bx.T, by.T))
     prev = np.full(len(x), np.inf)
     for _ in range(30):
         if act.size == 0:
             break
-        px, py, pt = z[act].T
+        px, py, pt = zb[:3]
         cx, cy = platform_joints(geom, px, py, pt)
-        ex, ey, w = _a_row(px, py, cx, cy, bx[act].T, by[act].T)
+        ex, ey, w = _a_row(px, py, cx, cy, zb[3:6], zb[6:])
         g = (ex * ex + ey * ey - geom.m * geom.m).T
         jac = 2.0 * np.array((ex, ey, w)).transpose(2, 1, 0)
         try:
@@ -391,16 +399,21 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta):
             jac[sing] = np.eye(3)
             step = np.linalg.solve(jac, g[..., None])[..., 0]
             step[sing] = 0.0
-        norm = np.max(np.abs(step), axis=1)
-        stall = (norm >= prev) & (np.max(np.abs(g), axis=1) <= floor)
-        shrink = np.where(norm > 1.0, norm, 1.0)
-        step = step / shrink[:, None]
+        norm = np.abs(step).max(axis=1)
+        stall = (norm >= prev) & (np.abs(g).max(axis=1) <= floor)
+        step = step / np.fmax(norm, 1.0)[:, None]
         step[stall] = 0.0
-        z[act] -= step
+        zb[:3] -= step.T
         go = (norm >= 1e-13) & ~stall
-        act = act[go]
-        prev = norm[go]
-    return z.T
+        prev = norm
+        if not go.all():
+            stop = ~go
+            out[:, act[stop]] = zb[:3, stop]
+            act = act[go]
+            zb = zb[:, go]
+            prev = norm[go]
+    out[:, act] = zb[:3]
+    return out
 
 
 def _closure_error(geom: GeometryConfig, bx, by, x, y, theta):

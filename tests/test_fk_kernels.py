@@ -4,7 +4,9 @@ The kernels evaluate all three legs at once; ``oracles`` keeps their
 one-leg-at-a-time form, which they must reproduce bit for bit at every
 theta shape their callers pass. The Newton stops a row at the rounding
 floor as well as at a step below 1e-13; on simple roots it must follow the
-step-only loop bit for bit. Its Jacobian is 2A from the shared row builder.
+step-only loop bit for bit, and every row of a batch must come out as it
+does alone, however the other rows stop. Its Jacobian is 2A from the shared
+row builder.
 Each scan root gets one kind of position candidate: one Cramer point or two
 rank-1 line points.
 """
@@ -120,18 +122,33 @@ def test_newton_follows_step_floor_loop_on_simple_roots(geom, rng):
     assert np.abs(got - want).max() < 1e-10
 
 
-def test_newton_zero_row_falls_back_and_leaves_other_rows_alone(ref_geom, monkeypatch):
-    # Elbow 1 of candidate 0 sits on its platform joint, so leg 1's row of A
-    # is exactly zero: the batched solve raises LinAlgError, and the fallback
-    # gives that candidate a zero step and solves the other one as alone.
-    pose = Pose(0.3, 0.2, 0.1)
-    alpha = inverse_kinematics(ref_geom, pose, WorkingMode.A).alpha
-    bx, by = batch.elbow_points(ref_geom, np.array([alpha, alpha]))
+#: Pose whose mode-A IK image gives the candidates of ``_zero_row_batch``.
+ZERO_ROW_POSE = Pose(0.3, 0.2, 0.1)
+
+
+def _zero_row_batch(geom):
+    """Newton inputs (bx, by, x, y, theta) of two candidates of ZERO_ROW_POSE's triple.
+
+    Elbow 1 of candidate 0 sits on its platform joint, so leg 1's row of A
+    is exactly zero there; candidate 1 is 1e-3 off the pose.
+    """
+    pose = ZERO_ROW_POSE
+    alpha = inverse_kinematics(geom, pose, WorkingMode.A).alpha
+    bx, by = batch.elbow_points(geom, np.array([alpha, alpha]))
     x = np.array([1.0, pose.x + 1e-3])
     y = np.array([-0.5, pose.y - 1e-3])
     theta = np.array([0.7, pose.theta + 1e-3])
-    cx, cy = platform_joints(ref_geom, x[0], y[0], theta[0])
+    cx, cy = platform_joints(geom, x[0], y[0], theta[0])
     bx[0, 0], by[0, 0] = cx[0], cy[0]
+    return bx, by, x, y, theta
+
+
+def test_newton_zero_row_falls_back_and_leaves_other_rows_alone(ref_geom, monkeypatch):
+    # Leg 1's row of A of candidate 0 is exactly zero: the batched solve
+    # raises LinAlgError, and the fallback gives that candidate a zero step
+    # and solves the other one as alone.
+    pose = ZERO_ROW_POSE
+    bx, by, x, y, theta = _zero_row_batch(ref_geom)
     fallback = []
     det = np.linalg.det
     monkeypatch.setattr(np.linalg, "det", lambda a: fallback.append(len(a)) or det(a))
@@ -195,6 +212,49 @@ def test_near_tangent_clusters_keep_their_poses_with_fewer_newton_rows(ref_geom,
         for i, (cx, cy) in enumerate(oracles.platform_joints(ref_geom, x[j], y[j], theta[j])):
             assert abs(math.hypot(cx - b[i, 0], cy - b[i, 1]) - ref_geom.m) < 1e-9
     assert 0 < sum(new_rows) < sum(old_rows)
+
+
+def test_newton_rows_are_polished_as_alone_under_mixed_stops(ref_geom, monkeypatch):
+    # One batch mixes every way a row stops: the candidates of the
+    # near-tangent clusters, some stopping on a step below 1e-13 at different
+    # iterations, some at the rounding floor (before the step-only loop of
+    # the oracle would stop them), one at the 30-step cap, and the exactly
+    # singular row of the zero-row test. In any order, each row must come out
+    # bit for bit as polished alone, at the cost of its own iterations: a
+    # row written back at the wrong index or after the wrong step fails.
+    calls = []
+    newton = batch._newton_full_batch
+    monkeypatch.setattr(batch, "_newton_full_batch", lambda *a: calls.append(a) or newton(*a))
+    batch.fk_roots(ref_geom, np.array([alpha for alpha, _ in NEAR_TANGENT_CLUSTERS]))
+    monkeypatch.setattr(batch, "_newton_full_batch", newton)
+    (_, *cluster), = calls
+    zero = [v[:1] for v in _zero_row_batch(ref_geom)]
+    bx, by, x, y, theta = (np.concatenate((c, z)) for c, z in zip(cluster, zero))
+    rows = _rows_evaluated(monkeypatch, batch, "_a_row", 0)
+    oracle_rows = _rows_evaluated(monkeypatch, oracles, "full_system_per_leg", 1)
+    alone, steps, oracle_steps = [], [], []
+    for k in range(len(x)):
+        one = [v[k : k + 1] for v in (bx, by, x, y, theta)]
+        before, oracle_before = sum(rows), sum(oracle_rows)
+        alone.append(np.array(batch._newton_full_batch(ref_geom, *one))[:, 0])
+        oracles.newton_full_step_floor(ref_geom, *one)
+        steps.append(sum(rows) - before)
+        oracle_steps.append(sum(oracle_rows) - oracle_before)
+    steps = np.array(steps)
+    floor_stops = (steps < 30) & (steps < oracle_steps)
+    step_stops = (steps < 30) & (steps == oracle_steps)
+    assert floor_stops.any() and (steps == 30).any()
+    assert len(set(steps[step_stops].tolist())) > 3
+    assert steps[-1] == 1 and np.array_equal(alone[-1], (x[-1], y[-1], theta[-1]))
+    rng = np.random.default_rng(29)
+    for _ in range(2):
+        order = rng.permutation(len(x))
+        rows.clear()
+        batch_in = (v[order] for v in (bx, by, x, y, theta))
+        got = np.array(batch._newton_full_batch(ref_geom, *batch_in))
+        for j, k in enumerate(order):
+            assert np.array_equal(got[:, j], alone[k])
+        assert sum(rows) == steps.sum()
 
 
 @pytest.mark.parametrize("seed", range(6))
