@@ -10,16 +10,14 @@ only solid components count.
 
 from planar3rrr import GeometryConfig, WorkingMode
 from planar3rrr.aspects import enumerate_aspects
-from planar3rrr.octree import dumps, locate, volume, workspace_box
+from planar3rrr.octree import dumps, locate, volume
 
 
 def main():
     geom = GeometryConfig.reference()
-    box = workspace_box()
     depth = 6
-    atlas = enumerate_aspects(
-        geom, depth=depth, box=box, modes=[WorkingMode.C], det_signs=(1,), build_joint=False
-    )
+    atlas = enumerate_aspects(geom, depth=depth, modes=[WorkingMode.C], det_signs=(1,))
+    box = atlas.box
     entry = atlas.entries[(WorkingMode.C, 1)]
     tree = entry.workspace
     print(f"mode c, det(A) > 0, depth {depth}:")

@@ -18,7 +18,7 @@ from planar3rrr.aspects import enumerate_aspects
 def main(depth: int = 7):
     geom = GeometryConfig.reference()
     t0 = time.perf_counter()
-    atlas = enumerate_aspects(geom, depth=depth)
+    atlas = enumerate_aspects(geom, depth=depth, joint_depth=min(depth, 5))
     dt = time.perf_counter() - t0
     for sign, tag in ((1, "+"), (-1, "-")):
         counts = atlas.counts(sign)

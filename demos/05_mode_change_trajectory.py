@@ -33,7 +33,7 @@ def main():
     print(f"  normalized profile written to {out}")
 
     sign = result.det_sign
-    atlas = enumerate_aspects(geom, depth=6, modes=[mode], det_signs=(sign,), build_joint=False)
+    atlas = enumerate_aspects(geom, depth=6, modes=[mode], det_signs=(sign,))
     # The check takes the geometry and eps the path was monitored with from the path.
     evidence = verify_assembly_mode_change(atlas, result)
     print(f"\nassembly-mode change: {evidence.verdict}")

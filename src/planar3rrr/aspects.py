@@ -4,7 +4,8 @@ For a fixed working mode the inverse problem is a function of the pose, so
 the workspace octree components for one (mode, det sign) pair are faithful
 images of the maximal singularity-free domains of the pose x joint product
 space; connectivity conclusions are drawn from the workspace trees. The
-joint-space projections are built alongside from the direct problem.
+joint-space projections, built when a joint depth is given, come from the
+direct problem.
 
 This module holds the one cell classifier of the toolkit; the CLI
 ``workspace`` command runs the census for a single (mode, det sign) pair.
@@ -46,6 +47,7 @@ from . import batch
 from .errors import ConfigError, ModeMismatchError, ParallelSingularError, SerialSingularError
 from .geometry import EPS_SING, TWO_PI, FullConfiguration, GeometryConfig, WorkingMode
 from .octree import (
+    WORKSPACE_LIMIT,
     Box3,
     Octree,
     _canonical_tree,
@@ -131,7 +133,6 @@ class AspectAtlas:
     depth: int
     joint_depth: int | None
     box: Box3
-    jbox: Box3 | None
     entries: dict[tuple[WorkingMode, int], AspectEntry]
 
     def counts(self, det_sign: int) -> dict[WorkingMode, int]:
@@ -360,17 +361,14 @@ def _solid_ids(tree: Octree) -> tuple[int, ...]:
     return tuple(int(c) for c in solid)
 
 
-def _joint_flag_grids(geom: GeometryConfig, jbox: Box3, depth: int):
-    """Boolean grids flags[mode_idx][sign_idx] from one direct-kinematics sweep.
+def _joint_flag_grids(geom: GeometryConfig, depth: int):
+    """Boolean grids flags[mode_idx][sign_idx] of ``joint_box()`` from one direct-kinematics sweep.
 
     Sign index 0 is det(A) > 0 and 1 is det(A) < 0. The cells are solved in
-    blocks of ``batch.FK_CHUNK`` centers. The rows of a block are not
-    independent bit for bit: ``batch.scan_roots`` forms the sextics through
-    one BLAS product per block, whose rounding depends on the number of
-    rows, so the last bits of a cell's poses can depend on its block. No
-    pose count or flag has been seen to move with it.
+    blocks of ``batch.FK_CHUNK`` centers.
     """
     n = 1 << depth
+    jbox = joint_box()
     centers = [jbox.centers(axis, depth) for axis in range(3)]
     flags = np.zeros((8, 2, n**3), dtype=bool)
     for start in range(0, n**3, batch.FK_CHUNK):
@@ -384,32 +382,29 @@ def _joint_flag_grids(geom: GeometryConfig, jbox: Box3, depth: int):
 def enumerate_aspects(
     geom: GeometryConfig,
     depth: int = 8,
-    box: Box3 | None = None,
+    limit: float = WORKSPACE_LIMIT,
     joint_depth: int | None = None,
     modes=None,
     det_signs=(1, -1),
-    build_joint: bool = True,
 ) -> AspectAtlas:
     """Build the aspect atlas: per (mode, sign) workspace and joint octrees.
 
-    Workspace cells are classified at their eight corners, joint cells at
-    their centers. ``joint_depth`` defaults to min(depth, 5): every joint
-    cell needs a full direct-kinematics solve, far costlier than the
-    workspace test.
+    The workspace is ``workspace_box(limit)``: [-limit, limit]^2 in x and y
+    and the full turn in theta, cut into 2^depth cells per axis, each
+    classified at its eight corners. Joint trees over ``joint_box()`` are
+    built exactly when ``joint_depth`` is given, with cells classified at
+    their centers; every joint cell needs a full direct-kinematics solve,
+    far costlier than the workspace test. ``modes`` (default all eight) and
+    ``det_signs`` choose the (mode, det sign) pairs of the atlas.
     """
     _check_depth(depth, "depth")
+    if joint_depth is not None:
+        _check_depth(joint_depth, "joint_depth", 0)
     bad = [sign for sign in det_signs if sign not in (1, -1)]
     if bad:
         raise ValueError(f"det_signs must be +1 or -1, got {bad}")
-    box = box or workspace_box()
+    box = workspace_box(limit)
     modes = list(modes) if modes is not None else list(WorkingMode)
-    if build_joint:
-        jbox = joint_box()
-        joint_depth = min(depth, 5) if joint_depth is None else joint_depth
-        _check_depth(joint_depth, "joint_depth", 0)
-    else:
-        jbox = None
-        joint_depth = None
     live = _live_bricks(geom, box, depth)
     slots, index = _brick_slots(live, box)
     need, budget = census_bytes(len(slots), depth, len(modes), joint_depth), memory_budget()
@@ -426,7 +421,7 @@ def enumerate_aspects(
     codes = morton_encode(*bricks.T)
     lattice = _grid_to_tree(live, box, depth - BRICK_LEVELS)
     out = (lattice.morton[~lattice.label], lattice.depth[~lattice.label])
-    joint_flags = None if jbox is None else _joint_flag_grids(geom, jbox, joint_depth)
+    joint_flags = None if joint_depth is None else _joint_flag_grids(geom, joint_depth)
 
     entries: dict[tuple[WorkingMode, int], AspectEntry] = {}
     for j, mode in enumerate(modes):
@@ -440,10 +435,10 @@ def enumerate_aspects(
             comp_in = tree.comp[in_mask]
             leaf_counts = np.bincount(comp_in, minlength=count_raw)
             vols = np.bincount(comp_in, weights=tree.leaf_volumes()[in_mask], minlength=count_raw)
-            joint_tree = None
-            n_joint = 0
+            joint_tree, n_joint = None, 0
             if joint_flags is not None:
-                joint_tree = _grid_to_tree(joint_flags[k, 0 if sign > 0 else 1], jbox, joint_depth)
+                flags = joint_flags[k, 0 if sign > 0 else 1]
+                joint_tree = _grid_to_tree(flags, joint_box(), joint_depth)
                 joint_tree, n_joint = connected_components(joint_tree)
             entries[(mode, sign)] = AspectEntry(
                 mode=mode,
@@ -457,9 +452,7 @@ def enumerate_aspects(
                 joint=joint_tree,
                 n_joint_components=n_joint,
             )
-    return AspectAtlas(
-        geom=geom, depth=depth, joint_depth=joint_depth, box=box, jbox=jbox, entries=entries
-    )
+    return AspectAtlas(geom=geom, depth=depth, joint_depth=joint_depth, box=box, entries=entries)
 
 
 def _same_component(atlas: AspectAtlas, alphas, poses, eps: float) -> bool:

@@ -511,7 +511,10 @@ def scan_roots(samples):
     mag = np.abs(samples)
     gi = np.flatnonzero(mag.max(axis=1) > 0.0)
     shift = (mag[gi].argmax(axis=1) + n // 2) % n
-    p = samples[gi[:, None], _ROLL[shift]] @ _SEXTIC
+    # One (1, 8) x (8, 7) product per row: a single product over all rows goes
+    # through BLAS, whose rounding depends on the number of rows.
+    rolled = samples[gi[:, None], _ROLL[shift]]
+    p = (rolled[:, None, :] @ _SEXTIC)[:, 0]
     deg = p.shape[1] - 1
     comp = np.zeros((gi.size, deg, deg))
     comp[:, np.arange(1, deg), np.arange(0, deg - 1)] = 1.0

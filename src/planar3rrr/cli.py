@@ -29,7 +29,7 @@ from .batch import MODE_ORDER, classify, jacobian_rows
 from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, as_float, parse_mode
 from .jacobians import jacobians, singularity_report
 from .kinematics import forward_kinematics, inverse_kinematics
-from .octree import export, volume, workspace_box
+from .octree import WORKSPACE_LIMIT, export, volume
 from .trajectory import PathSpec, monitor, verify_assembly_mode_change, write_profile
 
 
@@ -45,7 +45,7 @@ class RunConfig:
     joint_depth: int | None = None
     eps_sing: float = EPS_SING
     samples_per_segment: int = 500
-    workspace_limit: float = 12.0
+    workspace_limit: float = WORKSPACE_LIMIT
     out: Path = Path(".")
 
     def depth_or(self, default: int) -> int:
@@ -84,7 +84,9 @@ def load_config(path: str | None) -> RunConfig:
             joint_depth=data.get("joint_depth"),
             eps_sing=as_float(data.get("eps_sing", EPS_SING), "key 'eps_sing'"),
             samples_per_segment=data.get("samples_per_segment", 500),
-            workspace_limit=as_float(data.get("workspace_limit", 12.0), "key 'workspace_limit'"),
+            workspace_limit=as_float(
+                data.get("workspace_limit", WORKSPACE_LIMIT), "key 'workspace_limit'"
+            ),
             out=Path(data["out"]) if "out" in data else Path("."),
         )
     except (TypeError, ValueError) as exc:
@@ -187,12 +189,7 @@ def _outdir(cfg: RunConfig) -> Path:
 def _pair_census(cfg: RunConfig, mode: WorkingMode, sign: int, depth: int):
     """Aspect census of one (mode, det sign) pair over the configured box."""
     return enumerate_aspects(
-        cfg.geometry,
-        depth=depth,
-        box=workspace_box(cfg.workspace_limit),
-        modes=[mode],
-        det_signs=(sign,),
-        build_joint=False,
+        cfg.geometry, depth, limit=cfg.workspace_limit, modes=[mode], det_signs=(sign,)
     )
 
 
@@ -214,12 +211,13 @@ def cmd_workspace(cfg: RunConfig, args) -> int:
 
 def cmd_aspects(cfg: RunConfig, args) -> int:
     depth = cfg.depth_or(8)
+    # Each joint cell costs a direct-kinematics solve: joint depth 5 at most by default.
+    joint_depth = min(depth, 5) if cfg.joint_depth is None else cfg.joint_depth
     atlas = enumerate_aspects(
         cfg.geometry,
-        depth=depth,
-        box=workspace_box(cfg.workspace_limit),
-        joint_depth=cfg.joint_depth,
-        build_joint=not args.no_joint,
+        depth,
+        limit=cfg.workspace_limit,
+        joint_depth=None if args.no_joint else joint_depth,
     )
     for sign, tag in ((1, "+"), (-1, "-")):
         counts = atlas.counts(sign)

@@ -44,6 +44,8 @@ AXIS_PERIODIC = "per"
 
 #: Deepest tree: a uint64 Morton code holds 21 bits per axis.
 MAX_TREE_DEPTH = 21
+#: Half-width of the default pose-space box on x and y.
+WORKSPACE_LIMIT = 12.0
 
 _M1 = np.uint64(0x1F00000000FFFF)
 _M2 = np.uint64(0x1F0000FF0000FF)
@@ -104,6 +106,8 @@ class Box3:
         if len(lo) != 3 or len(hi) != 3 or len(axes) != 3:
             raise ValueError("Box3 needs three axes")
         for i in range(3):
+            if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
+                raise ValueError(f"axis {i}: bounds must be finite, got [{lo[i]}, {hi[i]}]")
             if not hi[i] > lo[i]:
                 raise ValueError(f"axis {i}: hi must exceed lo")
             if axes[i] not in (AXIS_LINEAR, AXIS_PERIODIC):
@@ -143,7 +147,7 @@ class Box3:
         return self.axes == other.axes and all(abs(a - b) <= 1e-12 for a, b in bounds)
 
 
-def workspace_box(limit: float = 12.0) -> Box3:
+def workspace_box(limit: float = WORKSPACE_LIMIT) -> Box3:
     """Default pose-space box: [-limit, limit]^2 x [0, 2pi)."""
     return Box3(
         lo=(-limit, -limit, 0.0),

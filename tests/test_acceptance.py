@@ -370,9 +370,7 @@ def test_criterion_6_property_suite(ref_geom, rng, capsys):
 
 
 def test_criterion_7_characteristic_surface(ref_geom, capsys):
-    atlas = enumerate_aspects(
-        ref_geom, depth=6, modes=[WorkingMode.C], det_signs=(1,), build_joint=False
-    )
+    atlas = enumerate_aspects(ref_geom, depth=6, modes=[WorkingMode.C], det_signs=(1,))
     entry = atlas.entries[(WorkingMode.C, 1)]
     rec1 = locate(entry.workspace, posture(1).as_tuple())
     rec4 = locate(entry.workspace, posture(4).as_tuple())

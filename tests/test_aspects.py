@@ -21,12 +21,19 @@ from planar3rrr.cli import main
 from planar3rrr.errors import ConfigError, ModeMismatchError
 from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.kinematics import inverse_kinematics, inverse_kinematics_all
-from planar3rrr.octree import _grid_to_tree, connected_components, dumps, locate, workspace_box
+from planar3rrr.octree import (
+    WORKSPACE_LIMIT,
+    _grid_to_tree,
+    connected_components,
+    dumps,
+    locate,
+    workspace_box,
+)
 
 
 @pytest.fixture(scope="module")
 def atlas6(ref_geom) -> AspectAtlas:
-    return enumerate_aspects(ref_geom, depth=6)
+    return enumerate_aspects(ref_geom, depth=6, joint_depth=5)
 
 
 def _config(geom, k, mode=WorkingMode.C):
@@ -60,6 +67,17 @@ def _slot_count(geom, depth) -> int:
     return len(aspects._brick_slots(aspects._live_bricks(geom, box, depth), box)[0])
 
 
+@pytest.mark.parametrize("limit", [math.inf, math.nan])
+def test_census_refuses_a_non_finite_limit(ref_geom, monkeypatch, limit):
+    # An infinite limit used to census NaN cell coordinates without an error.
+    def no_bricks(*args):
+        raise AssertionError("the census started")
+
+    monkeypatch.setattr(aspects, "_live_bricks", no_bricks)
+    with pytest.raises(ValueError, match=r"^axis 0: bounds must be finite"):
+        enumerate_aspects(ref_geom, depth=4, limit=limit)
+
+
 def test_memory_guard_refuses_before_allocating(ref_geom, monkeypatch, tmp_path, capsys):
     def no_signs(*args):
         raise AssertionError("the corner signs were allocated")
@@ -68,12 +86,12 @@ def test_memory_guard_refuses_before_allocating(ref_geom, monkeypatch, tmp_path,
     # Depth 10 on the reference geometry is estimated at about 7.2 GiB.
     monkeypatch.setattr(aspects, "memory_budget", lambda: 6 << 30)
     with pytest.raises(ConfigError, match=r"depth 10, joint depth 5: .* budget of 6.00 GiB"):
-        enumerate_aspects(ref_geom, depth=10)
+        enumerate_aspects(ref_geom, depth=10, joint_depth=5)
     assert main(["--out", str(tmp_path), "--depth", "10", "aspects", "--no-joint"]) == 2
     assert "enumerate_aspects at depth 10: the census arrays need about" in capsys.readouterr().err
     monkeypatch.setattr(aspects, "memory_budget", lambda: 1 << 20)
     with pytest.raises(ConfigError, match="at depth 4:"):
-        enumerate_aspects(ref_geom, depth=4, build_joint=False)
+        enumerate_aspects(ref_geom, depth=4)
     # Depth 9 (416 MiB measured peak RSS without joint trees) fits a 7 GiB box.
     assert aspects.census_bytes(_slot_count(ref_geom, 9), 9, 8, 5) < 7 << 30
 
@@ -108,7 +126,8 @@ def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
     depth, k = 5, 1 << aspects.BRICK_LEVELS
     subset = [WorkingMode.H, WorkingMode.A, WorkingMode.E]
     slab = aspects.SLAB_POINTS
-    for box in (workspace_box(), workspace_box(6.0)):
+    for limit in (WORKSPACE_LIMIT, 6.0):
+        box = workspace_box(limit)
         want = {
             len(modes): oracles.sign_grids_dense(geom, box, depth, modes)
             for modes in (list(WorkingMode), subset)
@@ -136,7 +155,7 @@ def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
                     assert np.array_equal(signs[j, :-1][held], oracle[held])
                 assert 0 < np.count_nonzero(signs) < signs.size
             # Each pair's tree is the tree of the oracle's corner-classified cells.
-            atlas = enumerate_aspects(geom, depth=depth, box=box, build_joint=False)
+            atlas = enumerate_aspects(geom, depth=depth, limit=limit)
             for j, mode in enumerate(WorkingMode):
                 for sign in (1, -1):
                     cells = oracles.corner_cells_dense(want[8][j] == sign, box)
@@ -148,7 +167,7 @@ def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
             # Corner n is corner 0 on the axis that wraps, the only one with n corners.
             box_corners = [np.arange(b * k, b * k + k + 1) % n for b, n in zip(brick, counts)]
             assert not reach[np.ix_(*box_corners)].any()
-        if box == workspace_box():
+        if limit == WORKSPACE_LIMIT:
             assert (~live).any()
 
 
@@ -160,9 +179,7 @@ def test_census_without_live_bricks_is_all_out():
     empty = dumps(_grid_to_tree(np.zeros((1 << depth,) * 3, dtype=bool), box, depth))
     atlas = enumerate_aspects(geom, depth=depth, joint_depth=4)
     assert atlas.total(1) == atlas.total(-1) == 0
-    pair = enumerate_aspects(
-        geom, depth=depth, modes=[WorkingMode.H], det_signs=(-1,), build_joint=False
-    )
+    pair = enumerate_aspects(geom, depth=depth, modes=[WorkingMode.H], det_signs=(-1,))
     for entry in [*atlas.entries.values(), pair.entry(WorkingMode.H, -1)]:
         assert entry.n_components_raw == 0
         assert dumps(dataclasses.replace(entry.workspace, comp=None)) == empty
@@ -187,7 +204,7 @@ def test_dead_bricks_are_out_of_reach_everywhere(case, rng):
 @pytest.fixture(scope="module", params=["reference", "congruent", "unequal_links", "random"])
 def census5(request):
     geom = _census_geometry(request.param, np.random.default_rng(20260808))
-    return geom, enumerate_aspects(geom, depth=5)
+    return geom, enumerate_aspects(geom, depth=5, joint_depth=5)
 
 
 def test_leaf_census_matches_dense_oracle(census5):
@@ -215,7 +232,7 @@ def test_characteristic_surface_boundary_matches_voxel_oracle(ref_geom):
     # Face probes between leaves find the same IN -> OUT boundary as rolling
     # the rasterized grid, on every raw component.
     geom = ref_geom
-    atlas = enumerate_aspects(geom, depth=5, build_joint=False)
+    atlas = enumerate_aspects(geom, depth=5)
     for (mode, sign), entry in atlas.entries.items():
         tree = entry.workspace
         centers = tree.leaf_centers()
@@ -234,7 +251,7 @@ def test_census_bytes_bounds_traced_peak(geom):
     for depth in (5, 6):
         tracemalloc.start()
         try:
-            enumerate_aspects(geom, depth=depth)
+            enumerate_aspects(geom, depth=depth, joint_depth=min(depth, 5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -246,7 +263,7 @@ def test_det_signs_validation(ref_geom):
     # write_manifest could not name.
     for bad in ((0,), (1, 2), (-1, 0.5)):
         with pytest.raises(ValueError):
-            enumerate_aspects(ref_geom, depth=4, det_signs=bad, build_joint=False)
+            enumerate_aspects(ref_geom, depth=4, det_signs=bad)
 
 
 def test_atlas_structure(atlas6):
@@ -326,7 +343,9 @@ def test_same_aspect_refuses_configurations_on_another_geometry(ref_geom, atlas6
 def test_distinct_components_are_not_same_aspect(ref_geom):
     # Mode A, det > 0 has four solid components at depth >= 6; pick poses in
     # two different ones via the component labels themselves.
-    atlas = enumerate_aspects(ref_geom, depth=6, modes=[WorkingMode.A], det_signs=(1,))
+    atlas = enumerate_aspects(
+        ref_geom, depth=6, joint_depth=5, modes=[WorkingMode.A], det_signs=(1,)
+    )
     entry = atlas.entries[(WorkingMode.A, 1)]
     assert entry.n_components == 4
     tree = entry.workspace
@@ -353,7 +372,7 @@ def test_tiny_platform_atlas_tiles(ref_geom):
         base_phase=ref_geom.base_phase,
         platform_phase=ref_geom.platform_phase,
     )
-    atlas = enumerate_aspects(geom, depth=4, build_joint=False)
+    atlas = enumerate_aspects(geom, depth=4)
     for entry in atlas.entries.values():
         tree = entry.workspace
         assert float(tree.leaf_volumes().sum()) == pytest.approx(tree.box.volume, rel=1e-12)
@@ -374,8 +393,7 @@ def test_characteristic_surface_reference_component(ref_geom, atlas6):
 def test_characteristic_surface_empty_case(ref_geom):
     # Mode a, det(A) > 0 at depth 5: every boundary cell's other assembly
     # poses leave the aspect, so the marked set is empty (a valid outcome).
-    atlas = enumerate_aspects(ref_geom, depth=5, modes=[WorkingMode.A], det_signs=(1,),
-                              build_joint=False)
+    atlas = enumerate_aspects(ref_geom, depth=5, modes=[WorkingMode.A], det_signs=(1,))
     entry = atlas.entries[(WorkingMode.A, 1)]
     cid = entry.solid_component_ids[0]
     surf = characteristic_surface(atlas, WorkingMode.A, 1, cid)
@@ -388,16 +406,20 @@ def test_characteristic_surface_invalid_component(ref_geom, atlas6):
         characteristic_surface(atlas6, WorkingMode.C, 1, 10**6)
 
 
+def test_characteristic_surface_refuses_an_unlabeled_tree(atlas6):
+    entry = atlas6.entry(WorkingMode.C, 1)
+    bare = dataclasses.replace(entry, workspace=dataclasses.replace(entry.workspace, comp=None))
+    atlas = dataclasses.replace(atlas6, entries={(WorkingMode.C, 1): bare})
+    with pytest.raises(ValueError, match=r"^atlas workspace tree lacks component labels$"):
+        characteristic_surface(atlas, WorkingMode.C, 1, 0)
+
+
 def test_membership_stable_under_refinement(ref_geom, rng):
     # Interior points farther than one coarse-leaf diagonal from any OUT
     # cell keep their aspect membership when the depth is refined from 6
     # to 8.
-    coarse = enumerate_aspects(
-        ref_geom, depth=6, modes=[WorkingMode.C], det_signs=(1,), build_joint=False
-    )
-    fine = enumerate_aspects(
-        ref_geom, depth=8, modes=[WorkingMode.C], det_signs=(1,), build_joint=False
-    )
+    coarse = enumerate_aspects(ref_geom, depth=6, modes=[WorkingMode.C], det_signs=(1,))
+    fine = enumerate_aspects(ref_geom, depth=8, modes=[WorkingMode.C], det_signs=(1,))
     tree6 = coarse.entries[(WorkingMode.C, 1)].workspace
     tree8 = fine.entries[(WorkingMode.C, 1)].workspace
     grid = oracles.leaf_grid(tree6, tree6.label)
@@ -414,9 +436,7 @@ def test_membership_stable_under_refinement(ref_geom, rng):
 
 
 def test_manifest_export(ref_geom, tmp_path):
-    atlas = enumerate_aspects(
-        ref_geom, depth=4, modes=[WorkingMode.A, WorkingMode.C], build_joint=False
-    )
+    atlas = enumerate_aspects(ref_geom, depth=4, modes=[WorkingMode.A, WorkingMode.C])
     path = write_manifest(atlas, tmp_path)
     data = json.loads(path.read_text())
     assert data["depth"] == 4

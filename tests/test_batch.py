@@ -8,6 +8,7 @@ from planar3rrr.errors import DegenerateLinearSystemError
 from planar3rrr.geometry import DEFAULT_PHASES, GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.jacobians import jacobians
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics, inverse_kinematics_all
+from test_fk_kernels import GEOMETRIES
 
 
 def test_strict_reach_matches_leg_distances(ref_geom, rng):
@@ -83,24 +84,19 @@ def test_ik_alpha_matches_scalar(ref_geom, rng):
                 assert abs(angle_difference(float(al[leg, k]), cfg.alpha[leg])) < 1e-9
 
 
-def _row_poses(idx, x, y, th, k):
-    """Records of row k as poses sorted by (theta, x)."""
-    sel = idx == k
-    return sorted(
-        (Pose(float(a), float(b), float(c)) for a, b, c in zip(x[sel], y[sel], th[sel])),
-        key=lambda p: (p.theta, p.x),
-    )
-
-
-def test_fk_roots_rows_are_independent(ref_geom, rng):
-    alphas = rng.uniform(0, 2 * math.pi, (40, 3))
-    whole = batch.fk_roots(ref_geom, alphas)
-    for k in range(40):
-        alone = _row_poses(*batch.fk_roots(ref_geom, alphas[k : k + 1]), 0)
-        in_batch = _row_poses(*whole, k)
-        assert len(in_batch) == len(alone)
-        for p, q in zip(in_batch, alone):
-            assert p.distance(q) < 1e-8
+def test_fk_roots_rows_are_independent(rng, monkeypatch):
+    # Every row of a batch, across FK_CHUNK blocks, is bit for bit that row
+    # solved alone, so no result depends on how the rows were blocked.
+    monkeypatch.setattr(batch, "FK_CHUNK", 16)
+    for geom in GEOMETRIES.values():
+        alphas = rng.uniform(-math.pi, math.pi, (40, 3))
+        idx, *whole = batch.fk_roots(geom, alphas)
+        for k in range(40):
+            alone = batch.fk_roots(geom, alphas[k : k + 1])
+            sel = idx == k
+            assert np.array_equal(alone[0], np.zeros(np.count_nonzero(sel), dtype=int))
+            for got, want in zip(whole, alone[1:]):
+                assert np.array_equal(got[sel], want)
 
 
 def test_solution_signs_match_jacobians(ref_geom, rng):

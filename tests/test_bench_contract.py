@@ -61,7 +61,7 @@ def test_traced_census_books_its_labeling_to_named_layers(spans, ref_geom):
     # A census stage that no target covers grows the traced run's
     # trace.uncovered_share without any metric naming it.
     with spans.SpanRecorder() as recorder:
-        aspects.enumerate_aspects(ref_geom, depth=4)
+        aspects.enumerate_aspects(ref_geom, depth=4, joint_depth=4)
     names = {span[0] for span in recorder.spans}
     layers = {"octree.connected_components", "octree.grid_to_tree", "batch.mode_determinants"}
     assert layers <= names

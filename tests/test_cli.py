@@ -101,6 +101,41 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+def test_unreadable_config_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["--config", str(missing), "fk", "0.5", "1.0", "1.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read config {missing}: ")
+
+
+def test_config_that_is_not_json_exit_code(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text("{depth: 6}")
+    assert main(["--config", str(p), "fk", "0.5", "1.0", "1.5"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config {p} is not valid JSON: ")
+
+
+def test_config_samples_per_segment_below_two_exit_code(ref_path, tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"samples_per_segment": 1}))
+    out = tmp_path / "t"
+    assert main(["--config", str(p), "--out", str(out), "trajectory", ref_path]) == 2
+    assert capsys.readouterr().err == "error: samples_per_segment must be at least 2\n"
+    assert not out.exists()
+
+
+def test_unknown_waypoint_key_exit_code(ref_config, ref_path, tmp_path, capsys):
+    data = json.loads(Path(ref_path).read_text())
+    data["speed"] = 2.0
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(data))
+    out = tmp_path / "t"
+    assert main(["--config", ref_config, "--out", str(out), "trajectory", str(p)]) == 2
+    assert capsys.readouterr().err == "error: unknown waypoint keys: ['speed']\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, config, name",
     [(["--depth", "3"], {}, "--depth"), ([], {"depth": 11}, "config depth")],

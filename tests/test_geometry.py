@@ -118,6 +118,23 @@ def test_parse_mode_forms():
         parse_mode("xyz")
 
 
+def test_unknown_mode_label_refused():
+    with pytest.raises(ValueError, match=r"^unknown working mode label 'z'$"):
+        WorkingMode.from_label("z")
+    with pytest.raises(ValueError, match=r"^unknown working mode label 'i'$"):
+        parse_mode("i")
+
+
+def test_full_configuration_needs_three_angles(ref_geom):
+    from planar3rrr.geometry import FullConfiguration
+    from planar3rrr.kinematics import inverse_kinematics
+
+    cfg = inverse_kinematics(ref_geom, Pose(1.0, 1.0, 0.2), WorkingMode.A)
+    for alpha, beta in ((cfg.alpha[:2], cfg.beta), (cfg.alpha, (*cfg.beta, 0.0))):
+        with pytest.raises(ValueError, match=r"^alpha and beta must each contain three angles$"):
+            FullConfiguration(geom=ref_geom, pose=cfg.pose, alpha=alpha, beta=beta)
+
+
 def test_full_configuration_rejects_inconsistent_angles(ref_geom):
     from planar3rrr.kinematics import inverse_kinematics
     from planar3rrr.geometry import FullConfiguration

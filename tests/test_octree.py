@@ -67,6 +67,17 @@ def test_box_validation():
     assert box.wraps(2) and not box.wraps(0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("side", ["lo", "hi"])
+@pytest.mark.parametrize("axis", [0, 2])
+def test_box_refuses_non_finite_bounds(value, side, axis):
+    # workspace_box(inf) used to build a box whose cells have NaN coordinates.
+    bounds = {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}
+    bounds[side][axis] = value
+    with pytest.raises(ValueError, match=rf"^axis {axis}: bounds must be finite, got \["):
+        Box3(**bounds, axes=("lin", "lin", "lin"))
+
+
 def test_uniform_predicate_merges_to_root(ref_geom):
     box = workspace_box()
     tree = build_octree(ref_geom, _true_pred, box, 3)
@@ -203,6 +214,12 @@ def test_export_import_file(ref_geom, rng, tmp_path):
     path = tmp_path / "tree.oct"
     export(tree, path)
     assert dumps(load(path)) == dumps(tree)
+
+
+def test_connected_components_refuses_an_unknown_method(ref_geom):
+    tree = build_octree(ref_geom, lambda x, y, z: x < 0.0, workspace_box(), 2)
+    with pytest.raises(ValueError, match=r"^unknown method 'bfs'$"):
+        connected_components(tree, method="bfs")
 
 
 def test_boolean_identities(ref_geom, rng):
@@ -505,9 +522,7 @@ def test_workspace_predicate_tree_locates_reference_pose(ref_geom):
     from conftest import posture
     from planar3rrr.aspects import enumerate_aspects
 
-    atlas = enumerate_aspects(
-        ref_geom, depth=5, modes=[WorkingMode.C], det_signs=(1,), build_joint=False
-    )
+    atlas = enumerate_aspects(ref_geom, depth=5, modes=[WorkingMode.C], det_signs=(1,))
     rec = locate(atlas.entries[(WorkingMode.C, 1)].workspace, posture(1).as_tuple())
     assert rec.label is True
 
@@ -531,6 +546,6 @@ def test_joint_predicate_tree_matches_generic_build(ref_geom):
 
     jb = joint_box()
     t1 = build_octree(ref_geom, pred, jb, 3)
-    flags = _joint_flag_grids(ref_geom, jb, 3)
+    flags = _joint_flag_grids(ref_geom, 3)
     t2 = _grid_to_tree(flags[k, 0], jb, 3)
     assert dumps(t1) == dumps(t2)

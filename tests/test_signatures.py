@@ -9,6 +9,12 @@ annotations``, so they are compared as strings.
 One tolerance knob: the singularity margin ``eps`` is the only tolerance a
 caller can pass, and only to the functions that apply the one singularity
 rule. Reach band and loop-closure bounds are fixed constants.
+
+No flag parameters: no function takes a parameter annotated ``bool`` or
+defaulting to True or False. A flag next to a value can cancel it without a
+word (a flag that turned joint trees off silently dropped the joint depth);
+a value that is given or not, such as an optional depth, says the same in one
+parameter.
 """
 
 from __future__ import annotations
@@ -93,3 +99,40 @@ def test_eps_is_the_only_tolerance_parameter():
     knobs = [(name, p) for name, ps in params.items() for p in ps if p == "band" or "tol" in p]
     assert knobs == []
     assert {name for name, ps in params.items() if "eps" in ps} == TAKES_EPS
+
+
+def _flag_parameters(fn) -> list[str]:
+    """Parameters of ``fn`` annotated ``bool`` (or ``bool | None``) or defaulting
+    to True or False. A tuple of per-axis bools is a value, not a switch."""
+    return [
+        p.name
+        for p in inspect.signature(fn).parameters.values()
+        if (isinstance(p.annotation, str) and _union_members(p.annotation) == {"bool"})
+        or p.default is True
+        or p.default is False
+    ]
+
+
+def _union_members(annotation: str) -> set[str]:
+    """The types of a ``X | Y`` annotation string other than None."""
+    return set(annotation.replace(" ", "").split("|")) - {"None"}
+
+
+def test_the_lint_sees_a_flag():
+    def annotated(tree, strict: bool | None) -> None: ...
+
+    def defaulted(tree, strict=False) -> None: ...
+
+    def valued(tree, depth: int | None = None, wrap: tuple[bool, bool] = (1, 0)) -> bool: ...
+
+    assert _flag_parameters(annotated) == ["strict"]
+    assert _flag_parameters(defaulted) == ["strict"]
+    assert _flag_parameters(valued) == []
+
+
+def test_no_function_takes_a_flag():
+    # A record's bool field (a verdict, a singular flag) is a result, not a switch.
+    functions = dict(_package_functions(False))
+    assert "planar3rrr.aspects.enumerate_aspects" in functions
+    flags = {name: _flag_parameters(fn) for name, fn in functions.items()}
+    assert {name: params for name, params in flags.items() if params} == {}

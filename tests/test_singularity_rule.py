@@ -21,7 +21,6 @@ from planar3rrr.errors import KinematicError, ParallelSingularError, SerialSingu
 from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode
 from planar3rrr.jacobians import forward_velocity, jacobians, singularity_report, working_mode_of
 from planar3rrr.kinematics import inverse_kinematics
-from planar3rrr.octree import workspace_box
 from planar3rrr.trajectory import VERDICT_SINGULAR, PathSpec, monitor
 
 GEOMETRIES = {
@@ -66,7 +65,7 @@ def _fk_label(geom, cfg, eps, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_callers_agree_at_the_scaled_margin(name, tmp_path, capsys):
     geom = GEOMETRIES[name]
-    atlas = enumerate_aspects(geom, depth=MIN_DEPTH, box=workspace_box(12.0), build_joint=False)
+    atlas = enumerate_aspects(geom, depth=MIN_DEPTH, limit=12.0)
     for k, (cfg, mode, pair, eps0) in enumerate(_edge_cases(geom, 23)):
         for eps in (np.nextafter(eps0, 0.0), eps0, np.nextafter(eps0, 1.0)):
             eps = float(eps)
@@ -98,7 +97,7 @@ def test_callers_agree_at_the_scaled_margin(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(GEOMETRIES))
 def test_serial_flags_agree_at_the_smallest_b(name):
     geom = GEOMETRIES[name]
-    atlas = enumerate_aspects(geom, depth=MIN_DEPTH, box=workspace_box(12.0), build_joint=False)
+    atlas = enumerate_aspects(geom, depth=MIN_DEPTH, limit=12.0)
     for cfg, mode, pair, _ in _edge_cases(geom, 29):
         b0 = min(abs(v) for v in pair.b_diag)
         for eps in (np.nextafter(b0, 0.0), b0, np.nextafter(b0, math.inf)):

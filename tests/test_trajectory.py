@@ -45,7 +45,7 @@ def _benchmark_spec(spp=500) -> PathSpec:
 
 @pytest.fixture(scope="module")
 def atlas(ref_geom):
-    return enumerate_aspects(ref_geom, depth=6, modes=[MODE], det_signs=(1,), build_joint=False)
+    return enumerate_aspects(ref_geom, depth=6, modes=[MODE], det_signs=(1,))
 
 
 def test_spec_validation():
@@ -348,9 +348,7 @@ def test_verify_refuses_a_path_on_another_geometry(geom, atlas):
 
 def test_an_atlas_without_the_pair_is_refused(ref_geom):
     # Both used to raise a bare KeyError.
-    atlas_a = enumerate_aspects(
-        ref_geom, depth=4, modes=[WorkingMode.A], det_signs=(1,), build_joint=False
-    )
+    atlas_a = enumerate_aspects(ref_geom, depth=4, modes=[WorkingMode.A], det_signs=(1,))
     message = r"atlas has no mode c, sign \+1; it has a\+1"
     with pytest.raises(ValueError, match=message):
         characteristic_surface(atlas_a, MODE, 1, 0)
