@@ -54,13 +54,12 @@ from .octree import (
     _cube_leaves,
     _grid_to_tree,
     _leaf_adjacency_pairs,
+    _probe_leaves,
     _sorted_union,
-    _voxel_leaves,
     connected_components,
     joint_box,
     leaf_indices,
     locate,
-    morton_decode,
     morton_encode,
     workspace_box,
 )
@@ -157,11 +156,12 @@ class AspectAtlas:
         return self.entries[(mode, det_sign)]
 
 
-def _check_depth(depth, name: str, lo: int = MIN_DEPTH) -> None:
-    """The one depth rule: ``depth`` is an integer, not a bool, in [lo, MAX_DEPTH]."""
+def _check_depth(depth, name: str, lo: int = MIN_DEPTH) -> int:
+    """``depth`` as an int, by the one depth rule: an integer, not a bool, in [lo, MAX_DEPTH]."""
     whole = isinstance(depth, (int, np.integer)) and not isinstance(depth, bool)
     if not (whole and lo <= depth <= MAX_DEPTH):
         raise ValueError(f"{name} must be an integer in [{lo}, {MAX_DEPTH}], got {depth!r}")
+    return int(depth)
 
 
 def census_bytes(n_slots: int, depth: int, n_modes: int, joint_depth: int | None) -> int:
@@ -340,8 +340,9 @@ def _solid_ids(tree: Octree) -> tuple[int, ...]:
     side-1 leaf never does: its block holds its 7 siblings, which the
     canonical tree would have merged with it were they all IN. So only the
     side-2 leaves of the other components are probed, each over its 4x4x4
-    neighborhood, where its 8 cells' blocks are the 8 windows of 3x3x3.
-    Periodic axes wrap; a voxel past a non-wrapping edge is OUT.
+    neighborhood (one ``_probe_leaves`` call), where its 8 cells' blocks are
+    the 8 windows of 3x3x3. Periodic axes wrap; a voxel past a non-wrapping
+    edge is OUT.
     """
     in_big = tree.label & (tree.depth <= tree.max_depth - 2)
     solid = np.unique(tree.comp[in_big])
@@ -350,10 +351,8 @@ def _solid_ids(tree: Octree) -> tuple[int, ...]:
     )
     if ids.size:
         # Voxels -1..2 from the leaf origin on each axis: the leaf is the inner 2x2x2.
-        origins = morton_decode(tree.starts[ids])
-        ox, oy, oz = (o.astype(np.int64)[:, None, None, None] for o in origins)
         r = np.arange(-1, 3)
-        j = _voxel_leaves(tree, ox + r[:, None, None], oy + r[:, None], oz + r)
+        j = _probe_leaves(tree, tree.starts[ids, None, None, None], np.ix_(r, r, r))
         block = (j >= 0) & tree.label[j]
         windows = np.lib.stride_tricks.sliding_window_view(block, (3, 3, 3), axis=(1, 2, 3))
         held = windows.all(axis=(4, 5, 6)).any(axis=(1, 2, 3))
@@ -397,9 +396,9 @@ def enumerate_aspects(
     far costlier than the workspace test. ``modes`` (default all eight) and
     ``det_signs`` choose the (mode, det sign) pairs of the atlas.
     """
-    _check_depth(depth, "depth")
+    depth = _check_depth(depth, "depth")
     if joint_depth is not None:
-        _check_depth(joint_depth, "joint_depth", 0)
+        joint_depth = _check_depth(joint_depth, "joint_depth", 0)
     bad = [sign for sign in det_signs if sign not in (1, -1)]
     if bad:
         raise ValueError(f"det_signs must be +1 or -1, got {bad}")
@@ -516,6 +515,14 @@ class CharacteristicSurface:
         return self.marked_leaves.size == 0
 
 
+def _boundary_pairs(tree: Octree, component_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Face-adjacent (component leaf, OUT leaf) pairs, each found from its smaller side."""
+    k, j = _leaf_adjacency_pairs(tree, np.arange(tree.n_leaves))
+    leaf_in, leaf_out = np.where(tree.label[k], (k, j), (j, k))
+    on = (tree.comp[leaf_in] == component_id) & ~tree.label[leaf_out]
+    return leaf_in[on], leaf_out[on]
+
+
 def characteristic_surface(
     atlas: AspectAtlas,
     mode: WorkingMode,
@@ -537,14 +544,7 @@ def characteristic_surface(
         raise ValueError("atlas workspace tree lacks component labels")
     if component_id < 0 or component_id >= entry.n_components_raw:
         raise ValueError(f"component {component_id} does not exist")
-    # Every face-adjacent leaf pair, found from its smaller side, oriented IN -> OUT.
-    k, j = _leaf_adjacency_pairs(tree, np.arange(tree.n_leaves))
-    cross = tree.label[k] != tree.label[j]
-    k, j = k[cross], j[cross]
-    leaf_in = np.where(tree.label[k], k, j)
-    leaf_out = np.where(tree.label[k], j, k)
-    on = tree.comp[leaf_in] == component_id
-    leaf_in, leaf_out = leaf_in[on], leaf_out[on]
+    leaf_in, leaf_out = _boundary_pairs(tree, component_id)
 
     centers = tree.leaf_centers()
     out_ids = np.unique(leaf_out)

@@ -8,16 +8,16 @@ A tree is stored as its leaf cells in Morton (bit-interleaved, x least
 significant) order: records (morton code at leaf depth, depth, label) that
 tile the root box exactly. Identical-label sibling groups are always merged,
 so the stored form is the canonical minimal tree. One sibling merger,
-``_canonical_tree``, canonicalizes the records of ``loads`` and of the
-Boolean operations in rounds, each merging every complete sibling group at
-any depth, so records already canonical cost one pass; the Boolean
+``_canonical_tree``, canonicalizes the records of label cubes, of ``loads``
+and of the Boolean operations in rounds, each merging every complete sibling
+group at any depth, so records already canonical cost one pass; the Boolean
 operations overlay their operands on the merged sorted leaf starts
 (``_sorted_union``). ``_cube_leaves`` walks an all-IN and an any-IN pyramid of
-each (x, y, z) label cube down to uniform cells. Periodic axes (period 2pi) wrap for
-point location and for adjacency. Neighbors are found
-by probing voxels next to a leaf and searching the leaf starts
-(``_voxel_leaves``): the component labeler, the census's solidity test and
-the characteristic surface's boundary all work on leaves this way.
+each (x, y, z) label cube down to uniform cells. Periodic axes (period 2pi)
+wrap for point location and for adjacency. One probe, ``_probe_leaves``,
+moves max-depth Morton codes by cell offsets in dilated-integer arithmetic and
+searches the leaf starts: point location, the component labeler, the census's
+solidity test and the characteristic surface's boundary find leaves this way.
 
 The ``octree v1`` text dump is handled as whole byte arrays: ``dumps`` fills
 one byte matrix with a row per leaf and keeps each numeral's own digits;
@@ -239,16 +239,11 @@ class Octree:
         return morton_decode(self.starts)
 
     def leaf_box(self, i: int) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        ox, oy, oz = (int(v[i]) for v in self.leaf_origins())
+        origin = [int(v) for v in morton_decode(self.starts[i])]
         span = 1 << (self.max_depth - int(self.depth[i]))
-        n = 1 << self.max_depth
-        lo = []
-        hi = []
-        for axis, o in zip(range(3), (ox, oy, oz)):
-            w = (self.box.hi[axis] - self.box.lo[axis]) / n
-            lo.append(self.box.lo[axis] + o * w)
-            hi.append(self.box.lo[axis] + (o + span) * w)
-        return tuple(lo), tuple(hi)
+        w = self.box.cell_edges(self.max_depth)
+        lo = tuple(self.box.lo[a] + origin[a] * w[a] for a in range(3))
+        return lo, tuple(self.box.lo[a] + (origin[a] + span) * w[a] for a in range(3))
 
     def leaf_centers(self) -> np.ndarray:
         ox, oy, oz = self.leaf_origins()
@@ -355,15 +350,13 @@ def _cube_leaves(labels: np.ndarray, levels: int, roots: np.ndarray):
 
 def _grid_to_tree(labels: np.ndarray, box: Box3, max_depth: int) -> Octree:
     """The canonical tree of a full max-depth label grid, in (x, y, z) order:
-    the one cube of ``_cube_leaves``."""
+    the one cube of ``_cube_leaves``, through the sibling merger."""
     n = 1 << max_depth
     labels = np.asarray(labels, dtype=bool)
     if labels.shape != (n, n, n):
         raise ValueError(f"label grid must have shape {(n, n, n)}, got {labels.shape}")
-    morton, depth, label = _cube_leaves(labels, max_depth, np.zeros(1, dtype=np.uint64))
-    depth = depth.astype(np.uint8)
-    order = np.argsort(morton << _level_shift(max_depth, depth), kind="stable")
-    return Octree(box, max_depth, morton[order], depth[order], label[order])
+    leaves = _cube_leaves(labels, max_depth, np.zeros(1, dtype=np.uint64))
+    return _canonical_tree(box, max_depth, *leaves)
 
 
 def _rasterize(tree: Octree, values: np.ndarray) -> np.ndarray:
@@ -440,43 +433,46 @@ def _components_from_grid(tree: Octree) -> tuple[Octree, int]:
     return replace(tree, comp=comp), count
 
 
-def _voxel_leaves(tree: Octree, ix, iy, iz) -> np.ndarray:
-    """Leaf holding each max-depth voxel (int64 index arrays, broadcast).
+def _probe_leaves(tree: Octree, codes: np.ndarray, offsets) -> np.ndarray:
+    """Leaf holding each max-depth Morton code moved by per-axis cell offsets, or -1.
 
-    Indices wrap on the axes that wrap; a voxel past a non-wrapping edge
-    gets -1.
+    The (x, y, z) ``offsets`` broadcast with ``codes``. Each axis moves by dilated-integer
+    arithmetic (Schrack 1992): set the other axes' bits so a carry runs over them, add
+    the offset mod n = 2^max_depth spread onto the axis, mask back. A wrapping axis wraps
+    by the mask; off any other the voxel has left the box exactly when the offset's floor
+    quotient by n plus the carry out of the axis is not 0.
     """
     n = 1 << tree.max_depth
-    inside = True
-    voxels = []
-    for axis, v in enumerate((ix, iy, iz)):
-        if tree.box.wraps(axis):
-            v = v & (n - 1)
-        else:
-            inside = inside & (v >= 0) & (v < n)
-        voxels.append(v)
-    j = np.searchsorted(tree.starts, morton_encode(*voxels), side="right") - 1
-    return np.where(inside, j, -1)
+    outside = False
+    for axis, step in enumerate(offsets):
+        if not np.any(step):
+            continue
+        step = np.asarray(step, dtype=np.int64)
+        mask = _spread(np.uint64(n - 1)) << np.uint64(axis)
+        moved = ((codes | ~mask) + (_spread(step & (n - 1)) << np.uint64(axis))) & mask
+        if not tree.box.wraps(axis):
+            outside = outside | ((step >> tree.max_depth) + (moved < codes & mask) != 0)
+        codes = codes & ~mask | moved
+    return np.where(outside, -1, np.searchsorted(tree.starts, codes, side="right") - 1)
 
 
 def _leaf_adjacency_pairs(tree: Octree, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Face-adjacent leaf pairs (k, j) (positive-area shared face), k in ``ids``.
 
-    Each leaf k probes the voxel just across each of its 6 faces at the
-    face's minimum corner and finds the leaf j holding it. Leaves are dyadic,
-    so the smaller of two adjacent faces lies inside the larger one: keeping
-    (k, j) when j is no smaller than k finds every adjacent pair of leaves in
-    ``ids`` from its smaller side (from both sides when they are equal).
+    Each leaf k probes (``_probe_leaves``) the voxel just across each of its
+    6 faces at the face's minimum corner and finds the leaf j holding it.
+    Leaves are dyadic, so the smaller of two adjacent faces lies inside the
+    larger one: keeping (k, j) when j is no smaller than k finds every
+    adjacent pair of leaves in ``ids`` from its smaller side (from both sides
+    when they are equal).
     """
-    origins = [o.astype(np.int64) for o in morton_decode(tree.starts[ids])]
+    codes = tree.starts[ids]
     depth = tree.depth[ids]
     side = np.int64(1) << (tree.max_depth - depth.astype(np.int64))
     pairs = []
     for axis in range(3):
         for step in (side, -1):
-            probe = list(origins)
-            probe[axis] = probe[axis] + step
-            j = _voxel_leaves(tree, *probe)
+            j = _probe_leaves(tree, codes, [step if a == axis else 0 for a in range(3)])
             keep = (j >= 0) & (j != ids) & (tree.depth[j] <= depth)
             pairs.append((ids[keep], j[keep]))
     k, j = zip(*pairs)
@@ -542,7 +538,7 @@ def leaf_indices(tree: Octree, points) -> np.ndarray:
         inside &= ok
         w = (hi - lo) / n
         voxels.append(np.clip(np.where(ok, v - lo, 0.0) / w, 0, n - 1).astype(np.int64))
-    return np.where(inside, _voxel_leaves(tree, *voxels), -1)
+    return np.where(inside, _probe_leaves(tree, morton_encode(*voxels), (0, 0, 0)), -1)
 
 
 def locate(tree: Octree, point) -> LeafRecord:

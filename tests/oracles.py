@@ -326,6 +326,23 @@ def boundary_pairs_dense(tree, component_id):
     return np.unique(np.concatenate(pairs), axis=0)
 
 
+def probe_voxel(code, offsets, max_depth, wraps):
+    """The max-depth Morton code of voxel ``code`` moved by ``offsets`` cells
+    per axis, or None past an edge of an axis that does not wrap: decoded bit
+    by bit, stepped, wrapped and encoded again in Python ints."""
+    n = 1 << max_depth
+    moved = 0
+    for axis in range(3):
+        v = sum((int(code) >> (3 * b + axis) & 1) << b for b in range(max_depth))
+        v += int(offsets[axis])
+        if wraps[axis]:
+            v %= n
+        elif not 0 <= v < n:
+            return None
+        moved |= sum((v >> b & 1) << (3 * b + axis) for b in range(max_depth))
+    return moved
+
+
 def leaf_index_scalar(tree, point):
     """Index of the leaf holding a point, or -1 outside the box: periodic
     coordinates folded, the voxel found axis by axis in Python floats, and

@@ -62,6 +62,19 @@ def test_depth_rule_names_the_argument(ref_geom, kwargs):
         enumerate_aspects(ref_geom, **{"depth": 4, **kwargs})
 
 
+def test_numpy_integer_depths_write_the_same_manifest(ref_geom, tmp_path):
+    # The atlas stored a numpy depth as given, so write_manifest wrote the
+    # dumps and a manifest cut off at '"depth":', then raised a TypeError.
+    written = {}
+    for kind, cast in (("int", int), ("numpy", np.int64)):
+        atlas = enumerate_aspects(ref_geom, cast(4), joint_depth=cast(2))
+        assert type(atlas.depth) is int and type(atlas.joint_depth) is int
+        outdir = write_manifest(atlas, tmp_path / kind).parent
+        written[kind] = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+    assert len(written["int"]) == 33
+    assert written["numpy"] == written["int"]
+
+
 def _slot_count(geom, depth) -> int:
     box = workspace_box()
     return len(aspects._brick_slots(aspects._live_bricks(geom, box, depth), box)[0])

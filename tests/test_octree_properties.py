@@ -2,14 +2,20 @@
 
 Inputs are blocky random label grids (a coarse random grid refined to the
 tree depth, with random aligned cubes painted over it) at depths 2-6, on a
-pose box (one periodic axis), the joint box (all periodic) and an all-linear
-box. The tree operations must agree with voxel logic on the rasterized
-grids, and the merger with the stack merger in ``oracles.canonical_cells``,
-also on records split up to three levels below a canonical tree.
+pose box (one periodic axis), the joint box (all periodic), an all-linear
+box and a box whose periodic axis is shorter than 2pi, so it does not wrap.
+The tree operations must agree with voxel logic on the rasterized grids, and
+the merger with the stack merger in ``oracles.canonical_cells``, also on
+records split up to three levels below a canonical tree. The solidity test
+and the characteristic surface's boundary pairs must agree with the dense
+oracles, and the leaf probe with a decode/step/encode oracle at every depth
+up to ``MAX_TREE_DEPTH``.
 ``loads`` must accept exactly the mutated dumps that the regex row grammar
 ``oracles.loads_rows`` accepts.
 """
 
+import itertools
+import math
 import re
 
 import numpy as np
@@ -18,11 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from planar3rrr.aspects import _boundary_pairs, _solid_ids
 from planar3rrr.octree import (
+    MAX_TREE_DEPTH,
     Box3,
     Octree,
     _canonical_tree,
     _grid_to_tree,
+    _probe_leaves,
     _rasterize,
     connected_components,
     dumps,
@@ -40,7 +49,10 @@ BOXES = (
     workspace_box(),
     joint_box(),
     Box3(lo=(-1.0, -2.0, -3.0), hi=(1.0, 2.0, 3.0), axes=("lin", "lin", "lin")),
+    # A periodic axis shorter than 2pi does not wrap.
+    Box3(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, math.pi), axes=("lin", "lin", "per")),
 )
+BOX_IDS = ("workspace", "joint", "linear", "short-periodic")
 
 
 def blocky_grid(rng, depth):
@@ -116,6 +128,70 @@ def test_graph_component_ids_equal_grid_ids(case):
     by_grid, n_grid = connected_components(tree, method="grid")
     assert n_graph == n_grid
     assert np.array_equal(by_graph.comp, by_grid.comp)
+
+
+@PROPERTY_SETTINGS
+@given(case=grid_pairs(depths=(2, 5)))
+def test_solidity_and_boundary_match_dense_oracles(case):
+    # The dense boundary oracle rasterizes the tree per component, so only
+    # three components of each tree are drawn (trees may hold hundreds).
+    box, depth, ga, _, rng = case
+    tree, count = connected_components(_grid_to_tree(ga, box, depth))
+    assert _solid_ids(tree) == oracles.solid_ids_dense(tree)
+    for cid in rng.permutation(count)[:3].tolist():
+        got = np.unique(np.stack(_boundary_pairs(tree, cid), axis=1), axis=0)
+        assert np.array_equal(got, oracles.boundary_pairs_dense(tree, cid).reshape(-1, 2))
+
+
+def voxel_tree(box, max_depth, codes):
+    """An all-OUT tree in which every given max-depth code is a leaf of its
+    own: the ancestors of the codes are split, every other cell is a leaf."""
+    codes = np.unique(np.asarray(codes, dtype=np.uint64))
+    morton, depth = [codes], [np.full(codes.size, max_depth)]
+    for d in range(max_depth):
+        split = np.unique(codes >> np.uint64(3 * (max_depth - d)))
+        kids = (split[:, None] << np.uint64(3) | np.arange(8, dtype=np.uint64)).ravel()
+        kids = kids[~np.isin(kids, codes >> np.uint64(3 * (max_depth - d - 1)))]
+        morton.append(kids)
+        depth.append(np.full(kids.size, d + 1))
+    morton, depth = np.concatenate(morton), np.concatenate(depth)
+    order = np.argsort(morton << (3 * (max_depth - depth)).astype(np.uint64))
+    return Octree(box, max_depth, morton[order], depth[order], np.zeros(morton.size, dtype=bool))
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 7, MAX_TREE_DEPTH])
+@pytest.mark.parametrize("box", BOXES, ids=BOX_IDS)
+def test_probe_matches_the_voxel_oracle(box, max_depth):
+    # Codes at the 8 grid corners and at random, moved by every offset in
+    # -2..2 per axis and by a power-of-two side (1 to n) on one axis, as the
+    # face probes move. At depth 21 a code fills 63 bits, so the carry out of
+    # an axis runs into bit 63 and out of the word.
+    rng = np.random.default_rng(max_depth)
+    n = 1 << max_depth
+    corners = np.array(list(itertools.product((0, n - 1), repeat=3)))
+    codes = np.concatenate((
+        morton_encode(*corners.T),
+        rng.integers(0, 1 << (3 * max_depth), 8, dtype=np.uint64),
+    ))
+    cube = list(itertools.product(range(-2, 3), repeat=3))
+    shape = (len(codes), 12)
+    steps = rng.choice((-1, 1), shape) << rng.integers(0, max_depth + 1, shape)
+    sides = np.eye(3, dtype=np.int64)[rng.integers(0, 3, steps.shape)] * steps[..., None]
+    offsets = np.concatenate((np.broadcast_to(cube, (len(codes), len(cube), 3)), sides), axis=1)
+    wraps = [box.wraps(axis) for axis in range(3)]
+    moved = [
+        [oracles.probe_voxel(c, o, max_depth, wraps) for o in row]
+        for c, row in zip(codes.tolist(), offsets.tolist())
+    ]
+    assert any(m is None for row in moved for m in row) != all(wraps)
+    tree = voxel_tree(box, max_depth, [m for row in moved for m in row if m is not None])
+    # A Python int past 2^53 is searched as a float, so search uint64 codes.
+    want = [
+        [-1 if m is None else int(np.searchsorted(tree.starts, np.uint64(m))) for m in row]
+        for row in moved
+    ]
+    got = _probe_leaves(tree, codes[:, None], tuple(np.moveaxis(offsets, 2, 0)))
+    assert got.tolist() == want
 
 
 @PROPERTY_SETTINGS

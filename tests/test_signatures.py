@@ -15,10 +15,14 @@ defaulting to True or False. A flag next to a value can cancel it without a
 word (a flag that turned joint trees off silently dropped the joint depth);
 a value that is given or not, such as an optional depth, says the same in one
 parameter.
+
+Voxel coordinates stay behind the octree's probe: no module but ``octree``
+decodes a Morton code.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -136,3 +140,25 @@ def test_no_function_takes_a_flag():
     assert "planar3rrr.aspects.enumerate_aspects" in functions
     flags = {name: _flag_parameters(fn) for name, fn in functions.items()}
     assert {name: params for name, params in flags.items() if params} == {}
+
+
+def _names(module) -> set[str]:
+    """Every name a module imports, reads or takes as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_only_octree_decodes_morton_codes():
+    modules = [planar3rrr] + [
+        importlib.import_module(f"planar3rrr.{info.name}")
+        for info in pkgutil.iter_modules(planar3rrr.__path__)
+    ]
+    decoding = [m.__name__ for m in modules if "morton_decode" in _names(m)]
+    assert decoding == ["planar3rrr.octree"]
