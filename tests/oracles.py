@@ -1,8 +1,9 @@
-"""Independent brute-force oracles for the kinematic solvers and octrees.
+"""Independent brute-force oracles for the kinematic solvers, octrees and profiles.
 
 Everything here works from the raw geometry definition (triangle phases and
-bar lengths) with plain trigonometry, or from plain lists of octree cells and
-dump text; nothing calls the solvers, the merger or the dump parser under test.
+bar lengths) with plain trigonometry, from plain lists of octree cells and
+dump text, or from Python's own "%.9g"; nothing calls the solvers, the merger,
+the dump parser or the profile writer under test.
 """
 
 import math
@@ -569,3 +570,13 @@ def elbow_screen_per_row(geom, bx, by):
         w = q1 * d2.conjugate() - q2 * d1.conjugate()
         degenerate.append(abs(c) + abs(w) <= 1e-12 * (abs(q1) + abs(d1)) * (abs(q2) + abs(d2)))
     return np.array(live), np.array(degenerate)
+
+
+def write_profile_rows(result, path, header):
+    """The profile CSV as Python's "%.9g" writes it, one row at a time."""
+    rec = result.records
+    cols = [np.degrees(rec.theta) if name == "theta" else rec[name] for name in rec.dtype.names]
+    row = ",".join(["%.9g"] * len(cols)) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row % cells for cells in zip(*(col.tolist() for col in cols)))

@@ -2,10 +2,13 @@ import csv
 import dataclasses
 import importlib
 import math
+import struct
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import ALPHA_REF, VIA_POSTURE, posture
@@ -17,14 +20,18 @@ from planar3rrr.errors import (
     UnreachableError,
     UnreachableSampleError,
 )
-from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, angle_difference
+from planar3rrr.geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, angle_difference
 from planar3rrr.trajectory import (
+    _PROFILE_BLOCK,
     PROFILE_HEADER,
+    RECORD_FIELDS,
+    MonitorResult,
     PathSpec,
     VERDICT_CHANGE,
     VERDICT_NO_CHANGE,
     VERDICT_NON_SINGULAR,
     VERDICT_SINGULAR,
+    _csv_bytes,
     interpolate,
     monitor,
     verify_assembly_mode_change,
@@ -150,6 +157,27 @@ def test_singular_crossing_detected(ref_geom):
     assert 0.0 < result.offending_t <= 1.0
 
 
+#: A mode-D path of the default geometry whose det(A) changes sign near
+#: t = 0.48 and back before t = 1, so both end samples share a sign.
+EXCURSION = (Pose(-0.01797018, 4.28208847, 0.13077056), Pose(-0.58335833, 5.19348287, -0.14556115))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the monitor judges the samples only: two samples miss the det(A) sign "
+    "excursion between them",
+)
+def test_sign_excursion_between_two_samples_is_caught(default_geom):
+    result = monitor(default_geom, PathSpec(EXCURSION, WorkingMode.D, samples_per_segment=2))
+    assert result.verdict == VERDICT_SINGULAR
+
+
+def test_sign_excursion_is_caught_at_a_middle_sample(default_geom):
+    result = monitor(default_geom, PathSpec(EXCURSION, WorkingMode.D, samples_per_segment=3))
+    assert result.verdict == VERDICT_SINGULAR
+    assert result.offending_t == 0.5
+
+
 def test_unreachable_sample_aborts(ref_geom):
     spec = PathSpec(
         waypoints=(posture(1), Pose(30.0, 0.0, 0.0)), mode=MODE, samples_per_segment=50
@@ -260,6 +288,92 @@ def test_profile_export(ref_geom, tmp_path):
     path2 = tmp_path / "profile2.csv"
     write_profile(monitor(ref_geom, _benchmark_spec(spp=20)), path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+#: The ends of the profile kernel's domain [1e-4, 1e8) and of nine-digit rounding.
+PROFILE_EDGES = (9.9999999995e-5, 1e-4, 99999999.5, 1e8, 999999999.5, 1e9)
+
+
+def _with_neighbours(x: float) -> tuple[float, float, float]:
+    return (x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf))
+
+
+def _percent_g_rows(columns) -> bytes:
+    """What the kernel must return: each row led by a newline, every cell "%.9g"."""
+    rows = zip(*(col.tolist() for col in columns))
+    return "".join("\n" + ",".join("%.9g" % x for x in row) for row in rows).encode("ascii")
+
+
+def _near_tie(m: int, k: int) -> float:
+    """The double nearest to the 10-digit decimal m (ending in 5) times 10**(k - 9)."""
+    return float(f"{m}e{k - 9}")
+
+
+bit_floats = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+near_ties = st.builds(
+    lambda m, k, i: _with_neighbours(_near_tie(10 * m + 5, k))[i],
+    st.integers(10**8, 10**9 - 1),
+    st.integers(-12, 5),
+    st.integers(0, 2),
+)
+edges = st.builds(lambda x, i: _with_neighbours(x)[i], st.sampled_from(PROFILE_EDGES), st.integers(0, 2))
+cells = st.builds(lambda x, neg: -x if neg else x, st.one_of(bit_floats, near_ties, edges), st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(cells, min_size=1, max_size=60), cols=st.integers(1, 15))
+def test_profile_kernel_matches_percent_g(values, cols):
+    cols = min(cols, len(values))
+    table = np.array(values[: len(values) // cols * cols]).reshape(-1, cols)
+    assert _csv_bytes(list(table.T)) == _percent_g_rows(list(table.T))
+
+
+def test_profile_kernel_matches_percent_g_on_a_million_values():
+    # Random bit patterns (subnormals, zeros, NaN and infinities among them),
+    # log-uniform magnitudes across the domain and constructed near-ties with
+    # both neighbours, in chunks of 15 columns.
+    rng = np.random.default_rng(32)
+    m = rng.integers(10**8, 10**9, 170_000) * 10 + 5
+    k = rng.integers(-12, 6, m.size)
+    ties = np.array([_near_tie(*mk) for mk in zip(m.tolist(), k.tolist())])
+    values = np.concatenate([
+        rng.integers(0, 2**64, 250_000, dtype=np.uint64).view(np.float64),
+        10.0 ** rng.uniform(-5.0, 9.5, 250_000),
+        ties,
+        np.nextafter(ties, np.inf),
+        np.nextafter(ties, -np.inf),
+    ])
+    values.view(np.uint64)[rng.random(values.size) < 0.5] ^= np.uint64(1 << 63)
+    assert values.size >= 1_000_000
+    for chunk in np.array_split(values[: values.size // 15 * 15].reshape(-1, 15), 20):
+        columns = list(chunk.T)
+        assert _csv_bytes(columns) == _percent_g_rows(columns)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2 * _PROFILE_BLOCK + 7])
+def test_write_profile_matches_the_row_oracle(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    special = [y for x in PROFILE_EDGES for y in _with_neighbours(x)]
+    special += [0.0, 5e-324, np.inf, np.nan, 1.2345678e-100, 1.0, 100.0, 12345678.0]
+    special += [_near_tie(1234567895, k) for k in range(-12, 6)]
+    pool = np.concatenate([special, -np.array(special), rng.normal(0.0, 50.0, 64)])
+    table = rng.choice(pool, size=(rows, 15))
+    table.ravel()[: min(pool.size, table.size)] = pool[: table.size]
+    table[:, 3] = rng.uniform(-math.pi, math.pi, rows)  # theta is written in degrees
+    result = MonitorResult(
+        geom=GeometryConfig(),
+        eps=EPS_SING,
+        mode=MODE,
+        records=np.rec.fromarrays(list(table.T), names=RECORD_FIELDS),
+        verdict=VERDICT_NON_SINGULAR,
+        offending_t=None,
+        min_abs_det_scaled=1.0,
+        min_abs_b=1.0,
+        det_sign=1,
+    )
+    write_profile(result, tmp_path / "blocks.csv")
+    oracles.write_profile_rows(result, tmp_path / "rows.csv", PROFILE_HEADER)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_verify_assembly_mode_change_benchmark(ref_geom, atlas):
