@@ -19,14 +19,14 @@ solid components, those containing at least one cell whose full 3x3x3 cell
 neighborhood is IN; thinner debris is below the resolution of the
 subdivision and is labeled but not counted. Components come from the leaf
 labeler (``octree.connected_components``), and solidity is decided on the
-leaves too (``_solid_ids``), without a voxel grid.
+leaves too (``octree.solid_components``), without a voxel grid.
 
 The workspace census works on bricks of 2^BRICK_LEVELS cells per axis, and no
 array spans the 2^(3 depth) cells. A brick is dead when some leg provably
 misses its closed box (``_live_bricks``); the live bricks store det(A) signs
 at the corners each owns (``_corner_signs``), take their far faces from the
-next brick (``_brick_corners``), and build each pair's leaves with the leaf
-builder of ``_grid_to_tree`` (``_brick_tree``); the dead bricks are OUT.
+next brick (``_brick_corners``), and are each pair's label cubes over the
+brick lattice's tree (``octree.cube_tree``), whose dead bricks are OUT.
 
 A joint cell is IN for a (mode, det sign) pair when some assembly pose of
 its center's actuated angles realizes that pair (``batch.assembly_modes``).
@@ -50,17 +50,15 @@ from .octree import (
     WORKSPACE_LIMIT,
     Box3,
     Octree,
-    _canonical_tree,
-    _cube_leaves,
     _grid_to_tree,
-    _leaf_adjacency_pairs,
-    _probe_leaves,
-    _sorted_union,
+    boundary_pairs,
     connected_components,
+    cube_tree,
     joint_box,
     leaf_indices,
     locate,
     morton_encode,
+    solid_components,
     workspace_box,
 )
 
@@ -319,47 +317,6 @@ def _corner_expand(vals: np.ndarray) -> np.ndarray:
     return v[..., :-1] & v[..., 1:]
 
 
-def _brick_tree(cells: np.ndarray, codes: np.ndarray, out, box: Box3, depth: int) -> Octree:
-    """The canonical tree of the live bricks' (L, k, k, k) cells, at Morton
-    codes ``codes``, and the OUT leaves ``out`` (morton, depth) of the rest."""
-    k = cells.shape[-1]
-    morton, level, label = _cube_leaves(cells.reshape(-1, k, k), BRICK_LEVELS, codes)
-    return _canonical_tree(
-        box,
-        depth,
-        np.concatenate((morton, out[0])),
-        np.concatenate((level + (depth - BRICK_LEVELS), out[1])),
-        np.concatenate((label, np.zeros(len(out[0]), dtype=bool))),
-    )
-
-
-def _solid_ids(tree: Octree) -> tuple[int, ...]:
-    """Ids of the components that hold a cell whose whole 3x3x3 block is IN.
-
-    A leaf of side 4 or more holds such a cell, so its component is solid. A
-    side-1 leaf never does: its block holds its 7 siblings, which the
-    canonical tree would have merged with it were they all IN. So only the
-    side-2 leaves of the other components are probed, each over its 4x4x4
-    neighborhood (one ``_probe_leaves`` call), where its 8 cells' blocks are
-    the 8 windows of 3x3x3. Periodic axes wrap; a voxel past a non-wrapping
-    edge is OUT.
-    """
-    in_big = tree.label & (tree.depth <= tree.max_depth - 2)
-    solid = np.unique(tree.comp[in_big])
-    ids = np.flatnonzero(
-        tree.label & (tree.depth == tree.max_depth - 1) & ~np.isin(tree.comp, solid)
-    )
-    if ids.size:
-        # Voxels -1..2 from the leaf origin on each axis: the leaf is the inner 2x2x2.
-        r = np.arange(-1, 3)
-        j = _probe_leaves(tree, tree.starts[ids, None, None, None], np.ix_(r, r, r))
-        block = (j >= 0) & tree.label[j]
-        windows = np.lib.stride_tricks.sliding_window_view(block, (3, 3, 3), axis=(1, 2, 3))
-        held = windows.all(axis=(4, 5, 6)).any(axis=(1, 2, 3))
-        solid = _sorted_union(solid, tree.comp[ids[held]])
-    return tuple(int(c) for c in solid)
-
-
 def _joint_flag_grids(geom: GeometryConfig, depth: int):
     """Boolean grids flags[mode_idx][sign_idx] of ``joint_box()`` from one direct-kinematics sweep.
 
@@ -393,17 +350,22 @@ def enumerate_aspects(
     classified at its eight corners. Joint trees over ``joint_box()`` are
     built exactly when ``joint_depth`` is given, with cells classified at
     their centers; every joint cell needs a full direct-kinematics solve,
-    far costlier than the workspace test. ``modes`` (default all eight) and
-    ``det_signs`` choose the (mode, det sign) pairs of the atlas.
+    far costlier than the workspace test. ``modes`` (distinct ``WorkingMode``
+    members, default all eight) and ``det_signs`` (distinct, each +1 or -1)
+    choose the (mode, det sign) pairs; ValueError names a bad one or ``limit``.
     """
     depth = _check_depth(depth, "depth")
     if joint_depth is not None:
         joint_depth = _check_depth(joint_depth, "joint_depth", 0)
     bad = [sign for sign in det_signs if sign not in (1, -1)]
-    if bad:
-        raise ValueError(f"det_signs must be +1 or -1, got {bad}")
-    box = workspace_box(limit)
+    if bad or len(set(det_signs)) < len(det_signs):
+        raise ValueError(f"det_signs must be distinct values +1 or -1, got {list(det_signs)}")
     modes = list(modes) if modes is not None else list(WorkingMode)
+    if not all(isinstance(m, WorkingMode) for m in modes) or len(set(modes)) < len(modes):
+        raise ValueError(f"modes must be distinct WorkingMode members, got {modes}")
+    if not 0 < limit < math.inf:
+        raise ValueError(f"limit must be positive and finite, got {limit!r}")
+    box = workspace_box(limit)
     live = _live_bricks(geom, box, depth)
     slots, index = _brick_slots(live, box)
     need, budget = census_bytes(len(slots), depth, len(modes), joint_depth), memory_budget()
@@ -417,9 +379,7 @@ def enumerate_aspects(
     signs = _corner_signs(geom, box, depth, modes, slots)
     bricks = slots[: np.count_nonzero(live)]
     near = _neighbor_slots(bricks, index, box)
-    codes = morton_encode(*bricks.T)
     lattice = _grid_to_tree(live, box, depth - BRICK_LEVELS)
-    out = (lattice.morton[~lattice.label], lattice.depth[~lattice.label])
     joint_flags = None if joint_depth is None else _joint_flag_grids(geom, joint_depth)
 
     entries: dict[tuple[WorkingMode, int], AspectEntry] = {}
@@ -427,9 +387,9 @@ def enumerate_aspects(
         k = batch.MODE_ORDER.index(mode)
         corners = _brick_corners(signs[j], near)
         for sign in det_signs:
-            tree = _brick_tree(_corner_expand(corners == sign), codes, out, box, depth)
+            tree = cube_tree(box, depth, _corner_expand(corners == sign), bricks, lattice)
             tree, count_raw = connected_components(tree)
-            solid = _solid_ids(tree)
+            solid = solid_components(tree)
             in_mask = tree.label
             comp_in = tree.comp[in_mask]
             leaf_counts = np.bincount(comp_in, minlength=count_raw)
@@ -515,14 +475,6 @@ class CharacteristicSurface:
         return self.marked_leaves.size == 0
 
 
-def _boundary_pairs(tree: Octree, component_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Face-adjacent (component leaf, OUT leaf) pairs, each found from its smaller side."""
-    k, j = _leaf_adjacency_pairs(tree, np.arange(tree.n_leaves))
-    leaf_in, leaf_out = np.where(tree.label[k], (k, j), (j, k))
-    on = (tree.comp[leaf_in] == component_id) & ~tree.label[leaf_out]
-    return leaf_in[on], leaf_out[on]
-
-
 def characteristic_surface(
     atlas: AspectAtlas,
     mode: WorkingMode,
@@ -544,7 +496,7 @@ def characteristic_surface(
         raise ValueError("atlas workspace tree lacks component labels")
     if component_id < 0 or component_id >= entry.n_components_raw:
         raise ValueError(f"component {component_id} does not exist")
-    leaf_in, leaf_out = _boundary_pairs(tree, component_id)
+    leaf_in, leaf_out = boundary_pairs(tree, component_id)
 
     centers = tree.leaf_centers()
     out_ids = np.unique(leaf_out)

@@ -1,8 +1,8 @@
 """Labeled octrees over (x, y, theta) or joint space.
 
-Trees come from label cubes (``_cube_leaves``: one full grid in
-``_grid_to_tree``, or the aspect census's bricks of corner-classified cells),
-from a dump (``loads``) or from the Boolean operations.
+Trees come from label cubes (``cube_tree``: bricks over a coarser background
+tree, or one full grid in ``_grid_to_tree``), from a dump (``loads``) or from
+the Boolean operations. Only this module knows the leaf layout.
 
 A tree is stored as its leaf cells in Morton (bit-interleaved, x least
 significant) order: records (morton code at leaf depth, depth, label) that
@@ -16,8 +16,8 @@ operations overlay their operands on the merged sorted leaf starts
 each (x, y, z) label cube down to uniform cells. Periodic axes (period 2pi)
 wrap for point location and for adjacency. One probe, ``_probe_leaves``,
 moves max-depth Morton codes by cell offsets in dilated-integer arithmetic and
-searches the leaf starts: point location, the component labeler, the census's
-solidity test and the characteristic surface's boundary find leaves this way.
+searches the leaf starts: point location, the component labeler,
+``solid_components`` and ``boundary_pairs`` find leaves this way.
 
 The ``octree v1`` text dump is handled as whole byte arrays: ``dumps`` fills
 one byte matrix with a row per leaf and keeps each numeral's own digits;
@@ -348,15 +348,31 @@ def _cube_leaves(labels: np.ndarray, levels: int, roots: np.ndarray):
     return codes, np.repeat(np.arange(levels + 1), [len(f[1]) for f in leaves]), label
 
 
+def cube_tree(box: Box3, max_depth: int, cubes, origins, background=None) -> Octree:
+    """The canonical tree of (m, s, s, s) label cubes in (x, y, z) order, s = 2^k,
+    cube j over the max-depth cells s ``origins[j]`` + [0, s)^3, in any order,
+    with the OUT leaves of a coarser ``background`` tree of the box filling the
+    rest. Cells covered twice or not at all fail the tiling check of ``Octree``.
+    """
+    s = np.shape(cubes)[-1]
+    levels = s.bit_length() - 1
+    cubes = np.asarray(cubes, dtype=bool).reshape(-1, s, s)
+    morton, level, label = _cube_leaves(cubes, levels, morton_encode(*np.transpose(origins)))
+    columns = (morton, level + (max_depth - levels), label)
+    if background is not None:
+        parts = (background.morton, background.depth, background.label)
+        columns = (np.concatenate((c, b[~background.label])) for c, b in zip(columns, parts))
+    return _canonical_tree(box, max_depth, *columns)
+
+
 def _grid_to_tree(labels: np.ndarray, box: Box3, max_depth: int) -> Octree:
     """The canonical tree of a full max-depth label grid, in (x, y, z) order:
-    the one cube of ``_cube_leaves``, through the sibling merger."""
+    ``cube_tree`` of the one cube."""
     n = 1 << max_depth
     labels = np.asarray(labels, dtype=bool)
     if labels.shape != (n, n, n):
         raise ValueError(f"label grid must have shape {(n, n, n)}, got {labels.shape}")
-    leaves = _cube_leaves(labels, max_depth, np.zeros(1, dtype=np.uint64))
-    return _canonical_tree(box, max_depth, *leaves)
+    return cube_tree(box, max_depth, labels[None], np.zeros((1, 3), dtype=np.int64))
 
 
 def _rasterize(tree: Octree, values: np.ndarray) -> np.ndarray:
@@ -516,6 +532,43 @@ def connected_components(tree: Octree, method: str = "graph") -> tuple[Octree, i
     if method == "graph":
         return _components_from_graph(tree)
     raise ValueError(f"unknown method {method!r}")
+
+
+def solid_components(tree: Octree) -> tuple[int, ...]:
+    """Ids of the components of a labeled tree that hold a cell whose whole
+    3x3x3 block is IN.
+
+    A leaf of side 4 or more holds such a cell, so its component is solid. A
+    side-1 leaf never does: its block holds its 7 siblings, which the
+    canonical tree would have merged with it were they all IN. So only the
+    side-2 leaves of the other components are probed, each over its 4x4x4
+    neighborhood (one ``_probe_leaves`` call), where its 8 cells' blocks are
+    the 8 windows of 3x3x3. Periodic axes wrap; a voxel past a non-wrapping
+    edge is OUT.
+    """
+    in_big = tree.label & (tree.depth <= tree.max_depth - 2)
+    solid = np.unique(tree.comp[in_big])
+    ids = np.flatnonzero(
+        tree.label & (tree.depth == tree.max_depth - 1) & ~np.isin(tree.comp, solid)
+    )
+    if ids.size:
+        # Voxels -1..2 from the leaf origin on each axis: the leaf is the inner 2x2x2.
+        r = np.arange(-1, 3)
+        j = _probe_leaves(tree, tree.starts[ids, None, None, None], np.ix_(r, r, r))
+        block = (j >= 0) & tree.label[j]
+        windows = np.lib.stride_tricks.sliding_window_view(block, (3, 3, 3), axis=(1, 2, 3))
+        held = windows.all(axis=(4, 5, 6)).any(axis=(1, 2, 3))
+        solid = _sorted_union(solid, tree.comp[ids[held]])
+    return tuple(int(c) for c in solid)
+
+
+def boundary_pairs(tree: Octree, component_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Face-adjacent (component leaf, OUT leaf) pairs of a labeled tree, each
+    found from its smaller side."""
+    k, j = _leaf_adjacency_pairs(tree, np.arange(tree.n_leaves))
+    leaf_in, leaf_out = np.where(tree.label[k], (k, j), (j, k))
+    on = (tree.comp[leaf_in] == component_id) & ~tree.label[leaf_out]
+    return leaf_in[on], leaf_out[on]
 
 
 def leaf_indices(tree: Octree, points) -> np.ndarray:

@@ -52,8 +52,14 @@ class PathSpec:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         if len(self.waypoints) < 2:
             raise ValueError("a path needs at least two waypoints")
-        if self.samples_per_segment < 2:
-            raise ValueError("samples_per_segment must be at least 2")
+        bad = [w for w in self.waypoints if not isinstance(w, Pose)]
+        if bad:
+            raise TypeError(f"waypoints must be Pose values, got {bad[0]!r}")
+        if not isinstance(self.mode, WorkingMode):
+            raise TypeError(f"mode must be a WorkingMode, got {self.mode!r}")
+        n = self.samples_per_segment
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+            raise ValueError(f"samples_per_segment must be an integer of at least 2, got {n!r}")
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def test_census_refuses_a_non_finite_limit(ref_geom, monkeypatch, limit):
         raise AssertionError("the census started")
 
     monkeypatch.setattr(aspects, "_live_bricks", no_bricks)
-    with pytest.raises(ValueError, match=r"^axis 0: bounds must be finite"):
+    with pytest.raises(ValueError, match=r"^limit must be positive and finite"):
         enumerate_aspects(ref_geom, depth=4, limit=limit)
 
 
@@ -277,6 +277,24 @@ def test_det_signs_validation(ref_geom):
     for bad in ((0,), (1, 2), (-1, 0.5)):
         with pytest.raises(ValueError):
             enumerate_aspects(ref_geom, depth=4, det_signs=bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        # A mode letter used to raise AttributeError from batch.
+        ({"modes": ["a"]}, "modes"),
+        # Repeated pairs used to be built twice, one copy kept.
+        ({"modes": [WorkingMode.A, WorkingMode.A]}, "modes"),
+        ({"det_signs": (1, 1)}, "det_signs"),
+        # A negative limit used to fail as "axis 0: hi must exceed lo".
+        ({"limit": -3.0}, "limit"),
+        ({"limit": 0.0}, "limit"),
+    ],
+)
+def test_census_refuses_bad_pair_selection_and_limit(ref_geom, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        enumerate_aspects(ref_geom, depth=4, **kwargs)
 
 
 def test_atlas_structure(atlas6):

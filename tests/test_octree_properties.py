@@ -6,8 +6,9 @@ pose box (one periodic axis), the joint box (all periodic), an all-linear
 box and a box whose periodic axis is shorter than 2pi, so it does not wrap.
 The tree operations must agree with voxel logic on the rasterized grids, and
 the merger with the stack merger in ``oracles.canonical_cells``, also on
-records split up to three levels below a canonical tree. The solidity test
-and the characteristic surface's boundary pairs must agree with the dense
+records split up to three levels below a canonical tree, and label cubes
+placed over a coarser lattice (``cube_tree``) with the one-grid builder.
+``solid_components`` and ``boundary_pairs`` must agree with the dense
 oracles, and the leaf probe with a decode/step/encode oracle at every depth
 up to ``MAX_TREE_DEPTH``.
 ``loads`` must accept exactly the mutated dumps that the regex row grammar
@@ -24,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from planar3rrr.aspects import _boundary_pairs, _solid_ids
 from planar3rrr.octree import (
     MAX_TREE_DEPTH,
     Box3,
@@ -33,12 +33,15 @@ from planar3rrr.octree import (
     _grid_to_tree,
     _probe_leaves,
     _rasterize,
+    boundary_pairs,
     connected_components,
+    cube_tree,
     dumps,
     intersect,
     joint_box,
     loads,
     morton_encode,
+    solid_components,
     subtract,
     union,
     workspace_box,
@@ -137,10 +140,44 @@ def test_solidity_and_boundary_match_dense_oracles(case):
     # three components of each tree are drawn (trees may hold hundreds).
     box, depth, ga, _, rng = case
     tree, count = connected_components(_grid_to_tree(ga, box, depth))
-    assert _solid_ids(tree) == oracles.solid_ids_dense(tree)
+    assert solid_components(tree) == oracles.solid_ids_dense(tree)
     for cid in rng.permutation(count)[:3].tolist():
-        got = np.unique(np.stack(_boundary_pairs(tree, cid), axis=1), axis=0)
+        got = np.unique(np.stack(boundary_pairs(tree, cid), axis=1), axis=0)
         assert np.array_equal(got, oracles.boundary_pairs_dense(tree, cid).reshape(-1, 2))
+
+
+@st.composite
+def brick_layouts(draw):
+    """(depth, levels, live brick mask, (m, s, s, s) brick cubes, (m, 3) brick
+    origins, dense grid, numpy generator): blocky cubes of s = 2^levels cells
+    on the live bricks of a random lattice (all live, none, or some), OUT
+    elsewhere in the dense grid."""
+    depth = draw(st.integers(1, 5))
+    levels = draw(st.integers(1, depth))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nb, s = 1 << (depth - levels), 1 << levels
+    live = rng.random((nb,) * 3) < draw(st.sampled_from((0.0, 0.4, 1.0)))
+    origins = np.argwhere(live)
+    cubes = np.array([blocky_grid(rng, levels) for _ in origins], dtype=bool).reshape(-1, s, s, s)
+    grid = np.zeros((1 << depth,) * 3, dtype=bool)
+    for (x, y, z), cube in zip(origins * s, cubes):
+        grid[x : x + s, y : y + s, z : z + s] = cube
+    return depth, levels, live, cubes, origins, grid, rng
+
+
+@PROPERTY_SETTINGS
+@given(case=brick_layouts())
+def test_cube_tree_over_a_lattice_equals_the_dense_builder(case):
+    # The census's brick trees: label cubes at brick origins, in any order,
+    # over the OUT leaves of the brick lattice's tree.
+    depth, levels, live, cubes, origins, grid, rng = case
+    order = rng.permutation(len(origins))
+    for box in BOXES:
+        lattice = _grid_to_tree(live, box, depth - levels)
+        tree = cube_tree(box, depth, cubes[order], origins[order], lattice)
+        assert dumps(tree) == dumps(_grid_to_tree(grid, box, depth))
+        if live.all():
+            assert dumps(cube_tree(box, depth, cubes, origins)) == dumps(tree)
 
 
 def voxel_tree(box, max_depth, codes):

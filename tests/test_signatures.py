@@ -17,7 +17,9 @@ a value that is given or not, such as an optional depth, says the same in one
 parameter.
 
 Voxel coordinates stay behind the octree's probe: no module but ``octree``
-decodes a Morton code.
+decodes a Morton code. The leaf layout stays behind ``octree`` too: no other
+module imports its private names (but ``_grid_to_tree``, whose calls the
+benchmark traces as a layer) or reads a tree's leaf ``starts`` or ``sizes``.
 """
 
 from __future__ import annotations
@@ -162,3 +164,47 @@ def test_only_octree_decodes_morton_codes():
     ]
     decoding = [m.__name__ for m in modules if "morton_decode" in _names(m)]
     assert decoding == ["planar3rrr.octree"]
+
+
+#: The one private octree name other modules may call: the benchmark traces
+#: its calls (``bench/spans.py``) as the ``octree.grid_to_tree`` layer.
+OCTREE_SHARED = {"_grid_to_tree"}
+
+
+def _leaf_layout_reads(source: str) -> list[str]:
+    """Private ``octree`` names that ``source`` imports or reads, and the leaf
+    ``starts`` or ``sizes`` it reads, in order of appearance."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "octree":
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute):
+            on_octree = isinstance(node.value, ast.Name) and node.value.id == "octree"
+            if node.attr in ("starts", "sizes") or (on_octree and node.attr.startswith("_")):
+                found.append(node.attr)
+    return [name for name in found if name not in OCTREE_SHARED]
+
+
+def test_the_lint_sees_the_leaf_layout():
+    source = """
+from .octree import Octree, _grid_to_tree, _probe_leaves, cube_tree
+from planar3rrr.octree import _canonical_tree
+from . import octree
+def solid(tree):
+    return octree._sorted_union(tree.starts, tree.sizes), octree.cube_tree, tree.label
+"""
+    assert _leaf_layout_reads(source) == [
+        "_probe_leaves", "_canonical_tree", "_sorted_union", "starts", "sizes"
+    ]
+    assert _leaf_layout_reads("from .octree import _grid_to_tree, solid_components") == []
+
+
+def test_only_octree_knows_the_leaf_layout():
+    modules = [planar3rrr] + [
+        importlib.import_module(f"planar3rrr.{info.name}")
+        for info in pkgutil.iter_modules(planar3rrr.__path__)
+    ]
+    reads = {m.__name__: _leaf_layout_reads(inspect.getsource(m)) for m in modules}
+    assert "planar3rrr.aspects" in reads
+    del reads["planar3rrr.octree"]
+    assert {name: found for name, found in reads.items() if found} == {}

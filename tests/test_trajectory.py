@@ -62,6 +62,24 @@ def test_spec_validation():
         PathSpec(waypoints=(posture(1), posture(4)), mode=MODE, samples_per_segment=1)
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        # 2.5 samples used to give samples at t = 0, 0.667 and 1.333.
+        ("samples_per_segment", 2.5, ValueError),
+        ("samples_per_segment", 3.0, ValueError),
+        ("samples_per_segment", "500", ValueError),
+        # Plain tuples and a mode letter used to fail deep inside the monitor.
+        ("waypoints", ((0.1, 2.0, 0.3), (0.2, 2.0, 0.3)), TypeError),
+        ("mode", "c", TypeError),
+    ],
+)
+def test_spec_refuses_malformed_fields(field, value, error):
+    fields = {"waypoints": (posture(1), posture(4)), "mode": MODE, "samples_per_segment": 50}
+    with pytest.raises(error, match=field):
+        PathSpec(**{**fields, field: value})
+
+
 def test_constant_path(ref_geom):
     spec = PathSpec(waypoints=(posture(1), posture(1)), mode=MODE, samples_per_segment=50)
     poses = interpolate(spec)
