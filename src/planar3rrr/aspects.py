@@ -62,7 +62,8 @@ from .octree import (
     workspace_box,
 )
 
-_SIGN_TAG = {1: "pos", -1: "neg"}
+#: File-name tag of a det(A) sign.
+SIGN_TAG = {1: "pos", -1: "neg"}
 
 #: Octree depths the census accepts.
 MIN_DEPTH = 4
@@ -154,7 +155,7 @@ class AspectAtlas:
         return self.entries[(mode, det_sign)]
 
 
-def _check_depth(depth, name: str, lo: int = MIN_DEPTH) -> int:
+def check_depth(depth, name: str, lo: int = MIN_DEPTH) -> int:
     """``depth`` as an int, by the one depth rule: an integer, not a bool, in [lo, MAX_DEPTH]."""
     whole = isinstance(depth, (int, np.integer)) and not isinstance(depth, bool)
     if not (whole and lo <= depth <= MAX_DEPTH):
@@ -213,13 +214,9 @@ def _live_bricks(geom: GeometryConfig, box: Box3, depth: int) -> np.ndarray:
     annulus by more than REACH_SKIP_MARGIN. Every corner of a dead brick is
     then off reach.
     """
-    n = 1 << depth
-    k = 1 << BRICK_LEVELS
-    lo, hi = [], []
-    for axis in range(3):
-        edges = box.lo[axis] + np.arange(0, n + 1, k) * ((box.hi[axis] - box.lo[axis]) / n)
-        lo.append(edges[:-1])
-        hi.append(edges[1:])
+    bricks = np.arange(0, (1 << depth) + 1, 1 << BRICK_LEVELS)
+    edges = [box.grid(axis, depth, bricks) for axis in range(3)]
+    lo, hi = [e[:-1] for e in edges], [e[1:] for e in edges]
     s, margin = geom.s, REACH_SKIP_MARGIN * geom.reach_max**2
     live = True
     for (ax, ay), psi in zip(geom.base_points, geom.platform_phase):
@@ -265,7 +262,6 @@ def _corner_signs(geom: GeometryConfig, box: Box3, depth: int, modes, slots: np.
     whole, though only its first corner there is read. det(A) is evaluated
     only at the corners in reach, SLAB_POINTS // k^3 slots per call.
     """
-    n = 1 << depth
     k = 1 << BRICK_LEVELS
     signs = np.zeros((len(modes), len(slots) + 1, k, k, k), dtype=np.int8)
     step = max(1, SLAB_POINTS >> (3 * BRICK_LEVELS))
@@ -273,8 +269,7 @@ def _corner_signs(geom: GeometryConfig, box: Box3, depth: int, modes, slots: np.
         b = min(a + step, len(slots))
         coords = []
         for axis in range(3):
-            i = slots[a:b, axis, None] * k + np.arange(k)
-            c = box.lo[axis] + i * ((box.hi[axis] - box.lo[axis]) / n)
+            c = box.grid(axis, depth, slots[a:b, axis, None] * k + np.arange(k))
             coords.append(c.reshape([b - a] + [k if t == axis else 1 for t in range(3)]))
         reach, dets = batch.mode_determinants(geom, *coords, modes)
         at = np.flatnonzero(reach)
@@ -350,20 +345,21 @@ def enumerate_aspects(
     classified at its eight corners. Joint trees over ``joint_box()`` are
     built exactly when ``joint_depth`` is given, with cells classified at
     their centers; every joint cell needs a full direct-kinematics solve,
-    far costlier than the workspace test. ``modes`` (distinct ``WorkingMode``
-    members, default all eight) and ``det_signs`` (distinct, each +1 or -1)
-    choose the (mode, det sign) pairs; ValueError names a bad one or ``limit``.
+    far costlier than the workspace test. ``modes`` (one or more distinct
+    ``WorkingMode`` members, default all eight) and ``det_signs`` (one or two
+    distinct values, each +1 or -1) choose the (mode, det sign) pairs;
+    ValueError names a bad one or ``limit`` (a bool included) before any work.
     """
-    depth = _check_depth(depth, "depth")
+    depth = check_depth(depth, "depth")
     if joint_depth is not None:
-        joint_depth = _check_depth(joint_depth, "joint_depth", 0)
+        joint_depth = check_depth(joint_depth, "joint_depth", 0)
     bad = [sign for sign in det_signs if sign not in (1, -1)]
-    if bad or len(set(det_signs)) < len(det_signs):
-        raise ValueError(f"det_signs must be distinct values +1 or -1, got {list(det_signs)}")
+    if bad or not 0 < len(set(det_signs)) == len(det_signs):
+        raise ValueError(f"det_signs must be one or two distinct signs +1 or -1, got {det_signs!r}")
     modes = list(modes) if modes is not None else list(WorkingMode)
-    if not all(isinstance(m, WorkingMode) for m in modes) or len(set(modes)) < len(modes):
-        raise ValueError(f"modes must be distinct WorkingMode members, got {modes}")
-    if not 0 < limit < math.inf:
+    if not all(isinstance(m, WorkingMode) for m in modes) or not 0 < len(set(modes)) == len(modes):
+        raise ValueError(f"modes must be one or more distinct WorkingMode members, got {modes}")
+    if isinstance(limit, bool) or not 0 < limit < math.inf:
         raise ValueError(f"limit must be positive and finite, got {limit!r}")
     box = workspace_box(limit)
     live = _live_bricks(geom, box, depth)
@@ -414,7 +410,7 @@ def enumerate_aspects(
     return AspectAtlas(geom=geom, depth=depth, joint_depth=joint_depth, box=box, entries=entries)
 
 
-def _same_component(atlas: AspectAtlas, alphas, poses, eps: float) -> bool:
+def same_component(atlas: AspectAtlas, alphas, poses, eps: float) -> bool:
     """True when two poses (x, y, theta) with actuated angles ``alphas`` share a component.
 
     One ``batch.classify`` call decides both poses, on the atlas's geometry. Pose by
@@ -457,7 +453,7 @@ def same_aspect(
         if config.geom != atlas.geom:
             raise ValueError(f"configuration {k} is on {config.geom}, the atlas on {atlas.geom}")
     poses = (config1.pose.as_tuple(), config2.pose.as_tuple())
-    return _same_component(atlas, (config1.alpha, config2.alpha), poses, eps)
+    return same_component(atlas, (config1.alpha, config2.alpha), poses, eps)
 
 
 @dataclass(frozen=True)
@@ -516,10 +512,7 @@ def characteristic_surface(
     idx, x, y, th, mode_idx, sign = batch.assembly_modes(atlas.geom, alphas)
     match = (mode_idx == batch.MODE_ORDER.index(mode)) & (sign == det_sign)
     # Drop the identity image of each boundary center itself.
-    src = bc[idx]
-    dth = np.abs((th - src[:, 2] + math.pi) % (2.0 * math.pi) - math.pi)
-    same = (np.abs(x - src[:, 0]) < 1e-6) & (np.abs(y - src[:, 1]) < 1e-6) & (dth < 1e-6)
-    match &= ~same
+    match &= ~batch.same_pose(x, y, th, *bc[idx].T)
     hit = leaf_indices(tree, np.stack([x[match], y[match], th[match]], axis=1))
     hit = hit[hit >= 0]
     marked = np.unique(hit[tree.comp[hit] == component_id])
@@ -536,7 +529,7 @@ def write_manifest(atlas: AspectAtlas, outdir) -> Path:
     for (mode, sign), entry in sorted(
         atlas.entries.items(), key=lambda kv: (kv[0][0].label, -kv[0][1])
     ):
-        tag = _SIGN_TAG[sign]
+        tag = SIGN_TAG[sign]
         wname = f"aspect_w_{mode.label}_{tag}.oct"
         jname = f"aspect_q_{mode.label}_{tag}.oct" if entry.joint is not None else None
         export(entry.workspace, outdir / wname)

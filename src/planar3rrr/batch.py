@@ -30,7 +30,8 @@ full-system Newton steps on 2A, the closure Jacobian, from ``_a_row``, and
 stops a row at the rounding floor, not only at a step below 1e-13.
 
 ``classify`` is the one singularity rule and the only kernel that eps
-enters; the reach band of ``solve_legs`` is the fixed ``REACH_BAND``.
+enters; the reach band of ``solve_legs`` is the fixed ``REACH_BAND``, and
+``same_pose``, the solver's merge rule, is the one pose identity.
 
 Shapes follow numpy broadcasting; x, y, theta must broadcast against each
 other. Actuated angles come as (K, 3) rows.
@@ -57,6 +58,7 @@ from .geometry import (
     loop_gaps,
     platform_joints,
     platform_offsets,
+    pose_gaps,
     wrap_angles,
 )
 
@@ -463,6 +465,11 @@ SHORT_ROW = 1e-2
 MERGE_TOL = 1e-6
 
 
+def same_pose(x1, y1, t1, x2, y2, t2):
+    """The one pose identity: ``geometry.pose_gaps`` at most MERGE_TOL, the solver's merge rule."""
+    return pose_gaps(x1, y1, t1, x2, y2, t2) <= MERGE_TOL
+
+
 def _sextic_matrix():
     """(SCAN_SAMPLES, 2*SCAN_DEGREE + 1) map from samples of N to the sextic P.
 
@@ -557,7 +564,7 @@ def _screen_elbows(geom: GeometryConfig, bx, by):
 
 
 def _first_of_each_pose(idx, x, y, theta):
-    """Mask of the records that are not within MERGE_TOL of an earlier one of their row.
+    """Mask of the records that are not ``same_pose`` as an earlier one of their row.
 
     Records must be grouped by row; the first record of a cluster is kept.
     """
@@ -566,9 +573,7 @@ def _first_of_each_pose(idx, x, y, theta):
         same = idx[d:] == idx[:-d]
         if not same.any():
             break
-        dt = np.abs(wrap_angles(theta[d:] - theta[:-d]))
-        close = same & (np.maximum(np.abs(x[d:] - x[:-d]), np.abs(y[d:] - y[:-d])) <= MERGE_TOL)
-        keep[d:] &= ~(close & (dt <= MERGE_TOL))
+        keep[d:] &= ~(same & same_pose(x[d:], y[d:], theta[d:], x[:-d], y[:-d], theta[:-d]))
     return keep
 
 

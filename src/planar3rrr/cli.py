@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .aspects import (
-    _SIGN_TAG,
-    _check_depth,
+    SIGN_TAG,
     characteristic_surface,
+    check_depth,
     enumerate_aspects,
     write_manifest,
 )
@@ -97,16 +97,16 @@ def load_config(path: str | None) -> RunConfig:
         if not 0 < getattr(cfg, key) < math.inf:
             raise ConfigError(f"{key} must be positive and finite, got {getattr(cfg, key)}")
     if cfg.depth is not None:
-        _check_depth(cfg.depth, "config depth")
+        check_depth(cfg.depth, "config depth")
     if cfg.joint_depth is not None:
-        _check_depth(cfg.joint_depth, "config joint_depth", 0)
+        check_depth(cfg.joint_depth, "config joint_depth", 0)
     return cfg
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     updates = {}
     if args.depth is not None:
-        _check_depth(args.depth, "--depth")
+        check_depth(args.depth, "--depth")
         updates["depth"] = args.depth
     if args.eps is not None:
         if not 0 < args.eps < math.inf:
@@ -198,7 +198,7 @@ def cmd_workspace(cfg: RunConfig, args) -> int:
     depth = cfg.depth_or(8)
     entry = _pair_census(cfg, mode, args.sign, depth).entry(mode, args.sign)
     tree = entry.workspace
-    out = _outdir(cfg) / f"workspace_{mode.label}_{_SIGN_TAG[args.sign]}.oct"
+    out = _outdir(cfg) / f"workspace_{mode.label}_{SIGN_TAG[args.sign]}.oct"
     export(tree, out)
     print(
         f"workspace mode {mode.label} sign {'+' if args.sign > 0 else '-'}: depth {depth}, "
@@ -253,7 +253,8 @@ def cmd_trajectory(cfg: RunConfig, args) -> int:
         print(
             f"assembly-mode change: {evidence.verdict} "
             f"(shared_alpha={evidence.shared_alpha}, alpha_gap={evidence.alpha_gap:.3e}, "
-            f"same_aspect={evidence.in_same_aspect}, monitor={result.verdict})"
+            f"distinct_poses={evidence.distinct_poses}, same_aspect={evidence.in_same_aspect}, "
+            f"monitor={result.verdict})"
         )
         evidence_data.update(
             {
@@ -294,7 +295,7 @@ def cmd_charsurf(cfg: RunConfig, args) -> int:
         ],
         "boundary_count": int(surf.boundary_leaves.size),
     }
-    out = _outdir(cfg) / f"charsurf_{mode.label}_{_SIGN_TAG[args.sign]}_{args.component}.json"
+    out = _outdir(cfg) / f"charsurf_{mode.label}_{SIGN_TAG[args.sign]}_{args.component}.json"
     with open(out, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

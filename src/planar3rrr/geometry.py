@@ -65,6 +65,13 @@ def angle_difference(a: float, b: float) -> float:
     return wrap_angle(a - b)
 
 
+def pose_gaps(x1, y1, t1, x2, y2, t2):
+    """The one pose metric, broadcast: the Chebyshev gap over x, y and the orientation,
+    whose gap wraps |t1 - t2| so that swapping the poses keeps the bits."""
+    turn = np.abs(wrap_angles(np.abs(t1 - t2)))
+    return np.maximum(np.maximum(np.abs(x1 - x2), np.abs(y1 - y2)), turn)
+
+
 @dataclass(frozen=True)
 class GeometryConfig:
     """Link lengths and triangle placements of the manipulator.
@@ -167,12 +174,8 @@ class Pose:
         return (self.x, self.y, self.theta)
 
     def distance(self, other: "Pose") -> float:
-        """Chebyshev distance with wrapped orientation difference."""
-        return max(
-            abs(self.x - other.x),
-            abs(self.y - other.y),
-            abs(angle_difference(self.theta, other.theta)),
-        )
+        """Chebyshev distance with wrapped orientation difference (``pose_gaps``)."""
+        return float(pose_gaps(*self.as_tuple(), *other.as_tuple()))
 
 
 def platform_offsets(geom: GeometryConfig, theta, nd: int):

@@ -137,10 +137,12 @@ class Box3:
         n = 1 << depth
         return tuple((self.hi[i] - self.lo[i]) / n for i in range(3))
 
+    def grid(self, axis: int, depth: int, index):
+        """The one grid rule, lo + index (hi - lo) / 2^depth on ``axis`` (centers: i + 0.5)."""
+        return self.lo[axis] + index * ((self.hi[axis] - self.lo[axis]) / (1 << depth))
+
     def centers(self, axis: int, depth: int) -> np.ndarray:
-        n = 1 << depth
-        w = (self.hi[axis] - self.lo[axis]) / n
-        return self.lo[axis] + (np.arange(n) + 0.5) * w
+        return self.grid(axis, depth, np.arange(1 << depth) + 0.5)
 
     def approx_equal(self, other: "Box3") -> bool:
         bounds = zip(self.lo + self.hi, other.lo + other.hi)
@@ -241,19 +243,13 @@ class Octree:
     def leaf_box(self, i: int) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
         origin = [int(v) for v in morton_decode(self.starts[i])]
         span = 1 << (self.max_depth - int(self.depth[i]))
-        w = self.box.cell_edges(self.max_depth)
-        lo = tuple(self.box.lo[a] + origin[a] * w[a] for a in range(3))
-        return lo, tuple(self.box.lo[a] + (origin[a] + span) * w[a] for a in range(3))
+        lo = tuple(self.box.grid(a, self.max_depth, origin[a]) for a in range(3))
+        return lo, tuple(self.box.grid(a, self.max_depth, origin[a] + span) for a in range(3))
 
     def leaf_centers(self) -> np.ndarray:
-        ox, oy, oz = self.leaf_origins()
         half = (np.uint64(1) << (self.max_depth - self.depth.astype(np.uint64))).astype(float) / 2.0
-        n = 1 << self.max_depth
-        out = np.empty((self.n_leaves, 3))
-        for axis, o in zip(range(3), (ox, oy, oz)):
-            w = (self.box.hi[axis] - self.box.lo[axis]) / n
-            out[:, axis] = self.box.lo[axis] + (o.astype(float) + half) * w
-        return out
+        index = [o.astype(float) + half for o in self.leaf_origins()]
+        return np.stack([self.box.grid(a, self.max_depth, i) for a, i in enumerate(index)], axis=1)
 
     def leaf_volumes(self) -> np.ndarray:
         return self.box.volume * np.power(8.0, -self.depth.astype(float))

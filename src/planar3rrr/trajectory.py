@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import batch
-from .aspects import AspectAtlas, _same_component
+from .aspects import AspectAtlas, same_component
 from .errors import ModeMismatchError, UnreachableSampleError
 from .geometry import (
     EPS_SING,
@@ -22,6 +22,7 @@ from .geometry import (
     Pose,
     WorkingMode,
     angle_difference,
+    pose_gaps,
     wrap_angles,
 )
 
@@ -227,39 +228,46 @@ class ChangeEvidence:
     alpha_gap: float
     alpha: tuple[float, float, float]
     in_same_aspect: bool
+    distinct_poses: bool
 
 
 def verify_assembly_mode_change(atlas: AspectAtlas, path: MonitorResult) -> ChangeEvidence:
     """Demonstrate a non-singular assembly-mode change along a monitored path.
 
     The change is between the first and the last sample of ``path``, in its
-    working mode, and is read from the monitored records: nothing is solved
-    again. All three checks must hold: the two poses share the actuated
-    input within ``ALPHA_TOL``; they lie in the same aspect component; the
-    path was monitored NonSingular. An end sample whose margins are below
-    ``path.eps`` raises SerialSingularError or ParallelSingularError; the reach
-    tests are the monitor's. A path on another geometry raises ValueError.
+    working mode; the ends' poses and inputs are read from the monitored
+    records. All four checks must hold: the ends share the actuated input
+    within ``ALPHA_TOL``; their nearest poses (``geometry.pose_gaps``) of one
+    ``batch.fk_roots`` call on the first input are two distinct poses; they
+    lie in the same aspect component; the path was monitored NonSingular.
+    Ends that are ``batch.same_pose`` raise ValueError, and so does a path on
+    another geometry. An end sample whose margins are below ``path.eps``
+    raises SerialSingularError or ParallelSingularError; the reach tests are
+    the monitor's.
     """
     if path.geom != atlas.geom:
         raise ValueError(f"the path is on {path.geom}, the atlas on {atlas.geom}")
     rec = path.records[[0, -1]]
-    pose_a, pose_b = (Pose(*p) for p in zip(rec.x.tolist(), rec.y.tolist(), rec.theta.tolist()))
-    if pose_a.distance(pose_b) < 1e-12:
+    ends = [Pose(*p).as_tuple() for p in zip(rec.x.tolist(), rec.y.tolist(), rec.theta.tolist())]
+    if batch.same_pose(*ends[0], *ends[1]):
         raise ValueError("the path must end at a pose other than its first")
     alpha_a, alpha_b = zip(*(rec[f"alpha{i}"].tolist() for i in (1, 2, 3)))
     alpha_gap = max(abs(angle_difference(a, b)) for a, b in zip(alpha_a, alpha_b))
     shared = alpha_gap <= ALPHA_TOL
-    poses = (pose_a.as_tuple(), pose_b.as_tuple())
     try:
-        in_same = _same_component(atlas, (alpha_a, alpha_b), poses, path.eps)
+        in_same = same_component(atlas, (alpha_a, alpha_b), ends, path.eps)
     except ModeMismatchError:
         in_same = False
+    _, x, y, theta = batch.fk_roots(path.geom, alpha_a)
+    nearest = [int(np.argmin(pose_gaps(x, y, theta, *end))) for end in ends] if x.size else [0, 0]
+    distinct = nearest[0] != nearest[1]
 
-    ok = shared and in_same and path.verdict == VERDICT_NON_SINGULAR
+    ok = shared and distinct and in_same and path.verdict == VERDICT_NON_SINGULAR
     return ChangeEvidence(
         verdict=VERDICT_CHANGE if ok else VERDICT_NO_CHANGE,
         shared_alpha=shared,
         alpha_gap=alpha_gap,
         alpha=alpha_a,
         in_same_aspect=in_same,
+        distinct_poses=distinct,
     )

@@ -23,10 +23,14 @@ from planar3rrr.geometry import GeometryConfig, Pose, WorkingMode, angle_differe
 from planar3rrr.kinematics import inverse_kinematics, inverse_kinematics_all
 from planar3rrr.octree import (
     WORKSPACE_LIMIT,
+    Box3,
+    Octree,
     _grid_to_tree,
     connected_components,
     dumps,
+    joint_box,
     locate,
+    morton_encode,
     workspace_box,
 )
 
@@ -184,6 +188,84 @@ def test_sign_grids_match_dense_oracle(case, rng, monkeypatch):
             assert (~live).any()
 
 
+def _voxel_leaf(box: Box3, depth: int, v: int) -> tuple[Octree, int]:
+    """A tree at max depth ``depth`` whose one max-depth leaf is cell (v, v, v),
+    with the siblings off its path at every level, and that leaf's index."""
+    code = int(morton_encode(v, v, v))
+    codes, depths = [code], [depth]
+    for level in range(1, depth + 1):
+        path = code >> 3 * (depth - level)
+        codes += [path & ~7 | c for c in range(8) if c != path & 7]
+        depths += [level] * 7
+    starts = [c << 3 * (depth - d) for c, d in zip(codes, depths)]
+    order = np.argsort(np.array(starts, dtype=np.uint64), kind="stable")
+    tree = Octree(
+        box,
+        depth,
+        np.array(codes, dtype=np.uint64)[order],
+        np.array(depths)[order],
+        order == 0,
+    )
+    return tree, int(np.flatnonzero(order == 0)[0])
+
+
+@pytest.mark.parametrize("box", [workspace_box(), joint_box()], ids=["workspace", "joint"])
+@pytest.mark.parametrize("depth", [0, 7, 21])
+def test_census_coordinates_are_leaf_coordinates(ref_geom, monkeypatch, box, depth):
+    # Box3.grid is the one grid rule: the census's corners and brick edges,
+    # Box3.centers and the leaves' boxes and centers meet it bit for bit.
+    n, k = 1 << depth, 1 << aspects.BRICK_LEVELS
+    cells = sorted({0, 1, k, n // 3, n // 3 // k * k, n - k, n - 1} & set(range(n)))
+    corner, center = {}, {}
+    for v in cells:
+        tree, i = _voxel_leaf(box, depth, v)
+        lo, hi = tree.leaf_box(i)
+        corner[v], corner[v + 1], center[v] = lo, hi, tree.leaf_centers()[i]
+        for axis in range(3):
+            # The rule's own expression, so no coordinate moved when it got one owner.
+            step = (box.hi[axis] - box.lo[axis]) / 2**depth
+            assert lo[axis] == box.lo[axis] + v * step
+            assert center[v][axis] == box.lo[axis] + (v + 0.5) * step
+    for axis in range(3):
+        centers = box.centers(axis, depth)
+        assert [centers[v] for v in cells] == [center[v][axis] for v in cells]
+
+    def corners_seen(geom, x, y, z, modes):
+        seen.append((x, y, z))
+        return np.zeros(np.broadcast(x, y, z).shape, dtype=bool), [np.zeros(0)] * len(modes)
+
+    seen = []
+    monkeypatch.setattr(batch, "mode_determinants", corners_seen)
+    slots = np.array([[v // k] * 3 for v in corner])
+    aspects._corner_signs(ref_geom, box, depth, [WorkingMode.A], slots)
+    for axis, coords in enumerate(seen[0]):
+        got = coords.reshape(len(slots), k)
+        want = [c[axis] for c in corner.values()]
+        assert [got[row, v % k] for row, v in enumerate(corner)] == want
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    grid, edges = Box3.grid, []
+
+    def edges_seen(self, axis, d, index):
+        edges.append(grid(self, axis, d, index))
+        return edges[-1]
+
+    monkeypatch.setattr(Box3, "grid", edges_seen)
+    monkeypatch.setattr(aspects, "_cos_range", stop)
+    with pytest.raises(Stop):
+        aspects._live_bricks(ref_geom, box, depth)
+    assert len(edges) == 3
+    for axis, e in enumerate(edges):
+        assert [e[v // k] for v in corner if v % k == 0] == [
+            c[axis] for v, c in corner.items() if v % k == 0
+        ]
+
+
 def test_census_without_live_bricks_is_all_out():
     # The bases lie about 83 units from every platform joint in the box, far
     # past l + m = 12: every brick is dead and no corner is evaluated.
@@ -290,10 +372,19 @@ def test_det_signs_validation(ref_geom):
         # A negative limit used to fail as "axis 0: hi must exceed lo".
         ({"limit": -3.0}, "limit"),
         ({"limit": 0.0}, "limit"),
+        # An empty selection used to give an empty atlas with grand total 0,
+        # and limit=True a box of half-width 1.
+        ({"modes": []}, "modes"),
+        ({"det_signs": ()}, "det_signs"),
+        ({"limit": True}, "limit"),
     ],
 )
-def test_census_refuses_bad_pair_selection_and_limit(ref_geom, kwargs, name):
-    with pytest.raises(ValueError, match=name):
+def test_census_refuses_bad_pair_selection_and_limit(ref_geom, monkeypatch, kwargs, name):
+    def no_bricks(*args):
+        raise AssertionError("the census started")
+
+    monkeypatch.setattr(aspects, "_live_bricks", no_bricks)
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
         enumerate_aspects(ref_geom, depth=4, **kwargs)
 
 

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from planar3rrr import batch
 from planar3rrr.geometry import (
+    TWO_PI,
     GeometryConfig,
     Pose,
     WorkingMode,
     parse_mode,
     platform_points,
+    pose_gaps,
     wrap_angle,
 )
 
@@ -153,3 +158,42 @@ def test_full_configuration_rejects_inconsistent_angles(ref_geom):
     for alpha, beta in ((nan_alpha, cfg.beta), (cfg.alpha, nan_beta)):
         with pytest.raises(ValueError):
             FullConfiguration(geom=ref_geom, pose=cfg.pose, alpha=alpha, beta=beta)
+
+
+_coord = st.floats(-20.0, 20.0)
+_turn = st.floats(-4.0 * math.pi, 4.0 * math.pi)
+_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@_SETTINGS
+@given(st.tuples(_coord, _coord, _turn), st.tuples(_coord, _coord, _turn))
+def test_pose_gaps_is_one_symmetric_wrapped_metric(p, q):
+    gap = pose_gaps(*p, *q)
+    assert gap == pose_gaps(*q, *p)
+    # The orientation gap is the shorter way round, to the rounding of 2 pi.
+    d = abs(p[2] - q[2]) % TWO_PI
+    turn = pose_gaps(0.0, 0.0, p[2], 0.0, 0.0, q[2])
+    assert turn <= math.pi and abs(turn - min(d, TWO_PI - d)) <= 8e-15
+    assert gap == max(abs(p[0] - q[0]), abs(p[1] - q[1]), turn)
+    a, b = Pose(*p), Pose(*q)
+    assert a.distance(b) == pose_gaps(*a.as_tuple(), *b.as_tuple())
+    assert a.distance(b) == b.distance(a)
+
+
+@_SETTINGS
+@given(st.floats(0.0, 1e-3), st.floats(0.0, 1e-3))
+def test_pose_gaps_wraps_at_the_seam(a, b):
+    # a and 2 pi - b are a + b apart across theta = 0, not 2 pi - a - b.
+    for t1, t2 in ((a, TWO_PI - b), (-a, b), (TWO_PI - a, b), (a, -b)):
+        assert abs(pose_gaps(1.0, 2.0, t1, 1.0, 2.0, t2) - (a + b)) <= 8e-15
+
+
+def test_same_pose_is_the_solver_merge_rule():
+    # A gap of exactly MERGE_TOL is one pose, on any coordinate and across the seam.
+    tol = batch.MERGE_TOL
+    above = np.nextafter(tol, 1.0)
+    for step in ((tol, 0, 0), (0, tol, 0), (0, 0, tol)):
+        assert batch.same_pose(0.0, 0.0, 0.0, *step)
+        assert not batch.same_pose(0.0, 0.0, 0.0, *(above if v else 0.0 for v in step))
+    assert batch.same_pose(0.0, 0.0, 0.5 * tol, 0.0, 0.0, TWO_PI - 0.25 * tol)
+    assert not batch.same_pose(0.0, 0.0, tol, 0.0, 0.0, TWO_PI - tol)

@@ -18,8 +18,9 @@ parameter.
 
 Voxel coordinates stay behind the octree's probe: no module but ``octree``
 decodes a Morton code. The leaf layout stays behind ``octree`` too: no other
-module imports its private names (but ``_grid_to_tree``, whose calls the
-benchmark traces as a layer) or reads a tree's leaf ``starts`` or ``sizes``.
+module reads a tree's leaf ``starts`` or ``sizes``. Private names stay in
+their module: no module imports or reads another module's private name (but
+``octree._grid_to_tree``, whose calls the benchmark traces as a layer).
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ TAKES_EPS = {
     "planar3rrr.jacobians.forward_velocity",
     "planar3rrr.jacobians.inverse_velocity",
     "planar3rrr.aspects.same_aspect",
-    "planar3rrr.aspects._same_component",
+    "planar3rrr.aspects.same_component",
     "planar3rrr.trajectory.monitor",
 }
 
@@ -157,32 +158,45 @@ def _names(module) -> set[str]:
     return names
 
 
-def test_only_octree_decodes_morton_codes():
-    modules = [planar3rrr] + [
+def _modules() -> list:
+    """The package and every module in it."""
+    return [planar3rrr] + [
         importlib.import_module(f"planar3rrr.{info.name}")
         for info in pkgutil.iter_modules(planar3rrr.__path__)
     ]
-    decoding = [m.__name__ for m in modules if "morton_decode" in _names(m)]
+
+
+def test_only_octree_decodes_morton_codes():
+    decoding = [m.__name__ for m in _modules() if "morton_decode" in _names(m)]
     assert decoding == ["planar3rrr.octree"]
 
 
-#: The one private octree name other modules may call: the benchmark traces
-#: its calls (``bench/spans.py``) as the ``octree.grid_to_tree`` layer.
-OCTREE_SHARED = {"_grid_to_tree"}
+#: The one private name other modules may call: the benchmark traces its
+#: calls (``bench/spans.py``) as the ``octree.grid_to_tree`` layer.
+SHARED_PRIVATE = {"octree._grid_to_tree"}
+
+#: The modules of the package, by the names they are imported under.
+MODULES = {info.name for info in pkgutil.iter_modules(planar3rrr.__path__)}
 
 
-def _leaf_layout_reads(source: str) -> list[str]:
-    """Private ``octree`` names that ``source`` imports or reads, and the leaf
-    ``starts`` or ``sizes`` it reads, in order of appearance."""
+def _private_reads(source: str) -> list[str]:
+    """Private names of package modules that ``source`` imports or reads, as
+    ``module._name`` (but SHARED_PRIVATE), and the leaf ``starts`` or
+    ``sizes`` it reads, in ``ast.walk`` order."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "octree":
-            found += [a.name for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "planar3rrr"
+        ):
+            module = (node.module or "planar3rrr").split(".")[-1]
+            found += [f"{module}.{a.name}" for a in node.names if a.name.startswith("_")]
         elif isinstance(node, ast.Attribute):
-            on_octree = isinstance(node.value, ast.Name) and node.value.id == "octree"
-            if node.attr in ("starts", "sizes") or (on_octree and node.attr.startswith("_")):
+            name = node.value.id if isinstance(node.value, ast.Name) else None
+            if name in MODULES and node.attr.startswith("_") and not node.attr.startswith("__"):
+                found.append(f"{name}.{node.attr}")
+            elif node.attr in ("starts", "sizes"):
                 found.append(node.attr)
-    return [name for name in found if name not in OCTREE_SHARED]
+    return [name for name in found if name not in SHARED_PRIVATE]
 
 
 def test_the_lint_sees_the_leaf_layout():
@@ -193,18 +207,46 @@ from . import octree
 def solid(tree):
     return octree._sorted_union(tree.starts, tree.sizes), octree.cube_tree, tree.label
 """
-    assert _leaf_layout_reads(source) == [
-        "_probe_leaves", "_canonical_tree", "_sorted_union", "starts", "sizes"
+    assert _private_reads(source) == [
+        "octree._probe_leaves", "octree._canonical_tree", "octree._sorted_union", "starts", "sizes"
     ]
-    assert _leaf_layout_reads("from .octree import _grid_to_tree, solid_components") == []
+    assert _private_reads("from .octree import _grid_to_tree, solid_components") == []
+
+
+def test_the_lint_sees_private_names_of_every_module():
+    # The three reads the lint found when it grew from octree to every module.
+    source = """
+from .aspects import AspectAtlas, _same_component
+from planar3rrr.aspects import _SIGN_TAG
+from . import batch, _version
+def check(config, depth):
+    return batch._a_row, batch.MODE_ORDER, aspects._check_depth(depth), config.__class__
+"""
+    assert _private_reads(source) == [
+        "aspects._same_component", "aspects._SIGN_TAG", "planar3rrr._version",
+        "batch._a_row", "aspects._check_depth",
+    ]
+    assert _private_reads("from .aspects import SIGN_TAG, check_depth, same_component") == []
+    # A module's own private names, and those of other packages, are not another module's.
+    assert _private_reads("import numpy as np\nx = _helper(np._NoValue)") == []
+
+
+def _module_reads() -> dict[str, list[str]]:
+    return {m.__name__: _private_reads(inspect.getsource(m)) for m in _modules()}
 
 
 def test_only_octree_knows_the_leaf_layout():
-    modules = [planar3rrr] + [
-        importlib.import_module(f"planar3rrr.{info.name}")
-        for info in pkgutil.iter_modules(planar3rrr.__path__)
-    ]
-    reads = {m.__name__: _leaf_layout_reads(inspect.getsource(m)) for m in modules}
+    reads = _module_reads()
     assert "planar3rrr.aspects" in reads
     del reads["planar3rrr.octree"]
-    assert {name: found for name, found in reads.items() if found} == {}
+    layout = {
+        name: [r for r in found if r in ("starts", "sizes") or r.startswith("octree.")]
+        for name, found in reads.items()
+    }
+    assert {name: found for name, found in layout.items() if found} == {}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = {name: [r for r in found if "." in r] for name, found in _module_reads().items()}
+    assert set(private) == {"planar3rrr", *(f"planar3rrr.{m}" for m in MODULES)}
+    assert {name: found for name, found in private.items() if found} == {}

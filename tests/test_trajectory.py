@@ -399,7 +399,7 @@ def test_verify_assembly_mode_change_benchmark(ref_geom, atlas):
     evidence = verify_assembly_mode_change(atlas, path)
     assert evidence.verdict == VERDICT_CHANGE
     assert evidence.shared_alpha and evidence.alpha_gap < 1e-4
-    assert evidence.in_same_aspect
+    assert evidence.in_same_aspect and evidence.distinct_poses
     assert path.verdict == VERDICT_NON_SINGULAR
     # The shared actuated input is the benchmark joint triple.
     for got, want in zip(evidence.alpha, ALPHA_REF):
@@ -410,6 +410,34 @@ def test_verify_rejects_identical_poses(ref_geom, atlas):
     path = monitor(ref_geom, PathSpec(waypoints=(posture(1), posture(1)), mode=MODE))
     with pytest.raises(ValueError):
         verify_assembly_mode_change(atlas, path)
+
+
+def _nudged_path(geom, dx):
+    """A 50-sample path from posture (1) to the same pose moved by dx in x."""
+    start = posture(1)
+    end = Pose(start.x + dx, start.y, start.theta)
+    return monitor(geom, PathSpec(waypoints=(start, end), mode=MODE, samples_per_segment=50))
+
+
+def test_verify_refuses_ends_within_the_pose_identity(ref_geom, atlas):
+    # The ends are one pose by the solver's merge rule (batch.same_pose); the
+    # old 1e-12 end test let this path through as "ChangeDemonstrated".
+    with pytest.raises(ValueError, match="must end at a pose other than its first"):
+        verify_assembly_mode_change(atlas, _nudged_path(ref_geom, 1e-9))
+
+
+@pytest.mark.parametrize("dx", [1e-5, 5e-5])
+def test_an_end_beside_the_first_pose_demonstrates_no_change(ref_geom, atlas, dx):
+    # The platform never leaves one assembly pose, yet the inputs agree (alpha
+    # gap 1.9e-6 at 1e-5), the ends share a component and the path is
+    # non-singular: this was "ChangeDemonstrated". Both ends match the same
+    # pose of the first input's direct problem, so no change is shown.
+    path = _nudged_path(ref_geom, dx)
+    evidence = verify_assembly_mode_change(atlas, path)
+    assert evidence.shared_alpha and evidence.in_same_aspect
+    assert path.verdict == VERDICT_NON_SINGULAR
+    assert not evidence.distinct_poses
+    assert evidence.verdict == VERDICT_NO_CHANGE
 
 
 def test_verify_posture_pair_1_2_fails(ref_geom, atlas):
@@ -445,7 +473,7 @@ def _forbid_resolves(monkeypatch):
 )
 def test_verify_reads_the_monitored_records(ref_geom, atlas, monkeypatch, waypoints):
     # The evidence equals what solving the two end poses again gives, but
-    # comes from the monitor's records alone.
+    # reads the end poses and inputs from the monitor's records alone.
     path = monitor(ref_geom, PathSpec(waypoints=waypoints, mode=MODE))
     cfg_a, cfg_b = (inverse_kinematics(ref_geom, p, MODE) for p in (waypoints[0], waypoints[-1]))
     gap = max(abs(angle_difference(a, b)) for a, b in zip(cfg_a.alpha, cfg_b.alpha))
@@ -460,6 +488,7 @@ def test_verify_reads_the_monitored_records(ref_geom, atlas, monkeypatch, waypoi
     assert evidence.shared_alpha == (gap <= 1e-4)
     assert evidence.in_same_aspect == in_same
     change = evidence.shared_alpha and in_same and path.verdict == VERDICT_NON_SINGULAR
+    change = change and evidence.distinct_poses
     assert evidence.verdict == (VERDICT_CHANGE if change else VERDICT_NO_CHANGE)
     assert evidence.verdict == (VERDICT_CHANGE if len(waypoints) == 3 else VERDICT_NO_CHANGE)
 
