@@ -20,11 +20,16 @@ searches the leaf starts: point location, the component labeler,
 ``solid_components`` and ``boundary_pairs`` find leaves this way.
 
 The ``octree v1`` text dump is handled as whole byte arrays: ``dumps`` fills
-one byte matrix with a row per leaf and keeps each numeral's own digits;
-``loads`` checks the ASCII body with one compiled ``fullmatch`` of the row
-grammar, finds the fields from the newline and space positions and reads
-each number column with one right-aligned gather. Only a body that fails the
-match (blank lines, or a malformed row to name) is split into lines.
+one byte matrix, a row per leaf, from a template row and keeps each
+numeral's own digits. ``loads`` checks and reads the ASCII body in one pass
+of 8-byte word arithmetic (``_parse_rows``, after Langdale & Lemire's
+word-at-a-time digit parsing): one scan finds the separators (three spaces
+and a newline per row), unaligned little-endian words compare the fixed
+tokens at them, and each number is read as right-aligned words whose bytes
+are range-tested as digits and folded by shifts and multiplies. It accepts
+exactly the row grammar ``_BODY``. Whitespace-only lines are dropped in one
+array pass and the rest parsed the same way; the ``_BODY`` regex runs only to
+name a malformed line.
 """
 
 from __future__ import annotations
@@ -645,41 +650,105 @@ def subtract(a: Octree, b: Octree) -> Octree:
 
 
 #: A dump body as ``dumps`` writes it: leaf rows, each ended by a newline.
+#: Only ``_name_malformed_row`` matches it, to name the line a body fails on.
 _BODY = re.compile(
     rb"(?:morton=0x[0-9a-f]{1,16} depth=[0-9]{1,2} label=[01] comp=(?:-|[0-9]{1,18})\n)*"
 )
 _HEAD_FIELDS = ("box", "depth", "axes")
+#: The separators (bytes up to 0x20) of a row, in order.
+_ROW_SEPARATORS = np.frombuffer(b"   \n", dtype=np.uint8)
 _DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-#: Byte -> value of the hex and decimal digits in a body that matches ``_BODY``.
-_DIGIT_VALUE = np.zeros(256, dtype=np.uint8)
-_DIGIT_VALUE[_DIGITS] = np.arange(16)
+#: Byte -> whether it is not ASCII whitespace (9-13 and 32).
+_INK = np.ones(256, dtype=bool)
+_INK[[9, 10, 11, 12, 13, 32]] = False
 
 
-def _places(base: int, width: int) -> np.ndarray:
-    """Place values of ``width`` digits in ``base``, most significant first."""
-    return np.uint64(base) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+def _lanes(byte: int) -> np.uint64:
+    """A word with ``byte`` in each of its 8 byte lanes."""
+    return np.uint64(byte * 0x0101010101010101)
+
+
+def _token(text: bytes) -> np.uint64:
+    """Up to 8 bytes as a little-endian word, zero-padded."""
+    return np.uint64(int.from_bytes(text, "little"))
+
+
+#: ``_KEEP[k, w]`` keeps the bytes of a ``w``-digit field (w <= 18) in the
+#: k-th 8-byte word before its end: the last ``clip(w - 8k, 0, 8)`` bytes of a
+#: little-endian word. ``_PAD`` is ``'0'`` in the other bytes.
+_KEEP = np.array(
+    [[(1 << 64) - (1 << 64 - 8 * min(max(w - 8 * k, 0), 8)) for w in range(19)] for k in range(3)],
+    dtype=np.uint64,
+)
+_PAD = ~_KEEP & _lanes(ord("0"))
+_MORTON, _DEPTH, _COMP = _token(b"morton=0"), _token(b" depth="), _token(b" comp=")
+_LABEL_0, _LABEL_1 = _token(b" label=0"), _token(b" label=1")
+#: Masks that keep the first 7 or 6 bytes of a word: the ``depth`` and ``comp`` tokens.
+_LOW_7_BYTES, _LOW_6_BYTES = np.uint64((1 << 56) - 1), np.uint64((1 << 48) - 1)
+#: Folding steps: lanes of 8, 16 and 32 bits, each holding its bytes' number,
+#: pair up into lanes twice as wide.
+_FOLD = ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF))
+
+
+def _in_range(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Words whose byte lanes have the high bit set where the lane is in [lo, hi].
+
+    Lanes are ASCII (below 0x80), so adding 0x80 - n sets a lane's high bit
+    exactly when it is at least n, and no lane carries into the next.
+    """
+    return (words + _lanes(0x80 - lo)) & ~(words + _lanes(0x7F - hi)) & _lanes(0x80)
+
+
+def _field_values(words: np.ndarray, end: np.ndarray, width: np.ndarray, base: int):
+    """The base-10 or base-16 numbers in the ``width`` bytes before ``end``,
+    per row, or None if one of those bytes is not a digit.
+
+    A field is read as right-aligned 8-byte words, the most significant one
+    first, with the bytes before the field start masked to ``'0'``. A range
+    test per byte lane checks the digits. Shift-multiply steps fold pairs of
+    lanes, the first byte the most significant, until the top lane holds the
+    number: no step for 1 digit, one for 2, two for up to 4, three for 8.
+    """
+    value = np.zeros(len(end), dtype=np.uint64)
+    widest = int(width.max(initial=1))
+    for k in range((widest + 7) // 8 - 1, -1, -1):
+        chunk = (words[end - 8 * (k + 1)] & _KEEP[k, width]) | _PAD[k, width]
+        digit = _in_range(chunk, ord("0"), ord("9"))
+        if base == 16:
+            digit |= _in_range(chunk, ord("a"), ord("f"))
+            # 'a'-'f' are 0x61-0x66: adding 9 makes their low nibble 10-15.
+            chunk += (chunk >> np.uint64(6) & _lanes(1)) * np.uint64(9)
+        if (digit != _lanes(0x80)).any():
+            return None
+        chunk &= _lanes(0x0F)
+        steps = (min(widest - 8 * k, 8) - 1).bit_length()
+        for bits, mask in _FOLD[:steps]:
+            step = np.uint64(base ** (bits // 8) << bits | 1)
+            chunk = (chunk * step >> np.uint64(bits)) & np.uint64(mask)
+        value = value * np.uint64(base**8) + (chunk >> np.uint64(64 - (8 << steps)))
+    return value
 
 
 def _numerals(values: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     """Digit bytes of non-negative integers (base 10 or 16) right-aligned in
-    the widest one's width, and the mask of the slots each numeral uses."""
+    the widest one's width, and each numeral's digit count."""
     values = values.astype(np.uint64)
     width = len(np.base_repr(int(values.max(initial=0)), base))
     if base == 16:
-        high = values[:, None] >> np.arange(4 * width - 4, -1, -4, dtype=np.uint64)
+        digits = values[:, None] >> np.arange(4 * width - 4, -1, -4, dtype=np.uint64) & np.uint64(15)
     else:
-        high = values[:, None] // _places(base, width)
-    used = high != 0
-    used[:, -1] = True
-    return _DIGITS[high % np.uint64(base)], used
+        digits = values[:, None] // np.uint64(10) ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+        digits %= np.uint64(10)
+    powers = np.uint64(base) ** np.arange(1, width, dtype=np.uint64)
+    return _DIGITS[digits], 1 + np.searchsorted(powers, values, side="right")
 
 
 def dumps(tree: Octree) -> str:
     """Line-oriented text dump, bit-exact for identical inputs.
 
-    All rows are built at once as one byte matrix, a row per leaf: the
-    constant tokens, each field's digits right-aligned in its widest
-    numeral's width, and a keep-mask that drops the leading-zero slots.
+    All rows are built at once in one byte matrix, a row per leaf, filled
+    from a template row of the tokens; each field's digits are right-aligned
+    in its widest numeral's width, and a keep-mask drops the leading zeros.
     """
     box = tree.box
     head = (
@@ -690,23 +759,27 @@ def dumps(tree: Octree) -> str:
     )
     n = tree.n_leaves
     comp = np.full(n, -1) if tree.comp is None else tree.comp
-    chars, used = [], []
-    for token, values, base in (
-        (b"morton=0x", tree.morton, 16),
-        (b" depth=", tree.depth, 10),
-        (b" label=", tree.label, 10),
-        (b" comp=", np.maximum(comp, 0), 10),
-    ):
-        chars.append(np.broadcast_to(np.frombuffer(token, dtype=np.uint8), (n, len(token))))
-        used.append(np.ones((n, len(token)), dtype=bool))
-        digits, keep = _numerals(values, base)
-        chars.append(digits)
-        used.append(keep)
-    chars[-1][comp < 0, -1] = ord("-")
-    chars.append(np.full((n, 1), ord("\n"), dtype=np.uint8))
-    used.append(np.ones((n, 1), dtype=bool))
-    body = np.hstack(chars)[np.hstack(used)].tobytes()
-    return head + "\n" + body.decode("ascii")
+    fields = [
+        (b"morton=0x", *_numerals(tree.morton, 16)),
+        (b" depth=", *_numerals(tree.depth, 10)),
+        (b" label=", *_numerals(tree.label, 10)),
+        (b" comp=", *_numerals(np.maximum(comp, 0), 10)),
+    ]
+    template = b"".join(token + bytes(digits.shape[1]) for token, digits, _ in fields) + b"\n"
+    rows = np.empty((n, len(template)), dtype=np.uint8)
+    rows[:] = np.frombuffer(template, dtype=np.uint8)
+    keep = np.ones(rows.shape, dtype=bool)
+    at = 0
+    for token, digits, count in fields:
+        at += len(token)
+        width = digits.shape[1]
+        rows[:, at : at + width] = digits
+        keep[:, at : at + width] = np.arange(width) >= (width - count)[:, None]
+        at += width
+    rows[comp < 0, at - 1] = ord("-")
+    body = rows[keep]
+    del rows, keep  # freed before the text copies are made: the dump's peak memory
+    return head + "\n" + str(body, "ascii")
 
 
 def export(tree: Octree, path) -> None:
@@ -750,50 +823,73 @@ def _parse_head(head: str, line: int) -> tuple[Box3, int]:
     return box, int(depth)
 
 
-def _rows_only(text: str, buf: bytes, first: int, first_line: int) -> tuple[bytes, list[int]]:
-    """``buf`` with only the rows after byte ``first``, and their line numbers.
-
-    Whitespace-only lines are dropped; any other line that is not a row
-    raises ValueError naming it.
-    """
-    rows, lines = [], []
-    for k, row in enumerate(buf[first:].split(b"\n")[:-1]):
-        if _BODY.fullmatch(row + b"\n"):
-            rows.append(row + b"\n")
-            lines.append(first_line + k)
-        elif row.strip():
-            bad = text.split("\n")[first_line + k - 1]
-            raise ValueError(f"octree dump line {first_line + k}: malformed row: {bad!r}")
-    return buf[:first] + b"".join(rows), lines
-
-
-def _numbers(buf: np.ndarray, start: np.ndarray, end: np.ndarray, base: int) -> np.ndarray:
-    """The numbers written in ``buf[start:end]`` per row: one right-aligned gather.
-
-    Fields follow the head, so no field ends before its gather width.
-    """
-    width = int((end - start).max(initial=1))
-    digits = _DIGIT_VALUE[np.lib.stride_tricks.sliding_window_view(buf, width)[end - width]]
-    digits *= np.arange(-width, 0) >= (start - end)[:, None]
-    return digits @ _places(base, width)
-
-
 def _parse_rows(buf: bytes, first: int):
-    """Leaf columns of the rows from byte ``first`` on, which match ``_BODY``,
-    and each row's extent. Row k ends at the k-th newline; its three spaces
-    locate the fields.
+    """Leaf columns and row extents of the rows from byte ``first`` on, or
+    None unless ``_BODY.fullmatch(buf, first)`` would match.
+
+    The bytes up to 0x20 are the separators: a row has three spaces and a
+    newline, whose positions fix every token and field. The fixed tokens are
+    compared as unaligned little-endian 8-byte words, and ``_field_values``
+    checks and reads the numbers. The head comes first, so no word read
+    before a row's start leaves ``buf``.
     """
     arr = np.frombuffer(buf, dtype=np.uint8)
-    ends = np.flatnonzero(arr[first:] == ord("\n")) + first
-    starts = np.concatenate(([first], ends[:-1] + 1))
-    spaces = np.flatnonzero(arr[first:] == ord(" ")).reshape(-1, 3) + first
-    morton = _numbers(arr, starts + len("morton=0x"), spaces[:, 0], 16)
-    depth = _numbers(arr, spaces[:, 0] + len(" depth="), spaces[:, 1], 10)
-    label = arr[spaces[:, 1] + len(" label=")] == ord("1")
-    comp_at = spaces[:, 2] + len(" comp=")
-    comp = _numbers(arr, comp_at, ends, 10).astype(np.int64)
-    comp[arr[comp_at] == ord("-")] = -1
-    return morton, depth, label, comp, starts, ends
+    seps = np.flatnonzero(arr[first:] <= 0x20) + first
+    if seps.size % 4 or (first < len(buf) and buf[-1] != ord("\n")):
+        return None
+    if (arr[seps].reshape(-1, 4) != _ROW_SEPARATORS).any():
+        return None
+    # Each row's " depth=", " label=" and " comp=" tokens start at its spaces.
+    seps = seps.reshape(-1, 4).T.copy()
+    depth_at, label_at, comp_at, ends = seps
+    starts = np.empty_like(ends)
+    starts[:1] = first
+    starts[1:] = ends[:-1] + 1
+    widths = (depth_at - starts - 9, label_at - depth_at - 7, ends - comp_at - 6)
+    if not (
+        all(((1 <= w) & (w <= most)).all() for w, most in zip(widths, (16, 2, 18)))
+        and (comp_at - label_at == 8).all()
+    ):
+        return None
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    label = words[label_at]
+    if not (
+        (words[starts] == _MORTON).all()
+        and (arr[starts + 8] == ord("x")).all()
+        and (words[depth_at] & _LOW_7_BYTES == _DEPTH).all()
+        and ((label == _LABEL_0) | (label == _LABEL_1)).all()
+        and (words[comp_at] & _LOW_6_BYTES == _COMP).all()
+    ):
+        return None
+    dash = (widths[2] == 1) & (arr[ends - 1] == ord("-"))
+    morton = _field_values(words, depth_at, widths[0], 16)
+    depth = _field_values(words, label_at, widths[1], 10)
+    comp = _field_values(words, ends, np.where(dash, 0, widths[2]), 10)
+    if morton is None or depth is None or comp is None:
+        return None
+    comp = comp.astype(np.int64)
+    comp[dash] = -1
+    return morton, depth, label == _LABEL_1, comp, starts, ends
+
+
+def _rows_only(buf: bytes, first: int, first_line: int) -> tuple[bytes, np.ndarray]:
+    """``buf`` without the whitespace-only lines after byte ``first``, and
+    the line numbers of the lines it keeps, by array passes over the bytes."""
+    body = np.frombuffer(buf, dtype=np.uint8, offset=first)
+    starts = np.concatenate(([0], np.flatnonzero(body == ord("\n"))[:-1] + 1))
+    inked = np.logical_or.reduceat(_INK[body], starts)
+    keep = np.repeat(inked, np.diff(starts, append=len(body)))
+    return buf[:first] + body[keep].tobytes(), first_line + np.flatnonzero(inked)
+
+
+def _name_malformed_row(text: str, buf: bytes, first: int, lines: np.ndarray):
+    """Raise the ValueError that names the first line after byte ``first``
+    that ``_BODY`` refuses; ``lines`` numbers the lines of ``buf``."""
+    for row, line in zip(buf[first:].split(b"\n"), lines.tolist()):
+        if _BODY.fullmatch(row + b"\n") is None:
+            bad = text.split("\n")[line - 1]
+            raise ValueError(f"octree dump line {line}: malformed row: {bad!r}")
+    raise AssertionError("the row parser refused a body that _BODY accepts")
 
 
 def loads(text: str) -> Octree:
@@ -813,13 +909,17 @@ def loads(text: str) -> Octree:
     box, max_depth = _parse_head(buf[head_start:head_end].decode("ascii"), first_line - 1)
     first = head_end + 1
     lines = None  # row k sits on line first_line + k
-    if _BODY.fullmatch(buf, first) is None:
-        buf, lines = _rows_only(text, buf, first, first_line)
-    morton, depth, label, comp, starts, ends = _parse_rows(buf, first)
+    columns = _parse_rows(buf, first)
+    if columns is None:
+        buf, lines = _rows_only(buf, first, first_line)
+        columns = _parse_rows(buf, first)
+        if columns is None:
+            _name_malformed_row(text, buf, first, lines)
+    morton, depth, label, comp, starts, ends = columns
     outside = np.flatnonzero((depth > max_depth) | (morton >> (3 * depth) != 0))
     if outside.size:
         k = int(outside[0])
-        line = first_line + k if lines is None else lines[k]
+        line = first_line + k if lines is None else int(lines[k])
         row = buf[starts[k] : ends[k]].decode("ascii")
         raise ValueError(f"octree dump line {line}: cell outside the tree's box or depth: {row!r}")
     comp = comp if (comp >= 0).any() else None

@@ -12,7 +12,10 @@ placed over a coarser lattice (``cube_tree``) with the one-grid builder.
 oracles, and the leaf probe with a decode/step/encode oracle at every depth
 up to ``MAX_TREE_DEPTH``.
 ``loads`` must accept exactly the mutated dumps that the regex row grammar
-``oracles.loads_rows`` accepts.
+``oracles.loads_rows`` accepts, and its word-at-a-time row parser
+``_parse_rows`` exactly the bodies that ``_BODY.fullmatch`` accepts, with the
+same columns: at every field's 8-byte word boundaries, next to every digit
+range, after the shortest head and on 24,000 seeded edits of a census dump.
 """
 
 import itertools
@@ -25,12 +28,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from planar3rrr import octree as octree_module
+from planar3rrr.aspects import enumerate_aspects
+from planar3rrr.geometry import GeometryConfig, WorkingMode
 from planar3rrr.octree import (
     MAX_TREE_DEPTH,
+    _BODY,
     Box3,
     Octree,
     _canonical_tree,
     _grid_to_tree,
+    _parse_rows,
     _probe_leaves,
     _rasterize,
     boundary_pairs,
@@ -438,3 +446,215 @@ def test_loads_field_limits_match_the_reference(pattern, edit):
     text = dumps(connected_components(tree)[0])
     assert re.search("0x[0-9]*[a-f]", text) and re.search("comp=[0-9]", text)
     assert_loads_like_reference(box, 3, re.sub(pattern, edit, text))
+
+
+# ------------------------------------------------ the word-at-a-time row parser
+
+#: The shortest head that ``_parse_head`` accepts, at depth 1.
+SHORT_HEAD = "octree v1;box=0,0,0,1,1,1;depth=1;axes=lin,lin,lin"
+
+
+def census_dump():
+    """One depth-7 census dump: the labeled workspace of mode A, det(A) > 0."""
+    atlas = enumerate_aspects(GeometryConfig.reference(), depth=7, modes=[WorkingMode.A], det_signs=(1,))
+    return dumps(atlas.entries[(WorkingMode.A, 1)].workspace)
+
+
+def deep_chain_dump(comps):
+    """A depth-21 dump whose leaves run down to the last cell: at each depth
+    the first 7 children of the previous level's last child, and at depth 21
+    all 8. Its Morton codes take every hex width from 1 to 16 digits;
+    ``comps`` gives the comp field of the first rows."""
+    rows = []
+    for depth in range(1, MAX_TREE_DEPTH + 1):
+        base = (8 ** (depth - 1) - 1) * 8
+        for child in range(8 if depth == MAX_TREE_DEPTH else 7):
+            rows.append([base + child, depth])
+    lines = [
+        f"morton={code:#x} depth={depth} label={k % 2} comp={comps[k] if k < len(comps) else '-'}"
+        for k, (code, depth) in enumerate(rows)
+    ]
+    head = "octree v1; box=0.0,0.0,0.0,1.0,1.0,1.0; depth=21; axes=lin,lin,lin"
+    return "\n".join([head] + lines) + "\n"
+
+
+def parse_body(text):
+    """``_parse_rows`` on a dump text with one head line, as lists of rows."""
+    buf = text.encode("ascii", "replace")
+    columns = _parse_rows(buf, buf.index(b"\n") + 1)
+    if columns is None:
+        return None
+    morton, depth, label, comp, _, _ = (c.tolist() for c in columns)
+    return [list(row) for row in zip(morton, depth, label, comp)]
+
+
+def reference_body(text):
+    """What ``parse_body`` must give: None unless ``_BODY`` matches the body,
+    else the rows that ``oracles.loads_rows`` reads."""
+    head, _, body = text.partition("\n")
+    if _BODY.fullmatch(body.encode("ascii", "replace")) is None:
+        return None
+    rows = oracles.loads_rows(text)
+    return [[code, depth, label, -1 if comp is None else comp] for _, _, code, depth, label, comp in rows]
+
+
+def test_deep_chain_round_trips_every_hex_width():
+    comps = [0, 9, 10, 99999999, 100000000, 10**16 - 1, 10**16, 10**17, 999999999999999999]
+    text = deep_chain_dump(comps)
+    assert {len(m) for m in re.findall("0x([0-9a-f]+)", text)} == set(range(1, 17))
+    assert dumps(loads(text)) == text
+    assert_loads_like_reference(Box3((0, 0, 0), (1, 1, 1), ("lin",) * 3), MAX_TREE_DEPTH, text)
+
+
+@pytest.mark.parametrize("field, width", [("hex", w) for w in (8, 9, 16, 17)]
+                         + [("comp", w) for w in (8, 9, 16, 17, 18, 19)])
+@pytest.mark.parametrize("padded", [False, True], ids=["significant", "leading-zeros"])
+def test_loads_reads_fields_across_word_boundaries(field, width, padded):
+    # One row's hex (or comp) numeral at the given width: its own value
+    # zero-padded, which loads to the same tree up to the field's limit, or
+    # that many significant digits (a cell outside the box, a comp of up to
+    # 18 nines, or a malformed row).
+    text = deep_chain_dump([1] * 200)
+    lines = text.split("\n")
+    k = 40
+    pattern = "(?<=0x)[0-9a-f]+" if field == "hex" else "(?<=comp=)[0-9]+"
+    numeral = "f" * width if field == "hex" else "9" * width
+    lines[k] = re.sub(pattern, lambda m: m.group(0).zfill(width) if padded else numeral, lines[k])
+    edited = "\n".join(lines)
+    assert_loads_like_reference(Box3((0, 0, 0), (1, 1, 1), ("lin",) * 3), MAX_TREE_DEPTH, edited)
+    assert parse_body(edited) == reference_body(edited)
+
+
+@pytest.mark.parametrize("byte", ["/", ":", "`", "g", "A", "F", "\x7f", "?"])
+@pytest.mark.parametrize("at", ["hex-first", "hex-last", "hex-9th", "depth", "comp-first", "comp-last", "comp-9th"])
+def test_loads_refuses_the_bytes_next_to_the_digit_ranges(byte, at):
+    field, where = at.split("-") if "-" in at else (at, "last")
+    numeral = {"hex": "123456789abcdef0", "depth": "12", "comp": "123456789012345678"}[field]
+    position = {"first": 0, "last": len(numeral) - 1, "9th": len(numeral) - 9}[where]
+    values = {"hex": "0", "depth": "0", "comp": "0", field: numeral[:position] + byte + numeral[position + 1 :]}
+    text = f"{SHORT_HEAD}\nmorton=0x{values['hex']} depth={values['depth']} label=0 comp={values['comp']}\n"
+    assert parse_body(text) is None
+    expected = reference_load(text, 1)
+    assert expected.startswith("octree dump line 2: malformed row")
+    with pytest.raises(ValueError) as exc:
+        loads(text)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize(
+    "row",
+    [f"morton=0x0{sep}depth=1 label=0 comp=-" for sep in "\t\v\f\r"]
+    + [f"morton=0x0 depth=1 label=0 comp=-{sep}" for sep in "\t\v\f\r"]
+    + [f"morton=0x0 depth=1{sep}label=0 comp=-" for sep in ("  ", "\t")]
+    + ["morton=0x0 depth=1 label=0 comp=-5", "morton=0x0 depth=1 label=0 comp=--",
+       "morton=0x0 depth=1 label=2 comp=-", "morton=0x0 depth=1 label= comp=-",
+       "morton=0x depth=1 label=0 comp=-", "morton=0x0 depth= label=0 comp=-",
+       "morton=0x0 depth=123 label=0 comp=-", "morton=0x0 depth=1 label=0 comp=",
+       "Morton=0x0 depth=1 label=0 comp=-", "morton=0X0 depth=1 label=0 comp=-",
+       "morton=0x0 depth=1 label=0 Comp=-", "morton=0x0 depth=1 label=0 comp=-\x00"],
+)
+def test_loads_refuses_other_separators_and_tokens(row):
+    rows = [f"morton=0x{c} depth=1 label=0 comp=-" for c in range(8)]
+    rows[3] = row.replace("0x0", "0x3")
+    text = SHORT_HEAD + "\n" + "\n".join(rows) + "\n"
+    assert parse_body(text) is None
+    expected = reference_load(text, 1)
+    assert expected.startswith("octree dump line 5: malformed row")
+    with pytest.raises(ValueError) as exc:
+        loads(text)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_first_row_directly_after_the_shortest_head(padded):
+    # The first row's narrow fields are read as words that reach back into
+    # the head, as far as the widest field of any row needs.
+    rows = [f"morton=0x{c} depth=1 label={c % 2} comp={c}" for c in range(8)]
+    rows[5] = "morton=0x0000000000000005 depth=01 label=1 comp=000000000000000005"
+    if padded:
+        rows[0] = "morton=0x0000000000000000 depth=01 label=0 comp=-"
+    text = SHORT_HEAD + "\n" + "\n".join(rows) + "\n"
+    assert parse_body(text) == reference_body(text)
+    assert_loads_like_reference(Box3((0, 0, 0), (1, 1, 1), ("lin",) * 3), 1, text)
+    root = "octree v1;box=0,0,0,1,1,1;depth=0;axes=lin,lin,lin\nmorton=0x0 depth=0 label=1 comp=-\n"
+    assert loads(root).label.tolist() == [True]
+
+
+def test_row_parser_decodes_boundary_values_exactly():
+    hexes = [0, 0xF, 0x10, 0xFFFFFFFF, 0x100000000, 2**64 - 1, 2**63, 0x123456789ABCDEF0]
+    decimals = [0, 9, 10, 99999999, 100000000, 10**16, 10**17 - 1, 999999999999999999]
+    lines = [SHORT_HEAD]
+    for h, c in itertools.product(hexes, decimals):
+        lines.append(f"morton=0x{h:x} depth={c % 100} label={h % 2} comp={c}")
+        lines.append(f"morton=0x{h:016x} depth={c % 10:02d} label=1 comp={c:018d}")
+    lines.append("morton=0x0 depth=0 label=0 comp=-")
+    text = "\n".join(lines) + "\n"
+    rows = parse_body(text)
+    assert rows == reference_body(text)
+    assert {r[0] for r in rows} == set(hexes) and {r[3] for r in rows} == set(decimals) | {-1}
+
+
+#: Bytes the bulk edits write: digits and hex letters, their neighbours
+#: outside the digit ranges, token letters, separators and '?' (what a
+#: non-ASCII character becomes).
+EDIT_BYTES = b"0123456789abcdef/:`gAFx\x7f mortnphlc=-\n\t\v\f\r?\x00"
+
+
+def test_row_parser_matches_the_row_grammar_on_bulk_edits():
+    # 24,000 seeded 1-2 byte insertions, deletions and replacements in the
+    # rows of a depth-7 census dump. The parser reads each row on its own,
+    # so each edit is checked on the head and the four rows around it: the
+    # same accept set as ``_BODY.fullmatch`` and the same columns.
+    head, _, body = census_dump().partition("\n")
+    rows = body.split("\n")[:-1]
+    rng = np.random.default_rng(35)
+    accepted = 0
+    for _ in range(24000):
+        k = int(rng.integers(0, len(rows) - 3))
+        window = "\n".join(rows[k : k + 4]) + "\n"
+        # Half the edits land in a numeral, where most accepted edits are.
+        if rng.integers(2):
+            at = int(rng.choice([m.start() for m in re.finditer("(?<=[x=])[0-9a-f-]", window)]))
+        else:
+            at = int(rng.integers(0, len(window)))
+        size = int(rng.integers(1, 3))
+        new = bytes(rng.choice(np.frombuffer(EDIT_BYTES, dtype=np.uint8), size)).decode("ascii")
+        kind = rng.integers(3)
+        if kind == 0:
+            window = window[:at] + new + window[at:]
+        elif kind == 1:
+            window = window[:at] + window[at + size :]
+        else:
+            window = window[:at] + new + window[at + size :]
+        text = head + "\n" + window
+        expected = reference_body(text)
+        assert parse_body(text) == expected, repr(window)
+        accepted += expected is not None
+    assert 2000 < accepted < 22000
+
+
+def test_blank_lines_take_the_word_path(monkeypatch):
+    # Whitespace-only lines are dropped with their line numbers kept; the
+    # row grammar regex runs only to name a malformed line.
+    text = census_dump()
+    head, _, body = text.partition("\n")
+    rows = body.split("\n")
+    blank = "\n".join([head, "", *rows[:5], " \t\v\f\r", *rows[5:], ""])
+    tree = loads(text)
+
+    class Unused:
+        def fullmatch(self, *args):
+            raise AssertionError("the row regex ran on a dump with no malformed row")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(octree_module, "_BODY", Unused())
+        for variant in (text + "\n", head + "\n\n" + body, blank, "\n \n" + blank):
+            assert dumps(loads(variant)) == text
+    bad = blank.replace(rows[7], rows[7] + " ")
+    far = blank.replace(rows[9], rows[9].replace("depth=", "depth=9", 1))
+    for variant in (bad, far, "\n\v\n" + far):
+        expected = reference_load(variant, tree.max_depth)
+        assert "octree dump line" in expected
+        with pytest.raises(ValueError) as exc:
+            loads(variant)
+        assert str(exc.value) == expected
