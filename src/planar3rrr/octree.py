@@ -27,9 +27,9 @@ word-at-a-time digit parsing): one scan finds the separators (three spaces
 and a newline per row), unaligned little-endian words compare the fixed
 tokens at them, and each number is read as right-aligned words whose bytes
 are range-tested as digits and folded by shifts and multiplies. It accepts
-exactly the row grammar ``_BODY``. Whitespace-only lines are dropped in one
-array pass and the rest parsed the same way; the ``_BODY`` regex runs only to
-name a malformed line.
+exactly the row grammar ``_BODY``. Only a body it refuses is matched against
+``_BODY`` line by line, to drop whitespace-only lines or name a malformed
+one; the rows left are parsed the same way.
 """
 
 from __future__ import annotations
@@ -650,7 +650,8 @@ def subtract(a: Octree, b: Octree) -> Octree:
 
 
 #: A dump body as ``dumps`` writes it: leaf rows, each ended by a newline.
-#: Only ``_name_malformed_row`` matches it, to name the line a body fails on.
+#: Only ``_rows_only`` matches it, line by line, when ``_parse_rows`` refuses a
+#: body: it drops whitespace-only lines and names the first malformed one.
 _BODY = re.compile(
     rb"(?:morton=0x[0-9a-f]{1,16} depth=[0-9]{1,2} label=[01] comp=(?:-|[0-9]{1,18})\n)*"
 )
@@ -658,9 +659,6 @@ _HEAD_FIELDS = ("box", "depth", "axes")
 #: The separators (bytes up to 0x20) of a row, in order.
 _ROW_SEPARATORS = np.frombuffer(b"   \n", dtype=np.uint8)
 _DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-#: Byte -> whether it is not ASCII whitespace (9-13 and 32).
-_INK = np.ones(256, dtype=bool)
-_INK[[9, 10, 11, 12, 13, 32]] = False
 
 
 def _lanes(byte: int) -> np.uint64:
@@ -872,24 +870,21 @@ def _parse_rows(buf: bytes, first: int):
     return morton, depth, label == _LABEL_1, comp, starts, ends
 
 
-def _rows_only(buf: bytes, first: int, first_line: int) -> tuple[bytes, np.ndarray]:
-    """``buf`` without the whitespace-only lines after byte ``first``, and
-    the line numbers of the lines it keeps, by array passes over the bytes."""
-    body = np.frombuffer(buf, dtype=np.uint8, offset=first)
-    starts = np.concatenate(([0], np.flatnonzero(body == ord("\n"))[:-1] + 1))
-    inked = np.logical_or.reduceat(_INK[body], starts)
-    keep = np.repeat(inked, np.diff(starts, append=len(body)))
-    return buf[:first] + body[keep].tobytes(), first_line + np.flatnonzero(inked)
+def _rows_only(text: str, buf: bytes, first: int, first_line: int) -> tuple[bytes, list[int]]:
+    """``buf`` with only the rows after byte ``first``, and their line numbers.
 
-
-def _name_malformed_row(text: str, buf: bytes, first: int, lines: np.ndarray):
-    """Raise the ValueError that names the first line after byte ``first``
-    that ``_BODY`` refuses; ``lines`` numbers the lines of ``buf``."""
-    for row, line in zip(buf[first:].split(b"\n"), lines.tolist()):
-        if _BODY.fullmatch(row + b"\n") is None:
-            bad = text.split("\n")[line - 1]
-            raise ValueError(f"octree dump line {line}: malformed row: {bad!r}")
-    raise AssertionError("the row parser refused a body that _BODY accepts")
+    Whitespace-only lines are dropped; any other line that is not a row
+    raises ValueError naming it.
+    """
+    rows, lines = [], []
+    for k, row in enumerate(buf[first:].split(b"\n")[:-1]):
+        if _BODY.fullmatch(row + b"\n"):
+            rows.append(row + b"\n")
+            lines.append(first_line + k)
+        elif row.strip():
+            bad = text.split("\n")[first_line + k - 1]
+            raise ValueError(f"octree dump line {first_line + k}: malformed row: {bad!r}")
+    return buf[:first] + b"".join(rows), lines
 
 
 def loads(text: str) -> Octree:
@@ -911,15 +906,13 @@ def loads(text: str) -> Octree:
     lines = None  # row k sits on line first_line + k
     columns = _parse_rows(buf, first)
     if columns is None:
-        buf, lines = _rows_only(buf, first, first_line)
+        buf, lines = _rows_only(text, buf, first, first_line)
         columns = _parse_rows(buf, first)
-        if columns is None:
-            _name_malformed_row(text, buf, first, lines)
     morton, depth, label, comp, starts, ends = columns
     outside = np.flatnonzero((depth > max_depth) | (morton >> (3 * depth) != 0))
     if outside.size:
         k = int(outside[0])
-        line = first_line + k if lines is None else int(lines[k])
+        line = first_line + k if lines is None else lines[k]
         row = buf[starts[k] : ends[k]].decode("ascii")
         raise ValueError(f"octree dump line {line}: cell outside the tree's box or depth: {row!r}")
     comp = comp if (comp >= 0).any() else None

@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from planar3rrr import octree as octree_module
 from planar3rrr.aspects import enumerate_aspects
 from planar3rrr.geometry import GeometryConfig, WorkingMode
 from planar3rrr.octree import (
@@ -632,29 +631,3 @@ def test_row_parser_matches_the_row_grammar_on_bulk_edits():
         accepted += expected is not None
     assert 2000 < accepted < 22000
 
-
-def test_blank_lines_take_the_word_path(monkeypatch):
-    # Whitespace-only lines are dropped with their line numbers kept; the
-    # row grammar regex runs only to name a malformed line.
-    text = census_dump()
-    head, _, body = text.partition("\n")
-    rows = body.split("\n")
-    blank = "\n".join([head, "", *rows[:5], " \t\v\f\r", *rows[5:], ""])
-    tree = loads(text)
-
-    class Unused:
-        def fullmatch(self, *args):
-            raise AssertionError("the row regex ran on a dump with no malformed row")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(octree_module, "_BODY", Unused())
-        for variant in (text + "\n", head + "\n\n" + body, blank, "\n \n" + blank):
-            assert dumps(loads(variant)) == text
-    bad = blank.replace(rows[7], rows[7] + " ")
-    far = blank.replace(rows[9], rows[9].replace("depth=", "depth=9", 1))
-    for variant in (bad, far, "\n\v\n" + far):
-        expected = reference_load(variant, tree.max_depth)
-        assert "octree dump line" in expected
-        with pytest.raises(ValueError) as exc:
-            loads(variant)
-        assert str(exc.value) == expected
