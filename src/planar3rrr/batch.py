@@ -27,7 +27,8 @@ two rank-1 line positions, never both, and keeps the full-system polish of
 each candidate as the candidate. Its closure kernels evaluate the three
 legs with one cos and one sin, in the per-leg operation order. Its
 full-system Newton steps on 2A, the closure Jacobian, from ``_a_row``, and
-stops a row at the rounding floor, not only at a step below 1e-13.
+stops a row at a step below 1e-13, at the rounding floor, or once its steps
+stop reaching new minima; the 30-step cap is only a backstop.
 
 ``classify`` is the one singularity rule and the only kernel that eps
 enters; the reach band of ``solve_legs`` is the fixed ``REACH_BAND``, and
@@ -367,12 +368,14 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta):
 
     The closure values are g_i = |c_i - b_i|^2 - m^2, and their Jacobian
     is 2A with its rows from ``_a_row``, so an ill-conditioned row is a
-    pose near det(A) = 0. A row stops after a step below 1e-13, or at the
-    rounding floor, where its closure values are within STALL_ULPS of m^2
-    and its step did not shrink; it then keeps the iterate that step was
-    computed at. A row whose 2A is exactly singular gets a zero step. Rows
-    near a double root can still run all 30 steps: there the steps wander
-    above 1e-13 while the closure values stay more than STALL_ULPS from m^2.
+    pose near det(A) = 0. A row stops after a step below 1e-13, or where
+    its step norm is not a new minimum and either its closure values are
+    within STALL_ULPS of m^2 (the rounding floor) or STALL_WINDOW steps in
+    a row brought no new minimum (no progress); it then keeps the iterate
+    that step was computed at, and the closure gate of ``fk_roots`` judges
+    it. A row whose 2A is exactly singular gets a zero step. The 30-step
+    cap is a backstop: only a row whose steps stay above 1e-13 and reach a
+    new minimum at least every STALL_WINDOW steps still reaches it.
 
     Each iteration evaluates only the rows still active. Their iterates
     (rows 0-2) and elbow points (rows 3-8) are one compact array, which
@@ -384,7 +387,8 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta):
     out = np.stack((x, y, theta))
     act = np.arange(len(x))
     zb = np.concatenate((out, bx.T, by.T))
-    prev = np.full(len(x), np.inf)
+    best = np.full(len(x), np.inf)
+    since = np.zeros(len(x), dtype=int)
     for _ in range(30):
         if act.size == 0:
             break
@@ -402,18 +406,21 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta):
             step = np.linalg.solve(jac, g[..., None])[..., 0]
             step[sing] = 0.0
         norm = np.abs(step).max(axis=1)
-        stall = (norm >= prev) & (np.abs(g).max(axis=1) <= floor)
+        since += 1
+        since[norm < best] = 0
+        best = np.fmin(best, norm)
+        stall = since >= np.where(np.abs(g).max(axis=1) <= floor, 1, STALL_WINDOW)
         step = step / np.fmax(norm, 1.0)[:, None]
         step[stall] = 0.0
         zb[:3] -= step.T
         go = (norm >= 1e-13) & ~stall
-        prev = norm
         if not go.all():
             stop = ~go
             out[:, act[stop]] = zb[:3, stop]
             act = act[go]
             zb = zb[:, go]
-            prev = norm[go]
+            best = best[go]
+            since = since[go]
     out[:, act] = zb[:3]
     return out
 
@@ -446,10 +453,21 @@ FK_CHUNK = 8192
 #: Largest closure error, in length units, of an accepted assembly pose.
 RESIDUAL_TOL = 1e-9
 
-#: A Newton row whose step stopped shrinking is at its rounding floor when
-#: every |c_i - b_i|^2 - m^2 is within this many ulps of m^2. A looser gate
-#: can stop copies of two roots 1.03e-6 apart close enough to merge them.
-STALL_ULPS = 4
+#: A Newton row whose step is not a new minimum is at its rounding floor when
+#: every |c_i - b_i|^2 - m^2 is within this many ulps of m^2 (7.3e-12 on the
+#: reference m^2 = 36). Converged rows near a double root wander 1-16 ulps
+#: off m^2 with steps above 1e-13, so 4 ulps ran many of them to the cap.
+#: Since the floor stops only a row whose step is not a new minimum, the two
+#: roots 1.03e-6 apart of ``test_close_root_pair_is_two_poses`` stay two
+#: poses (1.07e-6 apart) at this width and at every width up to 2^44 ulps.
+STALL_ULPS = 1024
+
+#: A Newton row stops once this many consecutive steps brought no new minimum
+#: step norm: its corrections have stopped contracting, and the RESIDUAL_TOL
+#: gate of fk_roots keeps or drops it where it stands. 8 moved two pinned
+#: near-tangent counts of the congruent geometry from 6 poses to 4; 9 is the
+#: smallest window that moves none.
+STALL_WINDOW = 9
 
 #: A row of the 2x2 system M is twice the distance between two legs' circles
 #: of platform positions at one theta; when it is shorter than this many m,

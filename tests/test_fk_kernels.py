@@ -2,11 +2,11 @@
 
 The kernels evaluate all three legs at once; ``oracles`` keeps their
 one-leg-at-a-time form, which they must reproduce bit for bit at every
-theta shape their callers pass. The Newton stops a row at the rounding
-floor as well as at a step below 1e-13; on simple roots it must follow the
-step-only loop bit for bit, and every row of a batch must come out as it
-does alone, however the other rows stop. Its Jacobian is 2A from the shared
-row builder.
+theta shape their callers pass. The Newton stops a row at a step below
+1e-13, at the rounding floor and on its no-progress window; on simple roots
+it must follow the step-only loop bit for bit, and every row of a batch must
+come out as it does alone, however the other rows stop. Its Jacobian is 2A
+from the shared row builder.
 Each scan root gets one kind of position candidate: one Cramer point or two
 rank-1 line points.
 """
@@ -214,44 +214,97 @@ def test_near_tangent_clusters_keep_their_poses_with_fewer_newton_rows(ref_geom,
     assert 0 < sum(new_rows) < sum(old_rows)
 
 
-def test_newton_rows_are_polished_as_alone_under_mixed_stops(ref_geom, monkeypatch):
-    # One batch mixes every way a row stops: the candidates of the
-    # near-tangent clusters, some stopping on a step below 1e-13 at different
-    # iterations, some at the rounding floor (before the step-only loop of
-    # the oracle would stop them), one at the 30-step cap, and the exactly
-    # singular row of the zero-row test. In any order, each row must come out
-    # bit for bit as polished alone, at the cost of its own iterations: a
-    # row written back at the wrong index or after the wrong step fails.
+#: fk_sweep seed-1 triples (calls 60, 104, 488 and 2265) in which a Newton row
+#: ran to the 30-step cap under a 4-ulp floor and no window, with their pose
+#: counts, the most steps any of their candidate rows may now take, and
+#: whether their slow rows converged. In the first two the slow rows converged
+#: 1-16 ulps off m^2 and pass the closure gate: the STALL_ULPS floor stops
+#: them; at 4 ulps they take 6-13 steps. In the last two the slow row cycles
+#: with O(1) steps far from any root and fails the gate: the STALL_WINDOW
+#: window stops it; without the window it runs 30 steps.
+CAPPED_TRIPLES = [
+    ((0.5170665574970283, 2.234614799705744, -0.00427754347284548), 6, 2, True),
+    ((-0.291951850224657, -1.7174234497405818, -1.6293504801794176), 4, 2, True),
+    ((1.634221460924525, 1.7492507234026073, -1.5803399895578671), 2, 10, False),
+    ((-0.9614333772808203, 1.7357023402235943, -1.768045364555725), 2, 10, False),
+]
+
+
+def _newton_inputs(monkeypatch, geom, alphas):
+    """The one ``_newton_full_batch`` call of ``fk_roots(geom, alphas)``: its inputs and fk_roots' triple indices."""
     calls = []
     newton = batch._newton_full_batch
-    monkeypatch.setattr(batch, "_newton_full_batch", lambda *a: calls.append(a) or newton(*a))
-    batch.fk_roots(ref_geom, np.array([alpha for alpha, _ in NEAR_TANGENT_CLUSTERS]))
-    monkeypatch.setattr(batch, "_newton_full_batch", newton)
-    (_, *cluster), = calls
+    with monkeypatch.context() as mp:
+        mp.setattr(batch, "_newton_full_batch", lambda *a: calls.append(a) or newton(*a))
+        idx = batch.fk_roots(geom, np.asarray(alphas))[0]
+    (_, *inputs), = calls
+    return inputs, idx
+
+
+def _polish_alone(monkeypatch, geom, rows, inputs, **rules):
+    """Each Newton row polished alone, with the batch constants in ``rules``: (iterates, steps)."""
+    out, steps = [], []
+    with monkeypatch.context() as mp:
+        for name, value in rules.items():
+            mp.setattr(batch, name, value)
+        for k in range(len(inputs[0])):
+            before = sum(rows)
+            out.append(np.array(batch._newton_full_batch(geom, *(v[k : k + 1] for v in inputs)))[:, 0])
+            steps.append(sum(rows) - before)
+    return out, np.array(steps)
+
+
+@pytest.mark.parametrize(
+    "alpha, count, most, converged", CAPPED_TRIPLES, ids=["floor0", "floor1", "window0", "window1"]
+)
+def test_stop_rules_end_rows_that_ran_to_the_cap(ref_geom, monkeypatch, alpha, count, most, converged):
+    # Pins STALL_ULPS and STALL_WINDOW: the triples keep their pose counts,
+    # and every row stops within its triple's bound.
+    inputs, idx = _newton_inputs(monkeypatch, ref_geom, [alpha])
+    assert len(idx) == count
+    rows = _rows_evaluated(monkeypatch, batch, "_a_row", 0)
+    polished, steps = _polish_alone(monkeypatch, ref_geom, rows, inputs)
+    assert steps.max() <= most
+    # The slow rows the floor stops pass the closure gate; the one the window stops fails it.
+    err = batch._closure_error(ref_geom, *inputs[:2], *np.array(polished).T)
+    assert (err[steps > 1] < batch.RESIDUAL_TOL).all() == converged
+
+
+def test_newton_rows_are_polished_as_alone_under_mixed_stops(ref_geom, monkeypatch):
+    # One batch mixes every way a row stops: the candidates of the
+    # near-tangent clusters and of a capped triple, some stopping on a step
+    # below 1e-13 at different iterations (as the step-only loop of the
+    # oracle does), some at the rounding floor, some on the no-progress
+    # window, and the exactly singular row of the zero-row test; none runs to
+    # the 30-step cap. A row stops on the floor or the window when turning
+    # that rule off polishes it longer. In any order, each row must come out
+    # bit for bit as polished alone, at the cost of its own iterations: a row
+    # written back at the wrong index or after the wrong step fails.
+    alphas = [alpha for alpha, _ in NEAR_TANGENT_CLUSTERS] + [CAPPED_TRIPLES[2][0]]
+    cluster, _ = _newton_inputs(monkeypatch, ref_geom, alphas)
     zero = [v[:1] for v in _zero_row_batch(ref_geom)]
-    bx, by, x, y, theta = (np.concatenate((c, z)) for c, z in zip(cluster, zero))
+    inputs = [np.concatenate((c, z)) for c, z in zip(cluster, zero)]
+    bx, by, x, y, theta = inputs
     rows = _rows_evaluated(monkeypatch, batch, "_a_row", 0)
     oracle_rows = _rows_evaluated(monkeypatch, oracles, "full_system_per_leg", 1)
-    alone, steps, oracle_steps = [], [], []
+    alone, steps = _polish_alone(monkeypatch, ref_geom, rows, inputs)
+    _, no_floor = _polish_alone(monkeypatch, ref_geom, rows, inputs, STALL_ULPS=0)
+    _, no_window = _polish_alone(monkeypatch, ref_geom, rows, inputs, STALL_WINDOW=30)
+    oracle_steps = []
     for k in range(len(x)):
-        one = [v[k : k + 1] for v in (bx, by, x, y, theta)]
-        before, oracle_before = sum(rows), sum(oracle_rows)
-        alone.append(np.array(batch._newton_full_batch(ref_geom, *one))[:, 0])
-        oracles.newton_full_step_floor(ref_geom, *one)
-        steps.append(sum(rows) - before)
-        oracle_steps.append(sum(oracle_rows) - oracle_before)
-    steps = np.array(steps)
-    floor_stops = (steps < 30) & (steps < oracle_steps)
-    step_stops = (steps < 30) & (steps == oracle_steps)
-    assert floor_stops.any() and (steps == 30).any()
+        before = sum(oracle_rows)
+        oracles.newton_full_step_floor(ref_geom, *(v[k : k + 1] for v in inputs))
+        oracle_steps.append(sum(oracle_rows) - before)
+    step_stops = steps == oracle_steps
+    assert steps.max() < 30
+    assert (steps < no_floor).any() and (steps < no_window).any()
     assert len(set(steps[step_stops].tolist())) > 3
     assert steps[-1] == 1 and np.array_equal(alone[-1], (x[-1], y[-1], theta[-1]))
     rng = np.random.default_rng(29)
     for _ in range(2):
         order = rng.permutation(len(x))
         rows.clear()
-        batch_in = (v[order] for v in (bx, by, x, y, theta))
-        got = np.array(batch._newton_full_batch(ref_geom, *batch_in))
+        got = np.array(batch._newton_full_batch(ref_geom, *(v[order] for v in inputs)))
         for j, k in enumerate(order):
             assert np.array_equal(got[:, j], alone[k])
         assert sum(rows) == steps.sum()
