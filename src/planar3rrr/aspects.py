@@ -45,7 +45,7 @@ import numpy as np
 
 from . import batch
 from .errors import ConfigError, ModeMismatchError, ParallelSingularError, SerialSingularError
-from .geometry import EPS_SING, TWO_PI, FullConfiguration, GeometryConfig, WorkingMode
+from .geometry import EPS_SING, TWO_PI, FullConfiguration, GeometryConfig, WorkingMode, as_positive
 from .octree import (
     WORKSPACE_LIMIT,
     Box3,
@@ -348,7 +348,8 @@ def enumerate_aspects(
     far costlier than the workspace test. ``modes`` (one or more distinct
     ``WorkingMode`` members, default all eight) and ``det_signs`` (one or two
     distinct values, each +1 or -1) choose the (mode, det sign) pairs;
-    ValueError names a bad one or ``limit`` (a bool included) before any work.
+    ValueError names a bad one, and ``limit`` passes ``geometry.as_positive``,
+    before any work.
     """
     depth = check_depth(depth, "depth")
     if joint_depth is not None:
@@ -359,9 +360,7 @@ def enumerate_aspects(
     modes = list(modes) if modes is not None else list(WorkingMode)
     if not all(isinstance(m, WorkingMode) for m in modes) or not 0 < len(set(modes)) == len(modes):
         raise ValueError(f"modes must be one or more distinct WorkingMode members, got {modes}")
-    if isinstance(limit, bool) or not 0 < limit < math.inf:
-        raise ValueError(f"limit must be positive and finite, got {limit!r}")
-    box = workspace_box(limit)
+    box = workspace_box(as_positive(limit, "limit"))
     live = _live_bricks(geom, box, depth)
     slots, index = _brick_slots(live, box)
     need, budget = census_bytes(len(slots), depth, len(modes), joint_depth), memory_budget()

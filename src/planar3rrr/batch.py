@@ -25,14 +25,16 @@ orientations with the eigenvalues of one real sextic per triple
 (``scan_roots``), gives each orientation root either one Cramer position or
 two rank-1 line positions, never both, and keeps the full-system polish of
 each candidate as the candidate. Its closure kernels evaluate the three
-legs with one cos and one sin, in the per-leg operation order. Its
-full-system Newton steps on 2A, the closure Jacobian, from ``_a_row``, and
-stops a row at a step below 1e-13, at the rounding floor, or once its steps
-stop reaching new minima; the 30-step cap is only a backstop.
+legs with one cos and one sin, in the per-leg operation order, and its
+RESIDUAL_TOL gate reads ``geometry.closure_gaps``. Its full-system Newton
+steps on 2A, the closure Jacobian, from ``_a_row``, and stops a row at a
+step below 1e-13, at the rounding floor, or once its steps stop reaching new
+minima; the 30-step cap is only a backstop.
 
-``classify`` is the one singularity rule and the only kernel that eps
-enters; the reach band of ``solve_legs`` is the fixed ``REACH_BAND``, and
-``same_pose``, the solver's merge rule, is the one pose identity.
+``classify`` is the one singularity rule and the only kernel that eps enters
+(through ``geometry.as_positive``); the reach band of ``solve_legs`` is the
+fixed ``REACH_BAND``, and ``same_pose``, the solver's merge rule, is the one
+pose identity.
 
 Shapes follow numpy broadcasting; x, y, theta must broadcast against each
 other. Actuated angles come as (K, 3) rows.
@@ -55,6 +57,8 @@ from .geometry import (
     TWO_PI,
     GeometryConfig,
     WorkingMode,
+    as_positive,
+    closure_gaps,
     elbow_points,
     loop_gaps,
     platform_joints,
@@ -425,12 +429,6 @@ def _newton_full_batch(geom: GeometryConfig, bx, by, x, y, theta):
     return out
 
 
-def _closure_error(geom: GeometryConfig, bx, by, x, y, theta):
-    """Largest leg closure error | |c_i - b_i| - m | of each (K,) pose."""
-    cx, cy = platform_joints(geom, x, y, theta)
-    return np.max(np.abs(np.hypot(cx - bx.T, cy - by.T) - geom.m), axis=0)
-
-
 #: Trigonometric degree of the scan polynomial N: the direct problem is the
 #: classical sextic, at most six real assembly modes.
 SCAN_DEGREE = 3
@@ -649,7 +647,8 @@ def fk_roots(geom: GeometryConfig, alphas: np.ndarray):
         # Full-system polish repairs the conditioning of the 2x2 recovery
         # near singular orientations of the reduction.
         px, py, root = _newton_full_batch(geom, bxr, byr, px, py, theta[rows])
-        err = _closure_error(geom, bxr, byr, px, py, root)
+        cx, cy = platform_joints(geom, px, py, root)
+        err = closure_gaps(geom.m, cx - bxr.T, cy - byr.T).max(axis=0)
         keep = np.flatnonzero(err < RESIDUAL_TOL)
         keep = keep[np.lexsort((err[keep], ci[rows[keep]]))]
         rec = (ci[rows[keep]] + start, px[keep], py[keep], root[keep] % TWO_PI)
@@ -672,10 +671,10 @@ def classify(det, b_diag, scale, eps: float):
     the B_ii signs and the det(A) sign (+1 or -1), a zero counting as
     negative as in ``WorkingMode.from_signs``; the flags |B_ii| < eps,
     (..., 3), and |det(A)| / scale < eps. A margin equal to eps is not singular.
-    An eps outside (0, inf), NaN included, raises ValueError.
+    eps passes ``geometry.as_positive``: a bool or string raises TypeError, a
+    value outside (0, inf), NaN included, ValueError.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be in (0, inf), got {eps!r}")
+    eps = as_positive(eps, "eps")
     b_diag = np.asarray(b_diag, dtype=float)
     mode_idx = _MODE_BY_CODE[~(b_diag > 0.0) @ _SIGN_BITS]
     det_sign = np.where(det > 0.0, 1, -1)

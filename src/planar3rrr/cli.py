@@ -26,7 +26,7 @@ from .aspects import (
 )
 from .errors import ConfigError, KinematicError, OctreeError
 from .batch import MODE_ORDER, classify, jacobian_rows
-from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, as_float, parse_mode
+from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, as_float, as_positive, parse_mode
 from .jacobians import jacobians, singularity_report
 from .kinematics import forward_kinematics, inverse_kinematics
 from .octree import WORKSPACE_LIMIT, export, volume
@@ -82,9 +82,9 @@ def load_config(path: str | None) -> RunConfig:
             geometry=geometry,
             depth=data.get("depth"),
             joint_depth=data.get("joint_depth"),
-            eps_sing=as_float(data.get("eps_sing", EPS_SING), "key 'eps_sing'"),
+            eps_sing=as_positive(data.get("eps_sing", EPS_SING), "key 'eps_sing'"),
             samples_per_segment=data.get("samples_per_segment", 500),
-            workspace_limit=as_float(
+            workspace_limit=as_positive(
                 data.get("workspace_limit", WORKSPACE_LIMIT), "key 'workspace_limit'"
             ),
             out=Path(data["out"]) if "out" in data else Path("."),
@@ -93,9 +93,6 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if cfg.samples_per_segment < 2:
         raise ConfigError("samples_per_segment must be at least 2")
-    for key in ("eps_sing", "workspace_limit"):
-        if not 0 < getattr(cfg, key) < math.inf:
-            raise ConfigError(f"{key} must be positive and finite, got {getattr(cfg, key)}")
     if cfg.depth is not None:
         check_depth(cfg.depth, "config depth")
     if cfg.joint_depth is not None:
@@ -109,9 +106,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         check_depth(args.depth, "--depth")
         updates["depth"] = args.depth
     if args.eps is not None:
-        if not 0 < args.eps < math.inf:
-            raise ConfigError(f"--eps must be positive and finite, got {args.eps}")
-        updates["eps_sing"] = args.eps
+        updates["eps_sing"] = as_positive(args.eps, "--eps")
     if args.out is not None:
         updates["out"] = Path(args.out)
     return replace(cfg, **updates) if updates else cfg
@@ -182,7 +177,10 @@ def cmd_jac(cfg: RunConfig, args) -> int:
 
 
 def _outdir(cfg: RunConfig) -> Path:
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out}: {exc}") from exc
     return cfg.out
 
 

@@ -11,7 +11,8 @@ absolute angle alpha_i) and ``m`` (passive, absolute angle beta_i), so
     c_i = p + s * (cos(theta + platform_phase_i), sin(theta + platform_phase_i))
 
 All angles are radians and counter-clockwise positive; degrees appear only at
-the CLI and file boundaries.
+the CLI and file boundaries. Every scalar a caller hands in passes the one
+number rule, ``as_float`` (``as_positive`` for lengths, eps and limits).
 """
 
 from __future__ import annotations
@@ -40,10 +41,23 @@ REFERENCE_PHASES = (math.radians(210.0), math.radians(330.0), math.radians(90.0)
 
 
 def as_float(value, name: str) -> float:
-    """A JSON number as a float; a bool, string or other value raises TypeError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """The one number rule: a Python or numpy int or float, not a bool, as a finite
+    float; TypeError (not a number) or ValueError (not finite) names ``name``."""
+    return _number(value, name, -math.inf, "finite")
+
+
+def as_positive(value, name: str) -> float:
+    """``as_float`` of a length, tolerance or limit, which must also exceed 0."""
+    return _number(value, name, 0.0, "positive and finite")
+
+
+def _number(value, name: str, low: float, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    v = float(value)
+    if not low < v < math.inf:
+        raise ValueError(f"{name} must be {what}, got {v}")
+    return v
 
 
 def wrap_angle(theta: float) -> float:
@@ -89,19 +103,14 @@ class GeometryConfig:
 
     def __post_init__(self):
         for name in ("l", "m", "r", "s"):
-            v = float(getattr(self, name))
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValueError(f"{name} must be strictly positive, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, as_positive(getattr(self, name), name))
         for name in ("base_phase", "platform_phase"):
-            phases = tuple(float(v) for v in getattr(self, name))
-            if len(phases) != 3 or not all(map(math.isfinite, phases)):
-                raise ValueError(f"{name} must contain three finite angles, got {phases}")
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    d = abs(wrap_angle(phases[i] - phases[j]))
-                    if d < 1e-9:
-                        raise ValueError(f"{name} angles {i} and {j} coincide mod 2pi")
+            phases = tuple(as_float(v, f"{name} angle") for v in getattr(self, name))
+            if len(phases) != 3:
+                raise ValueError(f"{name} must contain three angles, got {phases}")
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                if abs(wrap_angle(phases[i] - phases[j])) < 1e-9:
+                    raise ValueError(f"{name} angles {i} and {j} coincide mod 2pi")
             object.__setattr__(self, name, phases)
 
     @cached_property
@@ -153,22 +162,16 @@ class GeometryConfig:
 
 @dataclass(frozen=True, slots=True)
 class Pose:
-    """Platform position (x, y) and orientation theta, normalized to (-pi, pi].
-
-    A coordinate that is not finite raises ValueError.
-    """
+    """Platform position (x, y) and orientation theta in (-pi, pi], each passing ``as_float``."""
 
     x: float
     y: float
     theta: float
 
     def __post_init__(self):
-        x, y, theta = float(self.x), float(self.y), float(self.theta)
-        if not all(map(math.isfinite, (x, y, theta))):
-            raise ValueError(f"pose must be finite, got ({x}, {y}, {theta})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "theta", wrap_angle(theta))
+        object.__setattr__(self, "x", as_float(self.x, "pose x"))
+        object.__setattr__(self, "y", as_float(self.y, "pose y"))
+        object.__setattr__(self, "theta", wrap_angle(as_float(self.theta, "pose theta")))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.theta)
@@ -195,13 +198,19 @@ def platform_joints(geom: GeometryConfig, x, y, theta):
     return x + ux, y + uy
 
 
+def closure_gaps(m: float, ex, ey):
+    """The one loop-closure kernel, | |e| - m | of legs with e = c - b: the closure
+    term of ``loop_gaps`` and the RESIDUAL_TOL gate of ``batch.fk_roots``."""
+    return np.abs(np.hypot(ex, ey) - m)
+
+
 def loop_gaps(m: float, ex, ey, beta):
-    """The one loop-closure rule, max(| |e| - m |, |m u(beta) - e|) of legs with e = c - b.
+    """The one loop-closure rule, max(``closure_gaps``, |m u(beta) - e|) of legs with e = c - b.
 
     ``FullConfiguration`` and ``batch.solve_legs`` bound it by LOOP_TOL.
     """
-    closure = np.abs(np.hypot(ex, ey) - m)
-    return np.maximum(closure, np.hypot(m * np.cos(beta) - ex, m * np.sin(beta) - ey))
+    gap = np.hypot(m * np.cos(beta) - ex, m * np.sin(beta) - ey)
+    return np.maximum(closure_gaps(m, ex, ey), gap)
 
 
 def elbow_points(geom: GeometryConfig, alphas):
@@ -273,8 +282,8 @@ class FullConfiguration:
     beta: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(v) for v in self.alpha))
-        object.__setattr__(self, "beta", tuple(float(v) for v in self.beta))
+        object.__setattr__(self, "alpha", tuple(as_float(v, "alpha angle") for v in self.alpha))
+        object.__setattr__(self, "beta", tuple(as_float(v, "beta angle") for v in self.beta))
         if len(self.alpha) != 3 or len(self.beta) != 3:
             raise ValueError("alpha and beta must each contain three angles")
         gaps = loop_gaps(self.geom.m, *(self.c - self.b).T, np.array(self.beta))

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoxMismatchError, OutOfBoxError
-from .geometry import TWO_PI
+from .geometry import TWO_PI, as_float
 
 AXIS_LINEAR = "lin"
 AXIS_PERIODIC = "per"
@@ -105,23 +105,20 @@ class Box3:
     axes: tuple[str, str, str]
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        axes = tuple(self.axes)
+        lo, hi, axes = tuple(self.lo), tuple(self.hi), tuple(self.axes)
         if len(lo) != 3 or len(hi) != 3 or len(axes) != 3:
             raise ValueError("Box3 needs three axes")
+        lo = tuple(as_float(v, f"axis {i}: lo") for i, v in enumerate(lo))
+        hi = tuple(as_float(v, f"axis {i}: hi") for i, v in enumerate(hi))
         for i in range(3):
-            if not (math.isfinite(lo[i]) and math.isfinite(hi[i])):
-                raise ValueError(f"axis {i}: bounds must be finite, got [{lo[i]}, {hi[i]}]")
             if not hi[i] > lo[i]:
                 raise ValueError(f"axis {i}: hi must exceed lo")
             if axes[i] not in (AXIS_LINEAR, AXIS_PERIODIC):
                 raise ValueError(f"axis {i}: kind must be 'lin' or 'per'")
             if axes[i] == AXIS_PERIODIC and hi[i] - lo[i] > TWO_PI * (1 + 1e-12):
                 raise ValueError(f"axis {i}: periodic extent exceeds 2pi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "axes", axes)
+        for name, value in (("lo", lo), ("hi", hi), ("axes", axes)):
+            object.__setattr__(self, name, value)
 
     @property
     def extent(self) -> tuple[float, float, float]:
@@ -200,22 +197,16 @@ class Octree:
     def __post_init__(self):
         if not 0 <= self.max_depth <= MAX_TREE_DEPTH:
             raise ValueError(f"max_depth must be in [0, {MAX_TREE_DEPTH}], got {self.max_depth}")
-        morton = np.ascontiguousarray(self.morton, dtype=np.uint64)
-        depth = np.ascontiguousarray(self.depth, dtype=np.uint8)
-        label = np.ascontiguousarray(self.label, dtype=bool)
-        for arr in (morton, depth, label):
-            arr.setflags(write=False)
-        object.__setattr__(self, "morton", morton)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "label", label)
-        if self.comp is not None:
-            comp = np.ascontiguousarray(self.comp, dtype=np.int64)
-            comp.setflags(write=False)
-            object.__setattr__(self, "comp", comp)
+        dtypes = {"morton": np.uint64, "depth": np.uint8, "label": bool, "comp": np.int64}
+        for name, dtype in dtypes.items():
+            if getattr(self, name) is not None:
+                arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
         # Local arrays, not the cached properties: a tree whose starts are
         # never asked for does not keep them (16 depth-8 census trees: 30 MB).
-        shift = _level_shift(self.max_depth, depth)
-        starts = morton << shift
+        shift = _level_shift(self.max_depth, self.depth)
+        starts = self.morton << shift
         ends = starts + (np.uint64(1) << shift)
         if len(starts) == 0:
             raise ValueError("octree has no leaves")
@@ -807,10 +798,10 @@ def _parse_head(head: str, line: int) -> tuple[Box3, int]:
             f"[0, {MAX_TREE_DEPTH}]: {depth!r}"
         )
     try:
-        corners = [float(v) for v in fields["box"].split(",")]
+        corners = [as_float(float(v), "box corner") for v in fields["box"].split(",")]
     except ValueError:
         corners = []
-    if len(corners) != 6 or not all(map(math.isfinite, corners)):
+    if len(corners) != 6:
         raise ValueError(
             f"octree dump line {line}: head field 'box' is not 6 finite floats: {fields['box']!r}"
         )

@@ -384,7 +384,9 @@ def test_census_refuses_bad_pair_selection_and_limit(ref_geom, monkeypatch, kwar
         raise AssertionError("the census started")
 
     monkeypatch.setattr(aspects, "_live_bricks", no_bricks)
-    with pytest.raises(ValueError, match=rf"^{name} must be"):
+    # The number rule (geometry.as_positive) refuses a bool as no number.
+    error = TypeError if kwargs.get("limit") is True else ValueError
+    with pytest.raises(error, match=rf"^{name} must be"):
         enumerate_aspects(ref_geom, depth=4, **kwargs)
 
 

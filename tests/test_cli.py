@@ -238,6 +238,18 @@ def test_workspace_runs_the_census(ref_config, tmp_path, capsys):
     assert dump == (tmp_path / "a" / "aspect_w_c_pos.oct").read_bytes()
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+def test_out_on_a_file_is_refused(ref_config, tmp_path, capsys, below):
+    # mkdir used to end in a FileExistsError or NotADirectoryError traceback with exit code 1.
+    blocker = tmp_path / "f"
+    blocker.write_text("x")
+    out = blocker / below
+    argv = ["--config", ref_config, "--out", str(out), "--depth", "4"]
+    assert main([*argv, "workspace", "--mode", "a", "--sign", "+"]) == 2
+    assert f"cannot create output directory {out}" in capsys.readouterr().err
+    assert blocker.read_text() == "x"
+
+
 def test_workspace_limit_sets_census_box(ref_config, tmp_path, capsys):
     data = json.loads(Path(ref_config).read_text())
     data["workspace_limit"] = 6
@@ -437,7 +449,7 @@ def test_workspace_limit_must_be_positive_and_finite(ref_config, tmp_path, capsy
     out = tmp_path / "a"
     rc = main(["--config", str(cfg), "--out", str(out), "--depth", "4", "aspects", "--no-joint"])
     assert rc == 2
-    assert "workspace_limit must be positive and finite" in capsys.readouterr().err
+    assert "key 'workspace_limit' must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -20,10 +20,19 @@ import oracles
 from conftest import NEAR_TANGENT_CLUSTERS
 from planar3rrr import batch
 from planar3rrr.errors import DegenerateLinearSystemError, KinematicError
-from planar3rrr.geometry import DEFAULT_PHASES, GeometryConfig, Pose, WorkingMode, platform_joints
+from planar3rrr.geometry import (
+    DEFAULT_PHASES, GeometryConfig, Pose, WorkingMode, closure_gaps, platform_joints
+)
 from planar3rrr.kinematics import forward_kinematics, inverse_kinematics
 
 K = 17
+
+
+def _gate_error(geom, bx, by, x, y, theta):
+    """What the RESIDUAL_TOL gate of fk_roots bounds: the largest ``closure_gaps`` of each pose."""
+    cx, cy = platform_joints(geom, x, y, theta)
+    return closure_gaps(geom.m, cx - bx.T, cy - by.T).max(axis=0)
+
 
 GEOMETRIES = {
     "reference": GeometryConfig.reference(),
@@ -91,7 +100,7 @@ def test_full_system_and_closure_error_match_per_leg_oracle(geom, rng):
     ex, ey = rows[..., 0], rows[..., 1]
     assert np.array_equal(g_want, ex * ex + ey * ey - geom.m * geom.m)
     assert np.array_equal(
-        batch._closure_error(geom, bx, by, x, y, theta),
+        _gate_error(geom, bx, by, x, y, theta),
         oracles.closure_error_per_leg(geom, bx, by, x, y, theta),
     )
 
@@ -266,7 +275,7 @@ def test_stop_rules_end_rows_that_ran_to_the_cap(ref_geom, monkeypatch, alpha, c
     polished, steps = _polish_alone(monkeypatch, ref_geom, rows, inputs)
     assert steps.max() <= most
     # The slow rows the floor stops pass the closure gate; the one the window stops fails it.
-    err = batch._closure_error(ref_geom, *inputs[:2], *np.array(polished).T)
+    err = _gate_error(ref_geom, *inputs[:2], *np.array(polished).T)
     assert (err[steps > 1] < batch.RESIDUAL_TOL).all() == converged
 
 

@@ -74,7 +74,7 @@ def test_box_refuses_non_finite_bounds(value, side, axis):
     # workspace_box(inf) used to build a box whose cells have NaN coordinates.
     bounds = {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}
     bounds[side][axis] = value
-    with pytest.raises(ValueError, match=rf"^axis {axis}: bounds must be finite, got \["):
+    with pytest.raises(ValueError, match=rf"^axis {axis}: {side} must be finite, got "):
         Box3(**bounds, axes=("lin", "lin", "lin"))
 
 
@@ -175,6 +175,8 @@ HEAD_ERRORS = {
     "box-5": (f"octree v1; box=0,0,0,1,1; depth=3; {LIN}", "'box' is not 6 finite floats"),
     "box-text": (f"octree v1; box=0,0,0,1,1,a; depth=3; {LIN}", "'box' is not 6 finite"),
     "box-inf": (f"octree v1; box=0,0,0,1,1,inf; depth=3; {LIN}", "'box' is not 6 finite"),
+    "box-minus-inf": (f"octree v1; box=-inf,0,0,1,1,1; depth=3; {LIN}", "'box' is not 6 finite"),
+    "box-nan": (f"octree v1; box=0,0,nan,1,1,1; depth=3; {LIN}", "'box' is not 6 finite"),
     "axes-2": (f"{V1} depth=3; axes=lin,lin", "'box' and 'axes': Box3 needs three axes"),
     "axes-kind": (f"{V1} depth=3; axes=lin,lin,deg", "'axes': axis 2: kind must be"),
     "leading-blank-lines": (f"\n \n{V1} depth=3", "line 3: head field 'axes' is missing"),

@@ -21,6 +21,11 @@ decodes a Morton code. The leaf layout stays behind ``octree`` too: no other
 module reads a tree's leaf ``starts`` or ``sizes``. Private names stay in
 their module: no module imports or reads another module's private name (but
 ``octree._grid_to_tree``, whose calls the benchmark traces as a layer).
+
+One number rule: only ``geometry`` decides whether a scalar is a finite (or
+positive) number, in ``as_float`` and ``as_positive``. No other module reads
+``math.isfinite`` or compares a value with ``math.inf``; an inline copy of the
+rule drifts from it (one read True as 1, another "6" as 6).
 """
 
 from __future__ import annotations
@@ -250,3 +255,53 @@ def test_no_module_imports_a_private_name_of_another():
     private = {name: [r for r in found if "." in r] for name, found in _module_reads().items()}
     assert set(private) == {"planar3rrr", *(f"planar3rrr.{m}" for m in MODULES)}
     assert {name: found for name, found in private.items() if found} == {}
+
+
+def _is_math(node, name: str) -> bool:
+    return (
+        isinstance(node, ast.Attribute) and node.attr == name
+        and isinstance(node.value, ast.Name) and node.value.id == "math"
+    )
+
+
+def _number_checks(source: str) -> list[str]:
+    """The inline number checks of ``source``, by line: each read or import of
+    ``math.isfinite`` and each comparison with ``math.inf``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if _is_math(node, "isfinite"):
+            found.append((node.lineno, "math.isfinite"))
+        elif isinstance(node, ast.Compare) and any(
+            _is_math(v, "inf") for v in (node.left, *node.comparators)
+        ):
+            found.append((node.lineno, "math.inf comparison"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names = [a.name for a in node.names if a.name in ("isfinite", "inf")]
+            found += [(node.lineno, f"math.{name}") for name in names]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_lint_sees_an_inline_number_check():
+    # Reads, imports and comparisons are flagged; np.isfinite, a bare math.inf
+    # and other math names are not.
+    source = """
+import math
+from math import inf, isfinite, pi
+def check(eps, limit, lo):
+    if not all(map(math.isfinite, lo)) or not 0.0 < eps < math.inf:
+        raise ValueError(eps)
+    return math.isfinite(limit) and limit != math.inf
+def fine(x):
+    return np.isfinite(x), math.inf, math.pi, x < inf_bound
+"""
+    assert _number_checks(source) == [
+        "line 3: math.inf", "line 3: math.isfinite", "line 5: math.inf comparison",
+        "line 5: math.isfinite", "line 7: math.inf comparison", "line 7: math.isfinite",
+    ]
+
+
+def test_only_geometry_checks_a_number():
+    checks = {m.__name__: _number_checks(inspect.getsource(m)) for m in _modules()}
+    assert checks.pop("planar3rrr.geometry") != []
+    assert "planar3rrr.cli" in checks
+    assert {name: found for name, found in checks.items() if found} == {}
