@@ -45,7 +45,9 @@ import numpy as np
 
 from . import batch
 from .errors import ConfigError, ModeMismatchError, ParallelSingularError, SerialSingularError
-from .geometry import EPS_SING, TWO_PI, FullConfiguration, GeometryConfig, WorkingMode, as_positive
+from .geometry import (
+    EPS_SING, TWO_PI, FullConfiguration, GeometryConfig, WorkingMode, as_int, as_positive
+)
 from .octree import (
     WORKSPACE_LIMIT,
     Box3,
@@ -156,11 +158,8 @@ class AspectAtlas:
 
 
 def check_depth(depth, name: str, lo: int = MIN_DEPTH) -> int:
-    """``depth`` as an int, by the one depth rule: an integer, not a bool, in [lo, MAX_DEPTH]."""
-    whole = isinstance(depth, (int, np.integer)) and not isinstance(depth, bool)
-    if not (whole and lo <= depth <= MAX_DEPTH):
-        raise ValueError(f"{name} must be an integer in [{lo}, {MAX_DEPTH}], got {depth!r}")
-    return int(depth)
+    """``depth`` as an int, by the one depth rule: ``as_int`` in [lo, MAX_DEPTH]."""
+    return as_int(depth, name, lo, MAX_DEPTH)
 
 
 def census_bytes(n_slots: int, depth: int, n_modes: int, joint_depth: int | None) -> int:
@@ -347,15 +346,15 @@ def enumerate_aspects(
     their centers; every joint cell needs a full direct-kinematics solve,
     far costlier than the workspace test. ``modes`` (one or more distinct
     ``WorkingMode`` members, default all eight) and ``det_signs`` (one or two
-    distinct values, each +1 or -1) choose the (mode, det sign) pairs;
+    distinct ints, each +1 or -1) choose the (mode, det sign) pairs;
     ValueError names a bad one, and ``limit`` passes ``geometry.as_positive``,
     before any work.
     """
     depth = check_depth(depth, "depth")
     if joint_depth is not None:
         joint_depth = check_depth(joint_depth, "joint_depth", 0)
-    bad = [sign for sign in det_signs if sign not in (1, -1)]
-    if bad or not 0 < len(set(det_signs)) == len(det_signs):
+    det_signs = tuple(as_int(sign, "det_signs entry", -1, 1) for sign in det_signs)
+    if 0 in det_signs or not 0 < len(set(det_signs)) == len(det_signs):
         raise ValueError(f"det_signs must be one or two distinct signs +1 or -1, got {det_signs!r}")
     modes = list(modes) if modes is not None else list(WorkingMode)
     if not all(isinstance(m, WorkingMode) for m in modes) or not 0 < len(set(modes)) == len(modes):
@@ -482,15 +481,14 @@ def characteristic_surface(
     still reachable at their center (cells rejected by the det sign, not by
     reach). Each boundary center is mapped through inverse kinematics in
     ``mode``; every other assembly pose of those actuated angles realizing
-    (mode, det sign) inside the same component marks its containing leaf.
-    A pair the atlas lacks raises ValueError (``AspectAtlas.entry``).
+    (mode, det sign) inside the same component marks its containing leaf. A pair
+    (``AspectAtlas.entry``) or ``component_id`` (``as_int``) the atlas lacks raises ValueError.
     """
     entry = atlas.entry(mode, det_sign)
     tree = entry.workspace
     if tree.comp is None:
         raise ValueError("atlas workspace tree lacks component labels")
-    if component_id < 0 or component_id >= entry.n_components_raw:
-        raise ValueError(f"component {component_id} does not exist")
+    component_id = as_int(component_id, "component_id", 0, entry.n_components_raw - 1)
     leaf_in, leaf_out = boundary_pairs(tree, component_id)
 
     centers = tree.leaf_centers()
@@ -499,9 +497,6 @@ def characteristic_surface(
     reach, _ = batch.leg_reach(atlas.geom, oc[:, 0], oc[:, 1], oc[:, 2])
     keep = np.isin(leaf_out, out_ids[reach])
     boundary = np.unique(leaf_in[keep])
-    if boundary.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return CharacteristicSurface(mode, det_sign, component_id, empty, empty)
 
     bc = centers[boundary]
     legs = batch.solve_legs(atlas.geom, bc[:, 0], bc[:, 1], bc[:, 2], mode)

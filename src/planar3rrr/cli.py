@@ -26,7 +26,9 @@ from .aspects import (
 )
 from .errors import ConfigError, KinematicError, OctreeError
 from .batch import MODE_ORDER, classify, jacobian_rows
-from .geometry import EPS_SING, GeometryConfig, Pose, WorkingMode, as_float, as_positive, parse_mode
+from .geometry import (
+    EPS_SING, GeometryConfig, Pose, WorkingMode, as_float, as_int, as_positive, parse_mode
+)
 from .jacobians import jacobians, singularity_report
 from .kinematics import forward_kinematics, inverse_kinematics
 from .octree import WORKSPACE_LIMIT, export, volume
@@ -52,8 +54,8 @@ class RunConfig:
         return self.depth if self.depth is not None else default
 
 
-def _read_json_object(path: str, what: str, int_keys) -> dict:
-    """The JSON object in ``path``; ConfigError names the file on a bad root or int key."""
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``; ConfigError names the file on a bad root."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -63,48 +65,39 @@ def _read_json_object(path: str, what: str, int_keys) -> dict:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{what} {path}: root must be a JSON object")
-    for key in int_keys:
-        if key in data and (isinstance(data[key], bool) or not isinstance(data[key], int)):
-            raise ConfigError(f"{what} {path}: key {key!r} must be an integer, got {data[key]!r}")
     return data
+
+
+def _read_key(data: dict, key: str, default, rule, *bounds):
+    """``rule`` of ``data[key]``, its error naming ``key '<key>'``; ``default`` if it is absent."""
+    return rule(data[key], f"key {key!r}", *bounds) if key in data else default
 
 
 def load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig(geometry=GeometryConfig())
-    data = _read_json_object(path, "config", ("depth", "joint_depth", "samples_per_segment"))
+    data = _read_json_object(path, "config")
     unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
-        geometry = GeometryConfig.from_dict(data.get("geometry", {}))
-        cfg = RunConfig(
-            geometry=geometry,
-            depth=data.get("depth"),
-            joint_depth=data.get("joint_depth"),
-            eps_sing=as_positive(data.get("eps_sing", EPS_SING), "key 'eps_sing'"),
-            samples_per_segment=data.get("samples_per_segment", 500),
-            workspace_limit=as_positive(
-                data.get("workspace_limit", WORKSPACE_LIMIT), "key 'workspace_limit'"
-            ),
+        return RunConfig(
+            geometry=GeometryConfig.from_dict(data.get("geometry", {})),
+            depth=_read_key(data, "depth", None, check_depth),
+            joint_depth=_read_key(data, "joint_depth", None, check_depth, 0),
+            eps_sing=_read_key(data, "eps_sing", EPS_SING, as_positive),
+            samples_per_segment=_read_key(data, "samples_per_segment", 500, as_int, 2),
+            workspace_limit=_read_key(data, "workspace_limit", WORKSPACE_LIMIT, as_positive),
             out=Path(data["out"]) if "out" in data else Path("."),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    if cfg.samples_per_segment < 2:
-        raise ConfigError("samples_per_segment must be at least 2")
-    if cfg.depth is not None:
-        check_depth(cfg.depth, "config depth")
-    if cfg.joint_depth is not None:
-        check_depth(cfg.joint_depth, "config joint_depth", 0)
-    return cfg
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     updates = {}
     if args.depth is not None:
-        check_depth(args.depth, "--depth")
-        updates["depth"] = args.depth
+        updates["depth"] = check_depth(args.depth, "--depth")
     if args.eps is not None:
         updates["eps_sing"] = as_positive(args.eps, "--eps")
     if args.out is not None:
@@ -112,8 +105,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _load_waypoints(path: str) -> tuple[WorkingMode, list[Pose], int | None]:
-    data = _read_json_object(path, "waypoints", ("samples_per_segment",))
+def _load_waypoints(path: str, samples: int) -> tuple[WorkingMode, list[Pose], int]:
+    """Mode, poses and samples per segment (``samples`` unless the file sets it)."""
+    data = _read_json_object(path, "waypoints")
     unknown = set(data) - {"mode", "waypoints", "samples_per_segment"}
     if unknown:
         raise ConfigError(f"unknown waypoint keys: {sorted(unknown)}")
@@ -121,11 +115,12 @@ def _load_waypoints(path: str) -> tuple[WorkingMode, list[Pose], int | None]:
         mode = parse_mode(str(data["mode"]))
         coords = [[as_float(v, "key 'waypoints' entry") for v in w] for w in data["waypoints"]]
         points = [Pose(x, y, math.radians(t)) for x, y, t in coords]
+        spp = _read_key(data, "samples_per_segment", samples, as_int, 2)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid waypoints file: {exc}") from exc
     if len(points) < 2:
         raise ConfigError("waypoints file needs at least two poses")
-    return mode, points, data.get("samples_per_segment")
+    return mode, points, spp
 
 
 def cmd_fk(cfg: RunConfig, args) -> int:
@@ -194,9 +189,9 @@ def _pair_census(cfg: RunConfig, mode: WorkingMode, sign: int, depth: int):
 def cmd_workspace(cfg: RunConfig, args) -> int:
     mode = parse_mode(args.mode)
     depth = cfg.depth_or(8)
+    out = _outdir(cfg) / f"workspace_{mode.label}_{SIGN_TAG[args.sign]}.oct"
     entry = _pair_census(cfg, mode, args.sign, depth).entry(mode, args.sign)
     tree = entry.workspace
-    out = _outdir(cfg) / f"workspace_{mode.label}_{SIGN_TAG[args.sign]}.oct"
     export(tree, out)
     print(
         f"workspace mode {mode.label} sign {'+' if args.sign > 0 else '-'}: depth {depth}, "
@@ -211,6 +206,7 @@ def cmd_aspects(cfg: RunConfig, args) -> int:
     depth = cfg.depth_or(8)
     # Each joint cell costs a direct-kinematics solve: joint depth 5 at most by default.
     joint_depth = min(depth, 5) if cfg.joint_depth is None else cfg.joint_depth
+    outdir = _outdir(cfg)
     atlas = enumerate_aspects(
         cfg.geometry,
         depth,
@@ -223,14 +219,13 @@ def cmd_aspects(cfg: RunConfig, args) -> int:
         print(f"sign {tag}: {per}")
         print(f"total aspects (sign {tag}): {atlas.total(sign)}")
     print(f"grand total: {atlas.grand_total}")
-    manifest = write_manifest(atlas, _outdir(cfg))
+    manifest = write_manifest(atlas, outdir)
     print(f"wrote {manifest}")
     return 0
 
 
 def cmd_trajectory(cfg: RunConfig, args) -> int:
-    mode, points, spp = _load_waypoints(args.waypoints)
-    spp = cfg.samples_per_segment if spp is None else spp
+    mode, points, spp = _load_waypoints(args.waypoints, cfg.samples_per_segment)
     spec = PathSpec(waypoints=tuple(points), mode=mode, samples_per_segment=spp)
     result = monitor(cfg.geometry, spec, cfg.eps_sing)
     print(
@@ -279,6 +274,7 @@ def cmd_charsurf(cfg: RunConfig, args) -> int:
     mode = parse_mode(args.mode)
     symbol = "+" if args.sign > 0 else "-"
     depth = cfg.depth_or(6)
+    out = _outdir(cfg) / f"charsurf_{mode.label}_{SIGN_TAG[args.sign]}_{args.component}.json"
     atlas = _pair_census(cfg, mode, args.sign, depth)
     surf = characteristic_surface(atlas, mode, args.sign, args.component)
     tree = atlas.entry(mode, args.sign).workspace
@@ -293,7 +289,6 @@ def cmd_charsurf(cfg: RunConfig, args) -> int:
         ],
         "boundary_count": int(surf.boundary_leaves.size),
     }
-    out = _outdir(cfg) / f"charsurf_{mode.label}_{SIGN_TAG[args.sign]}_{args.component}.json"
     with open(out, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

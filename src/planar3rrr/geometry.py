@@ -11,8 +11,8 @@ absolute angle alpha_i) and ``m`` (passive, absolute angle beta_i), so
     c_i = p + s * (cos(theta + platform_phase_i), sin(theta + platform_phase_i))
 
 All angles are radians and counter-clockwise positive; degrees appear only at
-the CLI and file boundaries. Every scalar a caller hands in passes the one
-number rule, ``as_float`` (``as_positive`` for lengths, eps and limits).
+the CLI and file boundaries. Every number a caller hands in passes one rule:
+``as_float``, ``as_positive`` (lengths, eps and limits) or ``as_int`` (integers).
 """
 
 from __future__ import annotations
@@ -49,6 +49,15 @@ def as_float(value, name: str) -> float:
 def as_positive(value, name: str) -> float:
     """``as_float`` of a length, tolerance or limit, which must also exceed 0."""
     return _number(value, name, 0.0, "positive and finite")
+
+
+def as_int(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """The one integer rule: a Python or numpy int, not a bool, in [lo, hi] (no
+    upper bound by default), as an int; ValueError names ``name``."""
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (whole and lo <= value <= hi):
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 def _number(value, name: str, low: float, what: str) -> float:

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoxMismatchError, OutOfBoxError
-from .geometry import TWO_PI, as_float
+from .geometry import TWO_PI, as_float, as_int
 
 AXIS_LINEAR = "lin"
 AXIS_PERIODIC = "per"
@@ -195,8 +195,8 @@ class Octree:
     comp: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 <= self.max_depth <= MAX_TREE_DEPTH:
-            raise ValueError(f"max_depth must be in [0, {MAX_TREE_DEPTH}], got {self.max_depth}")
+        max_depth = as_int(self.max_depth, "max_depth", 0, MAX_TREE_DEPTH)
+        object.__setattr__(self, "max_depth", max_depth)
         dtypes = {"morton": np.uint64, "depth": np.uint8, "label": bool, "comp": np.int64}
         for name, dtype in dtypes.items():
             if getattr(self, name) is not None:

@@ -22,6 +22,7 @@ from .geometry import (
     Pose,
     WorkingMode,
     angle_difference,
+    as_int,
     pose_gaps,
     wrap_angles,
 )
@@ -58,9 +59,8 @@ class PathSpec:
             raise TypeError(f"waypoints must be Pose values, got {bad[0]!r}")
         if not isinstance(self.mode, WorkingMode):
             raise TypeError(f"mode must be a WorkingMode, got {self.mode!r}")
-        n = self.samples_per_segment
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
-            raise ValueError(f"samples_per_segment must be an integer of at least 2, got {n!r}")
+        n = as_int(self.samples_per_segment, "samples_per_segment", 2)
+        object.__setattr__(self, "samples_per_segment", n)
 
 
 @dataclass(frozen=True)

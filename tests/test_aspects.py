@@ -12,6 +12,7 @@ from planar3rrr import aspects, batch
 from planar3rrr.aspects import (
     MIN_DEPTH,
     AspectAtlas,
+    AspectEntry,
     characteristic_surface,
     enumerate_aspects,
     same_aspect,
@@ -523,6 +524,19 @@ def test_characteristic_surface_empty_case(ref_geom):
     surf = characteristic_surface(atlas, WorkingMode.A, 1, cid)
     assert surf.boundary_leaves.size > 0
     assert surf.is_empty
+
+
+def test_characteristic_surface_of_a_component_without_boundary(ref_geom):
+    # One IN leaf fills the box: no OUT leaf borders it, so no boundary cell
+    # exists, and the surface is empty with int64 leaf arrays of shape (0,).
+    box = workspace_box()
+    tree = Octree(box=box, max_depth=0, morton=[0], depth=[0], label=[True], comp=[0])
+    entry = AspectEntry(WorkingMode.A, 1, tree, 1, (0,), 1, (1,), (box.volume,))
+    atlas = AspectAtlas(ref_geom, MIN_DEPTH, None, box, {(WorkingMode.A, 1): entry})
+    surf = characteristic_surface(atlas, WorkingMode.A, 1, 0)
+    assert surf.is_empty
+    for leaves in (surf.marked_leaves, surf.boundary_leaves):
+        assert leaves.dtype == np.int64 and leaves.shape == (0,)
 
 
 def test_characteristic_surface_invalid_component(ref_geom, atlas6):

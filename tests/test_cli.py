@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ALPHA_EMPTY, ALPHA_REF, TABLE_POSES
+from planar3rrr import cli
 from planar3rrr.cli import build_parser, bundled_data_path, load_config, main
 from planar3rrr.errors import ConfigError
 from planar3rrr.octree import load as load_tree
@@ -121,7 +122,10 @@ def test_config_samples_per_segment_below_two_exit_code(ref_path, tmp_path, caps
     p.write_text(json.dumps({"samples_per_segment": 1}))
     out = tmp_path / "t"
     assert main(["--config", str(p), "--out", str(out), "trajectory", ref_path]) == 2
-    assert capsys.readouterr().err == "error: samples_per_segment must be at least 2\n"
+    assert capsys.readouterr().err == (
+        "error: invalid config value: key 'samples_per_segment' must be an integer in [2, inf], "
+        "got 1\n"
+    )
     assert not out.exists()
 
 
@@ -138,7 +142,7 @@ def test_unknown_waypoint_key_exit_code(ref_config, ref_path, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv, config, name",
-    [(["--depth", "3"], {}, "--depth"), ([], {"depth": 11}, "config depth")],
+    [(["--depth", "3"], {}, "--depth"), ([], {"depth": 11}, "key 'depth'")],
     ids=["flag", "config"],
 )
 def test_depth_outside_census_range(tmp_path, capsys, argv, config, name):
@@ -238,15 +242,28 @@ def test_workspace_runs_the_census(ref_config, tmp_path, capsys):
     assert dump == (tmp_path / "a" / "aspect_w_c_pos.oct").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["aspects", "--no-joint"], ["workspace", "--mode", "a", "--sign", "+"],
+     ["charsurf", "--mode", "c", "--sign", "+"]],
+    ids=lambda c: c[0],
+)
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
-def test_out_on_a_file_is_refused(ref_config, tmp_path, capsys, below):
-    # mkdir used to end in a FileExistsError or NotADirectoryError traceback with exit code 1.
+def test_out_on_a_file_is_refused(ref_config, tmp_path, capsys, monkeypatch, below, command):
+    # mkdir used to end in a FileExistsError or NotADirectoryError traceback with
+    # exit code 1, and then came only after the whole census, which aspects
+    # followed by printing its count table.
+    def census(*args, **kwargs):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(cli, "enumerate_aspects", census)
     blocker = tmp_path / "f"
     blocker.write_text("x")
     out = blocker / below
-    argv = ["--config", ref_config, "--out", str(out), "--depth", "4"]
-    assert main([*argv, "workspace", "--mode", "a", "--sign", "+"]) == 2
-    assert f"cannot create output directory {out}" in capsys.readouterr().err
+    assert main(["--config", ref_config, "--out", str(out), "--depth", "7", *command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot create output directory {out}" in captured.err
     assert blocker.read_text() == "x"
 
 

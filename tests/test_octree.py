@@ -195,7 +195,7 @@ def test_loads_head_limits():
     tree = loads(f" {V1}  depth= 21 ;axes=lin,lin,per\r\n" + ROOT_ROW)
     assert tree.max_depth == 21 and tree.n_leaves == 1
     for depth in (-1, 22):
-        with pytest.raises(ValueError, match=r"max_depth must be in \[0, 21\]"):
+        with pytest.raises(ValueError, match=r"max_depth must be an integer in \[0, 21\]"):
             replace(tree, max_depth=depth)
 
 

@@ -26,6 +26,12 @@ One number rule: only ``geometry`` decides whether a scalar is a finite (or
 positive) number, in ``as_float`` and ``as_positive``. No other module reads
 ``math.isfinite`` or compares a value with ``math.inf``; an inline copy of the
 rule drifts from it (one read True as 1, another "6" as 6).
+
+One integer rule: only ``geometry.as_int`` decides whether a value is an
+integer in range. No other module tests a value with ``isinstance(..., bool)``,
+the test every integer check needs, since a bool is an int; three copies of it
+once lived in ``aspects``, ``trajectory`` and ``cli``, and three integer inputs
+had none.
 """
 
 from __future__ import annotations
@@ -302,6 +308,38 @@ def fine(x):
 
 def test_only_geometry_checks_a_number():
     checks = {m.__name__: _number_checks(inspect.getsource(m)) for m in _modules()}
+    assert checks.pop("planar3rrr.geometry") != []
+    assert "planar3rrr.cli" in checks
+    assert {name: found for name, found in checks.items() if found} == {}
+
+
+def _integer_checks(source: str) -> list[str]:
+    """The inline integer checks of ``source``, by line: each ``isinstance`` call
+    whose class argument is ``bool`` or a tuple holding it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1:]
+            kinds = kinds[0].elts if kinds and isinstance(kinds[0], ast.Tuple) else kinds
+            if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                found.append(f"line {node.lineno}: isinstance(..., bool)")
+    return found
+
+
+def test_the_lint_sees_an_inline_integer_check():
+    # A bool alone or in a tuple is flagged; other classes and np.bool_ are not.
+    source = """
+def check(depth, n, flag):
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)):
+        raise ValueError(depth)
+    return isinstance(n, (int, bool)), isinstance(flag, np.bool_), isinstance(n, int)
+"""
+    flagged = ["line 3: isinstance(..., bool)", "line 5: isinstance(..., bool)"]
+    assert _integer_checks(source) == flagged
+
+
+def test_only_geometry_checks_an_integer():
+    checks = {m.__name__: _integer_checks(inspect.getsource(m)) for m in _modules()}
     assert checks.pop("planar3rrr.geometry") != []
     assert "planar3rrr.cli" in checks
     assert {name: found for name, found in checks.items() if found} == {}
